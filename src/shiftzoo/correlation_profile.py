@@ -12,7 +12,9 @@ domain's own overlap rows. The correlation shift between domains a and b is
 
 clamped into [0, 1]. Overlap rows are the training rows that do not escape
 the other domain's Gaussian fit; with no overlap at all the estimate is 0 and
-flagged.
+flagged. ``dataset_correlation`` fits each domain at most once per call, and
+only when one of its pairs has overlap rows; a pair only calibrates and
+compares the two fits.
 """
 
 from __future__ import annotations
@@ -245,10 +247,15 @@ def correlation_shift(
     fs_a: FeatureSet,
     fs_b: FeatureSet,
     pair: PairDiversity,
-    n_classes: int,
+    model_a: EvidenceModel | None,
+    model_b: EvidenceModel | None,
     n_bins: int = DEFAULT_BINS,
 ) -> PairCorrelation:
-    """Mean calibrated-probability gap over the two domains' overlap rows."""
+    """Mean calibrated-probability gap over the two domains' overlap rows.
+
+    ``model_a``/``model_b`` are the domains' ``logme_fit`` models. They are
+    not read when the overlap is empty, so an unfitted domain may pass None.
+    """
     if (pair.domain_a, pair.domain_b) != (fs_a.domain_id, fs_b.domain_id):
         raise ValidationError("diversity pair does not match the given feature sets")
     keep_a = ~pair.escape_a
@@ -263,8 +270,7 @@ def correlation_shift(
             n_overlap_b=0,
             empty_overlap=True,
         )
-    model_a = logme_fit(fs_a.train_features, fs_a.train_labels, n_classes)
-    model_b = logme_fit(fs_b.train_features, fs_b.train_labels, n_classes)
+    n_classes = model_a.n_classes
     overlap_a = fs_a.train_features[keep_a]
     overlap_b = fs_b.train_features[keep_b]
     cal_a = calibrate(
@@ -295,10 +301,23 @@ def dataset_correlation(
     n_bins: int = DEFAULT_BINS,
 ) -> tuple[float, dict[tuple[str, str], PairCorrelation]]:
     """Mean correlation shift over all unordered domain pairs, plus detail."""
+    with_overlap = {
+        domain_id
+        for key, pdiv in pair_diversities.items()
+        if not (pdiv.escape_a.all() and pdiv.escape_b.all())
+        for domain_id in key
+    }
+    models = {
+        fs.domain_id: logme_fit(fs.train_features, fs.train_labels, n_classes)
+        for fs in feature_sets
+        if fs.domain_id in with_overlap
+    }
     by_id = {fs.domain_id: fs for fs in feature_sets}
     pairs: dict[tuple[str, str], PairCorrelation] = {}
     for (ida, idb), pdiv in pair_diversities.items():
-        pairs[(ida, idb)] = correlation_shift(by_id[ida], by_id[idb], pdiv, n_classes, n_bins)
+        pairs[(ida, idb)] = correlation_shift(
+            by_id[ida], by_id[idb], pdiv, models.get(ida), models.get(idb), n_bins
+        )
     if not pairs:
         raise ValidationError("need at least one domain pair for correlation shift")
     value = float(np.mean([p.f_cor for p in pairs.values()]))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -325,13 +325,6 @@ def train_rew_auxiliary(
     return RewAuxiliary(weights=w, bias=b, class_prior=prior, prior_floored=floored)
 
 
-def raw_weight(prior: float, p_c_y: float, temperature: float) -> float:
-    """Smoothed inverse-confidence weight (p(y) / p_c)^(1/T); T=inf gives 1."""
-    if math.isinf(temperature):
-        return 1.0
-    return (prior / max(p_c_y, P_FLOOR)) ** (1.0 / temperature)
-
-
 def batch_weights(raw: np.ndarray) -> np.ndarray:
     """Rescale positive weights to mean exactly 1, preserving ratios."""
     raw = np.asarray(raw, dtype=np.float64)
@@ -470,11 +463,6 @@ class TrainResult:
     best_test_accuracy: float | None
     prior_floored: bool
     config: TrainConfig
-
-    def best_head(self) -> MlpHead:
-        head = MlpHead(self.head.dims, rng=0, dropout=self.head.dropout)
-        head.set_state(self.best_state)
-        return head
 
 
 def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
@@ -663,19 +651,3 @@ def logit_feature_sets(head: MlpHead, sets: Sequence[FeatureSet]) -> list[Featur
             )
         )
     return out
-
-
-def select_auxiliaries(
-    scores: Mapping[str, tuple[float, float]], main_encoder_id: str
-) -> tuple[str, str]:
-    """Pick the diversity and correlation auxiliaries from profiled scores.
-
-    ``scores`` maps encoder id to (f_div, f_cor). The main encoder is
-    excluded; ties break toward the lexicographically smallest id.
-    """
-    candidates = {k: v for k, v in scores.items() if k != main_encoder_id}
-    if not candidates:
-        raise ValidationError("no auxiliary candidates besides the main encoder")
-    div_id = min(candidates, key=lambda k: (-candidates[k][0], k))
-    cor_id = min(candidates, key=lambda k: (-candidates[k][1], k))
-    return div_id, cor_id

@@ -288,7 +288,7 @@ def load_domain_features(
     )
 
 
-def load_manifest(path: Path | str, validate: bool = True) -> ZooManifest:
+def load_manifest(path: Path | str) -> ZooManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -311,8 +311,7 @@ def load_manifest(path: Path | str, validate: bool = True) -> ZooManifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"manifest {path} is missing or has malformed fields: {exc}") from exc
-    if validate:
-        validate_manifest(manifest)
+    validate_manifest(manifest)
     return manifest
 
 

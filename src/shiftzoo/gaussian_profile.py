@@ -9,8 +9,10 @@ fraction of their training rows under each other's fit:
 
     F_div(a, b) = 0.5 * ( P[train_a escapes b] + P[train_b escapes a] )
 
-Distances always go through the Cholesky factor of the regularised
-covariance; the inverse is never formed explicitly.
+``dataset_diversity`` fits each domain once per call; a pair only scores
+each side's training rows against the other side's fit. Distances always go
+through the Cholesky factor of the regularised covariance; the inverse is
+never formed explicitly.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ class DomainProfile:
 
     domain_id: str
     mean: np.ndarray
-    cov: np.ndarray
     chol: np.ndarray
-    shrinkage: float
     threshold: float
 
 
@@ -54,8 +54,6 @@ class PairDiversity:
     f_div: float
     escape_a: np.ndarray
     escape_b: np.ndarray
-    profile_a: DomainProfile
-    profile_b: DomainProfile
 
 
 def fit_gaussian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,14 +129,7 @@ def fit_profile(
     mean, cov = fit_gaussian(train)
     chol = regularize_and_factor(cov, shrinkage)
     threshold = estimate_threshold(mahalanobis_sq(mean, chol, val), quantile)
-    return DomainProfile(
-        domain_id=fs.domain_id,
-        mean=mean,
-        cov=cov,
-        chol=chol,
-        shrinkage=shrinkage,
-        threshold=threshold,
-    )
+    return DomainProfile(domain_id=fs.domain_id, mean=mean, chol=chol, threshold=threshold)
 
 
 def escape_mask(profile: DomainProfile, x: np.ndarray) -> np.ndarray:
@@ -149,17 +140,17 @@ def escape_mask(profile: DomainProfile, x: np.ndarray) -> np.ndarray:
 def diversity_shift(
     fs_a: FeatureSet,
     fs_b: FeatureSet,
-    shrinkage: float = DEFAULT_SHRINKAGE,
-    quantile: float = DEFAULT_QUANTILE,
+    profile_a: DomainProfile,
+    profile_b: DomainProfile,
 ) -> PairDiversity:
-    """Symmetrised escape fraction between two domains of one encoder."""
+    """Symmetrised escape fraction between two fitted domains of one encoder."""
     if fs_a.dim != fs_b.dim:
         raise ValidationError(
             f"domains '{fs_a.domain_id}' and '{fs_b.domain_id}' have different dims "
             f"({fs_a.dim} vs {fs_b.dim})"
         )
-    profile_a = fit_profile(fs_a, shrinkage, quantile)
-    profile_b = fit_profile(fs_b, shrinkage, quantile)
+    if (profile_a.domain_id, profile_b.domain_id) != (fs_a.domain_id, fs_b.domain_id):
+        raise ValidationError("domain profiles do not match the given feature sets")
     escape_a = escape_mask(profile_b, fs_a.train_features)
     escape_b = escape_mask(profile_a, fs_b.train_features)
     f_div = 0.5 * (float(escape_a.mean()) + float(escape_b.mean()))
@@ -169,8 +160,6 @@ def diversity_shift(
         f_div=f_div,
         escape_a=escape_a,
         escape_b=escape_b,
-        profile_a=profile_a,
-        profile_b=profile_b,
     )
 
 
@@ -182,9 +171,10 @@ def dataset_diversity(
     """Mean diversity shift over all unordered domain pairs, plus pair detail."""
     if len(feature_sets) < 2:
         raise ValidationError("need at least two domains to estimate diversity shift")
+    fitted = [(fs, fit_profile(fs, shrinkage, quantile)) for fs in feature_sets]
     pairs: dict[tuple[str, str], PairDiversity] = {}
-    for fs_a, fs_b in combinations(feature_sets, 2):
-        pair = diversity_shift(fs_a, fs_b, shrinkage, quantile)
+    for (fs_a, profile_a), (fs_b, profile_b) in combinations(fitted, 2):
+        pair = diversity_shift(fs_a, fs_b, profile_a, profile_b)
         pairs[(fs_a.domain_id, fs_b.domain_id)] = pair
     value = float(np.mean([p.f_div for p in pairs.values()]))
     return value, pairs

@@ -85,21 +85,6 @@ def hsic_b(
     return value
 
 
-def hsic_b_grad(
-    z_first: np.ndarray,
-    z_second: np.ndarray,
-    spec_first: KernelSpec,
-    spec_second: KernelSpec,
-) -> np.ndarray:
-    """Gradient of ``hsic_b`` with respect to ``z_first``.
-
-    ``z_second``'s kernel is held constant, matching a penalty that shapes
-    the first representation against a frozen reference.
-    """
-    _, grad = hsic_b_value_and_grad(z_first, z_second, spec_first, spec_second)
-    return grad
-
-
 def hsic_b_value_and_grad(
     z_first: np.ndarray,
     z_second: np.ndarray,

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
-from .ensemble_train import select_auxiliaries
 from .errors import ValidationError
 from .feature_store import ZooManifest, load_domain_features
 from .gaussian_profile import DEFAULT_QUANTILE, DEFAULT_SHRINKAGE, dataset_diversity
@@ -164,6 +163,22 @@ def report_scores(report: Mapping) -> dict[str, tuple[float, float]]:
     return out
 
 
+def select_auxiliaries(
+    scores: Mapping[str, tuple[float, float]], main_encoder_id: str
+) -> tuple[str, str]:
+    """Pick the diversity and correlation auxiliaries from profiled scores.
+
+    ``scores`` maps encoder id to (f_div, f_cor). The main encoder is
+    excluded; ties break toward the lexicographically smallest id.
+    """
+    candidates = {k: v for k, v in scores.items() if k != main_encoder_id}
+    if not candidates:
+        raise ValidationError("no auxiliary candidates besides the main encoder")
+    div_id = min(candidates, key=lambda k: (-candidates[k][0], k))
+    cor_id = min(candidates, key=lambda k: (-candidates[k][1], k))
+    return div_id, cor_id
+
+
 def rank_lines(report: Mapping, main_encoder_id: str | None = None) -> str:
     """Sorted listings by each shift axis plus the suggested auxiliaries."""
     scores = report_scores(report)
@@ -183,13 +198,17 @@ def rank_lines(report: Mapping, main_encoder_id: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def comparison_table(reports: Sequence[Mapping]) -> str:
-    """Aligned per-encoder table across reports; datasets must match."""
+def _check_one_dataset(reports: Sequence[Mapping]) -> None:
     if not reports:
         raise ValidationError("need at least one report")
     names = {r.get("dataset_name") for r in reports}
     if len(names) != 1:
         raise ValidationError(f"reports mix dataset names: {sorted(map(str, names))}")
+
+
+def comparison_table(reports: Sequence[Mapping]) -> str:
+    """Aligned per-encoder table across reports; datasets must match."""
+    _check_one_dataset(reports)
     rows = []
     for rep in reports:
         for enc, (f_div, f_cor) in sorted(report_scores(rep).items()):
@@ -206,11 +225,7 @@ def comparison_table(reports: Sequence[Mapping]) -> str:
 
 def scatter_csv(reports: Sequence[Mapping]) -> str:
     """Plot-ready rows, one per (report, encoder)."""
-    if not reports:
-        raise ValidationError("need at least one report")
-    names = {r.get("dataset_name") for r in reports}
-    if len(names) != 1:
-        raise ValidationError(f"reports mix dataset names: {sorted(map(str, names))}")
+    _check_one_dataset(reports)
     lines = ["encoder_id,f_div,f_cor"]
     for rep in reports:
         for enc, (f_div, f_cor) in sorted(report_scores(rep).items()):

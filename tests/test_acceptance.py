@@ -19,7 +19,6 @@ from shiftzoo.ensemble_train import (
     batch_weights,
     head_loss_and_grads,
     logit_feature_sets,
-    select_auxiliaries,
     train,
 )
 from shiftzoo.feature_store import (
@@ -32,6 +31,7 @@ from shiftzoo.feature_store import (
 )
 from shiftzoo.gaussian_profile import dataset_diversity
 from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix, hsic_b
+from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import SynthSpec, benchmark_train_config, build_zoo
 
 from oracle_utils import grid_argmax_ties, quadratic_hsic

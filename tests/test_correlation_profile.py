@@ -1,9 +1,12 @@
 """Evidence maximisation, pseudo-probability calibration, and correlation shift."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from oracle_utils import direct_log_evidence, grid_argmax_evidence
 
+from shiftzoo import correlation_profile
 from shiftzoo.correlation_profile import (
     Calibrator,
     ClassRegression,
@@ -17,7 +20,7 @@ from shiftzoo.correlation_profile import (
 )
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import build_feature_set
-from shiftzoo.gaussian_profile import dataset_diversity, diversity_shift
+from shiftzoo.gaussian_profile import dataset_diversity, diversity_shift, fit_profile
 
 
 def _svd_stats(phi, y):
@@ -163,12 +166,28 @@ def _domain(domain_id, n, seed, flip=False, shift=0.0):
     )
 
 
+def _shift(fa, fb):
+    """One pair on its own: fit both domains, then compare them."""
+    pair = diversity_shift(fa, fb, fit_profile(fa), fit_profile(fb))
+    models = [logme_fit(fs.train_features, fs.train_labels, 2) for fs in (fa, fb)]
+    return pair, correlation_shift(fa, fb, pair, *models)
+
+
+def _four_domains():
+    """a and b share their conditionals, c flips them, far overlaps no one."""
+    return [
+        _domain("a", 600, 70),
+        _domain("b", 600, 71),
+        _domain("c", 600, 72, flip=True),
+        _domain("far", 600, 73, shift=60.0),
+    ]
+
+
 def test_identical_conditionals_give_low_shift():
     for seed in range(3):
         fa = _domain("a", 1500, 10 + seed)
         fb = _domain("b", 1500, 200 + seed)
-        pair = diversity_shift(fa, fb)
-        cor = correlation_shift(fa, fb, pair, n_classes=2)
+        _, cor = _shift(fa, fb)
         assert not cor.empty_overlap
         assert cor.f_cor <= 0.05
 
@@ -177,16 +196,16 @@ def test_flipped_labels_give_high_shift():
     for seed in range(3):
         fa = _domain("a", 1500, 20 + seed)
         fb = _domain("b", 1500, 300 + seed, flip=True)
-        pair = diversity_shift(fa, fb)
-        cor = correlation_shift(fa, fb, pair, n_classes=2)
+        _, cor = _shift(fa, fb)
         assert cor.f_cor >= 0.9
 
 
 def test_disjoint_domains_flag_empty_overlap():
     fa = _domain("a", 400, 30)
     fb = _domain("b", 400, 31, shift=60.0)
-    pair = diversity_shift(fa, fb)
-    cor = correlation_shift(fa, fb, pair, n_classes=2)
+    pair = diversity_shift(fa, fb, fit_profile(fa), fit_profile(fb))
+    # with no overlap rows the regressions are never read, so none is fitted
+    cor = correlation_shift(fa, fb, pair, None, None)
     assert cor.empty_overlap and cor.f_cor == 0.0
     assert cor.n_overlap_a == 0 and cor.n_overlap_b == 0
 
@@ -205,6 +224,42 @@ def test_correlation_shift_bounds():
     for seed in range(4):
         fa = _domain("a", 500, 50 + seed)
         fb = _domain("b", 500, 60 + seed, flip=bool(seed % 2))
-        pair = diversity_shift(fa, fb)
-        cor = correlation_shift(fa, fb, pair, n_classes=2)
+        _, cor = _shift(fa, fb)
         assert 0.0 <= cor.f_cor <= 1.0
+
+
+def test_dataset_correlation_fits_each_domain_at_most_once(monkeypatch):
+    sets = _four_domains()
+    _, pair_div = dataset_diversity(sets)
+    fitted = []
+    real_fit = correlation_profile.logme_fit
+
+    def counting_fit(features, labels, n_classes, *args, **kwargs):
+        fitted.extend(fs.domain_id for fs in sets if np.array_equal(fs.train_features, features))
+        return real_fit(features, labels, n_classes, *args, **kwargs)
+
+    monkeypatch.setattr(correlation_profile, "logme_fit", counting_fit)
+    _, pairs = dataset_correlation(sets, pair_div, n_classes=2)
+    # every pair of "far" has empty overlap, so it is never fitted
+    assert all(pairs[(d, "far")].empty_overlap for d in ("a", "b", "c"))
+    assert not any(pairs[key].empty_overlap for key in (("a", "b"), ("a", "c"), ("b", "c")))
+    assert fitted == ["a", "b", "c"]
+
+
+def test_dataset_pairs_equal_each_pair_alone():
+    sets = _four_domains()
+    _, pair_div = dataset_diversity(sets)
+    _, pair_cor = dataset_correlation(sets, pair_div, n_classes=2)
+    assert len(pair_div) == len(pair_cor) == 6
+    for fa, fb in combinations(sets, 2):
+        key = (fa.domain_id, fb.domain_id)
+        div, cor = _shift(fa, fb)
+        assert pair_div[key].f_div == div.f_div
+        np.testing.assert_array_equal(pair_div[key].escape_a, div.escape_a)
+        np.testing.assert_array_equal(pair_div[key].escape_b, div.escape_b)
+        assert pair_cor[key].f_cor == cor.f_cor
+        assert (pair_cor[key].n_overlap_a, pair_cor[key].n_overlap_b) == (
+            cor.n_overlap_a,
+            cor.n_overlap_b,
+        )
+        assert pair_cor[key].empty_overlap == cor.empty_overlap

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from shiftzoo.ensemble_train import (
+    P_FLOOR,
+    WEIGHT_CLIP,
     AdamW,
     MlpHead,
+    RewAuxiliary,
     TrainConfig,
     apply_mode,
     batch_weights,
     class_prior,
     head_loss_and_grads,
     logit_feature_sets,
-    raw_weight,
     rew_weights,
-    select_auxiliaries,
     train_on_sets,
     train_rew_auxiliary,
     train_step,
@@ -24,6 +25,7 @@ from shiftzoo.ensemble_train import (
 )
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import build_feature_set
+from shiftzoo.report import select_auxiliaries
 
 
 def _sets(seed, n=300, d=6, n_classes=3, domains=2):
@@ -178,12 +180,34 @@ def test_adamw_decoupled_weight_decay():
     assert p[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
 
-def test_raw_weight_examples():
-    assert raw_weight(0.5, 0.25, 1.0) == pytest.approx(2.0)
-    assert raw_weight(0.123, 0.9, math.inf) == 1.0
-    assert raw_weight(0.5, 0.25, 2.0) == pytest.approx(math.sqrt(2.0))
-    # flooring keeps the ratio finite
-    assert raw_weight(0.5, 0.0, 1.0) == pytest.approx(0.5 / 1e-6)
+def _fixed_aux(bias, prior):
+    # zero weights: every row's class probabilities are softmax(bias)
+    return RewAuxiliary(
+        weights=np.zeros((1, len(bias))),
+        bias=np.asarray(bias, dtype=np.float64),
+        class_prior=np.asarray(prior, dtype=np.float64),
+        prior_floored=False,
+    )
+
+
+def test_rew_weight_examples():
+    # weights are rescaled to mean 1, so the raw weight (p(y) / p_c(y))^(1/T)
+    # of row 0 shows as its ratio to row 1, whose raw weight is 0.5/0.5 = 1
+    aux = _fixed_aux(np.log([0.25, 0.5, 0.25]), [0.5, 0.5, 0.0])
+    z, labels = np.zeros((2, 1)), np.array([0, 1])
+    w = rew_weights(aux, z, labels, temperature=1.0)
+    assert w[0] / w[1] == pytest.approx(2.0)
+    w2 = rew_weights(aux, z, labels, temperature=2.0)
+    assert w2[0] / w2[1] == pytest.approx(math.sqrt(2.0))
+    assert np.array_equal(rew_weights(aux, z, labels, temperature=math.inf), np.ones(2))
+    # p_c(y) = 0 is floored at P_FLOOR, which keeps the ratio finite; the
+    # floored ratio 0.25 / P_FLOOR exceeds WEIGHT_CLIP, so the weight is clipped
+    aux0 = _fixed_aux([math.log(0.5), math.log(0.5), -1e3], [0.25, 0.5, 0.25])
+    assert aux0.predict_proba(z)[0, 2] == 0.0
+    assert 0.25 / P_FLOOR > WEIGHT_CLIP
+    w0 = rew_weights(aux0, z, np.array([2, 1]), temperature=1.0)
+    assert np.isfinite(w0).all()
+    assert w0[0] / w0[1] == pytest.approx(WEIGHT_CLIP)
 
 
 def test_batch_weights_examples_and_properties():

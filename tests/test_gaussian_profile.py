@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from shiftzoo import gaussian_profile
 from shiftzoo.errors import NumericalError, ValidationError
 from shiftzoo.feature_store import build_feature_set
 from shiftzoo.gaussian_profile import (
@@ -22,6 +23,10 @@ def _make_set(domain_id, x, y, n_classes=2, seed=0, ratio=0.2):
     return build_feature_set(
         domain_id, x, y, dataset_name="t", n_classes=n_classes, split_ratio=ratio, seed=seed
     )
+
+
+def _pair(fa, fb):
+    return diversity_shift(fa, fb, fit_profile(fa), fit_profile(fb))
 
 
 def test_fit_gaussian_matches_numpy_biased_cov():
@@ -131,7 +136,7 @@ def test_iid_domains_have_baseline_diversity():
         xa = rng.normal(size=(2000, 6)).astype(np.float32)
         xb = rng.normal(size=(2000, 6)).astype(np.float32)
         y = rng.integers(0, 2, size=2000)
-        pair = diversity_shift(_make_set("a", xa, y, seed=seed), _make_set("b", xb, y, seed=seed))
+        pair = _pair(_make_set("a", xa, y, seed=seed), _make_set("b", xb, y, seed=seed))
         assert 0.0 <= pair.f_div <= 0.03
 
 
@@ -140,7 +145,7 @@ def test_separated_domains_have_full_diversity():
     xa = rng.normal(size=(1000, 4)).astype(np.float32)
     xb = (rng.normal(size=(1000, 4)) + 50.0).astype(np.float32)
     y = rng.integers(0, 2, size=1000)
-    pair = diversity_shift(_make_set("a", xa, y), _make_set("b", xb, y))
+    pair = _pair(_make_set("a", xa, y), _make_set("b", xb, y))
     assert pair.f_div >= 0.999
 
 
@@ -150,15 +155,19 @@ def test_escape_masks_align_with_train_rows():
     xb = rng.normal(size=(500, 3)).astype(np.float32)
     y = rng.integers(0, 2, size=500)
     fa, fb = _make_set("a", xa, y), _make_set("b", xb, y)
-    pair = diversity_shift(fa, fb)
+    profile_a, profile_b = fit_profile(fa), fit_profile(fb)
+    pair = diversity_shift(fa, fb, profile_a, profile_b)
     assert pair.escape_a.shape == (fa.train_features.shape[0],)
     assert pair.escape_b.shape == (fb.train_features.shape[0],)
     assert pair.f_div == pytest.approx(
         0.5 * (pair.escape_a.mean() + pair.escape_b.mean())
     )
-    # escape_mask agrees with the stored profiles
+    # escape_mask agrees with the fitted profiles
     np.testing.assert_array_equal(
-        pair.escape_a, escape_mask(pair.profile_b, fa.train_features)
+        pair.escape_a, escape_mask(profile_b, fa.train_features)
+    )
+    np.testing.assert_array_equal(
+        pair.escape_b, escape_mask(profile_a, fb.train_features)
     )
 
 
@@ -168,7 +177,18 @@ def test_diversity_rejects_dim_mismatch():
     fa = _make_set("a", rng.normal(size=(50, 3)).astype(np.float32), y)
     fb = _make_set("b", rng.normal(size=(50, 4)).astype(np.float32), y)
     with pytest.raises(ValidationError):
-        diversity_shift(fa, fb)
+        _pair(fa, fb)
+    with pytest.raises(ValidationError):
+        dataset_diversity([fa, fb])
+
+
+def test_diversity_rejects_profiles_of_other_domains():
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 2, size=50)
+    fa = _make_set("a", rng.normal(size=(50, 3)).astype(np.float32), y)
+    fb = _make_set("b", rng.normal(size=(50, 3)).astype(np.float32), y)
+    with pytest.raises(ValidationError):
+        diversity_shift(fa, fb, fit_profile(fb), fit_profile(fa))
 
 
 def test_dataset_diversity_averages_pairs():
@@ -183,3 +203,23 @@ def test_dataset_diversity_averages_pairs():
     assert value == pytest.approx(np.mean([p.f_div for p in pairs.values()]))
     with pytest.raises(ValidationError):
         dataset_diversity(sets[:1])
+
+
+def test_dataset_diversity_fits_each_domain_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    y = rng.integers(0, 2, size=300)
+    sets = [
+        _make_set(f"d{i}", (rng.normal(size=(300, 3)) + 3.0 * i).astype(np.float32), y)
+        for i in range(4)
+    ]
+    fitted = []
+    real_fit = gaussian_profile.fit_profile
+
+    def counting_fit(fs, *args, **kwargs):
+        fitted.append(fs.domain_id)
+        return real_fit(fs, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian_profile, "fit_profile", counting_fit)
+    _, pairs = dataset_diversity(sets)
+    assert fitted == ["d0", "d1", "d2", "d3"]
+    assert len(pairs) == 6

@@ -10,7 +10,6 @@ from shiftzoo.hsic import (
     KernelSpec,
     gaussian_kernel_matrix,
     hsic_b,
-    hsic_b_grad,
     hsic_b_value_and_grad,
     hsic_from_kernels,
 )
@@ -118,7 +117,7 @@ def test_hsic_gradient_matches_finite_differences(m, d1, d2, seed):
     z1 = rng.normal(size=(m, d1))
     z2 = rng.normal(size=(m, d2))
     s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
-    grad = hsic_b_grad(z1, z2, s1, s2)
+    _, grad = hsic_b_value_and_grad(z1, z2, s1, s2)
     h = 1e-6
     fd = np.zeros_like(z1)
     for i in range(m):
@@ -138,4 +137,9 @@ def test_value_and_grad_consistent_with_separate_calls():
     s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
     v, g = hsic_b_value_and_grad(z1, z2, s1, s2)
     assert v == pytest.approx(hsic_b(z1, z2, s1, s2), abs=1e-15)
-    np.testing.assert_allclose(g, hsic_b_grad(z1, z2, s1, s2), atol=1e-15)
+    # a value-only call returns the same value and a zero gradient; a repeat
+    # call returns the same gradient
+    v_only, g_off = hsic_b_value_and_grad(z1, z2, s1, s2, need_grad=False)
+    assert v_only == v
+    np.testing.assert_array_equal(g_off, np.zeros_like(z1))
+    np.testing.assert_allclose(g, hsic_b_value_and_grad(z1, z2, s1, s2)[1], atol=1e-15)

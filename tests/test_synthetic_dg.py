@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from shiftzoo.correlation_profile import dataset_correlation
-from shiftzoo.ensemble_train import TrainConfig, select_auxiliaries
+from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import FeatureSet, load_domain_features, load_manifest
 from shiftzoo.gaussian_profile import dataset_diversity
+from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import (
     LEAKY_SLOPE,
     ZOO_ROLES,
