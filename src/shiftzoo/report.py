@@ -36,7 +36,7 @@ def write_report(report: Mapping, path: Path | str) -> None:
 
 
 def read_report(path: Path | str) -> dict:
-    """Load a report, checking the schema version and kind."""
+    """Load a report, checking the schema version, kind and dataset name."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -52,6 +52,8 @@ def read_report(path: Path | str) -> dict:
         )
     if report.get("kind") not in (PROFILE_KIND, TRAIN_KIND):
         raise ValidationError(f"unknown report kind {report.get('kind')!r}")
+    if not isinstance(report.get("dataset_name"), str):
+        raise ValidationError("report has no string 'dataset_name'")
     return report
 
 

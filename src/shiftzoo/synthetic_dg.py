@@ -227,9 +227,12 @@ class SynthEncoder:
         return q @ np.diag(rng.uniform(0.8, 1.25, size=d))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        z = x[:, list(self.coord_indices)] @ self.projection()
-        return np.where(z > 0, z, LEAKY_SLOPE * z)
+        return _encode(x, self.coord_indices, self.projection())
+
+
+def _encode(x: np.ndarray, coord_indices: tuple[int, ...], projection: np.ndarray) -> np.ndarray:
+    z = np.asarray(x, dtype=np.float64)[:, list(coord_indices)] @ projection
+    return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
 ZOO_ROLES = ("clean", "div_heavy", "cor_heavy", "main_full")
@@ -292,11 +295,16 @@ def build_zoo(
         domains.append(DomainInfo(fs.domain_id, fs.n_samples, label_file))
     infos = []
     for enc in encoders:
+        # one projection per encoder, shared by its domains
+        projection = enc.projection()
         files = {}
         for fs in raw_sets:
             fname = f"{enc.encoder_id}_{fs.domain_id}.fzf"
-            write_features(out_dir / fname, enc.transform(fs.features).astype(np.float32))
+            z = _encode(fs.features, enc.coord_indices, projection)
+            write_features(out_dir / fname, z.astype(np.float32))
+            del z  # one domain's encoding alive at a time
             files[fs.domain_id] = fname
+        del projection
         infos.append(EncoderInfo(enc.encoder_id, enc.dim, files))
     manifest = ZooManifest(
         dataset_name=dataset_name,

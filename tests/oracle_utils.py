@@ -2,7 +2,8 @@
 
 Everything here is written against the textbook matrix formulations (explicit
 solves, slogdet, eigendecompositions) rather than the SVD fast paths used by
-the package, so agreement is meaningful.
+the package, so agreement is meaningful. ``ListAdamW`` is the per-array
+optimizer that the package's flat in-place ``AdamW`` must reproduce exactly.
 """
 
 import math
@@ -105,3 +106,35 @@ def quadratic_hsic(z1: np.ndarray, z2: np.ndarray, g1: float, g2: float) -> floa
     t2 = (k.sum() / (m * m)) * (l.sum() / (m * m))
     t3 = 2.0 * sum(k[i].sum() * l[i].sum() for i in range(m)) / (m ** 3)
     return t1 + t2 - t3
+
+
+class ListAdamW:
+    """Adam with bias correction and decoupled weight decay over a list of arrays.
+
+    Plain per-array numpy expressions with fresh temporaries, one array at a
+    time.
+    """
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        assert len(params) == len(grads) == len(self.m)
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            if self.weight_decay:
+                p -= self.lr * self.weight_decay * p
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -102,6 +102,18 @@ def test_rank_rejects_bad_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rank", "report"])
+def test_report_without_dataset_name_exits_2(profile_path, tmp_path, capsys, command):
+    report = json.loads(profile_path.read_text())
+    del report["dataset_name"]
+    bad = tmp_path / "nameless.json"
+    bad.write_text(json.dumps(report))
+    argv = ["rank", "--report", str(bad)] if command == "rank" else ["report", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "dataset_name" in err and "Traceback" not in err
+
+
 def test_train_outputs_are_deterministic(zoo_dir, tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):

@@ -154,6 +154,27 @@ def test_build_zoo_outputs_load_cleanly(tmp_path):
     assert card["blocks"]["spur"] == list(spec.spur_indices)
 
 
+def test_build_zoo_projects_once_per_encoder(tmp_path, monkeypatch):
+    calls = []
+    original = SynthEncoder.projection
+
+    def counting(self):
+        calls.append(self.encoder_id)
+        return original(self)
+
+    monkeypatch.setattr(SynthEncoder, "projection", counting)
+    spec = SynthSpec(n_domains=4, spur_strength=(0.9, 0.9, 0.9, -0.9), samples_per_domain=100)
+    manifest, encoders, _ = build_zoo(spec, zoo_size=5, out_dir=tmp_path)
+    assert sorted(calls) == sorted(e.encoder_id for e in encoders)
+    # the files hold exactly what each encoder's transform gives
+    monkeypatch.undo()
+    raw_sets, _ = generate(spec)
+    for enc in encoders:
+        for fs in raw_sets:
+            stored = load_domain_features(manifest, enc.encoder_id, fs.domain_id).features
+            assert np.array_equal(stored, enc.transform(fs.features).astype(np.float32))
+
+
 def test_build_zoo_is_byte_deterministic(tmp_path):
     spec = SynthSpec(seed=9)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
