@@ -16,7 +16,8 @@ which makes the reduction to plain ERM exact, bit for bit.
 Every trainable parameter of a model lives in one contiguous float64 vector:
 the head's weights and biases are reshaped views into ``MlpHead.params``,
 backprop fills one gradient vector laid out the same way, and ``AdamW``
-updates the vector in place. All gradients are computed analytically (manual
+updates the vector in place, one cache-sized chunk at a time, with two
+chunk-sized scratch vectors. All gradients are computed analytically (manual
 backprop); parameters update with Adam plus decoupled weight decay.
 """
 
@@ -204,16 +205,29 @@ class MlpHead:
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    Updates one flat float64 parameter vector in place. The moments and two
-    scratch vectors are allocated once, so a step allocates nothing.
+    Updates one flat float64 parameter vector in place, ``CHUNK`` doubles at a
+    time: every op of the update runs over one chunk before the next chunk
+    starts, so at head widths of 2048 the chunk's parameters, moments,
+    gradient and scratch stay in cache instead of streaming from memory once
+    per op. The moments are full size; the two scratch vectors are one chunk
+    long. The per-chunk views are built once, so a step allocates no arrays,
+    and a vector that fits in one chunk is updated without slicing.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    CHUNK = 1 << 15  # 256 KiB per array; per-step time at d=2048 is flat over 2^14-2^15
 
     def __init__(self, params: np.ndarray, lr: float, weight_decay: float = 0.0):
         self.params, self.lr, self.weight_decay = params, lr, weight_decay
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
-        self._scratch = (np.empty_like(params), np.empty_like(params))
+        n, c = params.size, self.CHUNK
+        s, u = np.empty((2, min(n, c)))
+        # per chunk: gradient slice (None when one chunk is the whole vector), p, m, v, s, u
+        self._chunks = [
+            (slice(a, a + c) if n > c else None, params[a : a + c], self.m[a : a + c],
+             self.v[a : a + c], s[: n - a], u[: n - a])
+            for a in range(0, n, c)
+        ]
         self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
@@ -224,25 +238,26 @@ class AdamW:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        p, m, v = self.params, self.m, self.v
-        s, u = self._scratch
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s)
-        m += s
-        v *= self.beta2
-        np.multiply(grad, grad, out=s)
-        s *= 1.0 - self.beta2
-        v += s
-        if self.weight_decay:
-            np.multiply(p, self.lr * self.weight_decay, out=s)
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        for sl, p, m, v, s, u in self._chunks:
+            g = grad if sl is None else grad[sl]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.square(g, out=s)
+            s *= 1.0 - b2
+            v += s
+            if self.weight_decay:
+                np.multiply(p, lr * self.weight_decay, out=s)
+                p -= s
+            np.divide(m, c1, out=s)
+            s *= lr
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            s /= u
             p -= s
-        np.divide(m, c1, out=s)
-        s *= self.lr
-        np.divide(v, c2, out=u)
-        np.sqrt(u, out=u)
-        u += self.eps
-        s /= u
-        p -= s
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

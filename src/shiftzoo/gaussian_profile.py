@@ -127,6 +127,13 @@ def fit_profile(
             f"domain '{fs.domain_id}' has an empty validation split; cannot calibrate threshold"
         )
     mean, cov = fit_gaussian(train)
+    if np.trace(cov) == 0.0:
+        # the ridge scales with the trace, so no shrinkage makes this factorable
+        raise NumericalError(
+            f"features of domain '{fs.domain_id}' have zero variance (every training row "
+            "is the same), so no Gaussian can be fitted; for a trained head's logits "
+            "this means training collapsed (try a lower learning rate)"
+        )
     chol = regularize_and_factor(cov, shrinkage)
     threshold = estimate_threshold(mahalanobis_sq(mean, chol, val), quantile)
     return DomainProfile(domain_id=fs.domain_id, mean=mean, chol=chol, threshold=threshold)

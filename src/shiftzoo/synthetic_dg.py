@@ -224,7 +224,7 @@ class SynthEncoder:
         rng = np.random.default_rng(self.seed)
         d = self.dim
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        return q @ np.diag(rng.uniform(0.8, 1.25, size=d))
+        return q * rng.uniform(0.8, 1.25, size=d)  # scales column j of q by u[j]
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return _encode(x, self.coord_indices, self.projection())

@@ -158,6 +158,16 @@ def test_train_unknown_encoder_exits_2(zoo_dir, tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_train_collapsed_logits_exit_1_naming_zero_variance(zoo_dir, tmp_path, capsys):
+    # at this learning rate the head dies and every logit row is the same
+    out = tmp_path / "collapsed.json"
+    code = _train(zoo_dir, out, tmp_path / "collapsed.log", ["--lr", "1e6", "--steps", "50"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "zero variance" in err and "larger shrinkage" not in err
+    assert not out.exists()
+
+
 def test_train_leave_one_out_covers_all_domains(zoo_dir, tmp_path):
     rep = tmp_path / "folds.json"
     code = main(

@@ -1,6 +1,7 @@
 """Head training: gradients, gating, reweighting, reductions, and selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,22 +200,41 @@ def test_adamw_decoupled_weight_decay():
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_flat_adamw_matches_list_reference_bitwise(weight_decay):
     rng = np.random.default_rng(10)
-    head = MlpHead([7, 5, 4, 3], rng=rng)
-    arrays = [a.copy() for w, b in zip(head.weights, head.biases) for a in (w, b)]
-    opt = AdamW(head.params, lr=1e-2, weight_decay=weight_decay)
-    ref = ListAdamW(arrays, lr=1e-2, weight_decay=weight_decay)
-    for _ in range(25):
-        grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=head.params.shape)
-        grad[rng.random(grad.shape) < 0.1] = 0.0
-        opt.step(grad)
-        start = 0
-        grads = []
-        for a in arrays:
-            grads.append(grad[start : start + a.size].reshape(a.shape))
-            start += a.size
-        ref.step(arrays, grads)
-        assert np.array_equal(head.params, np.concatenate([a.ravel() for a in arrays]))
-    assert opt.t == ref.t == 25
+    # a head inside one chunk, and one spanning four chunks with a partial tail
+    for dims in ([7, 5, 4, 3], [AdamW.CHUNK // 16, 48, 3]):
+        head = MlpHead(dims, rng=rng)
+        if dims[0] == AdamW.CHUNK // 16:
+            assert head.params.size > 3 * AdamW.CHUNK and head.params.size % AdamW.CHUNK
+        arrays = [a.copy() for w, b in zip(head.weights, head.biases) for a in (w, b)]
+        opt = AdamW(head.params, lr=1e-2, weight_decay=weight_decay)
+        ref = ListAdamW(arrays, lr=1e-2, weight_decay=weight_decay)
+        for _ in range(25):
+            grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=head.params.shape)
+            grad[rng.random(grad.shape) < 0.1] = 0.0
+            opt.step(grad)
+            start = 0
+            grads = []
+            for a in arrays:
+                grads.append(grad[start : start + a.size].reshape(a.shape))
+                start += a.size
+            ref.step(arrays, grads)
+            assert np.array_equal(head.params, np.concatenate([a.ravel() for a in arrays]))
+        assert opt.t == ref.t == 25
+
+
+def test_adamw_scratch_is_one_chunk():
+    n = 10 * AdamW.CHUNK + 123
+    params = np.zeros(n)
+    tracemalloc.start()
+    try:
+        opt = AdamW(params, lr=1e-3)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # m and v are full size; the two scratch vectors are one chunk each
+    # (the rest is the per-chunk views, a few hundred bytes per chunk)
+    assert opt.m.size == opt.v.size == n
+    assert 8 * 2 * n <= allocated <= 8 * (2 * n + 2 * AdamW.CHUNK) + 64 * 1024
 
 
 def _fixed_aux(bias, prior):

@@ -54,6 +54,16 @@ def test_degenerate_covariance_raises_numerical_error():
         regularize_and_factor(np.zeros((3, 3)), shrinkage=1e-3)
 
 
+def test_zero_variance_domain_is_named():
+    rng = np.random.default_rng(3)
+    flat = _make_set("flat", np.full((100, 3), 2.5), rng.integers(0, 2, size=100))
+    live = _make_set("live", rng.normal(size=(100, 3)), rng.integers(0, 2, size=100))
+    # trace 0 makes the trace-scaled ridge 0, whatever the shrinkage
+    for call in (lambda: fit_profile(flat, shrinkage=10.0), lambda: dataset_diversity([live, flat])):
+        with pytest.raises(NumericalError, match="domain 'flat' have zero variance"):
+            call()
+
+
 def test_mahalanobis_matches_explicit_inverse():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(200, 5))

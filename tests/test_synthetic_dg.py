@@ -137,6 +137,15 @@ def test_encoder_is_deterministic_and_leaky():
     np.testing.assert_allclose(z1[~neg], pre[~neg], atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [5, 1024])
+def test_projection_equals_dense_diagonal_product(width):
+    enc = SynthEncoder("e", tuple(range(width)), 21 + width)
+    rng = np.random.default_rng(enc.seed)
+    q, _ = np.linalg.qr(rng.normal(size=(width, width)))
+    dense = q @ np.diag(rng.uniform(0.8, 1.25, size=width))
+    assert enc.projection().tobytes() == dense.tobytes()
+
+
 def test_encoder_requires_coordinates():
     with pytest.raises(ValidationError):
         SynthEncoder("empty", (), 0)
