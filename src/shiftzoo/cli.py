@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--encoder", action="append", help="restrict to this encoder (repeatable)"
     )
-    p_profile.add_argument("--jobs", type=int, help="parallel workers for the grid")
+    p_profile.add_argument(
+        "--jobs", type=int, help="parallel workers for the grid (default: usable CPUs)"
+    )
     p_profile.add_argument("--seed", type=int)
     p_profile.add_argument("--shrinkage", type=float)
     p_profile.add_argument("--quantile", type=float)

@@ -2,7 +2,8 @@
 
 For each domain a one-vs-rest Bayesian linear regression is fit per class by
 maximising the log evidence over the prior/noise precisions (alpha, beta)
-with MacKay fixed-point updates, run in the SVD basis of the feature matrix.
+with MacKay fixed-point updates, run in the eigenbasis of the Gram matrix
+Phi^T Phi (the right singular vectors of the feature matrix Phi).
 Raw per-class outputs are clamped at zero and L1-normalised into pseudo
 probabilities, then recalibrated with equal-width accuracy bins built on the
 domain's own overlap rows. The correlation shift between domains a and b is
@@ -49,7 +50,7 @@ class ClassRegression:
 
 @dataclass(frozen=True)
 class EvidenceModel:
-    """Per-class regressions sharing one feature matrix's SVD basis."""
+    """Per-class regressions sharing the eigenbasis of one Gram matrix Phi^T Phi."""
 
     n_classes: int
     dim: int
@@ -63,7 +64,7 @@ class EvidenceModel:
 def _evidence_terms(
     s: np.ndarray, btilde: np.ndarray, y_sq: float, alpha: float, beta: float
 ) -> tuple[np.ndarray, float, float, float]:
-    """Posterior mean (SVD basis), residual, weight norm, effective dof."""
+    """Posterior mean (eigenbasis of Phi^T Phi), residual, weight norm, effective dof."""
     denom = alpha + beta * s
     m_tilde = beta * btilde / denom
     res = y_sq - 2.0 * float(m_tilde @ btilde) + float(s @ (m_tilde * m_tilde))
@@ -75,7 +76,11 @@ def _evidence_terms(
 def log_evidence(
     s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
 ) -> float:
-    """Per-sample log evidence of a Bayesian ridge model in the SVD basis."""
+    """Per-sample log evidence of a Bayesian ridge model in the eigenbasis of Phi^T Phi.
+
+    ``s`` holds the eigenvalues (squared singular values of Phi); a basis with
+    fewer than ``d`` of them counts each missing one as 0.
+    """
     _, res, m_sq, _ = _evidence_terms(s, btilde, y_sq, alpha, beta)
     res = max(res, RESIDUAL_FLOOR)
     log_det = float(np.sum(np.log(alpha + beta * s))) + (d - s.size) * math.log(alpha)
@@ -140,7 +145,8 @@ def logme_fit(
 ) -> EvidenceModel:
     """Fit per-class one-vs-rest evidence-maximised regressions.
 
-    The SVD of the feature matrix is computed once and shared by all classes.
+    The eigendecomposition of the Gram matrix Phi^T Phi is computed once and
+    shared by all classes.
     """
     phi = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -151,9 +157,16 @@ def logme_fit(
     if n_classes < 2:
         raise ValidationError(f"need at least 2 classes, got {n_classes}")
     n, d = phi.shape
-    _, sv, vt = np.linalg.svd(phi, full_matrices=False)
-    s = sv * sv
-    # btilde per class via V^T Phi^T y = diag(sv) U^T y; computed through Phi^T y
+    # The squared singular values and right singular vectors of Phi are the
+    # eigenpairs of the d x d Gram matrix: sorted descending, round-off below
+    # 0 clipped. Phi has rank <= n, so when d > n only the top n are kept, as
+    # in a thin SVD: the other d - n are 0 up to round-off of either sign, and
+    # a positive one would push the effective dof past n (a negative beta
+    # update). log_evidence counts each dropped eigenvalue as exactly 0.
+    eigvals, eigvecs = np.linalg.eigh(phi.T @ phi)
+    keep = min(n, d)
+    s = np.maximum(eigvals[::-1][:keep], 0.0)
+    vt = eigvecs[:, ::-1][:, :keep].T
     regressions = []
     for k in range(n_classes):
         y = (labels == k).astype(np.float64)

@@ -315,7 +315,7 @@ def train_rew_auxiliary(
     batch_size: int = 16,
 ) -> RewAuxiliary:
     """Train the reweighting classifier by cross-entropy with Adam."""
-    z = np.asarray(features, dtype=np.float64)
+    z = np.asarray(features)
     y = np.asarray(labels)
     if z.ndim != 2 or z.shape[0] != y.shape[0] or z.shape[0] == 0:
         raise ValidationError("auxiliary features and labels must be non-empty and aligned")
@@ -332,7 +332,7 @@ def train_rew_auxiliary(
     n = z.shape[0]
     for _ in range(steps):
         idx = rng.integers(0, n, size=batch_size)
-        zb, yb = z[idx], y[idx]
+        zb, yb = z[idx].astype(np.float64), y[idx]
         probs = softmax(zb @ w + b)
         probs[np.arange(len(idx)), yb] -= 1.0
         probs /= len(idx)
@@ -505,14 +505,19 @@ def train_on_sets(
             raise ValidationError("reweighting requires correlation-auxiliary features")
         _check_aligned(main_sets, cor_sets, "correlation-auxiliary")
 
-    x_train = np.concatenate([fs.train_features for fs in main_sets], axis=0)
+    # The pools keep the stored float32 rows; batches and evaluation passes
+    # convert to float64 (exactly), so no float64 copy of a pool is held.
+    def pool(sets: Sequence[FeatureSet], val: bool) -> np.ndarray:
+        return np.concatenate([fs.features[fs.split_mask == val] for fs in sets], axis=0)
+
+    x_train = pool(main_sets, False)
     y_train = np.concatenate([fs.train_labels for fs in main_sets])
-    x_val = np.concatenate([fs.val_features for fs in main_sets], axis=0)
+    x_val = pool(main_sets, True)
     y_val = np.concatenate([fs.val_labels for fs in main_sets])
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("training and validation pools must be non-empty")
-    x_div = np.concatenate([fs.train_features for fs in div_sets]) if config.hsic_active else None
-    x_cor = np.concatenate([fs.train_features for fs in cor_sets]) if config.rew_active else None
+    x_div = pool(div_sets, False) if config.hsic_active else None
+    x_cor = pool(cor_sets, False) if config.rew_active else None
 
     ss = np.random.SeedSequence(config.seed)
     ss_init, ss_batch, ss_aux, ss_drop = ss.spawn(4)
@@ -561,7 +566,7 @@ def train_on_sets(
     del optimizer  # free its moments and scratch before the test passes
     final_test = best_test = None
     if test_sets:
-        x_test = np.concatenate([fs.features for fs in test_sets]).astype(np.float64)
+        x_test = np.concatenate([fs.features for fs in test_sets])
         y_test = np.concatenate([fs.labels for fs in test_sets])
         final_test = accuracy(head, x_test, y_test)
         final_state = head.params.copy()

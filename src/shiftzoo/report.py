@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
+from .blas_threads import single_blas_thread
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
 from .errors import ValidationError
 from .feature_store import ZooManifest, load_domain_features
@@ -97,6 +99,13 @@ def profile_encoder(
     }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def build_report(
     manifest: ZooManifest,
     encoder_ids: Sequence[str] | None = None,
@@ -106,7 +115,14 @@ def build_report(
     quantile: float = DEFAULT_QUANTILE,
     n_bins: int = DEFAULT_BINS,
 ) -> dict:
-    """Profile the encoder grid in parallel; output independent of `jobs`."""
+    """Profile the encoder grid in parallel; output independent of `jobs`.
+
+    ``jobs`` defaults to the usable CPU count; no more workers than encoders
+    are started. OpenBLAS runs on one thread for the whole grid, serial or
+    pooled, so the workers do not compete with BLAS threads and every BLAS
+    result is the same for any ``jobs`` and any ``OPENBLAS_NUM_THREADS``.
+    The previous thread count is restored on return.
+    """
     known = [e.encoder_id for e in manifest.encoders]
     if encoder_ids is None:
         encoder_ids = known
@@ -125,11 +141,13 @@ def build_report(
 
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(todo) == 1:
-        profiles = [one(e) for e in todo]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            profiles = list(pool.map(one, todo))
+    workers = min(jobs or _usable_cpus(), len(todo))
+    with single_blas_thread():
+        if workers == 1:
+            profiles = [one(e) for e in todo]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                profiles = list(pool.map(one, todo))
     profiles.sort(key=lambda p: p["encoder_id"])
     return {
         "schema_version": SCHEMA_VERSION,

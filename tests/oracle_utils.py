@@ -1,14 +1,18 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written against the textbook matrix formulations (explicit
-solves, slogdet, eigendecompositions) rather than the SVD fast paths used by
-the package, so agreement is meaningful. ``ListAdamW`` is the per-array
-optimizer that the package's flat in-place ``AdamW`` must reproduce exactly.
+solves, slogdet, eigendecompositions) rather than the fast paths used by the
+package, so agreement is meaningful. ``ListAdamW`` is the per-array optimizer
+that the package's flat in-place ``AdamW`` must reproduce exactly;
+``svd_logme_fit`` is the thin-SVD LogME fit that the package's Gram
+eigendecomposition replaced, which it must match within round-off.
 """
 
 import math
 
 import numpy as np
+
+from shiftzoo.correlation_profile import ClassRegression, EvidenceModel, _fit_class
 
 
 def direct_log_evidence(phi: np.ndarray, y: np.ndarray, alpha: float, beta: float) -> float:
@@ -35,7 +39,8 @@ def _grid_evidence_surface(
     """Per-sample evidence on an (alpha, beta) log10 grid.
 
     Uses an eigendecomposition of phi^T phi, a different matrix route from
-    both the package's SVD path and ``direct_log_evidence``. Returns the
+    ``direct_log_evidence`` and a grid search instead of the package's
+    fixed-point iteration. Returns the
     grid values and the (alpha-index, beta-index) evidence surface.
     """
     n, d = phi.shape
@@ -138,3 +143,36 @@ class ListAdamW:
             if self.weight_decay:
                 p -= self.lr * self.weight_decay * p
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def svd_logme_fit(
+    features: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    max_iters: int = 100,
+    tol: float = 1e-6,
+) -> EvidenceModel:
+    """LogME fit in the thin-SVD basis of the feature matrix.
+
+    The basis comes from ``np.linalg.svd(phi, full_matrices=False)``: min(n, d)
+    squared singular values and right singular vectors. The per-class fixed
+    point is the package's ``_fit_class``.
+    """
+    phi = np.asarray(features, dtype=np.float64)
+    n, d = phi.shape
+    _, sv, vt = np.linalg.svd(phi, full_matrices=False)
+    s = sv * sv
+    regressions = []
+    for k in range(n_classes):
+        y = (labels == k).astype(np.float64)
+        btilde = vt @ (phi.T @ y)
+        alpha, beta, m_tilde, ev, iters, clamped, trace = _fit_class(
+            s, btilde, float(y @ y), n, d, max_iters, tol
+        )
+        regressions.append(
+            ClassRegression(
+                weights=vt.T @ m_tilde, alpha=alpha, beta=beta, evidence=ev,
+                n_iters=iters, clamped=clamped, evidence_trace=trace,
+            )
+        )
+    return EvidenceModel(n_classes=n_classes, dim=d, regressions=tuple(regressions))

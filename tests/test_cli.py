@@ -1,9 +1,15 @@
 """CLI pipeline: determinism, exit codes, precedence, and report surfaces."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shiftzoo
 from shiftzoo.cli import main
 
 
@@ -58,6 +64,36 @@ def test_profile_bytes_independent_of_jobs(zoo_dir, profile_path, tmp_path):
         )
         assert code == 0
         assert out.read_bytes() == profile_path.read_bytes()
+
+
+def test_profile_bytes_independent_of_blas_threads(tmp_path):
+    """One encoder of a 6-domain, 256-wide zoo under 1 and 2 OpenBLAS threads.
+
+    Both runs pin OpenBLAS to one thread while profiling, so they write the
+    same bytes; unpinned, this encoder's f_cor differs in the last digits.
+    """
+    zoo = tmp_path / "zoo"
+    code = main(
+        ["synth", "--out", str(zoo), "--seed", "0", "--samples", "4000", "--n-domains", "6",
+         "--dim-core", "128", "--dim-div", "64", "--dim-spur", "64", "--zoo-size", "8",
+         "--spur-strength", "0.9,0.9,0.9,0.9,0.9,-0.9"]
+    )
+    assert code == 0
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"profile-{threads}.json"
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "SHIFTZOO_SEED")}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftzoo.cli", "profile", "--manifest",
+             str(zoo / "manifest.json"), "--out", str(out), "--encoder", "main_full",
+             "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests["1"] == digests["2"]
 
 
 def test_profile_filter_restricts_encoders(zoo_dir, tmp_path):

@@ -2,9 +2,13 @@
 
 from itertools import combinations
 
+import math
+
 import numpy as np
 import pytest
-from oracle_utils import direct_log_evidence, grid_argmax_evidence
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import direct_log_evidence, grid_argmax_evidence, svd_logme_fit
 
 from shiftzoo import correlation_profile
 from shiftzoo.correlation_profile import (
@@ -18,7 +22,7 @@ from shiftzoo.correlation_profile import (
     logme_fit,
     predict_tilde,
 )
-from shiftzoo.errors import ValidationError
+from shiftzoo.errors import NumericalError, ValidationError
 from shiftzoo.feature_store import build_feature_set
 from shiftzoo.gaussian_profile import dataset_diversity, diversity_shift, fit_profile
 
@@ -97,6 +101,102 @@ def test_logme_validation():
         logme_fit(np.zeros((5, 3)), np.zeros(4, dtype=int), 2)
     with pytest.raises(ValidationError):
         logme_fit(np.zeros((5, 3)), np.zeros(5, dtype=int), 1)
+
+
+# Gram eigenpairs against the thin SVD: eigenvalues agree to ~1e-15 of the
+# largest, so every fitted quantity agrees far inside this relative tolerance.
+ORACLE_RTOL = 1e-9
+
+
+def _assert_matches_svd_fit(phi, labels, n_classes):
+    got = logme_fit(phi, labels, n_classes)
+    want = svd_logme_fit(phi, labels, n_classes)
+    assert got.dim == want.dim == phi.shape[1]
+    for g, w in zip(got.regressions, want.regressions, strict=True):
+        np.testing.assert_allclose(
+            g.weights, w.weights, rtol=ORACLE_RTOL, atol=ORACLE_RTOL * np.abs(w.weights).max()
+        )
+        assert g.alpha == pytest.approx(w.alpha, rel=ORACLE_RTOL)
+        assert g.beta == pytest.approx(w.beta, rel=ORACLE_RTOL)
+        assert g.evidence == pytest.approx(w.evidence, rel=ORACLE_RTOL)
+        assert g.n_iters == w.n_iters
+        assert g.clamped == w.clamped
+
+
+def test_logme_matches_svd_reference_with_more_rows_than_dims():
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(300, 24)) @ rng.normal(size=(24, 24))
+        labels = np.argmax(phi @ rng.normal(size=(24, 3)) + 2.0 * rng.normal(size=(300, 3)), axis=1)
+        _assert_matches_svd_fit(phi, labels, 3)
+
+
+def test_logme_matches_svd_reference_with_more_dims_than_rows():
+    # rank-deficient Gram matrix: 120 - 40 eigenvalues are 0 up to round-off.
+    # Labels independent of the features keep the evidence optimum away from
+    # interpolation, where the residual (and so beta) is pure round-off in
+    # either basis.
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=(40, 120))
+        labels = rng.integers(0, 3, size=40)
+        _assert_matches_svd_fit(phi, labels, 3)
+
+
+def test_logme_keeps_no_more_eigenvalues_than_rows(monkeypatch):
+    """Round-off eigenvalues past rank n must not push the effective dof past n."""
+    seen = []
+    real = correlation_profile._fit_class
+    monkeypatch.setattr(
+        correlation_profile, "_fit_class", lambda s, *a: seen.append(s.size) or real(s, *a)
+    )
+    rng = np.random.default_rng(27)
+    phi = 80.0 * rng.normal(size=(64, 256)) @ rng.normal(size=(256, 256))
+    labels = np.argmax(phi @ rng.normal(size=(256, 4)) + rng.normal(size=(64, 4)), axis=1)
+    model = logme_fit(phi, labels, 4)
+    assert seen == [64] * 4
+    want = svd_logme_fit(phi, labels, 4)
+    for g, w in zip(model.regressions, want.regressions):
+        # both interpolate (residual at the floor); the evidence still agrees
+        assert g.evidence == pytest.approx(w.evidence, rel=1e-3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(4, 16),
+    extra=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_more_dims_than_training_rows_ends_finite_or_in_a_clear_error(n, extra, scale, seed):
+    """d > n_train: finite fits and shifts, or a ValidationError/NumericalError."""
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    phi = scale * rng.normal(size=(n, d))
+    labels = rng.integers(0, 3, size=n)
+    try:
+        model = logme_fit(phi, labels, 3)
+    except (ValidationError, NumericalError):
+        pass
+    else:
+        assert np.isfinite(model.weight_matrix).all()
+        for reg in model.regressions:
+            assert all(math.isfinite(v) for v in (reg.alpha, reg.beta, reg.evidence))
+    sets = [
+        build_feature_set(
+            f"d{i}", (scale * rng.normal(size=(n, d)) + i).astype(np.float32),
+            rng.integers(0, 3, size=n), dataset_name="wide", n_classes=3,
+            split_ratio=0.2, seed=i,
+        )
+        for i in range(3)
+    ]
+    assert all(fs.train_features.shape[0] < d for fs in sets)
+    try:
+        f_div, pairs = dataset_diversity(sets)
+        f_cor, _ = dataset_correlation(sets, pairs, 3)
+    except (ValidationError, NumericalError):
+        return
+    assert 0.0 <= f_div <= 1.0 and 0.0 <= f_cor <= 1.0
 
 
 def _manual_model(weights: np.ndarray) -> EvidenceModel:

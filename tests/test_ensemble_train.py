@@ -434,6 +434,34 @@ def test_train_erm_equals_both_with_inactive_knobs():
     assert res_a.log == res_b.log
 
 
+def test_train_pools_stay_float32():
+    """The pooled rows are held as stored; only batches and passes are float64."""
+    rng = np.random.default_rng(0)
+    sets = [
+        build_feature_set(
+            f"d{i}", rng.normal(size=(6000, 128)).astype(np.float32), rng.integers(0, 3, 6000),
+            dataset_name="mem", n_classes=3, split_ratio=0.05, seed=1,
+        )
+        for i in range(2)
+    ]
+    # train rows pooled three times (main, diversity, correlation), plus validation
+    pools = sum(3 * fs.features[~fs.split_mask].nbytes + fs.features[fs.split_mask].nbytes
+                for fs in sets)
+    cfg = TrainConfig(
+        lam=1.0, temperature=1.0, n_warmup=0, n_anneal=0, steps=3, eval_every=1, batch_size=8,
+        aux_steps=3, aux_batch_size=8, learning_rate=1e-3, aux_lr=1e-2,
+    )
+    tracemalloc.start()
+    try:
+        train_on_sets(sets, sets, sets, 3, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # float64 copies of the pools alone would take 2 * pools; the head, its
+    # optimizer and one float64 validation pass fit in the other half
+    assert pools <= peak < 1.5 * pools
+
+
 def replace_cfg(cfg, **kw):
     from dataclasses import replace
 

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import threading
+import time
 
 import pytest
 
+from shiftzoo import report as report_module
 from shiftzoo.errors import ValidationError
 from shiftzoo.report import (
     PROFILE_KIND,
@@ -109,6 +113,30 @@ def test_build_report_shape_and_order(small_zoo, profile):
 
 def test_build_report_parallel_matches_serial(small_zoo, profile):
     assert dumps_report(build_report(small_zoo, jobs=3)) == dumps_report(profile)
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 64])
+def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
+    small_zoo, profile, monkeypatch, cpus
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    threads = set()
+    real = report_module.profile_encoder
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.05)  # overlap the calls, so that every allowed worker starts
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "profile_encoder", recording)
+    got = build_report(small_zoo)
+    assert dumps_report(got) == dumps_report(profile)
+    n_encoders = len(small_zoo.encoders)
+    assert n_encoders > 3
+    assert len(threads) == min(cpus, n_encoders)
+    if cpus == 1:
+        assert threads == {threading.get_ident()}  # serial: no pool at all
 
 
 def test_build_report_rejects_bad_selection(small_zoo):
