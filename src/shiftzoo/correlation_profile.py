@@ -213,14 +213,12 @@ class Calibrator:
     bin_accuracy: np.ndarray  # (n_classes, n_bins), NaN marks empty bins
 
     def apply(self, probs: np.ndarray) -> np.ndarray:
+        """Replace each probability by its bin's accuracy; empty bins keep it."""
         probs = np.asarray(probs, dtype=np.float64)
+        n_classes = self.bin_accuracy.shape[0]
         idx = np.clip((probs * self.n_bins).astype(int), 0, self.n_bins - 1)
-        out = probs.copy()
-        for k in range(self.bin_accuracy.shape[0]):
-            acc = self.bin_accuracy[k, idx[:, k]]
-            hit = ~np.isnan(acc)
-            out[hit, k] = acc[hit]
-        return out
+        acc = self.bin_accuracy[np.arange(n_classes), idx]
+        return np.where(np.isnan(acc), probs, acc)
 
 
 def calibrate(
@@ -231,17 +229,23 @@ def calibrate(
         raise ValidationError(f"need at least one calibration bin, got {n_bins}")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    acc = np.full((n_classes, n_bins), np.nan)
+    acc = np.full(n_classes * n_bins, np.nan)
     if probs.shape[0] == 0:
-        return Calibrator(n_bins=n_bins, bin_accuracy=acc)
+        return Calibrator(n_bins=n_bins, bin_accuracy=acc.reshape(n_classes, n_bins))
+    if probs.ndim != 2 or probs.shape[1] != n_classes or labels.shape != probs.shape[:1]:
+        raise ValidationError(
+            f"expected {n_classes} probability columns and one label per row, got "
+            f"probabilities {probs.shape} and labels {labels.shape}"
+        )
+    # one flat (class, bin) cell per entry; counts and hits are whole numbers,
+    # so hits / count is the exact mean of the 0/1 hits in the cell
     idx = np.clip((probs * n_bins).astype(int), 0, n_bins - 1)
-    for k in range(n_classes):
-        hits = labels == k
-        for b in range(n_bins):
-            in_bin = idx[:, k] == b
-            if in_bin.any():
-                acc[k, b] = float(hits[in_bin].mean())
-    return Calibrator(n_bins=n_bins, bin_accuracy=acc)
+    cells = (idx + n_bins * np.arange(n_classes)).ravel()
+    hits = (labels[:, None] == np.arange(n_classes)).ravel()
+    counts = np.bincount(cells, minlength=n_classes * n_bins)
+    hit_counts = np.bincount(cells, weights=hits, minlength=n_classes * n_bins)
+    np.divide(hit_counts, counts, out=acc, where=counts > 0)
+    return Calibrator(n_bins=n_bins, bin_accuracy=acc.reshape(n_classes, n_bins))
 
 
 @dataclass(frozen=True)
@@ -284,8 +288,9 @@ def correlation_shift(
             empty_overlap=True,
         )
     n_classes = model_a.n_classes
-    overlap_a = fs_a.train_features[keep_a]
-    overlap_b = fs_b.train_features[keep_b]
+    # select the overlap rows before the (exact) float32 -> float64 conversion
+    overlap_a = fs_a.features[~fs_a.split_mask][keep_a].astype(np.float64)
+    overlap_b = fs_b.features[~fs_b.split_mask][keep_b].astype(np.float64)
     cal_a = calibrate(
         predict_tilde(model_a, overlap_a), fs_a.train_labels[keep_a], n_classes, n_bins
     )

@@ -265,14 +265,6 @@ def load_feature_set(
     )
 
 
-def save_feature_set(fs: FeatureSet, features_path: Path | str, labels_path: Path | str) -> None:
-    """Persist a FeatureSet; ``load_feature_set`` restores it bit-exactly."""
-    if not np.isfinite(fs.features).all():
-        raise ValidationError(f"domain '{fs.domain_id}': non-finite feature values")
-    write_features(features_path, fs.features)
-    write_labels(labels_path, fs.labels)
-
-
 def load_domain_features(
     manifest: ZooManifest, encoder_id: str, domain_id: str, seed: int = 0
 ) -> FeatureSet:

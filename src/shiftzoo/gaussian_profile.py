@@ -10,9 +10,17 @@ fraction of their training rows under each other's fit:
     F_div(a, b) = 0.5 * ( P[train_a escapes b] + P[train_b escapes a] )
 
 ``dataset_diversity`` fits each domain once per call; a pair only scores
-each side's training rows against the other side's fit. Distances always go
-through the Cholesky factor of the regularised covariance; the inverse is
-never formed explicitly.
+each side's training rows against the other side's fit.
+
+Distances are taken against the lower Cholesky factor L of the regularised
+covariance. The threshold comes from a triangular solve with L. Escape flags
+take a fast path: one matrix product with the precomputed inverse factor
+L^-1, whose distances differ from the solve's only by round-off. A guard band
+of 64 * d * eps * kappa * threshold (kappa = ||L||_F * ||L^-1||_F) bounds
+that round-off. If any row's distance falls inside the band around the
+threshold, the whole batch is solved with L instead, so every flag is the
+one the triangular solve gives. The fallback must solve the whole batch:
+OpenBLAS's solve of a row depends on the batch the row is solved in.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ class DomainProfile:
     mean: np.ndarray
     chol: np.ndarray
     threshold: float
+    inv_chol: np.ndarray
+    band: float  # distances closer than this to the threshold take the exact solve
 
 
 @dataclass(frozen=True)
@@ -136,11 +146,32 @@ def fit_profile(
         )
     chol = regularize_and_factor(cov, shrinkage)
     threshold = estimate_threshold(mahalanobis_sq(mean, chol, val), quantile)
-    return DomainProfile(domain_id=fs.domain_id, mean=mean, chol=chol, threshold=threshold)
+    d = chol.shape[0]
+    inv_chol = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True, check_finite=False)
+    kappa = float(np.linalg.norm(chol)) * float(np.linalg.norm(inv_chol))
+    band = 64.0 * d * float(np.finfo(np.float64).eps) * kappa * threshold
+    return DomainProfile(
+        domain_id=fs.domain_id,
+        mean=mean,
+        chol=chol,
+        threshold=threshold,
+        inv_chol=inv_chol,
+        band=band,
+    )
 
 
 def escape_mask(profile: DomainProfile, x: np.ndarray) -> np.ndarray:
-    """True where a row's squared distance strictly exceeds the threshold."""
+    """True where a row's squared distance strictly exceeds the threshold.
+
+    Equal, flag for flag, to ``mahalanobis_sq(mean, chol, x) > threshold``
+    on the whole batch ``x``.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = (x - profile.mean) @ profile.inv_chol.T
+    d2 = np.einsum("ij,ij->i", y, y)
+    # written so that a NaN distance or an infinite band also falls back
+    if (np.abs(d2 - profile.threshold) > profile.band).all():
+        return d2 > profile.threshold
     return mahalanobis_sq(profile.mean, profile.chol, x) > profile.threshold
 
 

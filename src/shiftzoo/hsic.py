@@ -72,19 +72,6 @@ def hsic_from_kernels(k: np.ndarray, l: np.ndarray) -> float:
     return term_cross + term_marginal - term_row
 
 
-def hsic_b(
-    z_first: np.ndarray,
-    z_second: np.ndarray,
-    spec_first: KernelSpec,
-    spec_second: KernelSpec,
-) -> float:
-    """Biased HSIC between two paired batches under Gaussian kernels."""
-    value, _ = hsic_b_value_and_grad(
-        z_first, z_second, spec_first, spec_second, need_grad=False
-    )
-    return value
-
-
 def hsic_b_value_and_grad(
     z_first: np.ndarray,
     z_second: np.ndarray,

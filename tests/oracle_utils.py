@@ -5,7 +5,11 @@ solves, slogdet, eigendecompositions) rather than the fast paths used by the
 package, so agreement is meaningful. ``ListAdamW`` is the per-array optimizer
 that the package's flat in-place ``AdamW`` must reproduce exactly;
 ``svd_logme_fit`` is the thin-SVD LogME fit that the package's Gram
-eigendecomposition replaced, which it must match within round-off.
+eigendecomposition replaced, which it must match within round-off;
+``loop_calibrate`` and ``loop_calibrator_apply`` are the class-by-bin loops
+that the package's ``np.bincount`` calibration must reproduce bit for bit.
+``hsic_b`` is the value-only form of the package's HSIC that acceptance C1
+holds against the brute-force double sum.
 """
 
 import math
@@ -13,6 +17,20 @@ import math
 import numpy as np
 
 from shiftzoo.correlation_profile import ClassRegression, EvidenceModel, _fit_class
+from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
+
+
+def hsic_b(
+    z_first: np.ndarray,
+    z_second: np.ndarray,
+    spec_first: KernelSpec,
+    spec_second: KernelSpec,
+) -> float:
+    """Biased HSIC between two paired batches under Gaussian kernels."""
+    value, _ = hsic_b_value_and_grad(
+        z_first, z_second, spec_first, spec_second, need_grad=False
+    )
+    return value
 
 
 def direct_log_evidence(phi: np.ndarray, y: np.ndarray, alpha: float, beta: float) -> float:
@@ -176,3 +194,32 @@ def svd_logme_fit(
             )
         )
     return EvidenceModel(n_classes=n_classes, dim=d, regressions=tuple(regressions))
+
+
+def loop_calibrate(probs: np.ndarray, labels: np.ndarray, n_classes: int, n_bins: int) -> np.ndarray:
+    """Accuracy per (class, equal-width bin) by looping over classes and bins; NaN if empty."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    acc = np.full((n_classes, n_bins), np.nan)
+    if probs.shape[0] == 0:
+        return acc
+    idx = np.clip((probs * n_bins).astype(int), 0, n_bins - 1)
+    for k in range(n_classes):
+        hits = labels == k
+        for b in range(n_bins):
+            in_bin = idx[:, k] == b
+            if in_bin.any():
+                acc[k, b] = float(hits[in_bin].mean())
+    return acc
+
+
+def loop_calibrator_apply(bin_accuracy: np.ndarray, n_bins: int, probs: np.ndarray) -> np.ndarray:
+    """Each class column replaced by its bin's accuracy, one class at a time; empty bins keep it."""
+    probs = np.asarray(probs, dtype=np.float64)
+    idx = np.clip((probs * n_bins).astype(int), 0, n_bins - 1)
+    out = probs.copy()
+    for k in range(bin_accuracy.shape[0]):
+        acc = bin_accuracy[k, idx[:, k]]
+        hit = ~np.isnan(acc)
+        out[hit, k] = acc[hit]
+    return out

@@ -29,11 +29,11 @@ from shiftzoo.feature_store import (
     write_labels,
 )
 from shiftzoo.gaussian_profile import dataset_diversity
-from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix, hsic_b
+from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import SynthSpec, benchmark_train_config, build_zoo
 
-from oracle_utils import grid_argmax_ties, quadratic_hsic
+from oracle_utils import grid_argmax_ties, hsic_b, quadratic_hsic
 
 
 @contextmanager

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import direct_log_evidence, grid_argmax_evidence, svd_logme_fit
+from hypothesis.extra import numpy as hnp
+from oracle_utils import (
+    direct_log_evidence,
+    grid_argmax_evidence,
+    loop_calibrate,
+    loop_calibrator_apply,
+    svd_logme_fit,
+)
 
 from shiftzoo import correlation_profile
 from shiftzoo.correlation_profile import (
@@ -243,6 +250,61 @@ def test_calibrator_bins_and_fallback():
     # probability exactly 1.0 falls in the top bin, not out of range
     top = cal.apply(np.array([[1.0, 0.0]]))
     assert top[0, 0] == 1.0
+
+
+def test_calibrate_rejects_misshapen_input():
+    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValidationError, match="probability columns"):
+        calibrate(probs, np.array([0, 1]), 3)
+    with pytest.raises(ValidationError, match="one label per row"):
+        calibrate(probs, np.array([0, 1, 1]), 2)
+
+
+# bin edges, exact 0 and 1, and values between them
+_probability = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1.0),
+)
+
+
+def _assert_calibration_matches_loops(probs, labels, n_classes, n_bins, queries):
+    cal = calibrate(probs, labels, n_classes, n_bins)
+    want = loop_calibrate(probs, labels, n_classes, n_bins)
+    # NaN marks the empty bins in both; bytes compare those as well
+    assert cal.bin_accuracy.shape == want.shape
+    assert cal.bin_accuracy.tobytes() == want.tobytes()
+    for batch in (queries, probs):
+        got = cal.apply(batch)
+        assert got.tobytes() == loop_calibrator_apply(want, n_bins, batch).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n_rows=st.integers(0, 40),
+    n_classes=st.integers(2, 5),
+    n_bins=st.integers(1, 12),
+    data=st.data(),
+)
+def test_vectorised_calibration_is_bit_identical_to_the_loops(n_rows, n_classes, n_bins, data):
+    probs = data.draw(hnp.arrays(np.float64, (n_rows, n_classes), elements=_probability))
+    labels = data.draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, n_classes - 1)))
+    queries = data.draw(
+        hnp.arrays(np.float64, (data.draw(st.integers(0, 8)), n_classes), elements=_probability)
+    )
+    _assert_calibration_matches_loops(probs, labels, n_classes, n_bins, queries)
+
+
+@pytest.mark.parametrize(
+    "probs,labels",
+    [
+        (np.zeros((0, 3)), np.zeros(0, dtype=np.int64)),  # zero rows: every bin empty
+        (np.array([[1.0, 0.0, 0.0]]), np.array([0])),  # one row, exact 1.0 and 0
+        (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), np.array([1, 1, 2])),
+    ],
+)
+def test_calibration_corner_cases_are_bit_identical_to_the_loops(probs, labels):
+    queries = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.05], [0.95, 0.999, 0.0]])
+    _assert_calibration_matches_loops(probs, labels, 3, 10, queries)
 
 
 def test_calibrate_empty_input_gives_identity():

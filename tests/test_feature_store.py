@@ -19,7 +19,6 @@ from shiftzoo.feature_store import (
     load_manifest,
     read_features,
     read_labels,
-    save_feature_set,
     save_manifest,
     split_mask,
     validate_manifest,
@@ -255,7 +254,8 @@ def test_save_and_load_feature_set_roundtrip(tmp_path):
         seed=4,
     )
     fpath, lpath = tmp_path / "rt.fzf", tmp_path / "rt.fzl"
-    save_feature_set(fs, fpath, lpath)
+    write_features(fpath, fs.features)
+    write_labels(lpath, fs.labels)
     back = load_feature_set(fpath, lpath, "dom0", manifest, seed=4)
     assert np.array_equal(back.features.view(np.uint32), fs.features.view(np.uint32))
     assert np.array_equal(back.labels, fs.labels)

@@ -1,7 +1,11 @@
 """Gaussian fitting, Mahalanobis distances, thresholds, and diversity shift."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from shiftzoo import gaussian_profile
@@ -179,6 +183,62 @@ def test_escape_masks_align_with_train_rows():
     np.testing.assert_array_equal(
         pair.escape_b, escape_mask(profile_a, fb.train_features)
     )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 240),
+    d=st.integers(1, 16),
+    shrinkage=st.sampled_from([0.0, 1e-3]),
+    collinear=st.sampled_from([None, 1e-5, 1e-3]),
+    log10_scale=st.floats(0.0, 4.0),
+    offset=st.floats(0.0, 3.0),
+)
+def test_escape_mask_equals_the_full_batch_solve(
+    seed, n, d, shrinkage, collinear, log10_scale, offset
+):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-log10_scale, log10_scale, size=d)
+    xa = rng.normal(size=(n, d))
+    xb = rng.normal(size=(n, d)) + offset
+    if collinear is not None and d > 1:
+        # column 1 repeats column 0 up to noise of relative size `collinear`
+        xa[:, 1] = xa[:, 0] + collinear * rng.normal(size=n)
+        xb[:, 1] = xb[:, 0] + collinear * rng.normal(size=n)
+    y = rng.integers(0, 2, size=n)
+    fa = _make_set("a", (xa * scale).astype(np.float32), y, seed=seed % 97)
+    fb = _make_set("b", (xb * scale).astype(np.float32), y, seed=seed % 89)
+    try:
+        profile = fit_profile(fa, shrinkage=shrinkage)
+    except NumericalError:
+        assume(False)
+
+    def solved(x):
+        return mahalanobis_sq(profile.mean, profile.chol, x) > profile.threshold
+
+    for x in (fb.train_features, fa.train_features):
+        np.testing.assert_array_equal(escape_mask(profile, x), solved(x))
+    # the domain's own validation rows: one of them sets the threshold, so its
+    # solved distance equals it, and the product's round-off lands in the band
+    val = fa.val_features
+    assert (mahalanobis_sq(profile.mean, profile.chol, val) == profile.threshold).any()
+    y_val = (val - profile.mean) @ profile.inv_chol.T
+    gemm_val = np.einsum("ij,ij->i", y_val, y_val)
+    assert (np.abs(gemm_val - profile.threshold) <= profile.band).any()
+    np.testing.assert_array_equal(escape_mask(profile, val), solved(val))
+    # a band that covers every row sends the whole batch to the solve
+    wide = replace(profile, band=np.inf)
+    np.testing.assert_array_equal(escape_mask(wide, fb.train_features), solved(fb.train_features))
+
+
+def test_escape_mask_band_scales_with_width_condition_and_threshold():
+    rng = np.random.default_rng(12)
+    fs = _make_set("a", rng.normal(size=(400, 6)).astype(np.float32), rng.integers(0, 2, 400))
+    p = fit_profile(fs)
+    kappa = np.linalg.norm(p.chol) * np.linalg.norm(p.inv_chol)
+    assert p.band == 64 * 6 * np.finfo(np.float64).eps * kappa * p.threshold
+    np.testing.assert_allclose(p.inv_chol @ p.chol, np.eye(6), atol=1e-12)
 
 
 def test_diversity_rejects_dim_mismatch():
