@@ -1,4 +1,4 @@
-"""Process-wide OpenBLAS thread count, set through ctypes.
+"""Process-wide OpenBLAS thread count, set through ctypes, and the CPU count.
 
 numpy and scipy wheels each bundle their own OpenBLAS build, so a process can
 hold two copies with separate thread counts. Both are found in the process's
@@ -9,6 +9,9 @@ memory map or no OpenBLAS, nothing is found and nothing changes.
 The setter is process-wide: a count set from one thread is the count every
 thread's next BLAS call uses. Set it once, from the thread that then starts
 any workers, and restore it from that same thread.
+
+``usable_cpus`` is the one CPU count that sizes the process's own worker
+threads: the profile grid's ``--jobs`` default and the train pool.
 """
 
 from __future__ import annotations
@@ -75,3 +78,11 @@ def single_blas_thread() -> Iterator[None]:
     finally:
         for lib, count in zip(libs, previous):
             lib.set_num_threads(count)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

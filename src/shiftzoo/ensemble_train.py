@@ -19,16 +19,26 @@ backprop fills one gradient vector laid out the same way, and ``AdamW``
 updates the vector in place, one cache-sized chunk at a time, with two
 chunk-sized scratch vectors. All gradients are computed analytically (manual
 backprop); parameters update with Adam plus decoupled weight decay.
+
+Threads: ``train`` runs with OpenBLAS on one thread, and one pool sized from
+the usable CPU count does the parallel work instead. ``AdamW`` gives each
+worker one contiguous run of chunks; the head's large GEMMs (``_matmul``)
+are cut into row or column blocks, one per worker. With OpenBLAS on one
+thread both splits are bit for bit the serial result, and small heads and
+GEMMs take the serial code.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .blas_threads import single_blas_thread, usable_cpus
 from .correlation_profile import dataset_correlation
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet, ZooManifest, load_domain_features
@@ -39,6 +49,67 @@ P_FLOOR = 1e-6
 WEIGHT_CLIP = 100.0
 
 MODES = ("erm", "rew", "hsic", "both")
+
+# A GEMM of `macs` multiply-adds is cut into at most macs // SPLIT_MACS
+# blocks, so nothing under 2 * SPLIT_MACS = 2^22 is split. Row cuts fall on
+# multiples of 48 rows; column cuts on multiples of 16 columns, and only in a
+# product whose width is a multiple of 16. With these cuts every block runs
+# the kernels of the uncut product, so every element keeps its bits. Cuts at
+# other offsets, a ragged column tail in a narrow block, or blocks under
+# about 2^20 multiply-adds can take other OpenBLAS kernels (seen with
+# OpenBLAS 0.3.31 on AVX-512) and differ in the last bit.
+SPLIT_MACS = 1 << 21
+_ROW_ALIGN, _COL_ALIGN = 48, 16
+
+
+@lru_cache(maxsize=1)
+def _pool(cpus: int) -> ThreadPoolExecutor:
+    """The train pool: ``cpus - 1`` workers; the calling thread is the last CPU."""
+    return ThreadPoolExecutor(max_workers=max(cpus - 1, 1), thread_name_prefix="shiftzoo-train")
+
+
+def _run(tasks: Sequence[Callable[[], object]]) -> None:
+    """Run ``tasks[0]`` on the calling thread and the rest on the pool; wait for all."""
+    pool = _pool(usable_cpus())
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _cuts(n: int, blocks: int, align: int) -> list[tuple[int, int]]:
+    """``blocks`` spans of range(n), cut at multiples of ``align``; needs n >= blocks * align."""
+    bounds = [i * n // (blocks * align) * align for i in range(blocks)] + [n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` for 2-D operands, the same bits.
+
+    A product of at least two ``SPLIT_MACS`` blocks is cut, by rows when it
+    has enough of them, else by columns, into one block per usable CPU, and
+    the blocks run on the train pool. The bits are promised with OpenBLAS on
+    one thread, as ``train`` runs it; with more OpenBLAS threads, OpenBLAS
+    cuts each block again, and a product of ragged shape can then differ
+    from the uncut one in the last bit.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    if out is None:
+        out = np.empty((m, n), dtype=np.result_type(a, b))
+    macs = m * k * n
+    blocks = min(usable_cpus(), macs // SPLIT_MACS) if macs >= 2 * SPLIT_MACS else 1
+    if blocks >= 2 and m >= 2 * _ROW_ALIGN:
+        spans = _cuts(m, min(blocks, m // _ROW_ALIGN), _ROW_ALIGN)
+        tasks = [partial(np.matmul, a[lo:hi], b, out=out[lo:hi]) for lo, hi in spans]
+    elif blocks >= 2 and n % _COL_ALIGN == 0 and n >= 2 * _COL_ALIGN:
+        spans = _cuts(n, min(blocks, n // _COL_ALIGN), _COL_ALIGN)
+        tasks = [partial(np.matmul, a, b[:, lo:hi], out=out[:, lo:hi]) for lo, hi in spans]
+    else:
+        return np.matmul(a, b, out=out)
+    _run(tasks)
+    return out
 
 
 @dataclass(frozen=True)
@@ -166,7 +237,8 @@ class MlpHead:
             raise ValidationError(f"input shape {h.shape} does not match head input {self.dims[0]}")
         acts, pre, masks = [h], [], []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = h @ w + b
+            z = _matmul(h, w)
+            z += b
             pre.append(z)
             h = np.maximum(z, 0.0)
             mask = None
@@ -175,7 +247,8 @@ class MlpHead:
                 h = h * mask / (1.0 - self.dropout)
             masks.append(mask)
             acts.append(h)
-        logits = h @ self.weights[-1] + self.biases[-1]
+        logits = _matmul(h, self.weights[-1])
+        logits += self.biases[-1]
         return logits, {"acts": acts, "pre": pre, "masks": masks}
 
     def backward(self, cache: dict, dlogits: np.ndarray) -> np.ndarray:
@@ -187,11 +260,11 @@ class MlpHead:
         keep = 1.0 - self.dropout
         delta = dlogits
         for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[i].T, delta, out=self._grad_w[i])
+            _matmul(acts[i].T, delta, out=self._grad_w[i])
             delta.sum(axis=0, out=self._grad_b[i])
             if i == 0:
                 break
-            da = delta @ self.weights[i].T
+            da = _matmul(delta, self.weights[i].T)
             if masks[i - 1] is not None:
                 da = da * masks[i - 1] / keep
             delta = da * (pre[i - 1] > 0.0)
@@ -209,9 +282,12 @@ class AdamW:
     time: every op of the update runs over one chunk before the next chunk
     starts, so at head widths of 2048 the chunk's parameters, moments,
     gradient and scratch stay in cache instead of streaming from memory once
-    per op. The moments are full size; the two scratch vectors are one chunk
-    long. The per-chunk views are built once, so a step allocates no arrays,
-    and a vector that fits in one chunk is updated without slicing.
+    per op. The chunks are split into one contiguous run per worker, up to
+    the usable CPU count; each worker has its own two chunk-length scratch
+    vectors, and the runs go to the train pool. The update is elementwise, so
+    the split changes no bit. The moments are full size. The per-chunk views
+    are built once, so a step allocates no arrays, and a vector that fits in
+    one chunk is updated by the calling thread without slicing.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -221,13 +297,19 @@ class AdamW:
         self.params, self.lr, self.weight_decay = params, lr, weight_decay
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         n, c = params.size, self.CHUNK
-        s, u = np.empty((2, min(n, c)))
-        # per chunk: gradient slice (None when one chunk is the whole vector), p, m, v, s, u
-        self._chunks = [
-            (slice(a, a + c) if n > c else None, params[a : a + c], self.m[a : a + c],
-             self.v[a : a + c], s[: n - a], u[: n - a])
-            for a in range(0, n, c)
-        ]
+        starts = range(0, n, c)
+        workers = min(usable_cpus(), len(starts))
+        # per worker, per chunk: gradient slice (None when one chunk is the
+        # whole vector), p, m, v, s, u
+        self._runs = []
+        for w in range(workers):
+            run = starts[len(starts) * w // workers : len(starts) * (w + 1) // workers]
+            s, u = np.empty((2, min(n - run[0], c)))
+            self._runs.append([
+                (slice(a, a + c) if n > c else None, params[a : a + c], self.m[a : a + c],
+                 self.v[a : a + c], s[: n - a], u[: n - a])
+                for a in run
+            ])
         self.t = 0
 
     def step(self, grad: np.ndarray) -> None:
@@ -238,8 +320,14 @@ class AdamW:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
+        if len(self._runs) == 1:
+            self._update(self._runs[0], grad, c1, c2)
+        else:
+            _run([partial(self._update, run, grad, c1, c2) for run in self._runs])
+
+    def _update(self, run: list, grad: np.ndarray, c1: float, c2: float) -> None:
         b1, b2, lr = self.beta1, self.beta2, self.lr
-        for sl, p, m, v, s, u in self._chunks:
+        for sl, p, m, v, s, u in run:
             g = grad if sl is None else grad[sl]
             m *= b1
             np.multiply(g, 1.0 - b1, out=s)
@@ -602,6 +690,8 @@ def train(
 
     Each fold's head is then profiled at logit level over every domain. The
     FeatureSets the folds need are loaded once and shared by all of them.
+    The folds run with OpenBLAS on one thread, so their bytes do not depend
+    on the BLAS thread count; the previous count is restored on return.
     """
     domains = manifest.domain_ids
     for target in targets:
@@ -627,13 +717,16 @@ def train(
     div = sets_for(div_aux_id, train_domains) if config.hsic_active else None
     cor = sets_for(rew_aux_id, train_domains) if config.rew_active else None
     folds = []
-    for target in targets:
-        result = train_on_sets(
-            without(main, target), without(div, target), without(cor, target),
-            manifest.n_classes, config, [main[target]],
-        )
-        f_div, f_cor = logit_shift(result.head, list(main.values()), manifest.n_classes)
-        folds.append(Fold(target, result, f_div, f_cor))
+    # OpenBLAS stays on one thread: the train pool does the parallel work, and
+    # an idle OpenBLAS worker would spin on the pool's cores between GEMMs
+    with single_blas_thread():
+        for target in targets:
+            result = train_on_sets(
+                without(main, target), without(div, target), without(cor, target),
+                manifest.n_classes, config, [main[target]],
+            )
+            f_div, f_cor = logit_shift(result.head, list(main.values()), manifest.n_classes)
+            folds.append(Fold(target, result, f_div, f_cor))
     return folds
 
 

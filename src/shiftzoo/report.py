@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .blas_threads import single_blas_thread
+from .blas_threads import single_blas_thread, usable_cpus
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
 from .errors import ValidationError
 from .feature_store import ZooManifest, load_domain_features
@@ -99,13 +98,6 @@ def profile_encoder(
     }
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def build_report(
     manifest: ZooManifest,
     encoder_ids: Sequence[str] | None = None,
@@ -141,7 +133,7 @@ def build_report(
 
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs or _usable_cpus(), len(todo))
+    workers = min(jobs or usable_cpus(), len(todo))
     with single_blas_thread():
         if workers == 1:
             profiles = [one(e) for e in todo]

@@ -96,6 +96,36 @@ def test_profile_bytes_independent_of_blas_threads(tmp_path):
     assert digests["1"] == digests["2"]
 
 
+def test_train_bytes_independent_of_blas_threads(tmp_path):
+    """``train`` on a 512-wide main encoder under 1 and 2 OpenBLAS threads.
+
+    The 512 -> 256 -> 256 -> 4 head is wide enough that, given two CPUs, its
+    products and its AdamW update are split over the train pool. ``train``
+    pins OpenBLAS to one thread, so both runs write the same bytes.
+    """
+    zoo = tmp_path / "zoo"
+    code = main(
+        ["synth", "--out", str(zoo), "--seed", "0", "--samples", "600", "--dim-core", "32",
+         "--dim-div", "480", "--dim-spur", "480"]
+    )
+    assert code == 0
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    digests = {}
+    for threads in ("1", "2"):
+        rep, log = tmp_path / f"train-{threads}.json", tmp_path / f"train-{threads}.log"
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "SHIFTZOO_SEED")}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftzoo.cli", "train", "--manifest",
+             str(zoo / "manifest.json"), "--out", str(rep), "--log", str(log), *TRAIN_ARGS,
+             "--steps", "40", "--warmup", "10", "--anneal", "20", "--eval-every", "20"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (rep, log)]
+    assert digests["1"] == digests["2"]
+
+
 def test_profile_filter_restricts_encoders(zoo_dir, tmp_path):
     out = tmp_path / "one.json"
     code = main(

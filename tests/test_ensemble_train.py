@@ -1,11 +1,16 @@
 """Head training: gradients, gating, reweighting, reductions, and selection."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shiftzoo.ensemble_train as et
+from shiftzoo.blas_threads import openblas_libraries, single_blas_thread
 from shiftzoo.ensemble_train import (
     P_FLOOR,
     WEIGHT_CLIP,
@@ -198,15 +203,20 @@ def test_adamw_decoupled_weight_decay():
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_flat_adamw_matches_list_reference_bitwise(weight_decay):
+def test_flat_adamw_matches_list_reference_bitwise(weight_decay, monkeypatch):
     rng = np.random.default_rng(10)
-    # a head inside one chunk, and one spanning four chunks with a partial tail
-    for dims in ([7, 5, 4, 3], [AdamW.CHUNK // 16, 48, 3]):
+    # a head inside one chunk, and one spanning four chunks with a partial
+    # tail; the CPU count sets the number of runs the chunks are split into,
+    # also on a machine with fewer CPUs
+    for workers, dims in itertools.product([1, 2, 3], ([7, 5, 4, 3], [AdamW.CHUNK // 16, 48, 3])):
+        monkeypatch.setattr(et, "usable_cpus", lambda w=workers: w)
         head = MlpHead(dims, rng=rng)
         if dims[0] == AdamW.CHUNK // 16:
             assert head.params.size > 3 * AdamW.CHUNK and head.params.size % AdamW.CHUNK
         arrays = [a.copy() for w, b in zip(head.weights, head.biases) for a in (w, b)]
         opt = AdamW(head.params, lr=1e-2, weight_decay=weight_decay)
+        n_chunks = -(-head.params.size // AdamW.CHUNK)
+        assert len(opt._runs) == min(workers, n_chunks)
         ref = ListAdamW(arrays, lr=1e-2, weight_decay=weight_decay)
         for _ in range(25):
             grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=head.params.shape)
@@ -222,19 +232,128 @@ def test_flat_adamw_matches_list_reference_bitwise(weight_decay):
         assert opt.t == ref.t == 25
 
 
-def test_adamw_scratch_is_one_chunk():
+def test_adamw_scratch_is_one_chunk(monkeypatch):
     n = 10 * AdamW.CHUNK + 123
     params = np.zeros(n)
-    tracemalloc.start()
+    for workers in (1, 3):
+        monkeypatch.setattr(et, "usable_cpus", lambda w=workers: w)
+        tracemalloc.start()
+        try:
+            opt = AdamW(params, lr=1e-3)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # m and v are full size; each worker's two scratch vectors are one
+        # chunk each (the rest is the per-chunk views, a few hundred bytes
+        # per chunk)
+        assert opt.m.size == opt.v.size == n
+        assert len(opt._runs) == workers
+        assert 8 * 2 * n <= allocated <= 8 * (2 * n + workers * 2 * AdamW.CHUNK) + 64 * 1024
+
+
+def _with_blas_threads(count, body):
+    libs = openblas_libraries()
+    before = [lib.get_num_threads() for lib in libs]
+    for lib in libs:
+        lib.set_num_threads(count)
     try:
-        opt = AdamW(params, lr=1e-3)
-        allocated, _ = tracemalloc.get_traced_memory()
+        return body()
     finally:
-        tracemalloc.stop()
-    # m and v are full size; the two scratch vectors are one chunk each
-    # (the rest is the per-chunk views, a few hundred bytes per chunk)
-    assert opt.m.size == opt.v.size == n
-    assert 8 * 2 * n <= allocated <= 8 * (2 * n + 2 * AdamW.CHUNK) + 64 * 1024
+        for lib, was in zip(libs, before):
+            lib.set_num_threads(was)
+
+
+def _recording_run(monkeypatch):
+    """Record the block count of every split product; the blocks still run."""
+    blocks = []
+    real = et._run
+
+    def recording(tasks):
+        blocks.append(len(tasks))
+        real(tasks)
+
+    monkeypatch.setattr(et, "_run", recording)
+    return blocks
+
+
+def _head_products(rng):
+    """The products of one 2048 -> 1024 -> 512 step and of one evaluation pass."""
+    x, x_eval = rng.normal(size=(32, 2048)), rng.normal(size=(900, 2048))
+    w0, w1 = rng.normal(size=(2048, 1024)), rng.normal(size=(1024, 512))
+    h1 = np.maximum(x @ w0, 0.0)
+    delta1, delta2 = rng.normal(size=(32, 1024)), rng.normal(size=(32, 512))
+    return {
+        "forward 2048": (x, w0),
+        "forward 1024": (h1, w1),
+        "acts.T @ delta 2048": (x.T, delta1),
+        "acts.T @ delta 1024": (h1.T, delta2),
+        "delta @ W.T 1024": (delta1, w0.T),
+        "delta @ W.T 512": (delta2, w1.T),
+        "evaluation pass": (x_eval, w0),
+    }
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_matmul_matches_numpy_bitwise(cpus, blas_threads, monkeypatch):
+    monkeypatch.setattr(et, "usable_cpus", lambda: cpus)
+    blocks = _recording_run(monkeypatch)
+    products = _head_products(np.random.default_rng(cpus))
+    for name, (a, b) in products.items():
+        want = _with_blas_threads(blas_threads, lambda: np.matmul(a, b))
+        got = _with_blas_threads(blas_threads, lambda: et._matmul(a, b))
+        assert got.tobytes() == want.tobytes(), name
+        out = np.empty_like(want)
+        assert _with_blas_threads(blas_threads, lambda: et._matmul(a, b, out=out)) is out
+        assert out.tobytes() == want.tobytes(), name
+    # every product is split, one block per CPU, with and without ``out``
+    assert blocks == [cpus] * 2 * len(products)
+
+
+def test_split_matmul_cuts_unevenly_at_the_alignment():
+    # 3-way cuts: 2048 rows -> 672/672/704, 1024 columns -> 336/336/352, 900 rows -> 288/288/324
+    assert et._cuts(2048, 3, 48) == [(0, 672), (672, 1344), (1344, 2048)]
+    assert et._cuts(1024, 3, 16) == [(0, 336), (336, 672), (672, 1024)]
+    assert et._cuts(900, 3, 48) == [(0, 288), (288, 576), (576, 900)]
+    assert et._cuts(97, 2, 48) == [(0, 48), (48, 97)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([16, 32, 64, 97, 480, 1111, 2500]),
+    k=st.integers(1, 1500),
+    n=st.one_of(st.integers(1, 1500), st.integers(1, 90).map(lambda i: 16 * i)),
+    cpus=st.integers(2, 5),
+    a_fortran=st.booleans(),
+    b_fortran=st.booleans(),
+)
+def test_split_matmul_matches_numpy_on_any_shape(m, k, n, cpus, a_fortran, b_fortran):
+    rng = np.random.default_rng(m * k + n)
+    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    a, b = (np.asfortranarray(x) if f else x for x, f in ((a, a_fortran), (b, b_fortran)))
+    real = et.usable_cpus
+    et.usable_cpus = lambda: cpus
+    try:
+        with single_blas_thread():
+            got, want = et._matmul(a, b), np.matmul(a, b)
+    finally:
+        et.usable_cpus = real
+    assert got.tobytes() == want.tobytes()
+
+
+def test_small_heads_take_the_serial_code(monkeypatch):
+    # the desk zoo's 12 -> 6 -> 256 -> 4 head: one chunk, and no product
+    # of a step or of a 1200-row evaluation pass reaches two SPLIT_MACS blocks
+    monkeypatch.setattr(et, "usable_cpus", lambda: 4)
+    blocks = _recording_run(monkeypatch)
+    head = MlpHead.for_input(12, 4, rng=0)
+    opt = AdamW(head.params, lr=1e-3)
+    assert len(opt._runs) == 1
+    rng = np.random.default_rng(0)
+    _, _, _, grad = head_loss_and_grads(head, rng.normal(size=(32, 12)), np.arange(32) % 4, np.ones(32))
+    opt.step(grad)
+    head.predict_logits(rng.normal(size=(1200, 12)))
+    assert blocks == []
 
 
 def _fixed_aux(bias, prior):
@@ -360,8 +479,6 @@ def test_train_step_gating():
 
 
 def test_rew_weights_run_only_from_n_anneal(monkeypatch):
-    import shiftzoo.ensemble_train as et
-
     calls = []
 
     def counting(aux, z, labels, temperature):

@@ -68,6 +68,34 @@ def test_zero_variance_domain_is_named():
             call()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    row=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        min_size=1, max_size=6,
+    ),
+    n=st.integers(5, 300),
+    val_noise=st.sampled_from([0.0, 1e-30, 1.0, 1e30]),
+)
+def test_identical_training_rows_end_in_the_zero_variance_error(row, n, val_noise):
+    """Any all-identical training split is named, never a traceback or a NaN."""
+    rng = np.random.default_rng(n)
+    x = np.tile(np.asarray(row, dtype=np.float32), (n, 1))
+    flat = _make_set("flat", x, rng.integers(0, 2, size=n))
+    assume((~flat.split_mask).sum() >= 2 and flat.split_mask.any())
+    # validation rows may differ from the training rows
+    noisy = flat.features.copy()
+    noisy[flat.split_mask] += (val_noise * rng.normal(size=noisy[flat.split_mask].shape)).astype(
+        np.float32
+    )
+    flat = replace(flat, features=noisy)
+    assume(np.isfinite(flat.features).all())
+    live = _make_set("live", rng.normal(size=(n, len(row))), rng.integers(0, 2, size=n))
+    for call in (lambda: fit_profile(flat), lambda: dataset_diversity([live, flat])):
+        with pytest.raises(NumericalError, match="domain 'flat' have zero variance"):
+            call()
+
+
 def test_mahalanobis_matches_explicit_inverse():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(200, 5))
