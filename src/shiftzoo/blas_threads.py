@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import os
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 # scipy-openblas wheels prefix their symbols; the 64-bit-integer build adds "64_"
@@ -64,6 +65,22 @@ def openblas_libraries() -> list[OpenBlas]:
         setter.argtypes, setter.restype = [ctypes.c_int], None
         found.append(OpenBlas(path, getter, setter))
     return found
+
+
+@lru_cache(maxsize=1)
+def _mapped_libraries() -> tuple[OpenBlas, ...]:
+    return tuple(openblas_libraries())
+
+
+def max_blas_threads() -> int:
+    """The highest thread count of any OpenBLAS in the process, 1 when none is found.
+
+    The libraries are looked up once, at the first call, and each later call
+    reads only the counts. Its caller, ``ensemble_train``, imports numpy and
+    ``scipy.linalg`` first, so both of their OpenBLAS copies are mapped by
+    then.
+    """
+    return max((lib.get_num_threads() for lib in _mapped_libraries()), default=1)
 
 
 @contextmanager

@@ -26,6 +26,15 @@ worker one contiguous run of chunks; the head's large GEMMs (``_matmul``)
 are cut into row or column blocks, one per worker. With OpenBLAS on one
 thread both splits are bit for bit the serial result, and small heads and
 GEMMs take the serial code.
+
+Per-call cost: a desk-sized head (12 -> 6 -> 256 -> 4, batch 32) makes each
+step a few dozen numpy calls on tiny arrays, so the step's time is call
+overhead, not arithmetic. The step therefore makes each call once: the
+cross-entropy shares one max, one ``exp`` and one row sum between its value
+and its softmax gradient; uniform weights are ``None``, not an array of ones;
+reductions call ``np.add.reduce`` directly instead of the ``mean``/``sum``
+wrappers (the same reduction, so the same bits); and small products go
+straight to ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blas_threads import single_blas_thread, usable_cpus
+from .blas_threads import max_blas_threads, single_blas_thread, usable_cpus
 from .correlation_profile import dataset_correlation
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet, ZooManifest, load_domain_features
@@ -90,16 +99,19 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
     A product of at least two ``SPLIT_MACS`` blocks is cut, by rows when it
     has enough of them, else by columns, into one block per usable CPU, and
-    the blocks run on the train pool. The bits are promised with OpenBLAS on
-    one thread, as ``train`` runs it; with more OpenBLAS threads, OpenBLAS
-    cuts each block again, and a product of ragged shape can then differ
-    from the uncut one in the last bit.
+    the blocks run on the train pool. It is cut only while OpenBLAS is on one
+    thread, as ``train`` runs it: with more OpenBLAS threads, OpenBLAS cuts
+    each block again, and a product of ragged shape can then differ from the
+    uncut one in the last bit, so it runs uncut. Smaller products, every one
+    of a desk-sized head, go straight to ``np.matmul``.
     """
     (m, k), n = a.shape, b.shape[1]
+    macs = m * k * n
+    if macs < 2 * SPLIT_MACS or max_blas_threads() > 1:
+        return np.matmul(a, b, out=out)
+    blocks = min(usable_cpus(), macs // SPLIT_MACS)
     if out is None:
         out = np.empty((m, n), dtype=np.result_type(a, b))
-    macs = m * k * n
-    blocks = min(usable_cpus(), macs // SPLIT_MACS) if macs >= 2 * SPLIT_MACS else 1
     if blocks >= 2 and m >= 2 * _ROW_ALIGN:
         spans = _cuts(m, min(blocks, m // _ROW_ALIGN), _ROW_ALIGN)
         tasks = [partial(np.matmul, a[lo:hi], b, out=out[lo:hi]) for lo, hi in spans]
@@ -232,7 +244,7 @@ class MlpHead:
     def forward(
         self, x: np.ndarray, dropout_rng: np.random.Generator | None = None
     ) -> tuple[np.ndarray, dict]:
-        h = np.asarray(x, dtype=np.float64)
+        h = x if x.dtype == np.float64 else np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.dims[0]:
             raise ValidationError(f"input shape {h.shape} does not match head input {self.dims[0]}")
         acts, pre, masks = [h], [], []
@@ -261,13 +273,13 @@ class MlpHead:
         delta = dlogits
         for i in range(len(self.weights) - 1, -1, -1):
             _matmul(acts[i].T, delta, out=self._grad_w[i])
-            delta.sum(axis=0, out=self._grad_b[i])
+            np.add.reduce(delta, 0, out=self._grad_b[i])
             if i == 0:
                 break
-            da = _matmul(delta, self.weights[i].T)
+            delta = _matmul(delta, self.weights[i].T)
             if masks[i - 1] is not None:
-                da = da * masks[i - 1] / keep
-            delta = da * (pre[i - 1] > 0.0)
+                delta = delta * masks[i - 1] / keep
+            delta *= pre[i - 1] > 0.0
         return self.grad
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
@@ -349,24 +361,34 @@ class AdamW:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def weighted_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None
 ) -> tuple[float, np.ndarray]:
-    """Weighted mean CE and its gradient with respect to the logits."""
+    """Weighted mean CE and its gradient with respect to the logits.
+
+    ``weights`` None means uniform weights of 1. One max, one ``exp`` and one
+    row sum serve both the log-sum-exp and the softmax, with the same bits
+    as computing each on its own.
+    """
     m = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    ce_rows = lse - logits[np.arange(m), labels]
-    ce = float(np.mean(weights * ce_rows))
-    dlogits = softmax(logits)
-    dlogits[np.arange(m), labels] -= 1.0
-    dlogits *= (weights / m)[:, None]
-    return ce, dlogits
+    rows = np.arange(m)
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    sums = np.add.reduce(e, axis=1, keepdims=True)
+    ce_rows = np.log(sums[:, 0]) + top[:, 0] - logits[rows, labels]
+    e /= sums
+    e[rows, labels] -= 1.0
+    if weights is None:
+        e *= 1.0 / m
+    else:
+        ce_rows *= weights
+        e *= (weights / m)[:, None]
+    return float(np.add.reduce(ce_rows) / m), e
 
 
 @dataclass(frozen=True)
@@ -466,7 +488,7 @@ def head_loss_and_grads(
     head: MlpHead,
     x: np.ndarray,
     labels: np.ndarray,
-    weights: np.ndarray,
+    weights: np.ndarray | None,
     aux_div: np.ndarray | None = None,
     lam: float = 0.0,
     gamma1: float = 0.1,
@@ -476,9 +498,10 @@ def head_loss_and_grads(
     """Combined loss and parameter gradients for one batch.
 
     Returns (total, ce, hsic, grad) with total = ce + lam * hsic; ``grad`` is
-    the head's gradient vector, overwritten by its next backward pass. An
-    inactive penalty is lam = 0 and aux_div = None; the HSIC gradient flows
-    through the logits only, the auxiliary kernel is constant.
+    the head's gradient vector, overwritten by its next backward pass.
+    ``weights`` None means uniform weights. An inactive penalty is lam = 0
+    and aux_div = None; the HSIC gradient flows through the logits only, the
+    auxiliary kernel is constant.
     """
     logits, cache = head.forward(x, dropout_rng=dropout_rng)
     ce, dlogits = weighted_cross_entropy(logits, labels, weights)
@@ -487,7 +510,8 @@ def head_loss_and_grads(
         hsic_val, hsic_grad = hsic_b_value_and_grad(
             logits, aux_div, KernelSpec(gamma1), KernelSpec(gamma2)
         )
-        dlogits = dlogits + lam * hsic_grad
+        hsic_grad *= lam
+        dlogits += hsic_grad
     total = ce + lam * hsic_val
     return total, ce, hsic_val, head.backward(cache, dlogits)
 
@@ -513,7 +537,7 @@ def train_step(
     use_hsic = config.hsic_active and step_index >= config.n_warmup
     if use_hsic and m < 2:
         raise ValidationError("HSIC penalty needs batch size >= 2")
-    weights = np.ones(m) if rew_batch is None else np.asarray(rew_batch, dtype=np.float64)
+    weights = None if rew_batch is None else np.asarray(rew_batch, dtype=np.float64)
     total, ce, hsic_val, grad = head_loss_and_grads(
         head, x, labels, weights, aux_div=aux_div if use_hsic else None,
         lam=config.lam if use_hsic else 0.0, gamma1=config.gamma1, gamma2=config.gamma2,
@@ -525,7 +549,8 @@ def train_step(
             "try a lower learning rate"
         )
     optimizer.step(grad)
-    return StepStats(step_index, ce, hsic_val, total, float(weights.mean()), config.learning_rate)
+    mean_weight = 1.0 if weights is None else float(np.add.reduce(weights) / m)
+    return StepStats(step_index, ce, hsic_val, total, mean_weight, config.learning_rate)
 
 
 @dataclass(frozen=True)

@@ -164,10 +164,11 @@ def escape_mask(profile: DomainProfile, x: np.ndarray) -> np.ndarray:
     """True where a row's squared distance strictly exceeds the threshold.
 
     Equal, flag for flag, to ``mahalanobis_sq(mean, chol, x) > threshold``
-    on the whole batch ``x``.
+    on the whole batch ``x``. Float32 rows are widened (exactly) inside the
+    subtraction of the mean, so no float64 copy of ``x`` is made.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = (x - profile.mean) @ profile.inv_chol.T
+    x = np.atleast_2d(x)
+    y = np.subtract(x, profile.mean, dtype=np.float64) @ profile.inv_chol.T
     d2 = np.einsum("ij,ij->i", y, y)
     # written so that a NaN distance or an infinite band also falls back
     if (np.abs(d2 - profile.threshold) > profile.band).all():
@@ -189,8 +190,9 @@ def diversity_shift(
         )
     if (profile_a.domain_id, profile_b.domain_id) != (fs_a.domain_id, fs_b.domain_id):
         raise ValidationError("domain profiles do not match the given feature sets")
-    escape_a = escape_mask(profile_b, fs_a.train_features)
-    escape_b = escape_mask(profile_a, fs_b.train_features)
+    # the stored float32 rows: escape_mask widens them to float64 as it centres them
+    escape_a = escape_mask(profile_b, fs_a.features[~fs_a.split_mask])
+    escape_b = escape_mask(profile_a, fs_b.features[~fs_b.split_mask])
     f_div = 0.5 * (float(escape_a.mean()) + float(escape_b.mean()))
     return PairDiversity(
         domain_a=fs_a.domain_id,

@@ -8,6 +8,13 @@ computed in float64 via the expanded identity
 which avoids materialising the centering matrix. The gradient is taken with
 respect to the first argument's inputs only; the second kernel matrix is
 treated as a constant.
+
+``hsic_b_value_and_grad`` runs once per training step on a batch of a few
+dozen rows, so its cost is the number of numpy calls, not arithmetic: each
+kernel is built once, in place, and the means and row means the value needs
+are the ones the gradient's centred kernel reuses. The reductions call
+``np.add.reduce``, the reduction that ``mean`` and ``sum`` run, so the bits
+are those of computing each term on its own with ``np.mean``.
 """
 
 from __future__ import annotations
@@ -40,36 +47,25 @@ class KernelSpec:
         return self.gamma
 
 
-def _sq_dists(z: np.ndarray) -> np.ndarray:
-    sq = np.sum(z * z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def gaussian_kernel_matrix(z: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Pairwise Gaussian kernel matrix of the rows of ``z``."""
+    """Pairwise Gaussian kernel matrix of the rows of ``z``.
+
+    The squared distances (clamped at 0, exactly 0 on the diagonal), their
+    scaling and the ``exp`` are computed in place in one m x m buffer.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValidationError(f"kernel input must be 2-D, got shape {z.shape}")
     gamma = spec.effective_gamma(z.shape[1])
-    return np.exp(-gamma * _sq_dists(z))
-
-
-def hsic_from_kernels(k: np.ndarray, l: np.ndarray) -> float:
-    """Biased HSIC estimate from two precomputed m x m kernel matrices."""
-    k = np.asarray(k, dtype=np.float64)
-    l = np.asarray(l, dtype=np.float64)
-    if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValidationError(f"kernel matrices must be square and same-shape, got {k.shape} and {l.shape}")
-    m = k.shape[0]
-    if m == 0:
-        return 0.0
-    term_cross = float(np.mean(k * l))
-    term_marginal = float(np.mean(k)) * float(np.mean(l))
-    term_row = 2.0 * float(np.mean(k.mean(axis=1) * l.mean(axis=1)))
-    return term_cross + term_marginal - term_row
+    sq = np.add.reduce(z * z, axis=1)
+    gram = z @ z.T
+    gram *= 2.0
+    k = sq[:, None] + sq[None, :]
+    k -= gram
+    np.maximum(k, 0.0, out=k)
+    k.flat[:: z.shape[0] + 1] = 0.0
+    k *= -gamma
+    return np.exp(k, out=k)
 
 
 def hsic_b_value_and_grad(
@@ -94,17 +90,25 @@ def hsic_b_value_and_grad(
 
     l = gaussian_kernel_matrix(z_first, spec_first)
     k = gaussian_kernel_matrix(z_second, spec_second)
-    value = hsic_from_kernels(k, l)
+    mm = m * m
+    k_mean = np.add.reduce(k, None) / mm
+    k_row = np.add.reduce(k, 1) / m
+    row_term = np.add.reduce(k_row * (np.add.reduce(l, 1) / m)) / m
+    value = (
+        float(np.add.reduce(k * l, None) / mm)
+        + float(k_mean) * float(np.add.reduce(l, None) / mm)
+        - 2.0 * float(row_term)
+    )
     if not need_grad:
         return value, np.zeros_like(z_first)
 
-    # trace(KHLH) = sum((HKH) * L); centering K once gives both the value
-    # identity and the weight matrix for the gradient.
-    row = k.mean(axis=1)
-    k_centered = k - row[:, None] - row[None, :] + k.mean()
-    w = k_centered * l
-    gamma = spec_first.effective_gamma(z_first.shape[1])
-    grad = (-4.0 * gamma / (m * m)) * (
-        w.sum(axis=1)[:, None] * z_first - w @ z_first
-    )
+    # trace(KHLH) = sum((HKH) * L); K centred with the row means and mean of
+    # the value is the weight matrix of the gradient.
+    w = k - k_row[:, None]
+    w -= k_row
+    w += k_mean
+    w *= l
+    grad = np.add.reduce(w, 1)[:, None] * z_first
+    grad -= w @ z_first
+    grad *= -4.0 * spec_first.effective_gamma(z_first.shape[1]) / mm
     return value, grad

@@ -9,7 +9,13 @@ eigendecomposition replaced, which it must match within round-off;
 ``loop_calibrate`` and ``loop_calibrator_apply`` are the class-by-bin loops
 that the package's ``np.bincount`` calibration must reproduce bit for bit.
 ``hsic_b`` is the value-only form of the package's HSIC that acceptance C1
-holds against the brute-force double sum.
+holds against the brute-force double sum. ``reference_weighted_cross_entropy``
+and ``reference_hsic_b_value_and_grad`` are the straightforward CE and HSIC
+value-and-gradient sequences (separate softmax, ``np.mean`` wrappers, each
+kernel and row mean computed where it is used) that the package's trimmed
+training step must reproduce bit for bit; ``hsic_from_kernels`` is their HSIC
+value from two kernel matrices, and ``reference_head_loss_and_grads`` puts
+them into a whole forward and backward pass.
 """
 
 import math
@@ -17,6 +23,7 @@ import math
 import numpy as np
 
 from shiftzoo.correlation_profile import ClassRegression, EvidenceModel, _fit_class
+from shiftzoo.errors import ValidationError
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
 
 
@@ -31,6 +38,92 @@ def hsic_b(
         z_first, z_second, spec_first, spec_second, need_grad=False
     )
     return value
+
+
+def hsic_from_kernels(k: np.ndarray, l: np.ndarray) -> float:
+    """Biased HSIC estimate from two precomputed m x m kernel matrices."""
+    k = np.asarray(k, dtype=np.float64)
+    l = np.asarray(l, dtype=np.float64)
+    if k.shape != l.shape or k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValidationError(f"kernel matrices must be square and same-shape, got {k.shape} and {l.shape}")
+    m = k.shape[0]
+    if m == 0:
+        return 0.0
+    term_cross = float(np.mean(k * l))
+    term_marginal = float(np.mean(k)) * float(np.mean(l))
+    term_row = 2.0 * float(np.mean(k.mean(axis=1) * l.mean(axis=1)))
+    return term_cross + term_marginal - term_row
+
+
+def reference_gaussian_kernel(z: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * squared distances), diagonal distances set to 0 by ``fill_diagonal``."""
+    sq = np.sum(z * z, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return np.exp(-gamma * d2)
+
+
+def reference_hsic_b_value_and_grad(
+    z_first: np.ndarray, z_second: np.ndarray, spec_first: KernelSpec, spec_second: KernelSpec
+) -> tuple[float, np.ndarray]:
+    """HSIC value and gradient wrt ``z_first``, each term computed where it is used."""
+    z_first = np.asarray(z_first, dtype=np.float64)
+    z_second = np.asarray(z_second, dtype=np.float64)
+    m = z_first.shape[0]
+    gamma = spec_first.effective_gamma(z_first.shape[1])
+    l = reference_gaussian_kernel(z_first, gamma)
+    k = reference_gaussian_kernel(z_second, spec_second.effective_gamma(z_second.shape[1]))
+    value = hsic_from_kernels(k, l)
+    row = k.mean(axis=1)
+    k_centered = k - row[:, None] - row[None, :] + k.mean()
+    w = k_centered * l
+    grad = (-4.0 * gamma / (m * m)) * (w.sum(axis=1)[:, None] * z_first - w @ z_first)
+    return value, grad
+
+
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_weighted_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Weighted mean CE and its logit gradient: log-sum-exp and softmax computed apart."""
+    m = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    ce_rows = lse - logits[np.arange(m), labels]
+    ce = float(np.mean(weights * ce_rows))
+    dlogits = reference_softmax(logits)
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits *= (weights / m)[:, None]
+    return ce, dlogits
+
+
+def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1, gamma2):
+    """(total, ce, hsic, flat grad) of a dropout-free ``MlpHead``: plain forward,
+    the reference CE and HSIC, and backward with fresh temporaries."""
+    acts, pre = [np.asarray(x, dtype=np.float64)], []
+    for w, b in zip(head.weights[:-1], head.biases[:-1]):
+        pre.append(acts[-1] @ w + b)
+        acts.append(np.maximum(pre[-1], 0.0))
+    logits = acts[-1] @ head.weights[-1] + head.biases[-1]
+    ce, dlogits = reference_weighted_cross_entropy(logits, labels, weights)
+    hsic = 0.0
+    if lam > 0:
+        hsic, hsic_grad = reference_hsic_b_value_and_grad(
+            logits, aux_div, KernelSpec(gamma1), KernelSpec(gamma2)
+        )
+        dlogits = dlogits + lam * hsic_grad
+    grads, delta = [], dlogits
+    for i in range(len(head.weights) - 1, -1, -1):
+        grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ head.weights[i].T) * (pre[i - 1] > 0.0)
+    return ce + lam * hsic, ce, hsic, np.concatenate([g.ravel() for g in grads])
 
 
 def direct_log_evidence(phi: np.ndarray, y: np.ndarray, alpha: float, beta: float) -> float:

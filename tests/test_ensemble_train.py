@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftzoo
 import shiftzoo.ensemble_train as et
 from shiftzoo.blas_threads import openblas_libraries, single_blas_thread
 from shiftzoo.ensemble_train import (
@@ -17,6 +22,7 @@ from shiftzoo.ensemble_train import (
     AdamW,
     MlpHead,
     RewAuxiliary,
+    StepStats,
     TrainConfig,
     apply_mode,
     batch_weights,
@@ -37,7 +43,12 @@ from shiftzoo.feature_store import build_feature_set, load_domain_features
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import SynthSpec, build_zoo
 
-from oracle_utils import ListAdamW
+from oracle_utils import (
+    ListAdamW,
+    reference_head_loss_and_grads,
+    reference_softmax,
+    reference_weighted_cross_entropy,
+)
 
 
 def _sets(seed, n=300, d=6, n_classes=3, domains=2):
@@ -185,6 +196,73 @@ def test_weighted_ce_reduces_to_plain_mean():
     assert ce == pytest.approx(want, rel=1e-12)
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([2, 3, 32, 97]),
+    n_classes=st.integers(2, 7),
+    weighting=st.sampled_from(["uniform", "ones", "explicit"]),
+    scale=st.sampled_from([1e-8, 1e-2, 1.0, 30.0, 1e3, 1e8, 1e300]),
+    offset=st.sampled_from([0.0, 1e4, -1e4]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_cross_entropy_matches_reference_bitwise(
+    m, n_classes, weighting, scale, offset, ties, seed
+):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(m, n_classes)) * scale + offset
+    if ties:
+        # whole numbers: rows with several equal maxima
+        logits = np.round(rng.normal(size=(m, n_classes)))
+    labels = rng.integers(0, n_classes, size=m)
+    weights = {
+        "uniform": None,
+        "ones": np.ones(m),
+        "explicit": batch_weights(rng.uniform(0.01, 5.0, size=m)),
+    }[weighting]
+    ce, dlogits = weighted_cross_entropy(logits, labels, weights)
+    want_ce, want_d = reference_weighted_cross_entropy(
+        logits, labels, np.ones(m) if weights is None else weights
+    )
+    assert _bits(ce) == _bits(want_ce)
+    assert dlogits.tobytes() == want_d.tobytes()
+    assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([2, 3, 32, 97]),
+    explicit=st.booleans(),
+    lam=st.sampled_from([0.0, 20.0]),
+    log10_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_step_matches_reference_step_bitwise(m, explicit, lam, log10_scale, seed):
+    """One step of the desk head against plain forward, reference CE/HSIC and backward."""
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=(m, 12)) * 10.0**log10_scale).astype(np.float32)
+    labels = rng.integers(0, 4, size=m)
+    aux = rng.normal(size=(m, 5)).astype(np.float32)
+    weights = batch_weights(rng.uniform(0.1, 3.0, size=m)) if explicit else None
+    cfg = TrainConfig(lam=lam, n_warmup=0, weight_decay=0.01, learning_rate=1e-3)
+    head, ref_head = (MlpHead.for_input(12, 4, rng=seed % 1000) for _ in range(2))
+    opt = AdamW(head.params, lr=1e-3, weight_decay=0.01)
+    ref_opt = AdamW(ref_head.params, lr=1e-3, weight_decay=0.01)
+    for step in range(3):
+        stats = train_step(head, opt, x, labels, aux, weights, cfg, step)
+        ref_weights = np.ones(m) if weights is None else weights
+        total, ce, hsic, grad = reference_head_loss_and_grads(
+            ref_head, x, labels, ref_weights, aux, lam, cfg.gamma1, cfg.gamma2
+        )
+        ref_opt.step(grad)
+        assert stats == StepStats(step, ce, hsic, total, float(ref_weights.mean()), 1e-3)
+        assert head.params.tobytes() == ref_head.params.tobytes()
+
+
 def test_adamw_single_step_matches_hand_computation():
     p = np.array([1.0])
     g = np.array([0.5])
@@ -306,8 +384,9 @@ def test_split_matmul_matches_numpy_bitwise(cpus, blas_threads, monkeypatch):
         out = np.empty_like(want)
         assert _with_blas_threads(blas_threads, lambda: et._matmul(a, b, out=out)) is out
         assert out.tobytes() == want.tobytes(), name
-    # every product is split, one block per CPU, with and without ``out``
-    assert blocks == [cpus] * 2 * len(products)
+    # with OpenBLAS on one thread every product is split, one block per CPU,
+    # with and without ``out``; with more OpenBLAS threads none is
+    assert blocks == ([cpus] * 2 * len(products) if blas_threads == 1 else [])
 
 
 def test_split_matmul_cuts_unevenly_at_the_alignment():
@@ -339,6 +418,35 @@ def test_split_matmul_matches_numpy_on_any_shape(m, k, n, cpus, a_fortran, b_for
     finally:
         et.usable_cpus = real
     assert got.tobytes() == want.tobytes()
+
+
+def test_split_matmul_keeps_numpy_bits_under_two_openblas_threads():
+    """Outside ``train``, with OpenBLAS on two threads, products are not cut.
+
+    Cut products of these ragged shapes differ from ``np.matmul`` in the last
+    bit under two OpenBLAS threads (63, 1117 and 142 entries with OpenBLAS
+    0.3.31), so ``_matmul`` must hand them to numpy whole.
+    """
+    if not openblas_libraries():
+        pytest.skip("no OpenBLAS found in this process")
+    script = (
+        "import numpy as np\n"
+        "import shiftzoo.ensemble_train as et\n"
+        "from shiftzoo.blas_threads import max_blas_threads\n"
+        "assert max_blas_threads() == 2, max_blas_threads()\n"
+        "et.usable_cpus = lambda: 2\n"
+        "rng = np.random.default_rng(0)\n"
+        "for m, k, n in ((465, 1006, 495), (500, 1000, 333), (97, 1500, 1500)):\n"
+        "    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))\n"
+        "    assert et._matmul(a, b).tobytes() == np.matmul(a, b).tobytes(), (m, k, n)\n"
+    )
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_small_heads_take_the_serial_code(monkeypatch):

@@ -260,6 +260,32 @@ def test_escape_mask_equals_the_full_batch_solve(
     np.testing.assert_array_equal(escape_mask(wide, fb.train_features), solved(fb.train_features))
 
 
+def test_escape_flags_come_from_the_stored_float32_rows(monkeypatch):
+    rng = np.random.default_rng(13)
+    y = rng.integers(0, 2, size=400)
+    fa = _make_set("a", rng.normal(size=(400, 5)).astype(np.float32), y)
+    fb = _make_set("b", (rng.normal(size=(400, 5)) + 0.5).astype(np.float32), y)
+    profile_a, profile_b = fit_profile(fa), fit_profile(fb)
+    # float32 rows give the float64 rows' flags, on the product and on the solve
+    for profile, fs in ((profile_b, fa), (profile_a, fb)):
+        rows = fs.features[~fs.split_mask]
+        assert rows.dtype == np.float32
+        for p in (profile, replace(profile, band=np.inf)):
+            np.testing.assert_array_equal(escape_mask(p, rows), escape_mask(p, fs.train_features))
+    # scoring a pair makes no float64 copy of either domain's training rows
+    copies = []
+    real = type(fa).train_features
+
+    def counting(fs):
+        copies.append(fs.domain_id)
+        return real.fget(fs)
+
+    monkeypatch.setattr(type(fa), "train_features", property(counting))
+    pair = diversity_shift(fa, fb, profile_a, profile_b)
+    assert copies == []
+    assert pair.escape_a.shape == ((~fa.split_mask).sum(),)
+
+
 def test_escape_mask_band_scales_with_width_condition_and_threshold():
     rng = np.random.default_rng(12)
     fs = _make_set("a", rng.normal(size=(400, 6)).astype(np.float32), rng.integers(0, 2, 400))

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from oracle_utils import hsic_b
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle_utils import (
+    hsic_b,
+    hsic_from_kernels,
+    reference_gaussian_kernel,
+    reference_hsic_b_value_and_grad,
+)
 
 from shiftzoo.errors import ValidationError
-from shiftzoo.hsic import (
-    KernelSpec,
-    gaussian_kernel_matrix,
-    hsic_b_value_and_grad,
-    hsic_from_kernels,
-)
+from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix, hsic_b_value_and_grad
 
 
 def naive_kernel(z: np.ndarray, gamma_eff: float) -> np.ndarray:
@@ -143,3 +145,31 @@ def test_value_and_grad_consistent_with_separate_calls():
     assert v_only == v
     np.testing.assert_array_equal(g_off, np.zeros_like(z1))
     np.testing.assert_allclose(g, hsic_b_value_and_grad(z1, z2, s1, s2)[1], atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([2, 3, 32, 97]),
+    d1=st.integers(1, 6),
+    d2=st.integers(1, 16),
+    log10_scale=st.floats(-4.0, 3.0),
+    gammas=st.sampled_from([(0.1, 0.5), (1.0, 1.0), (5.0, 0.01)]),
+    second_float32=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_and_grad_match_reference_bitwise(
+    m, d1, d2, log10_scale, gammas, second_float32, seed
+):
+    rng = np.random.default_rng(seed)
+    z1 = rng.normal(size=(m, d1)) * 10.0**log10_scale
+    z2 = rng.normal(size=(m, d2))
+    if second_float32:
+        z2 = z2.astype(np.float32)  # a training batch of stored auxiliary rows
+    s1, s2 = KernelSpec(gammas[0]), KernelSpec(gammas[1])
+    value, grad = hsic_b_value_and_grad(z1, z2, s1, s2)
+    want_value, want_grad = reference_hsic_b_value_and_grad(z1, z2, s1, s2)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert hsic_b(z1, z2, s1, s2) == value
+    kernel = gaussian_kernel_matrix(z1, s1)
+    assert kernel.tobytes() == reference_gaussian_kernel(z1, s1.effective_gamma(d1)).tobytes()
