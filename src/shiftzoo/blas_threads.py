@@ -6,6 +6,10 @@ own memory map (``/proc/self/maps``) and driven through their exported
 ``*_set_num_threads`` / ``*_get_num_threads`` symbols. Where there is no
 memory map or no OpenBLAS, nothing is found and nothing changes.
 
+The map is read once, at the first ``openblas_libraries`` call, and every
+later call returns the same libraries. This module imports numpy and
+``scipy.linalg`` itself, so both copies are mapped before that lookup.
+
 The setter is process-wide: a count set from one thread is the count every
 thread's next BLAS call uses. Set it once, from the thread that then starts
 any workers, and restore it from that same thread.
@@ -21,6 +25,9 @@ import os
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
+
+import numpy  # noqa: F401  (maps numpy's OpenBLAS before the one lookup)
+import scipy.linalg  # noqa: F401  (and scipy's)
 
 # scipy-openblas wheels prefix their symbols; the 64-bit-integer build adds "64_"
 _SYMBOL_PREFIXES = ("scipy_openblas", "openblas")
@@ -42,13 +49,14 @@ def _bind(lib: ctypes.CDLL, verb: str):
     return None
 
 
-def openblas_libraries() -> list[OpenBlas]:
-    """Every OpenBLAS mapped into this process, in map order."""
+@lru_cache(maxsize=1)
+def openblas_libraries() -> tuple[OpenBlas, ...]:
+    """Every OpenBLAS mapped into this process, in map order, looked up once."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
     except OSError:
-        return []
+        return ()
     paths = dict.fromkeys(
         f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
     )
@@ -64,23 +72,12 @@ def openblas_libraries() -> list[OpenBlas]:
         getter.argtypes, getter.restype = [], ctypes.c_int
         setter.argtypes, setter.restype = [ctypes.c_int], None
         found.append(OpenBlas(path, getter, setter))
-    return found
-
-
-@lru_cache(maxsize=1)
-def _mapped_libraries() -> tuple[OpenBlas, ...]:
-    return tuple(openblas_libraries())
+    return tuple(found)
 
 
 def max_blas_threads() -> int:
-    """The highest thread count of any OpenBLAS in the process, 1 when none is found.
-
-    The libraries are looked up once, at the first call, and each later call
-    reads only the counts. Its caller, ``ensemble_train``, imports numpy and
-    ``scipy.linalg`` first, so both of their OpenBLAS copies are mapped by
-    then.
-    """
-    return max((lib.get_num_threads() for lib in _mapped_libraries()), default=1)
+    """The highest thread count of any OpenBLAS in the process, 1 when none is found."""
+    return max((lib.get_num_threads() for lib in openblas_libraries()), default=1)
 
 
 @contextmanager

@@ -2,7 +2,9 @@
 
 Every command is deterministic given its inputs and seed: repeated runs
 write byte-identical files and stdout. Settings resolve in precedence
-order defaults < config file < SHIFTZOO_SEED < explicit flags.
+order defaults < config file < SHIFTZOO_SEED < explicit flags; the defaults
+are the library's own (``SynthSpec`` and ``build_zoo``, ``build_report``,
+``TrainConfig``).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
@@ -10,19 +12,20 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 # dataset_correlation is not called here: perfbench/tests checks that the
 # tracer rebinds cli.dataset_correlation, so the name must exist
-from .correlation_profile import DEFAULT_BINS, dataset_correlation  # noqa: F401
+from .correlation_profile import dataset_correlation  # noqa: F401
 from .ensemble_train import MODES, Fold, TrainConfig, apply_mode, train
 from .errors import ShiftZooError, ValidationError
 from .feature_store import load_manifest
-from .gaussian_profile import DEFAULT_QUANTILE, DEFAULT_SHRINKAGE
 from .report import (
     build_report,
     comparison_table,
@@ -36,31 +39,21 @@ from .synthetic_dg import SynthSpec, build_zoo
 
 SEED_ENV = "SHIFTZOO_SEED"
 
+
+def _keyword_defaults(func: Callable, skip: Sequence[str]) -> dict:
+    return {
+        name: p.default
+        for name, p in inspect.signature(func).parameters.items()
+        if p.default is not p.empty and name not in skip
+    }
+
+
 SYNTH_PARAMS = {
-    "n_domains": 3,
-    "n_classes": 4,
-    "dim_core": 8,
-    "dim_div": 4,
-    "dim_spur": 4,
-    "samples_per_domain": 2000,
-    "spur_strength": (0.9, 0.9, -0.9),
-    "div_offset": 2.5,
-    "noise_sigma": 1.0,
-    "seed": 0,
-    "zoo_size": 6,
-    "split_ratio": 0.2,
-    "dataset_name": "synth",
+    **{f.name: f.default for f in fields(SynthSpec)},
+    **_keyword_defaults(build_zoo, skip=("out_dir",)),
 }
-
-PROFILE_PARAMS = {
-    "seed": 0,
-    "jobs": None,
-    "shrinkage": DEFAULT_SHRINKAGE,
-    "quantile": DEFAULT_QUANTILE,
-    "n_bins": DEFAULT_BINS,
-}
-
-TRAIN_PARAMS = {f.name: f.default for f in TrainConfig.__dataclass_fields__.values()}
+PROFILE_PARAMS = _keyword_defaults(build_report, skip=("encoder_ids",))
+TRAIN_PARAMS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 def _load_config_file(path: str | None, allowed: Mapping) -> dict:
@@ -90,14 +83,16 @@ def _env_seed() -> int | None:
         raise ValidationError(f"{SEED_ENV} must be an integer, got {value!r}") from None
 
 
-def _merge(defaults: Mapping, config: Mapping, flags: Mapping) -> dict:
+def _params(args: argparse.Namespace, defaults: Mapping) -> dict:
     """defaults < config file < SHIFTZOO_SEED < explicit flags."""
     merged = dict(defaults)
-    merged.update(config)
+    merged.update(_load_config_file(args.config, defaults))
     env_seed = _env_seed()
-    if env_seed is not None and "seed" in merged:
+    if env_seed is not None:
         merged["seed"] = env_seed
-    merged.update({k: v for k, v in flags.items() if v is not None})
+    merged.update(
+        {key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None}
+    )
     return merged
 
 
@@ -111,24 +106,10 @@ def _strengths(value) -> tuple[float, ...]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    flags = {
-        key: getattr(args, key)
-        for key in SYNTH_PARAMS
-        if getattr(args, key, None) is not None
-    }
-    params = _merge(SYNTH_PARAMS, _load_config_file(args.config, SYNTH_PARAMS), flags)
-    zoo_size = params.pop("zoo_size")
-    split_ratio = params.pop("split_ratio")
-    dataset_name = params.pop("dataset_name")
-    params["spur_strength"] = _strengths(params["spur_strength"])
-    spec = SynthSpec(**params)
-    manifest, encoders, _ = build_zoo(
-        spec,
-        zoo_size=zoo_size,
-        out_dir=args.out,
-        split_ratio=split_ratio,
-        dataset_name=dataset_name,
-    )
+    params = _params(args, SYNTH_PARAMS)
+    spec = {f.name: params.pop(f.name) for f in fields(SynthSpec)}
+    spec["spur_strength"] = _strengths(spec["spur_strength"])
+    manifest, encoders, _ = build_zoo(SynthSpec(**spec), out_dir=args.out, **params)
     print(f"dataset: {manifest.dataset_name}")
     print(f"domains: {' '.join(manifest.domain_ids)}")
     print(f"encoders: {' '.join(sorted(e.encoder_id for e in encoders))}")
@@ -137,24 +118,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    flags = {
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "shrinkage": args.shrinkage,
-        "quantile": args.quantile,
-        "n_bins": args.bins,
-    }
-    params = _merge(PROFILE_PARAMS, _load_config_file(args.config, PROFILE_PARAMS), flags)
+    params = _params(args, PROFILE_PARAMS)
     manifest = load_manifest(args.manifest)
-    report = build_report(
-        manifest,
-        encoder_ids=args.encoder or None,
-        jobs=params["jobs"],
-        seed=params["seed"],
-        shrinkage=params["shrinkage"],
-        quantile=params["quantile"],
-        n_bins=params["n_bins"],
-    )
+    report = build_report(manifest, encoder_ids=args.encoder or None, **params)
     write_report(report, args.out)
     print(f"profiled {len(report['encoders'])} encoders -> {args.out}")
     return 0
@@ -193,12 +159,7 @@ def _write_train_log(path: str, folds: Sequence[Fold]) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    flags = {
-        key: getattr(args, key)
-        for key in TRAIN_PARAMS
-        if getattr(args, key, None) is not None
-    }
-    params = _merge(TRAIN_PARAMS, _load_config_file(args.config, TRAIN_PARAMS), flags)
+    params = _params(args, TRAIN_PARAMS)
     manifest = load_manifest(args.manifest)
     for enc_id in (args.main, args.div_aux, args.rew_aux):
         if enc_id is not None:
@@ -284,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--seed", type=int)
     p_profile.add_argument("--shrinkage", type=float)
     p_profile.add_argument("--quantile", type=float)
-    p_profile.add_argument("--bins", type=int)
+    p_profile.add_argument("--bins", dest="n_bins", metavar="BINS", type=int)
     p_profile.set_defaults(handler=cmd_profile)
 
     p_rank = sub.add_parser("rank", help="rank a profile report and suggest auxiliaries")

@@ -3,7 +3,9 @@
 For each domain a one-vs-rest Bayesian linear regression is fit per class by
 maximising the log evidence over the prior/noise precisions (alpha, beta)
 with MacKay fixed-point updates, run in the eigenbasis of the Gram matrix
-Phi^T Phi (the right singular vectors of the feature matrix Phi).
+Phi^T Phi (the right singular vectors of the feature matrix Phi). Each point
+of the iteration is evaluated once: one pass gives its evidence, its
+posterior mean and the terms of the next update.
 Raw per-class outputs are clamped at zero and L1-normalised into pseudo
 probabilities, then recalibrated with equal-width accuracy bins built on the
 domain's own overlap rows. The correlation shift between domains a and b is
@@ -61,38 +63,37 @@ class EvidenceModel:
         return np.stack([r.weights for r in self.regressions], axis=1)
 
 
-def _evidence_terms(
-    s: np.ndarray, btilde: np.ndarray, y_sq: float, alpha: float, beta: float
-) -> tuple[np.ndarray, float, float, float]:
-    """Posterior mean (eigenbasis of Phi^T Phi), residual, weight norm, effective dof."""
+def _evidence(
+    s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
+) -> tuple[float, np.ndarray, float, float, float]:
+    """Per-sample log evidence at (alpha, beta), the posterior mean in the
+    eigenbasis, the residual before its floor, the weight norm and the dof.
+
+    ``s`` holds the eigenvalues (squared singular values of Phi); a basis with
+    fewer than ``d`` of them counts each missing one as 0.
+    """
     denom = alpha + beta * s
     m_tilde = beta * btilde / denom
     res = y_sq - 2.0 * float(m_tilde @ btilde) + float(s @ (m_tilde * m_tilde))
     m_sq = float(m_tilde @ m_tilde)
     gamma = float(np.sum(beta * s / denom))
-    return m_tilde, res, m_sq, gamma
+    log_det = float(np.sum(np.log(denom))) + (d - s.size) * math.log(alpha)
+    total = 0.5 * (
+        n * math.log(beta)
+        + d * math.log(alpha)
+        - n * math.log(2.0 * math.pi)
+        - beta * max(res, RESIDUAL_FLOOR)
+        - alpha * m_sq
+        - log_det
+    )
+    return total / n, m_tilde, res, m_sq, gamma
 
 
 def log_evidence(
     s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
 ) -> float:
-    """Per-sample log evidence of a Bayesian ridge model in the eigenbasis of Phi^T Phi.
-
-    ``s`` holds the eigenvalues (squared singular values of Phi); a basis with
-    fewer than ``d`` of them counts each missing one as 0.
-    """
-    _, res, m_sq, _ = _evidence_terms(s, btilde, y_sq, alpha, beta)
-    res = max(res, RESIDUAL_FLOOR)
-    log_det = float(np.sum(np.log(alpha + beta * s))) + (d - s.size) * math.log(alpha)
-    total = 0.5 * (
-        n * math.log(beta)
-        + d * math.log(alpha)
-        - n * math.log(2.0 * math.pi)
-        - beta * res
-        - alpha * m_sq
-        - log_det
-    )
-    return total / n
+    """Per-sample log evidence of a Bayesian ridge model in the eigenbasis of Phi^T Phi."""
+    return _evidence(s, btilde, y_sq, n, d, alpha, beta)[0]
 
 
 def _fit_class(
@@ -104,13 +105,14 @@ def _fit_class(
     max_iters: int,
     tol: float,
 ) -> tuple[float, float, np.ndarray, float, int, bool, tuple[float, ...]]:
+    """MacKay fixed point from alpha = beta = 1; each point is evaluated once."""
     lo, hi = PRECISION_RANGE
     alpha = beta = 1.0
     clamped = False
-    trace = [log_evidence(s, btilde, y_sq, n, d, alpha, beta)]
+    ev, m_tilde, res, m_sq, gamma = _evidence(s, btilde, y_sq, n, d, alpha, beta)
+    trace = [ev]
     iters = 0
     for iters in range(1, max_iters + 1):
-        _, res, m_sq, gamma = _evidence_terms(s, btilde, y_sq, alpha, beta)
         if res < RESIDUAL_FLOOR:
             res, clamped = RESIDUAL_FLOOR, True
         if m_sq < RESIDUAL_FLOOR:
@@ -119,11 +121,12 @@ def _fit_class(
         new_beta = min(max((n - gamma) / res, lo), hi)
         if new_alpha in (lo, hi) or new_beta in (lo, hi):
             clamped = True
-        ev = log_evidence(s, btilde, y_sq, n, d, new_alpha, new_beta)
-        if ev < trace[-1] - 1e-12:
+        point = _evidence(s, btilde, y_sq, n, d, new_alpha, new_beta)
+        if point[0] < trace[-1] - 1e-12:
             # fixed point overshot numerically; keep the best point seen
             iters -= 1
             break
+        ev, m_tilde, res, m_sq, gamma = point
         trace.append(ev)
         moved = max(
             abs(new_alpha - alpha) / max(abs(alpha), RESIDUAL_FLOOR),
@@ -132,7 +135,6 @@ def _fit_class(
         alpha, beta = new_alpha, new_beta
         if moved < tol:
             break
-    m_tilde, _, _, _ = _evidence_terms(s, btilde, y_sq, alpha, beta)
     return alpha, beta, m_tilde, trace[-1], iters, clamped, tuple(trace)
 
 
@@ -326,7 +328,7 @@ def dataset_correlation(
         for domain_id in key
     }
     models = {
-        fs.domain_id: logme_fit(fs.train_features, fs.train_labels, n_classes)
+        fs.domain_id: logme_fit(fs.features[~fs.split_mask], fs.train_labels, n_classes)
         for fs in feature_sets
         if fs.domain_id in with_overlap
     }

@@ -146,6 +146,9 @@ class TrainConfig:
     aux_batch_size: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("lam", "gamma1", "gamma2", "learning_rate", "weight_decay", "aux_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
@@ -465,9 +468,7 @@ def batch_weights(raw: np.ndarray) -> np.ndarray:
 def rew_weights(
     aux: RewAuxiliary, z: np.ndarray, labels: np.ndarray, temperature: float
 ) -> np.ndarray:
-    """Per-sample weights for a batch: smoothed, clipped at 100, mean 1."""
-    if math.isinf(temperature):
-        return np.ones(len(labels))
+    """Per-sample weights for a batch: smoothed, clipped at 100, mean 1 (all 1 at T=inf)."""
     probs = aux.predict_proba(z)
     p_y = np.maximum(probs[np.arange(len(labels)), labels], P_FLOOR)
     raw = (aux.class_prior[labels] / p_y) ** (1.0 / temperature)
@@ -763,7 +764,7 @@ def logit_feature_sets(head: MlpHead, sets: Sequence[FeatureSet]) -> list[Featur
     """
     out = []
     for fs in sets:
-        logits = head.predict_logits(fs.features.astype(np.float64))
+        logits = head.predict_logits(fs.features)
         out.append(
             FeatureSet(
                 domain_id=fs.domain_id,

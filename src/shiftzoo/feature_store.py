@@ -34,8 +34,9 @@ class FeatureSet:
     """Encoder outputs for one domain, with labels and a frozen split.
 
     ``split_mask`` is True on validation rows. ``features`` keeps the on-disk
-    float32 payload; the ``train_*`` / ``val_*`` accessors hand out float64
-    copies for numerical work.
+    float32 payload. ``train_features`` / ``val_features`` hand out float64
+    copies; the package itself no longer calls them and widens the stored
+    rows inside each operation instead.
     """
 
     domain_id: str

@@ -67,14 +67,18 @@ class PairDiversity:
 
 
 def fit_gaussian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and 1/n-normalised covariance of the rows of ``x``."""
-    x = np.asarray(x, dtype=np.float64)
+    """Column mean and 1/n-normalised covariance of the rows of ``x``.
+
+    Float32 rows are widened inside the mean and the centring, not copied;
+    for C-ordered rows the bits equal those of widening first.
+    """
+    x = np.asarray(x)
     if x.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got shape {x.shape}")
     if x.shape[0] < 2:
         raise ValidationError(f"need at least 2 rows to fit a Gaussian, got {x.shape[0]}")
-    mean = x.mean(axis=0)
-    centered = x - mean
+    mean = x.mean(axis=0, dtype=np.float64)
+    centered = np.subtract(x, mean, dtype=np.float64)
     cov = centered.T @ centered / x.shape[0]
     return mean, cov
 
@@ -82,8 +86,8 @@ def fit_gaussian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def regularize_and_factor(cov: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE) -> np.ndarray:
     """Lower Cholesky factor of cov + shrinkage * (trace(cov)/d) * I."""
     cov = np.asarray(cov, dtype=np.float64)
-    if shrinkage < 0:
-        raise ValidationError(f"shrinkage must be >= 0, got {shrinkage}")
+    if not 0 <= shrinkage < np.inf:
+        raise ValidationError(f"shrinkage must be finite and >= 0, got {shrinkage}")
     d = cov.shape[0]
     ridge = shrinkage * (float(np.trace(cov)) / d)
     regularized = cov + ridge * np.eye(d)
@@ -98,8 +102,7 @@ def regularize_and_factor(cov: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE)
 
 def mahalanobis_sq(mean: np.ndarray, chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances of rows of ``x`` via triangular solve."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    diff = x - mean
+    diff = np.subtract(np.atleast_2d(x), mean, dtype=np.float64)
     # solve L y = diff^T, then d^2 = ||y||^2 columnwise
     y = scipy.linalg.solve_triangular(chol, diff.T, lower=True, check_finite=False)
     return np.sum(y * y, axis=0)
@@ -130,8 +133,9 @@ def fit_profile(
     quantile: float = DEFAULT_QUANTILE,
 ) -> DomainProfile:
     """Fit the Gaussian on the train split, calibrate the threshold on validation."""
-    train = fs.train_features
-    val = fs.val_features
+    # the stored float32 rows: fit_gaussian and mahalanobis_sq widen them
+    train = fs.features[~fs.split_mask]
+    val = fs.features[fs.split_mask]
     if val.shape[0] == 0:
         raise ValidationError(
             f"domain '{fs.domain_id}' has an empty validation split; cannot calibrate threshold"

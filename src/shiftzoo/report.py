@@ -110,10 +110,10 @@ def build_report(
     """Profile the encoder grid in parallel; output independent of `jobs`.
 
     ``jobs`` defaults to the usable CPU count; no more workers than encoders
-    are started. OpenBLAS runs on one thread for the whole grid, serial or
-    pooled, so the workers do not compete with BLAS threads and every BLAS
-    result is the same for any ``jobs`` and any ``OPENBLAS_NUM_THREADS``.
-    The previous thread count is restored on return.
+    are started, and one worker is a pool of one. OpenBLAS runs on one thread
+    for the whole grid, so the workers do not compete with BLAS threads and
+    every BLAS result is the same for any ``jobs`` and any
+    ``OPENBLAS_NUM_THREADS``. The previous thread count is restored on return.
     """
     known = [e.encoder_id for e in manifest.encoders]
     if encoder_ids is None:
@@ -134,12 +134,8 @@ def build_report(
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs or usable_cpus(), len(todo))
-    with single_blas_thread():
-        if workers == 1:
-            profiles = [one(e) for e in todo]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                profiles = list(pool.map(one, todo))
+    with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        profiles = list(pool.map(one, todo))
     profiles.sort(key=lambda p: p["encoder_id"])
     return {
         "schema_version": SCHEMA_VERSION,

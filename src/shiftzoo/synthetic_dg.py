@@ -79,7 +79,7 @@ class SynthSpec:
                 f"spur_strength has {len(self.spur_strength)} entries for "
                 f"{self.n_domains} domains"
             )
-        if any(abs(s) > 1.0 for s in self.spur_strength):
+        if not all(abs(s) <= 1.0 for s in self.spur_strength):  # rejects NaN too
             raise ValidationError("spur strengths must lie in [-1, 1]")
         if self.noise_sigma <= 0:
             raise ValidationError("noise_sigma must be positive")

@@ -15,14 +15,23 @@ value-and-gradient sequences (separate softmax, ``np.mean`` wrappers, each
 kernel and row mean computed where it is used) that the package's trimmed
 training step must reproduce bit for bit; ``hsic_from_kernels`` is their HSIC
 value from two kernel matrices, and ``reference_head_loss_and_grads`` puts
-them into a whole forward and backward pass.
+them into a whole forward and backward pass. ``reference_fit_class`` is the
+LogME fixed point that evaluates the evidence terms twice at each point and
+once more for the final posterior mean; the package's ``_fit_class``, which
+evaluates each point once, must reproduce every field of it bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from shiftzoo.correlation_profile import ClassRegression, EvidenceModel, _fit_class
+from shiftzoo.correlation_profile import (
+    PRECISION_RANGE,
+    RESIDUAL_FLOOR,
+    ClassRegression,
+    EvidenceModel,
+    _fit_class,
+)
 from shiftzoo.errors import ValidationError
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
 
@@ -142,6 +151,75 @@ def direct_log_evidence(phi: np.ndarray, y: np.ndarray, alpha: float, beta: floa
         - logdet
     )
     return total / n
+
+
+def _reference_evidence_terms(
+    s: np.ndarray, btilde: np.ndarray, y_sq: float, alpha: float, beta: float
+) -> tuple[np.ndarray, float, float, float]:
+    denom = alpha + beta * s
+    m_tilde = beta * btilde / denom
+    res = y_sq - 2.0 * float(m_tilde @ btilde) + float(s @ (m_tilde * m_tilde))
+    m_sq = float(m_tilde @ m_tilde)
+    gamma = float(np.sum(beta * s / denom))
+    return m_tilde, res, m_sq, gamma
+
+
+def _reference_log_evidence(
+    s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
+) -> float:
+    _, res, m_sq, _ = _reference_evidence_terms(s, btilde, y_sq, alpha, beta)
+    res = max(res, RESIDUAL_FLOOR)
+    log_det = float(np.sum(np.log(alpha + beta * s))) + (d - s.size) * math.log(alpha)
+    total = 0.5 * (
+        n * math.log(beta)
+        + d * math.log(alpha)
+        - n * math.log(2.0 * math.pi)
+        - beta * res
+        - alpha * m_sq
+        - log_det
+    )
+    return total / n
+
+
+def reference_fit_class(
+    s: np.ndarray,
+    btilde: np.ndarray,
+    y_sq: float,
+    n: int,
+    d: int,
+    max_iters: int,
+    tol: float,
+) -> tuple[float, float, np.ndarray, float, int, bool, tuple[float, ...]]:
+    """The LogME fixed point with its evidence terms recomputed at each use."""
+    lo, hi = PRECISION_RANGE
+    alpha = beta = 1.0
+    clamped = False
+    trace = [_reference_log_evidence(s, btilde, y_sq, n, d, alpha, beta)]
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        _, res, m_sq, gamma = _reference_evidence_terms(s, btilde, y_sq, alpha, beta)
+        if res < RESIDUAL_FLOOR:
+            res, clamped = RESIDUAL_FLOOR, True
+        if m_sq < RESIDUAL_FLOOR:
+            m_sq, clamped = RESIDUAL_FLOOR, True
+        new_alpha = min(max(gamma / m_sq, lo), hi)
+        new_beta = min(max((n - gamma) / res, lo), hi)
+        if new_alpha in (lo, hi) or new_beta in (lo, hi):
+            clamped = True
+        ev = _reference_log_evidence(s, btilde, y_sq, n, d, new_alpha, new_beta)
+        if ev < trace[-1] - 1e-12:
+            iters -= 1
+            break
+        trace.append(ev)
+        moved = max(
+            abs(new_alpha - alpha) / max(abs(alpha), RESIDUAL_FLOOR),
+            abs(new_beta - beta) / max(abs(beta), RESIDUAL_FLOOR),
+        )
+        alpha, beta = new_alpha, new_beta
+        if moved < tol:
+            break
+    m_tilde, _, _, _ = _reference_evidence_terms(s, btilde, y_sq, alpha, beta)
+    return alpha, beta, m_tilde, trace[-1], iters, clamped, tuple(trace)
 
 
 def _grid_evidence_surface(

@@ -1,16 +1,24 @@
 """CLI pipeline: determinism, exit codes, precedence, and report surfaces."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import shiftzoo
-from shiftzoo.cli import main
+from shiftzoo import cli
+from shiftzoo.cli import PROFILE_PARAMS, SYNTH_PARAMS, TRAIN_PARAMS, main
+from shiftzoo.ensemble_train import TrainConfig
+from shiftzoo.report import build_report
+from shiftzoo.synthetic_dg import SynthSpec, build_zoo
+
+HELP_DIR = Path(__file__).resolve().parent / "cli_help"
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +326,103 @@ def test_usage_errors_exit_2(capsys):
     assert main(["train"]) == 2  # missing required flags
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def _keyword_defaults(func):
+    return {
+        name: p.default
+        for name, p in inspect.signature(func).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the key sets are the config-file keys of each command
+    assert SYNTH_PARAMS == {
+        **asdict(SynthSpec()),
+        **{k: _keyword_defaults(build_zoo)[k] for k in ("zoo_size", "split_ratio", "dataset_name")},
+    }
+    assert set(SYNTH_PARAMS) == {
+        "n_domains", "n_classes", "dim_core", "dim_div", "dim_spur", "samples_per_domain",
+        "spur_strength", "div_offset", "noise_sigma", "seed", "zoo_size", "split_ratio",
+        "dataset_name",
+    }
+    report_defaults = _keyword_defaults(build_report)
+    profile_keys = ("seed", "jobs", "shrinkage", "quantile", "n_bins")
+    assert PROFILE_PARAMS == {k: report_defaults[k] for k in profile_keys}
+    assert TRAIN_PARAMS == asdict(TrainConfig())
+
+
+def test_synth_without_flags_writes_the_library_zoo(tmp_path, monkeypatch):
+    monkeypatch.delenv("SHIFTZOO_SEED", raising=False)
+    assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+    build_zoo(SynthSpec(), out_dir=tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+def test_profile_bins_flag_reaches_build_report(zoo_dir, tmp_path, monkeypatch):
+    seen = []
+
+    def recording(manifest, **kwargs):
+        seen.append(kwargs)
+        return build_report(manifest, **kwargs)
+
+    monkeypatch.setattr(cli, "build_report", recording)
+    out = tmp_path / "bins.json"
+    code = main(
+        ["profile", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
+         "--encoder", "clean", "--bins", "7"]
+    )
+    assert code == 0
+    assert [kw["n_bins"] for kw in seen] == [7]
+    assert json.loads(out.read_text())["config"]["n_bins"] == 7
+
+
+@pytest.mark.parametrize("command", ["", "synth", "profile", "rank", "train", "report"])
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    want = (HELP_DIR / f"{command or 'shiftzoo'}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["train", "--lam", "nan"], "lam"),
+        (["train", "--lam", "inf"], "lam"),
+        (["train", "--gamma1", "nan"], "gamma1"),
+        (["train", "--gamma2", "inf"], "gamma2"),
+        (["train", "--lr", "nan"], "learning_rate"),
+        (["train", "--weight-decay", "nan"], "weight_decay"),
+        (["train", "--aux-lr", "nan"], "aux_lr"),
+        (["profile", "--shrinkage", "nan"], "shrinkage"),
+        (["profile", "--shrinkage", "inf"], "shrinkage"),
+    ],
+)
+def test_non_finite_hyperparameters_exit_2_naming_them(zoo_dir, tmp_path, capsys, argv, name):
+    command, *flags = argv
+    out = tmp_path / "out.json"
+    base = ["--manifest", str(zoo_dir / "manifest.json"), "--out", str(out)]
+    if command == "train":
+        base += ["--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
+                 "--steps", "5", "--target", "domain2"]
+    else:
+        base += ["--encoder", "clean"]
+    assert main([command, *base, *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    accuracy, f_div, f_cor = (float(v) for v in capsys.readouterr().out.split())
+    assert 0.0 <= accuracy <= 1.0 and 0.0 <= f_div <= 1.0 and 0.0 <= f_cor <= 1.0

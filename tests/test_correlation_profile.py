@@ -1,6 +1,7 @@
 """Evidence maximisation, pseudo-probability calibration, and correlation shift."""
 
 from itertools import combinations
+from unittest import mock
 
 import math
 
@@ -14,6 +15,7 @@ from oracle_utils import (
     grid_argmax_evidence,
     loop_calibrate,
     loop_calibrator_apply,
+    reference_fit_class,
     svd_logme_fit,
 )
 
@@ -166,6 +168,102 @@ def test_logme_keeps_no_more_eigenvalues_than_rows(monkeypatch):
     for g, w in zip(model.regressions, want.regressions):
         # both interpolate (residual at the floor); the evidence still agrees
         assert g.evidence == pytest.approx(w.evidence, rel=1e-3)
+
+
+LABEL_KINDS = ("random", "linear", "one_class")
+
+
+def _logme_case(seed, n, d, scale, kind):
+    """Features and labels for 3 classes: independent, a noisy linear map, or one class."""
+    rng = np.random.default_rng(seed)
+    phi = scale * rng.normal(size=(n, d))
+    if kind == "random":
+        labels = rng.integers(0, 3, size=n)
+    elif kind == "linear":
+        labels = np.argmax(phi @ rng.normal(size=(d, 3)) + scale * rng.normal(size=(n, 3)), axis=1)
+    else:  # class 0 covers every row: its target is all ones, the others all zeros
+        labels = np.zeros(n, dtype=int)
+    return phi, labels
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 80),
+    scale=st.sampled_from([1e-4, 1.0, 1e4]),
+    kind=st.sampled_from(LABEL_KINDS),
+    max_iters=st.sampled_from([100, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fixed_point_matches_the_reference_bitwise(n, d, scale, kind, max_iters, seed):
+    """Every field of every class fit equals ``reference_fit_class``'s, bit for bit.
+
+    The cases cover n > d and n < d (interpolating, so clamped at the residual
+    floor), a target of all ones or all zeros, and fits cut at ``max_iters``.
+    """
+    phi, labels = _logme_case(seed, n, d, scale, kind)
+    real = correlation_profile._fit_class
+    checked = []
+
+    def against_reference(*args):
+        got = real(*args)
+        want = reference_fit_class(*args)
+        assert len(got) == len(want)
+        for field, g, w in zip(("alpha", "beta", "m_tilde", "evidence", "n_iters",
+                                "clamped", "evidence_trace"), got, want):
+            assert type(g) is type(w) and _same_bits(g, w), field
+        checked.append(got)
+        return got
+
+    with mock.patch.object(correlation_profile, "_fit_class", against_reference):
+        logme_fit(phi, labels, 3, max_iters=max_iters)
+    assert len(checked) == 3
+
+
+def test_each_point_of_the_fixed_point_is_evaluated_once():
+    """``_evidence`` runs n_iters + 1 times per class, n_iters + 2 on an overshoot.
+
+    A fit that stops on an overshoot has evaluated its last point and
+    rejected it; every other evaluation is a point of the evidence trace.
+    """
+    real_fit, real_evidence = correlation_profile._fit_class, correlation_profile._evidence
+    evals, fits = [], []
+
+    def counting_evidence(*args):
+        out = real_evidence(*args)
+        evals.append(out[0])
+        return out
+
+    def recording_fit(*args):
+        evals.clear()
+        out = real_fit(*args)
+        fits.append((list(evals), out))
+        return out
+
+    rng = np.random.default_rng(31)
+    with mock.patch.object(correlation_profile, "_evidence", counting_evidence), \
+            mock.patch.object(correlation_profile, "_fit_class", recording_fit):
+        for trial in range(40):
+            n, d = int(rng.integers(3, 60)), int(rng.integers(1, 90))
+            kind = LABEL_KINDS[trial % len(LABEL_KINDS)]
+            phi, labels = _logme_case(trial, n, d, 10.0 ** rng.uniform(-3, 3), kind)
+            logme_fit(phi, labels, 3)
+    seen = set()
+    for calls, (_, _, _, evidence, n_iters, clamped, trace) in fits:
+        assert len(trace) == n_iters + 1
+        assert calls[: len(trace)] == list(trace)
+        if len(calls) == n_iters + 2:
+            assert calls[-1] < evidence - 1e-12
+            seen.add("overshoot")
+        else:
+            assert len(calls) == n_iters + 1
+            seen.add("kept")
+        seen.add(f"clamped={clamped}")
+    assert seen == {"overshoot", "kept", "clamped=True", "clamped=False"}
 
 
 @settings(max_examples=30, deadline=None)

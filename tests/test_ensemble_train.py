@@ -91,6 +91,15 @@ def test_config_validation_and_modes():
         TrainConfig(dropout=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["lam", "gamma1", "gamma2", "learning_rate", "weight_decay", "aux_lr"]
+)
+def test_config_rejects_non_finite_hyperparameters(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
 def test_head_shapes():
     head = MlpHead.for_input(100, 4, rng=0)
     assert head.dims == (100, 50, 256, 4)

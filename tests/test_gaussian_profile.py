@@ -286,6 +286,35 @@ def test_escape_flags_come_from_the_stored_float32_rows(monkeypatch):
     assert pair.escape_a.shape == ((~fa.split_mask).sum(),)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 3000),
+    d=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, -50.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_rows_widened_inside_the_fit_and_the_distances(n, d, scale, offset, seed):
+    """Mean, covariance and distances of float32 rows equal those of their float64 copy.
+
+    The rows are C-ordered, as the feature store keeps them and masks them.
+    """
+    rng = np.random.default_rng(seed)
+    x = (scale * rng.normal(size=(n, d)) + offset).astype(np.float32)
+    wide = x.astype(np.float64)
+    mean, cov = fit_gaussian(x)
+    mean64, cov64 = fit_gaussian(wide)
+    assert mean.tobytes() == mean64.tobytes() and cov.tobytes() == cov64.tobytes()
+    chol = regularize_and_factor(cov64, 1e-3)
+    assert mahalanobis_sq(mean, chol, x).tobytes() == mahalanobis_sq(mean, chol, wide).tobytes()
+
+
+@pytest.mark.parametrize("shrinkage", [-1e-3, np.nan, np.inf, -np.inf])
+def test_shrinkage_must_be_finite_and_non_negative(shrinkage):
+    with pytest.raises(ValidationError, match="shrinkage must be finite and >= 0"):
+        regularize_and_factor(np.eye(3), shrinkage)
+
+
 def test_escape_mask_band_scales_with_width_condition_and_threshold():
     rng = np.random.default_rng(12)
     fs = _make_set("a", rng.normal(size=(400, 6)).astype(np.float32), rng.integers(0, 2, 400))

@@ -115,6 +115,17 @@ def test_build_report_parallel_matches_serial(small_zoo, profile):
     assert dumps_report(build_report(small_zoo, jobs=3)) == dumps_report(profile)
 
 
+def test_profiling_widens_the_stored_rows_not_the_accessors(small_zoo, profile, monkeypatch):
+    from shiftzoo.feature_store import FeatureSet
+
+    def no_copy(fs):
+        raise AssertionError("the profile grid copied a split to float64")
+
+    monkeypatch.setattr(FeatureSet, "train_features", property(no_copy))
+    monkeypatch.setattr(FeatureSet, "val_features", property(no_copy))
+    assert dumps_report(build_report(small_zoo, jobs=1)) == dumps_report(profile)
+
+
 @pytest.mark.parametrize("cpus", [1, 3, 64])
 def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
     small_zoo, profile, monkeypatch, cpus
@@ -135,8 +146,8 @@ def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
     n_encoders = len(small_zoo.encoders)
     assert n_encoders > 3
     assert len(threads) == min(cpus, n_encoders)
-    if cpus == 1:
-        assert threads == {threading.get_ident()}  # serial: no pool at all
+    # one path for any worker count: the grid runs on the pool, never on the caller
+    assert threading.get_ident() not in threads
 
 
 def test_build_report_rejects_bad_selection(small_zoo):

@@ -49,6 +49,8 @@ def test_spec_validation():
         SynthSpec(spur_strength=(0.5, 0.5))  # wrong length for 3 domains
     with pytest.raises(ValidationError):
         SynthSpec(spur_strength=(1.5, 0.0, 0.0))
+    with pytest.raises(ValidationError, match="spur strengths"):
+        SynthSpec(spur_strength=(float("nan"), 0.9, 0.9))
     with pytest.raises(ValidationError):
         SynthSpec(dim_core=0, dim_div=0, dim_spur=0)
     with pytest.raises(ValidationError):
