@@ -2,9 +2,10 @@
 
 Every command is deterministic given its inputs and seed: repeated runs
 write byte-identical files and stdout. Settings resolve in precedence
-order defaults < config file < SHIFTZOO_SEED < explicit flags; the defaults
-are the library's own (``SynthSpec`` and ``build_zoo``, ``build_report``,
-``TrainConfig``).
+order defaults < config file < SHIFTZOO_SEED < explicit flags. The
+parameters are the library's own (``SynthSpec`` and ``build_zoo``,
+``build_report``, ``TrainConfig``): each one's default, flag, config key and
+value type come from its declaration there.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
@@ -56,59 +57,92 @@ PROFILE_PARAMS = _keyword_defaults(build_report, skip=("encoder_ids",))
 TRAIN_PARAMS = {f.name: f.default for f in fields(TrainConfig)}
 
 
-def _load_config_file(path: str | None, allowed: Mapping) -> dict:
+def _strengths(value: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad spur strength list {value!r}") from None
+
+
+# How a parameter's flag differs from `--<name>` taking the library default's type.
+_FLAG_EXCEPTIONS = {
+    "samples_per_domain": {"flag": "--samples"},
+    "spur_strength": {"type": _strengths, "help": "comma-separated, one per domain"},
+    "jobs": {"type": int, "help": "parallel workers for the grid (default: usable CPUs)"},
+    "n_bins": {"flag": "--bins", "metavar": "BINS"},
+    "n_warmup": {"flag": "--warmup"},
+    "n_anneal": {"flag": "--anneal"},
+    "learning_rate": {"flag": "--lr"},
+}
+
+# The JSON a config value may be, per flag parser; a bool is never a number.
+_JSON_TYPES = {int: int, float: (int, float), str: str, _strengths: (list, str)}
+
+
+def _flag(name: str, default) -> tuple[str, dict]:
+    """The flag of one library parameter and its ``add_argument`` keywords."""
+    kwargs = {"type": type(default), **_FLAG_EXCEPTIONS.get(name, {})}
+    return kwargs.pop("flag", "--" + name.replace("_", "-")), kwargs
+
+
+def _add_params(parser: argparse.ArgumentParser, params: Mapping) -> None:
+    for name, default in params.items():
+        flag, kwargs = _flag(name, default)
+        parser.add_argument(flag, dest=name, **kwargs)
+
+
+def _config_value(key: str, value, parser: Callable):
+    """A config value, accepted and parsed as its flag's text would be."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[parser]):
+            raise ValueError
+        if isinstance(value, list):
+            return tuple(_config_value(key, v, float) for v in value)
+        return parser(value)
+    except (ValueError, OverflowError, argparse.ArgumentTypeError):
+        raise ValidationError(f"config key {key!r} cannot be {value!r}") from None
+
+
+def _load_config_file(path: str | None, defaults: Mapping) -> dict:
     if path is None:
         return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config file must hold a JSON object")
-    unknown = sorted(set(raw) - set(allowed))
+    unknown = sorted(set(raw) - set(defaults))
     if unknown:
         raise ValidationError(f"unknown config keys: {unknown}")
-    return raw
+    return {
+        key: _config_value(key, value, _flag(key, defaults[key])[1]["type"])
+        for key, value in raw.items()
+    }
 
 
 def _env_seed() -> int | None:
     value = os.environ.get(SEED_ENV)
-    if value is None:
-        return None
     try:
-        return int(value)
+        return None if value is None else int(value)
     except ValueError:
         raise ValidationError(f"{SEED_ENV} must be an integer, got {value!r}") from None
 
 
 def _params(args: argparse.Namespace, defaults: Mapping) -> dict:
     """defaults < config file < SHIFTZOO_SEED < explicit flags."""
-    merged = dict(defaults)
-    merged.update(_load_config_file(args.config, defaults))
-    env_seed = _env_seed()
-    if env_seed is not None:
+    merged = {**defaults, **_load_config_file(args.config, defaults)}
+    if (env_seed := _env_seed()) is not None:
         merged["seed"] = env_seed
-    merged.update(
-        {key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None}
-    )
+    merged.update({key: getattr(args, key) for key in defaults if getattr(args, key) is not None})
     return merged
-
-
-def _strengths(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        try:
-            return tuple(float(part) for part in value.split(","))
-        except ValueError:
-            raise ValidationError(f"bad spur strength list {value!r}") from None
-    return tuple(float(v) for v in value)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     params = _params(args, SYNTH_PARAMS)
     spec = {f.name: params.pop(f.name) for f in fields(SynthSpec)}
-    spec["spur_strength"] = _strengths(spec["spur_strength"])
     manifest, encoders, _ = build_zoo(SynthSpec(**spec), out_dir=args.out, **params)
     print(f"dataset: {manifest.dataset_name}")
     print(f"domains: {' '.join(manifest.domain_ids)}")
@@ -196,8 +230,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     reports = [read_report(p) for p in args.reports]
-    table = comparison_table(reports)
-    sys.stdout.write(table)
+    sys.stdout.write(comparison_table(reports))
     if args.csv:
         Path(args.csv).write_text(scatter_csv(reports), encoding="utf-8")
         print(f"wrote scatter csv -> {args.csv}")
@@ -215,21 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a planted-shift dataset and encoder zoo")
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--config", help="JSON config file")
-    p_synth.add_argument("--n-domains", dest="n_domains", type=int)
-    p_synth.add_argument("--n-classes", dest="n_classes", type=int)
-    p_synth.add_argument("--dim-core", dest="dim_core", type=int)
-    p_synth.add_argument("--dim-div", dest="dim_div", type=int)
-    p_synth.add_argument("--dim-spur", dest="dim_spur", type=int)
-    p_synth.add_argument("--samples", dest="samples_per_domain", type=int)
-    p_synth.add_argument(
-        "--spur-strength", dest="spur_strength", help="comma-separated, one per domain"
-    )
-    p_synth.add_argument("--div-offset", dest="div_offset", type=float)
-    p_synth.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--zoo-size", dest="zoo_size", type=int)
-    p_synth.add_argument("--split-ratio", dest="split_ratio", type=float)
-    p_synth.add_argument("--dataset-name", dest="dataset_name")
+    _add_params(p_synth, SYNTH_PARAMS)
     p_synth.set_defaults(handler=cmd_synth)
 
     p_profile = sub.add_parser("profile", help="profile encoders over all domain pairs")
@@ -239,13 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument(
         "--encoder", action="append", help="restrict to this encoder (repeatable)"
     )
-    p_profile.add_argument(
-        "--jobs", type=int, help="parallel workers for the grid (default: usable CPUs)"
-    )
-    p_profile.add_argument("--seed", type=int)
-    p_profile.add_argument("--shrinkage", type=float)
-    p_profile.add_argument("--quantile", type=float)
-    p_profile.add_argument("--bins", dest="n_bins", metavar="BINS", type=int)
+    _add_params(p_profile, PROFILE_PARAMS)
     p_profile.set_defaults(handler=cmd_profile)
 
     p_rank = sub.add_parser("rank", help="rank a profile report and suggest auxiliaries")
@@ -263,22 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--rew-aux", dest="rew_aux", help="correlation auxiliary encoder id")
     p_train.add_argument("--mode", choices=MODES, default="both")
     p_train.add_argument("--target", help="single target domain (default: all folds)")
-    p_train.add_argument("--lam", type=float)
-    p_train.add_argument("--gamma1", type=float)
-    p_train.add_argument("--gamma2", type=float)
-    p_train.add_argument("--temperature", type=float)
-    p_train.add_argument("--warmup", dest="n_warmup", type=int)
-    p_train.add_argument("--anneal", dest="n_anneal", type=int)
-    p_train.add_argument("--lr", dest="learning_rate", type=float)
-    p_train.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--steps", type=int)
-    p_train.add_argument("--dropout", type=float)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--eval-every", dest="eval_every", type=int)
-    p_train.add_argument("--aux-lr", dest="aux_lr", type=float)
-    p_train.add_argument("--aux-steps", dest="aux_steps", type=int)
-    p_train.add_argument("--aux-batch-size", dest="aux_batch_size", type=int)
+    _add_params(p_train, TRAIN_PARAMS)
     p_train.set_defaults(handler=cmd_train)
 
     p_report = sub.add_parser("report", help="combine profile reports into a table and CSV")
@@ -297,15 +295,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ShiftZooError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShiftZooError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

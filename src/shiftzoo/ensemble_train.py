@@ -169,6 +169,8 @@ class TrainConfig:
             raise ValidationError(f"dropout must be in [0,1), got {self.dropout}")
         if self.eval_every < 1:
             raise ValidationError("eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def hsic_active(self) -> bool:
@@ -177,6 +179,34 @@ class TrainConfig:
     @property
     def rew_active(self) -> bool:
         return math.isfinite(self.temperature)
+
+
+def benchmark_train_config(seed: int = 0, **overrides) -> TrainConfig:
+    """Desk-scale training preset for the planted-shift benchmark.
+
+    The reweighting classifier's step count and learning rate differ from
+    the pretrained-feature defaults: zero-initialized logits on unit-scale
+    synthetic features need a much larger step size to produce informative
+    confidences within the budget, and a short schedule keeps the classifier
+    leaning on the dominant (spurious) direction, which is what makes its
+    low-confidence rows the counterexample rows worth upweighting.
+    """
+    params = dict(
+        lam=20.0,
+        temperature=1.0,
+        n_warmup=100,
+        n_anneal=300,
+        learning_rate=1e-3,
+        batch_size=32,
+        steps=1200,
+        eval_every=100,
+        weight_decay=0.01,
+        aux_lr=1e-2,
+        aux_steps=200,
+        seed=seed,
+    )
+    params.update(overrides)
+    return TrainConfig(**params)
 
 
 def apply_mode(config: TrainConfig, mode: str) -> TrainConfig:

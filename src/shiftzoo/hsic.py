@@ -28,23 +28,20 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel k(z, z') = exp(-gamma_eff * ||z - z'||^2).
+    """Gaussian kernel k(z, z') = exp(-(gamma / dim) * ||z - z'||^2).
 
-    With ``rescale_dim`` the bandwidth parameter is divided by the feature
-    dimension, keeping kernel values in a usable range as width varies.
+    The bandwidth parameter is divided by the feature dimension, keeping
+    kernel values in a usable range as width varies.
     """
 
     gamma: float
-    rescale_dim: bool = True
 
     def effective_gamma(self, dim: int) -> float:
         if self.gamma <= 0:
             raise ValidationError(f"kernel gamma must be positive, got {self.gamma}")
-        if self.rescale_dim:
-            if dim < 1:
-                raise ValidationError("cannot rescale kernel bandwidth for dim < 1")
-            return self.gamma / dim
-        return self.gamma
+        if dim < 1:
+            raise ValidationError("cannot rescale kernel bandwidth for dim < 1")
+        return self.gamma / dim
 
 
 def gaussian_kernel_matrix(z: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -73,9 +70,8 @@ def hsic_b_value_and_grad(
     z_second: np.ndarray,
     spec_first: KernelSpec,
     spec_second: KernelSpec,
-    need_grad: bool = True,
 ) -> tuple[float, np.ndarray]:
-    """HSIC value and (optionally) its gradient wrt ``z_first`` in one pass."""
+    """HSIC value and its gradient wrt ``z_first`` in one pass."""
     z_first = np.asarray(z_first, dtype=np.float64)
     z_second = np.asarray(z_second, dtype=np.float64)
     if z_first.ndim != 2 or z_second.ndim != 2:
@@ -99,8 +95,6 @@ def hsic_b_value_and_grad(
         + float(k_mean) * float(np.add.reduce(l, None) / mm)
         - 2.0 * float(row_term)
     )
-    if not need_grad:
-        return value, np.zeros_like(z_first)
 
     # trace(KHLH) = sum((HKH) * L); K centred with the row means and mean of
     # the value is the weight matrix of the gradient.

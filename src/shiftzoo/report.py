@@ -110,9 +110,10 @@ def build_report(
     """Profile the encoder grid in parallel; output independent of `jobs`.
 
     ``jobs`` defaults to the usable CPU count; no more workers than encoders
-    are started, and one worker is a pool of one. OpenBLAS runs on one thread
-    for the whole grid, so the workers do not compete with BLAS threads and
-    every BLAS result is the same for any ``jobs`` and any
+    are started, and one worker is the calling thread (a pool thread would
+    keep its own allocations mapped after the grid). OpenBLAS runs on one
+    thread for the whole grid, so the workers do not compete with BLAS
+    threads and every BLAS result is the same for any ``jobs`` and any
     ``OPENBLAS_NUM_THREADS``. The previous thread count is restored on return.
     """
     known = [e.encoder_id for e in manifest.encoders]
@@ -134,8 +135,12 @@ def build_report(
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs or usable_cpus(), len(todo))
-    with single_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        profiles = list(pool.map(one, todo))
+    with single_blas_thread():
+        if workers == 1:
+            profiles = [one(enc_id) for enc_id in todo]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                profiles = list(pool.map(one, todo))
     profiles.sort(key=lambda p: p["encoder_id"])
     return {
         "schema_version": SCHEMA_VERSION,

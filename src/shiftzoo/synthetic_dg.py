@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble_train import TrainConfig
 from .errors import ValidationError
 from .feature_store import (
     DomainInfo,
@@ -83,6 +82,8 @@ class SynthSpec:
             raise ValidationError("spur strengths must lie in [-1, 1]")
         if self.noise_sigma <= 0:
             raise ValidationError("noise_sigma must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def dim_total(self) -> int:
@@ -323,30 +324,3 @@ def build_zoo(
     )
     return manifest, encoders, card
 
-
-def benchmark_train_config(seed: int = 0, **overrides) -> TrainConfig:
-    """Desk-scale training preset for the planted-shift benchmark.
-
-    The reweighting classifier's step count and learning rate differ from
-    the pretrained-feature defaults: zero-initialized logits on unit-scale
-    synthetic features need a much larger step size to produce informative
-    confidences within the budget, and a short schedule keeps the classifier
-    leaning on the dominant (spurious) direction, which is what makes its
-    low-confidence rows the counterexample rows worth upweighting.
-    """
-    params = dict(
-        lam=20.0,
-        temperature=1.0,
-        n_warmup=100,
-        n_anneal=300,
-        learning_rate=1e-3,
-        batch_size=32,
-        steps=1200,
-        eval_every=100,
-        weight_decay=0.01,
-        aux_lr=1e-2,
-        aux_steps=200,
-        seed=seed,
-    )
-    params.update(overrides)
-    return TrainConfig(**params)

@@ -43,10 +43,7 @@ def hsic_b(
     spec_second: KernelSpec,
 ) -> float:
     """Biased HSIC between two paired batches under Gaussian kernels."""
-    value, _ = hsic_b_value_and_grad(
-        z_first, z_second, spec_first, spec_second, need_grad=False
-    )
-    return value
+    return hsic_b_value_and_grad(z_first, z_second, spec_first, spec_second)[0]
 
 
 def hsic_from_kernels(k: np.ndarray, l: np.ndarray) -> float:

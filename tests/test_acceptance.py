@@ -17,6 +17,7 @@ from shiftzoo.ensemble_train import (
     MlpHead,
     apply_mode,
     batch_weights,
+    benchmark_train_config,
     head_loss_and_grads,
     train,
 )
@@ -31,7 +32,7 @@ from shiftzoo.feature_store import (
 from shiftzoo.gaussian_profile import dataset_diversity
 from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix
 from shiftzoo.report import select_auxiliaries
-from shiftzoo.synthetic_dg import SynthSpec, benchmark_train_config, build_zoo
+from shiftzoo.synthetic_dg import SynthSpec, build_zoo
 
 from oracle_utils import grid_argmax_ties, hsic_b, quadratic_hsic
 

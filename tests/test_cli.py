@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -426,3 +427,110 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     accuracy, f_div, f_cor = (float(v) for v in capsys.readouterr().out.split())
     assert 0.0 <= accuracy <= 1.0 and 0.0 <= f_div <= 1.0 and 0.0 <= f_cor <= 1.0
+
+
+def _argv(command, zoo_dir, out):
+    """A short run of ``command`` writing to ``out``."""
+    if command == "synth":
+        return ["synth", "--out", str(out), "--samples", "100"]
+    base = [command, "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out)]
+    if command == "profile":
+        return base + ["--encoder", "clean"]
+    return base + ["--log", str(out) + ".log", "--main", "main_full", "--div-aux", "div_heavy",
+                   "--rew-aux", "cor_heavy", "--target", "domain2", "--steps", "30",
+                   "--warmup", "5", "--anneal", "10", "--lr", "1e-3", "--aux-steps", "20"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("profile", {"n_bins": 2.5}),
+        ("profile", {"jobs": "2"}),
+        ("profile", {"seed": 1.5}),
+        ("profile", {"quantile": None}),
+        ("train", {"lam": "1"}),
+        ("train", {"steps": 20.7}),
+        ("train", {"batch_size": True}),
+        ("train", {"lam": 10**400}),
+        ("synth", {"n_domains": "3"}),
+        ("synth", {"spur_strength": 5}),
+        ("synth", {"spur_strength": [0.9, "0.9", -0.9]}),
+        ("synth", {"spur_strength": "0.9,x,-0.9"}),
+        ("synth", {"zoo_size": "4"}),
+        ("synth", {"dataset_name": 7}),
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2_naming_the_key(
+    zoo_dir, tmp_path, capsys, command, config
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*_argv(command, zoo_dir, out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    [key] = config
+    assert f"config key {key!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_integer_past_the_digit_limit_exits_2(zoo_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": ' + "9" * 5000 + "}")
+    out = tmp_path / "out"
+    assert main([*_argv("synth", zoo_dir, out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config file is not valid JSON" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("train", {"weight_decay": 0}, ["--weight-decay", "0"]),
+        ("train", {"temperature": math.inf}, ["--temperature", "inf"]),
+        ("synth", {"spur_strength": [0.5, 1, -0.7]}, ["--spur-strength", "0.5,1,-0.7"]),
+        ("synth", {"spur_strength": "0.5,1,-0.7"}, ["--spur-strength", "0.5,1,-0.7"]),
+    ],
+)
+def test_config_values_give_the_bytes_of_their_flags(
+    zoo_dir, tmp_path, monkeypatch, capsys, command, config, flags
+):
+    monkeypatch.delenv("SHIFTZOO_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))  # math.inf is written as Infinity
+    by_cfg, by_flag = tmp_path / "cfg", tmp_path / "flag"
+    assert main([*_argv(command, zoo_dir, by_cfg), "--config", str(cfg)]) == 0
+    assert main([*_argv(command, zoo_dir, by_flag), *flags]) == 0
+    capsys.readouterr()
+    if command == "synth":
+        names = sorted(p.name for p in by_flag.iterdir())
+        assert sorted(p.name for p in by_cfg.iterdir()) == names
+        pairs = [(by_cfg / name, by_flag / name) for name in names]
+    else:
+        pairs = [(by_cfg, by_flag), (Path(f"{by_cfg}.log"), Path(f"{by_flag}.log"))]
+    for got, want in pairs:
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_negative_seed_exits_2_naming_seed(zoo_dir, tmp_path, monkeypatch, capsys, command, via):
+    out = tmp_path / "out"
+    argv = _argv(command, zoo_dir, out)
+    if via == "flag":
+        monkeypatch.delenv("SHIFTZOO_SEED", raising=False)
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("SHIFTZOO_SEED", "-1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_profile_accepts_a_negative_seed(zoo_dir, tmp_path, monkeypatch):
+    # the profile seed only keys the split hash, so any integer is usable
+    monkeypatch.delenv("SHIFTZOO_SEED", raising=False)
+    out = tmp_path / "out"
+    assert main([*_argv("profile", zoo_dir, out), "--seed", "-1"]) == 0
+    assert json.loads(out.read_text())["seed"] == -1

@@ -89,6 +89,8 @@ def test_config_validation_and_modes():
         TrainConfig(temperature=0.0)
     with pytest.raises(ValidationError):
         TrainConfig(dropout=1.0)
+    with pytest.raises(ValidationError, match="seed"):
+        TrainConfig(seed=-1)  # numpy's generators take no negative seed
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

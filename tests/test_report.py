@@ -146,8 +146,8 @@ def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
     n_encoders = len(small_zoo.encoders)
     assert n_encoders > 3
     assert len(threads) == min(cpus, n_encoders)
-    # one path for any worker count: the grid runs on the pool, never on the caller
-    assert threading.get_ident() not in threads
+    # one worker runs the grid on the caller; more run it on the pool only
+    assert (threading.get_ident() in threads) == (cpus == 1)
 
 
 def test_build_report_rejects_bad_selection(small_zoo):

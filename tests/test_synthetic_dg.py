@@ -1,10 +1,16 @@
 """Planted-shift generator: block semantics, zoo construction, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shiftzoo
 from shiftzoo.correlation_profile import dataset_correlation
-from shiftzoo.ensemble_train import TrainConfig
+from shiftzoo.ensemble_train import TrainConfig, benchmark_train_config
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import FeatureSet, load_domain_features, load_manifest
 from shiftzoo.gaussian_profile import dataset_diversity
@@ -15,7 +21,6 @@ from shiftzoo.synthetic_dg import (
     SynthEncoder,
     SynthSpec,
     _spur_patterns,
-    benchmark_train_config,
     build_zoo,
     generate,
 )
@@ -55,6 +60,8 @@ def test_spec_validation():
         SynthSpec(dim_core=0, dim_div=0, dim_spur=0)
     with pytest.raises(ValidationError):
         SynthSpec(noise_sigma=0.0)
+    with pytest.raises(ValidationError, match="seed"):
+        SynthSpec(seed=-1)  # numpy's generators take no negative seed
 
 
 def test_block_index_layout():
@@ -235,3 +242,17 @@ def test_benchmark_config_defaults_and_overrides():
     assert cfg.hsic_active and cfg.rew_active
     cfg2 = benchmark_train_config(seed=12, lam=0.0, steps=10)
     assert cfg2.lam == 0.0 and cfg2.steps == 10
+
+
+def test_importing_the_generator_leaves_the_trainer_and_scipy_unloaded():
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; import shiftzoo.synthetic_dg; "
+        "print(sorted({'shiftzoo.ensemble_train', 'scipy'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
