@@ -223,12 +223,16 @@ class Calibrator:
         return np.where(np.isnan(acc), probs, acc)
 
 
+def _check_bins(n_bins: int) -> None:
+    if n_bins < 1:
+        raise ValidationError(f"need at least one calibration bin, got {n_bins}")
+
+
 def calibrate(
     probs: np.ndarray, labels: np.ndarray, n_classes: int, n_bins: int = DEFAULT_BINS
 ) -> Calibrator:
     """Build the accuracy-bin map from held-in rows; empty bins stay NaN."""
-    if n_bins < 1:
-        raise ValidationError(f"need at least one calibration bin, got {n_bins}")
+    _check_bins(n_bins)
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     acc = np.full(n_classes * n_bins, np.nan)
@@ -321,6 +325,7 @@ def dataset_correlation(
     n_bins: int = DEFAULT_BINS,
 ) -> tuple[float, dict[tuple[str, str], PairCorrelation]]:
     """Mean correlation shift over all unordered domain pairs, plus detail."""
+    _check_bins(n_bins)
     with_overlap = {
         domain_id
         for key, pdiv in pair_diversities.items()

@@ -426,16 +426,14 @@ def weighted_cross_entropy(
 
 @dataclass(frozen=True)
 class RewAuxiliary:
-    """Linear softmax classifier over frozen auxiliary features."""
+    """Linear softmax classifier over frozen auxiliary features: a one-layer head."""
 
-    weights: np.ndarray  # (dim, n_classes)
-    bias: np.ndarray
+    head: MlpHead
     class_prior: np.ndarray
     prior_floored: bool
 
     def predict_proba(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return softmax(z @ self.weights + self.bias)
+        return softmax(self.head.predict_logits(np.atleast_2d(z)))
 
 
 def class_prior(labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, bool]:
@@ -457,7 +455,7 @@ def train_rew_auxiliary(
     lr: float = 1e-5,
     batch_size: int = 16,
 ) -> RewAuxiliary:
-    """Train the reweighting classifier by cross-entropy with Adam."""
+    """Train the reweighting classifier, a zero-initialized one-layer head, with AdamW."""
     z = np.asarray(features)
     y = np.asarray(labels)
     if z.ndim != 2 or z.shape[0] != y.shape[0] or z.shape[0] == 0:
@@ -467,22 +465,14 @@ def train_rew_auxiliary(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     prior, floored = class_prior(y, n_classes)
-    n_w = z.shape[1] * n_classes
-    params, grad = np.zeros(n_w + n_classes), np.empty(n_w + n_classes)
-    w, b = params[:n_w].reshape(-1, n_classes), params[n_w:]
-    grad_w, grad_b = grad[:n_w].reshape(-1, n_classes), grad[n_w:]
-    opt = AdamW(params, lr=lr)
+    head = MlpHead((z.shape[1], n_classes))
+    head.params[...] = 0.0
+    opt = AdamW(head.params, lr=lr)
     n = z.shape[0]
     for _ in range(steps):
         idx = rng.integers(0, n, size=batch_size)
-        zb, yb = z[idx].astype(np.float64), y[idx]
-        probs = softmax(zb @ w + b)
-        probs[np.arange(len(idx)), yb] -= 1.0
-        probs /= len(idx)
-        np.matmul(zb.T, probs, out=grad_w)
-        probs.sum(axis=0, out=grad_b)
-        opt.step(grad)
-    return RewAuxiliary(weights=w, bias=b, class_prior=prior, prior_floored=floored)
+        opt.step(head_loss_and_grads(head, z[idx], y[idx], None)[3])
+    return RewAuxiliary(head=head, class_prior=prior, prior_floored=floored)
 
 
 def batch_weights(raw: np.ndarray) -> np.ndarray:

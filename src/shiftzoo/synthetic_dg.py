@@ -25,6 +25,7 @@ see at most half of each shifted block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +81,9 @@ class SynthSpec:
             )
         if not all(abs(s) <= 1.0 for s in self.spur_strength):  # rejects NaN too
             raise ValidationError("spur strengths must lie in [-1, 1]")
+        for name in ("div_offset", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma <= 0:
             raise ValidationError("noise_sigma must be positive")
         if self.seed < 0:
@@ -241,7 +245,7 @@ ZOO_ROLES = ("clean", "div_heavy", "cor_heavy", "main_full")
 
 def _zoo_encoders(spec: SynthSpec, zoo_size: int) -> list[SynthEncoder]:
     ss = np.random.SeedSequence(spec.seed).spawn(1)[0]
-    seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(max(zoo_size, 4) + 1)]
+    seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(zoo_size + 1)]
     core, div, spur = spec.core_indices, spec.div_indices, spec.spur_indices
     half = lambda idx: idx[: -(-len(idx) // 2)] if idx else ()
     encoders = [
@@ -251,7 +255,7 @@ def _zoo_encoders(spec: SynthSpec, zoo_size: int) -> list[SynthEncoder]:
         SynthEncoder("main_full", core + half(div) + half(spur), seeds[3]),
     ]
     rng = np.random.default_rng(seeds[-1])
-    for i in range(4, max(zoo_size, 4)):
+    for i in range(4, zoo_size):
         picks: list[int] = []
         if core:
             k = int(rng.integers(max(1, len(core) // 2), len(core) + 1))
@@ -283,8 +287,8 @@ def build_zoo(
     planted-extreme encoder for each shift axis. Byte-identical across runs
     with the same spec.
     """
-    if zoo_size < 2:
-        raise ValidationError(f"zoo_size must be >= 2, got {zoo_size}")
+    if zoo_size < len(ZOO_ROLES):
+        raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_sets, card = generate(spec, split_ratio=split_ratio, dataset_name=dataset_name)

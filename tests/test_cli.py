@@ -402,13 +402,20 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
         (["train", "--aux-lr", "nan"], "aux_lr"),
         (["profile", "--shrinkage", "nan"], "shrinkage"),
         (["profile", "--shrinkage", "inf"], "shrinkage"),
+        (["synth", "--div-offset", "nan"], "div_offset"),
+        (["synth", "--div-offset", "inf"], "div_offset"),
+        (["synth", "--div-offset=-inf"], "div_offset"),
+        (["synth", "--noise-sigma", "nan"], "noise_sigma"),
+        (["synth", "--noise-sigma", "inf"], "noise_sigma"),
     ],
 )
 def test_non_finite_hyperparameters_exit_2_naming_them(zoo_dir, tmp_path, capsys, argv, name):
     command, *flags = argv
     out = tmp_path / "out.json"
     base = ["--manifest", str(zoo_dir / "manifest.json"), "--out", str(out)]
-    if command == "train":
+    if command == "synth":
+        base = ["--out", str(out), "--samples", "100"]
+    elif command == "train":
         base += ["--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
                  "--steps", "5", "--target", "domain2"]
     else:
@@ -417,6 +424,58 @@ def test_non_finite_hyperparameters_exit_2_naming_them(zoo_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{name} must be finite" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("zoo_size", ["2", "3"])
+def test_synth_zoo_smaller_than_the_roles_exits_2(tmp_path, capsys, zoo_size):
+    out = tmp_path / "zoo"
+    assert main(["synth", "--out", str(out), "--samples", "100", "--zoo-size", zoo_size]) == 2
+    err = capsys.readouterr().err
+    assert "zoo_size must be >= 4" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("bins", ["0", "-5"])
+def test_profile_bad_bins_exit_2_without_overlap(tmp_path, capsys, bins):
+    # div_heavy sees only the far-apart div block and one core coordinate, so
+    # no domain pair overlaps and no calibration would ever read --bins
+    zoo = tmp_path / "zoo"
+    assert main(["synth", "--out", str(zoo), "--samples", "200", "--dim-core", "1",
+                 "--dim-spur", "1", "--dim-div", "4", "--div-offset", "1000",
+                 "--zoo-size", "4"]) == 0
+    out = tmp_path / "profile.json"
+    argv = ["profile", "--manifest", str(zoo / "manifest.json"), "--out", str(out),
+            "--encoder", "div_heavy", f"--bins={bins}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "need at least one calibration bin" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _readme_commands(readme: str) -> list[list[str]]:
+    """Every ``shiftzoo`` command of the README's bash blocks, continuations joined."""
+    commands = []
+    for block in readme.split("```bash\n")[1:]:
+        text = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [line.split()[1:] for line in text.splitlines() if line.startswith("shiftzoo ")]
+    return commands
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = _readme_commands(readme)
+    assert [c[0] for c in commands] == ["synth", "profile", "rank", "train", "train", "profile",
+                                        "report"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SHIFTZOO_SEED", raising=False)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        if argv[0] == "rank":
+            # the other printed numbers follow the platform's BLAS, so only
+            # the suggestion line is pinned
+            want = "suggested auxiliaries (main: main_full): diversity=div_heavy correlation=cor_heavy"
+            assert want in readme and want in capsys.readouterr().out.splitlines()
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):

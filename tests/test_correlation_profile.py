@@ -506,6 +506,17 @@ def test_dataset_correlation_fits_each_domain_at_most_once(monkeypatch):
     assert fitted == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize("n_bins", [0, -5])
+@pytest.mark.parametrize("far", [False, True])
+def test_dataset_correlation_rejects_bins_before_fitting(monkeypatch, n_bins, far):
+    # with far=True no pair overlaps, so no calibration would ever see n_bins
+    sets = [_domain("a", 300, 80), _domain("b", 300, 81, shift=60.0 if far else 0.0)]
+    _, pair_div = dataset_diversity(sets)
+    monkeypatch.setattr(correlation_profile, "logme_fit", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValidationError, match="need at least one calibration bin"):
+        dataset_correlation(sets, pair_div, n_classes=2, n_bins=n_bins)
+
+
 def test_dataset_pairs_equal_each_pair_alone():
     sets = _four_domains()
     _, pair_div = dataset_diversity(sets)

@@ -477,11 +477,11 @@ def test_small_heads_take_the_serial_code(monkeypatch):
 
 def _fixed_aux(bias, prior):
     # zero weights: every row's class probabilities are softmax(bias)
+    head = MlpHead((1, len(bias)))
+    head.weights[0][...] = 0.0
+    head.biases[0][...] = bias
     return RewAuxiliary(
-        weights=np.zeros((1, len(bias))),
-        bias=np.asarray(bias, dtype=np.float64),
-        class_prior=np.asarray(prior, dtype=np.float64),
-        prior_floored=False,
+        head=head, class_prior=np.asarray(prior, dtype=np.float64), prior_floored=False
     )
 
 
@@ -540,22 +540,63 @@ def test_rew_auxiliary_learns_separable_data():
     np.testing.assert_allclose(aux.class_prior, np.bincount(y) / n)
 
 
+def _reference_rew_auxiliary(z, y, n_classes, seed, steps, lr, batch_size):
+    """The classifier's training loop over separate [w, b] arrays with ``ListAdamW``."""
+    z = z.astype(np.float64)  # exact; a mixed-dtype product may take another kernel
+    w, b = np.zeros((z.shape[1], n_classes)), np.zeros(n_classes)
+    ref = ListAdamW([w, b], lr=lr)
+    batch_rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        idx = batch_rng.integers(0, len(y), size=batch_size)
+        probs = softmax(z[idx] @ w + b)
+        probs[np.arange(batch_size), y[idx]] -= 1.0
+        probs /= batch_size
+        ref.step([w, b], [z[idx].T @ probs, probs.sum(axis=0)])
+    return w, b
+
+
 def test_rew_auxiliary_matches_list_reference_bitwise():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, size=60)
     aux = train_rew_auxiliary(z, y, 3, rng=2, steps=30, lr=1e-2, batch_size=8)
-    # the same loop over separate [w, b] arrays with the per-array reference
-    w, b = np.zeros((4, 3)), np.zeros(3)
-    ref = ListAdamW([w, b], lr=1e-2)
-    batch_rng = np.random.default_rng(2)
-    for _ in range(30):
-        idx = batch_rng.integers(0, 60, size=8)
-        probs = softmax(z[idx] @ w + b)
-        probs[np.arange(8), y[idx]] -= 1.0
-        probs /= 8
-        ref.step([w, b], [z[idx].T @ probs, probs.sum(axis=0)])
-    assert np.array_equal(aux.weights, w) and np.array_equal(aux.bias, b)
+    w, b = _reference_rew_auxiliary(z, y, 3, seed=2, steps=30, lr=1e-2, batch_size=8)
+    assert np.array_equal(aux.head.weights[0], w) and np.array_equal(aux.head.biases[0], b)
+
+
+# The head's cross-entropy scales its gradient by 1/m where the reference
+# divides by m. The two agree bit for bit when m is a power of two; otherwise
+# a gradient element can differ by about 2^-52 * max|z| ~ 1e-15. Where an
+# element cancels to near zero (at zero init, a class with exactly 1/k of the
+# batch), that difference is not small relative to the element, and Adam's
+# update moves by up to lr * 1e-15 / eps = 1e-7 * lr per step, while the
+# largest parameter moves by about lr per step. So the difference stays
+# within about 1e-7 of the largest parameter; 400 random cases reached 3e-10.
+AUX_REL_BOUND = 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 40),
+    n_classes=st.integers(2, 6),
+    steps=st.integers(1, 60),
+    batch_size=st.sampled_from([1, 2, 3, 5, 8, 12, 16, 24, 32, 50, 64]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_rew_auxiliary_matches_list_reference(dim, n_classes, steps, batch_size, dtype, seed):
+    rng = np.random.default_rng(seed)
+    n = 50
+    z = rng.normal(size=(n, dim)).astype(dtype)
+    y = rng.permutation(np.arange(n) % n_classes)
+    aux = train_rew_auxiliary(z, y, n_classes, rng=seed, steps=steps, lr=1e-2,
+                              batch_size=batch_size)
+    w, b = _reference_rew_auxiliary(z, y, n_classes, seed, steps, 1e-2, batch_size)
+    got, want = aux.head.params, np.concatenate([w.ravel(), b])
+    if batch_size & (batch_size - 1) == 0:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= AUX_REL_BOUND * np.abs(want).max()
 
 
 def test_rew_auxiliary_needs_two_classes():

@@ -62,6 +62,10 @@ def test_spec_validation():
         SynthSpec(noise_sigma=0.0)
     with pytest.raises(ValidationError, match="seed"):
         SynthSpec(seed=-1)  # numpy's generators take no negative seed
+    for name in ("div_offset", "noise_sigma"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                SynthSpec(**{name: value})
 
 
 def test_block_index_layout():
@@ -220,8 +224,11 @@ def test_mixed_encoders_respect_block_caps(tmp_path):
 
 
 def test_zoo_rejects_tiny_size(tmp_path):
-    with pytest.raises(ValidationError):
-        build_zoo(SynthSpec(seed=0), zoo_size=1, out_dir=tmp_path)
+    # the four planted roles are always built, so a smaller zoo cannot exist
+    for zoo_size in (1, 2, 3):
+        with pytest.raises(ValidationError, match="zoo_size must be >= 4"):
+            build_zoo(SynthSpec(seed=0), zoo_size=zoo_size, out_dir=tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_planted_extremes_rank_top(tmp_path):
