@@ -274,12 +274,17 @@ class MlpHead:
         hidden2 = 512 if in_dim == 2048 else 256
         return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rng, dropout)
 
-    def forward(
-        self, x: np.ndarray, dropout_rng: np.random.Generator | None = None
-    ) -> tuple[np.ndarray, dict]:
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a float64 matrix of the head's input width (no copy if it is one)."""
         h = x if x.dtype == np.float64 else np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.dims[0]:
             raise ValidationError(f"input shape {h.shape} does not match head input {self.dims[0]}")
+        return h
+
+    def forward(
+        self, x: np.ndarray, dropout_rng: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, dict]:
+        h = self._input(x)
         acts, pre, masks = [h], [], []
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             z = _matmul(h, w)
@@ -316,7 +321,19 @@ class MlpHead:
         return self.grad
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(x, dropout_rng=None)
+        """``forward``'s logits without dropout, the same bits, keeping no activations.
+
+        Each hidden layer replaces the one before it and is rectified in
+        place, so a pass holds at most two layers: at first the (float64)
+        input and the first hidden layer.
+        """
+        h = self._input(x)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = _matmul(h, w)
+            h += b
+            np.maximum(h, 0.0, out=h)
+        logits = _matmul(h, self.weights[-1])
+        logits += self.biases[-1]
         return logits
 
 
@@ -605,58 +622,84 @@ def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
     return float((head.predict_logits(x).argmax(axis=1) == labels).mean())
 
 
-def _check_aligned(main: Sequence[FeatureSet], other: Sequence[FeatureSet], name: str) -> None:
-    if len(main) != len(other):
-        raise ValidationError(f"{name} features cover {len(other)} domains, expected {len(main)}")
-    for a, b in zip(main, other):
-        if a.domain_id != b.domain_id or a.n_samples != b.n_samples:
-            raise ValidationError(f"{name} features misaligned on domain '{a.domain_id}'")
-        if not np.array_equal(a.labels, b.labels) or not np.array_equal(a.split_mask, b.split_mask):
-            raise ValidationError(
-                f"{name} features disagree with main encoder rows on domain '{a.domain_id}'"
-            )
+def _aligned(main: FeatureSet, other: FeatureSet, name: str) -> FeatureSet:
+    """``other``, checked to hold ``main``'s rows: the same domain, labels and split."""
+    if main.domain_id != other.domain_id or main.n_samples != other.n_samples:
+        raise ValidationError(f"{name} features misaligned on domain '{main.domain_id}'")
+    if not np.array_equal(main.labels, other.labels) or not np.array_equal(
+        main.split_mask, other.split_mask
+    ):
+        raise ValidationError(
+            f"{name} features disagree with main encoder rows on domain '{main.domain_id}'"
+        )
+    return other
+
+
+def _stack_rows(
+    masks: Sequence[np.ndarray], dim: int, set_at: Callable[[int], FeatureSet]
+) -> np.ndarray:
+    """Rows ``masks[i]`` of ``set_at(i)`` for each i, stacked into one new float32 array.
+
+    Each set's rows are copied straight into place, with no per-set copy, and
+    a set that ``set_at`` loads is dropped as soon as its rows are in.
+    """
+    rows = [np.flatnonzero(mask) for mask in masks]
+    out = np.empty((sum(r.size for r in rows), dim), dtype=np.float32)
+    lo = 0
+    for i, r in enumerate(rows):
+        # mode "clip" writes straight into ``out``; "raise" would buffer the block
+        np.take(set_at(i).features, r, axis=0, out=out[lo : lo + r.size], mode="clip")
+        lo += r.size
+    return out
 
 
 def train_on_sets(
     main_sets: Sequence[FeatureSet],
-    div_sets: Sequence[FeatureSet] | None,
-    cor_sets: Sequence[FeatureSet] | None,
+    div_rows: np.ndarray | None,
+    cor_rows: np.ndarray | None,
     n_classes: int,
     config: TrainConfig,
     test_sets: Sequence[FeatureSet] | None = None,
 ) -> TrainResult:
-    """Train the head on pooled training-domain rows of aligned feature views."""
+    """Train the head on the pooled training rows of ``main_sets``.
+
+    ``div_rows`` and ``cor_rows`` are the diversity and correlation
+    auxiliaries' features of those same rows, in the same order: each set's
+    training rows in turn. Each is read only when its term is active and may
+    otherwise be None.
+    """
     if not main_sets:
         raise ValidationError("need at least one training domain")
     if config.hsic_active:
-        if div_sets is None:
+        if div_rows is None:
             raise ValidationError("HSIC penalty requires diversity-auxiliary features")
-        _check_aligned(main_sets, div_sets, "diversity-auxiliary")
         if config.batch_size < 2:
             raise ValidationError("HSIC penalty needs batch size >= 2")
-    if config.rew_active:
-        if cor_sets is None:
-            raise ValidationError("reweighting requires correlation-auxiliary features")
-        _check_aligned(main_sets, cor_sets, "correlation-auxiliary")
+    if config.rew_active and cor_rows is None:
+        raise ValidationError("reweighting requires correlation-auxiliary features")
 
     # The pools keep the stored float32 rows; batches and evaluation passes
     # convert to float64 (exactly), so no float64 copy of a pool is held.
-    def pool(sets: Sequence[FeatureSet], val: bool) -> np.ndarray:
-        return np.concatenate([fs.features[fs.split_mask == val] for fs in sets], axis=0)
-
-    x_train = pool(main_sets, False)
+    dim = main_sets[0].dim
+    x_train = _stack_rows([~fs.split_mask for fs in main_sets], dim, main_sets.__getitem__)
     y_train = np.concatenate([fs.train_labels for fs in main_sets])
-    x_val = pool(main_sets, True)
+    x_val = _stack_rows([fs.split_mask for fs in main_sets], dim, main_sets.__getitem__)
     y_val = np.concatenate([fs.val_labels for fs in main_sets])
     if x_train.shape[0] == 0 or x_val.shape[0] == 0:
         raise ValidationError("training and validation pools must be non-empty")
-    x_div = pool(div_sets, False) if config.hsic_active else None
-    x_cor = pool(cor_sets, False) if config.rew_active else None
+    x_div = div_rows if config.hsic_active else None
+    x_cor = cor_rows if config.rew_active else None
+    n = x_train.shape[0]
+    for name, rows in (("diversity-auxiliary", x_div), ("correlation-auxiliary", x_cor)):
+        if rows is not None and (rows.ndim != 2 or rows.shape[0] != n):
+            raise ValidationError(
+                f"{name} features have shape {rows.shape}, expected one row per training row ({n})"
+            )
 
     ss = np.random.SeedSequence(config.seed)
     ss_init, ss_batch, ss_aux, ss_drop = ss.spawn(4)
     head = MlpHead.for_input(
-        x_train.shape[1], n_classes, rng=np.random.default_rng(ss_init), dropout=config.dropout
+        dim, n_classes, rng=np.random.default_rng(ss_init), dropout=config.dropout
     )
     dropout_rng = np.random.default_rng(ss_drop) if config.dropout > 0 else None
     batch_rng = np.random.default_rng(ss_batch)
@@ -671,7 +714,6 @@ def train_on_sets(
         prior_floored = aux.prior_floored
 
     optimizer = AdamW(head.params, lr=config.learning_rate, weight_decay=config.weight_decay)
-    n = x_train.shape[0]
     log: list[StepStats] = []
     evals: list[EvalRecord] = []
     best_acc, best_step = -1.0, -1
@@ -697,7 +739,8 @@ def train_on_sets(
                 best_acc, best_step = val_acc, step
                 best_state[...] = head.params
 
-    del optimizer  # free its moments and scratch before the test passes
+    # free the optimizer's moments and scratch and the main pools before the test passes
+    del optimizer, x_train, x_val
     final_test = best_test = None
     if test_sets:
         x_test = np.concatenate([fs.features for fs in test_sets])
@@ -734,10 +777,14 @@ def train(
 ) -> list[Fold]:
     """Leave-one-domain-out folds: for each target, train on all other domains.
 
-    Each fold's head is then profiled at logit level over every domain. The
-    FeatureSets the folds need are loaded once and shared by all of them.
-    The folds run with OpenBLAS on one thread, so their bytes do not depend
-    on the BLAS thread count; the previous count is restored on return.
+    Each fold's head is then profiled at logit level over every domain. Each
+    feature file the folds need is read once: the main encoder's whole, and
+    each auxiliary's only for its training rows on the domains that train a
+    fold, gathered into one array per auxiliary. A fold whose target is not
+    among those domains trains on that array itself; any other fold on a copy
+    of its domains' rows. The folds run with OpenBLAS on one thread, so their
+    bytes do not depend on the BLAS thread count; the previous count is
+    restored on return.
     """
     domains = manifest.domain_ids
     for target in targets:
@@ -750,25 +797,38 @@ def train(
     if config.rew_active and rew_aux_id is None:
         raise ValidationError("reweighting requires a correlation auxiliary encoder id")
 
-    # the auxiliaries are needed only on domains that train at least one fold
+    main = {
+        d: load_domain_features(manifest, main_encoder_id, d, seed=config.seed) for d in domains
+    }
     train_domains = [d for d in domains if any(d != t for t in targets)]
+    masks = [~main[d].split_mask for d in train_domains]
+    counts = [int(np.count_nonzero(mask)) for mask in masks]
+    starts = np.cumsum([0] + counts).tolist()
+    spans = {d: slice(a, a + c) for d, a, c in zip(train_domains, starts, counts)}
 
-    def sets_for(encoder_id: str, doms: Sequence[str]) -> dict[str, FeatureSet]:
-        return {d: load_domain_features(manifest, encoder_id, d, seed=config.seed) for d in doms}
+    def train_rows(encoder_id: str, name: str) -> np.ndarray:
+        def checked(i: int) -> FeatureSet:
+            d = train_domains[i]
+            fs = load_domain_features(manifest, encoder_id, d, seed=config.seed)
+            return _aligned(main[d], fs, name)
 
-    def without(sets: dict[str, FeatureSet] | None, target: str) -> list[FeatureSet] | None:
-        return None if sets is None else [fs for d, fs in sets.items() if d != target]
+        return _stack_rows(masks, manifest.encoder(encoder_id).dim, checked)
 
-    main = sets_for(main_encoder_id, domains)
-    div = sets_for(div_aux_id, train_domains) if config.hsic_active else None
-    cor = sets_for(rew_aux_id, train_domains) if config.rew_active else None
+    def fold_rows(rows: np.ndarray | None, target: str) -> np.ndarray | None:
+        if rows is None or target not in spans:
+            return rows
+        return np.delete(rows, spans[target], axis=0)
+
+    div = train_rows(div_aux_id, "diversity-auxiliary") if config.hsic_active else None
+    cor = train_rows(rew_aux_id, "correlation-auxiliary") if config.rew_active else None
     folds = []
     # OpenBLAS stays on one thread: the train pool does the parallel work, and
     # an idle OpenBLAS worker would spin on the pool's cores between GEMMs
     with single_blas_thread():
         for target in targets:
             result = train_on_sets(
-                without(main, target), without(div, target), without(cor, target),
+                [fs for d, fs in main.items() if d != target],
+                fold_rows(div, target), fold_rows(cor, target),
                 manifest.n_classes, config, [main[target]],
             )
             f_div, f_cor = logit_shift(result.head, list(main.values()), manifest.n_classes)

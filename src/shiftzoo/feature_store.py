@@ -185,6 +185,13 @@ def read_labels(path: Path | str) -> np.ndarray:
     return np.frombuffer(data, dtype="<u4", offset=8).astype(np.int64)
 
 
+def validation_rows(n: int, ratio: float) -> int:
+    """How many of ``n`` rows ``split_mask`` puts in validation: floor(ratio*n)."""
+    if not 0.0 < ratio < 1.0:
+        raise ValidationError(f"split ratio must be in (0,1), got {ratio}")
+    return int(ratio * n + 1e-9)
+
+
 def split_mask(dataset_name: str, domain_id: str, n: int, ratio: float, seed: int) -> np.ndarray:
     """Deterministic validation mask: last floor(ratio*n) of a keyed permutation.
 
@@ -192,9 +199,7 @@ def split_mask(dataset_name: str, domain_id: str, n: int, ratio: float, seed: in
     ``dataset_name|domain_id|seed``, so the split is shared by every encoder
     of the dataset and is stable across runs and platforms.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValidationError(f"split ratio must be in (0,1), got {ratio}")
-    n_val = int(ratio * n + 1e-9)
+    n_val = validation_rows(n, ratio)
     digest = hashlib.sha256(f"{dataset_name}|{domain_id}|{seed}".encode()).digest()
     words = struct.unpack("<8I", digest)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))

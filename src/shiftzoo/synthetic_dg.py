@@ -39,6 +39,7 @@ from .feature_store import (
     ZooManifest,
     build_feature_set,
     save_manifest,
+    validation_rows,
     write_features,
     write_labels,
 )
@@ -289,6 +290,13 @@ def build_zoo(
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
+    n = spec.samples_per_domain
+    n_val = validation_rows(n, split_ratio)
+    if not 0 < n_val < n:
+        raise ValidationError(
+            f"samples_per_domain={n} at split_ratio={split_ratio} leaves each domain {n_val} "
+            f"validation and {n - n_val} training rows; each split needs at least one"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_sets, card = generate(spec, split_ratio=split_ratio, dataset_name=dataset_name)

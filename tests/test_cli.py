@@ -435,6 +435,28 @@ def test_synth_zoo_smaller_than_the_roles_exits_2(tmp_path, capsys, zoo_size):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("ratio", ["0", "1", "nan", "1.5"])
+def test_synth_bad_split_ratio_exits_2_without_writing(tmp_path, capsys, ratio):
+    out = tmp_path / "zoo"
+    assert main(["synth", "--out", str(out), "--samples", "100", "--split-ratio", ratio]) == 2
+    err = capsys.readouterr().err
+    assert "split ratio must be in (0,1)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio, n_val", [("0.2", 0), ("0.99999999999", 4)])
+def test_synth_split_without_validation_or_training_rows_exits_2(tmp_path, capsys, ratio, n_val):
+    # 4 rows at 0.2 leave no validation row; at 1 - 1e-11 validation takes all 4
+    out = tmp_path / "zoo"
+    argv = ["synth", "--out", str(out), "--samples", "4", "--n-classes", "4"]
+    assert main(argv + ["--split-ratio", ratio]) == 2
+    err = capsys.readouterr().err
+    assert f"samples_per_domain=4 at split_ratio={float(ratio)} leaves each domain" in err
+    assert f"{n_val} validation and {4 - n_val} training rows" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bins", ["0", "-5"])
 def test_profile_bad_bins_exit_2_without_overlap(tmp_path, capsys, bins):
     # div_heavy sees only the far-apart div block and one core coordinate, so

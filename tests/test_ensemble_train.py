@@ -1,5 +1,6 @@
 """Head training: gradients, gating, reweighting, reductions, and selection."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -65,6 +66,11 @@ def _sets(seed, n=300, d=6, n_classes=3, domains=2):
             )
         )
     return out
+
+
+def _train_rows(sets):
+    """The sets' training rows, pooled as ``train_on_sets`` pools the main encoder's."""
+    return np.concatenate([fs.features[~fs.split_mask] for fs in sets])
 
 
 def test_config_validation_and_modes():
@@ -475,6 +481,40 @@ def test_small_heads_take_the_serial_code(monkeypatch):
     assert blocks == []
 
 
+@pytest.mark.parametrize("dims, rows", [((12, 6, 256, 4), 300), ((512, 256, 128, 4), 200)])
+def test_predict_logits_equals_forward_bitwise(dims, rows, monkeypatch):
+    monkeypatch.setattr(et, "usable_cpus", lambda: 3)
+    blocks = _recording_run(monkeypatch)
+    head = MlpHead(dims, rng=1)
+    x = np.random.default_rng(2).normal(size=(rows, dims[0])).astype(np.float32)
+    with single_blas_thread():
+        want, _ = head.forward(x)
+        got = head.predict_logits(x)
+    assert got.tobytes() == want.tobytes()
+    # the wide head's two hidden products, 200 * 512 * 256 and 200 * 256 * 128,
+    # reach 2 * SPLIT_MACS, so each pass cuts both by rows
+    if rows * dims[0] * dims[1] >= 2 * et.SPLIT_MACS:
+        assert blocks == [3, 3] * 2
+    else:
+        assert blocks == []
+
+
+def test_predict_logits_holds_the_input_and_one_hidden_layer():
+    head = MlpHead((512, 256, 128, 4), rng=0)
+    x = np.random.default_rng(0).normal(size=(500, 512)).astype(np.float32)
+    widened, hidden, logits = 500 * 512 * 8, 500 * 256 * 8, 500 * 4 * 8
+    tracemalloc.start()
+    try:
+        head.predict_logits(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float64 input and the first hidden layer (3.1 MB), plus the logits
+    # and 64 KiB of small objects; keeping every activation and
+    # pre-activation, as ``forward`` does, peaks at 5.2 MB here
+    assert widened + hidden <= peak <= widened + hidden + logits + 64 * 1024
+
+
 def _fixed_aux(bias, prior):
     # zero weights: every row's class probabilities are softmax(bias)
     head = MlpHead((1, len(bias)))
@@ -651,7 +691,7 @@ def test_rew_weights_run_only_from_n_anneal(monkeypatch):
         lam=0.0, temperature=1.0, n_anneal=13, steps=40, learning_rate=1e-3,
         eval_every=10, seed=3, aux_steps=20, aux_lr=1e-2,
     )
-    res = train_on_sets(sets, None, sets, 3, cfg)
+    res = train_on_sets(sets, None, _train_rows(sets), 3, cfg)
     assert len(calls) == cfg.steps - cfg.n_anneal
     assert all(s.mean_weight == 1.0 for s in res.log[: cfg.n_anneal])
 
@@ -689,7 +729,8 @@ def test_train_on_sets_runs_and_logs():
         lam=1.0, temperature=1.0, n_warmup=5, n_anneal=10, steps=40,
         learning_rate=1e-3, eval_every=10, seed=11, aux_steps=50, aux_lr=1e-2,
     )
-    res = train_on_sets(sets, sets, sets, 3, cfg, test_sets=_sets(1, domains=1))
+    rows = _train_rows(sets)
+    res = train_on_sets(sets, rows, rows, 3, cfg, test_sets=_sets(1, domains=1))
     assert len(res.log) == 40
     for rec in res.log:
         lam_term = cfg.lam * rec.hsic
@@ -712,7 +753,7 @@ def test_train_erm_equals_both_with_inactive_knobs():
 
 
 def test_train_pools_stay_float32():
-    """The pooled rows are held as stored; only batches and passes are float64."""
+    """The main pools are held once, as stored; only batches and passes are float64."""
     rng = np.random.default_rng(0)
     sets = [
         build_feature_set(
@@ -721,7 +762,7 @@ def test_train_pools_stay_float32():
         )
         for i in range(2)
     ]
-    # train rows pooled three times (main, diversity, correlation), plus validation
+    # train rows held three times (main, diversity, correlation), plus validation
     pools = sum(3 * fs.features[~fs.split_mask].nbytes + fs.features[fs.split_mask].nbytes
                 for fs in sets)
     cfg = TrainConfig(
@@ -730,29 +771,32 @@ def test_train_pools_stay_float32():
     )
     tracemalloc.start()
     try:
-        train_on_sets(sets, sets, sets, 3, cfg)
+        # one array of training rows per auxiliary, as ``train`` gathers them
+        div_rows, cor_rows = _train_rows(sets), _train_rows(sets)
+        train_on_sets(sets, div_rows, cor_rows, 3, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # float64 copies of the pools alone would take 2 * pools; the head, its
-    # optimizer and one float64 validation pass fit in the other half
-    assert pools <= peak < 1.5 * pools
+    # float64 copies of the pools alone would take 2 * pools, and pooling the
+    # main rows through per-domain copies 1.33 * pools; the head, its
+    # optimizer and one float64 validation pass fit in the remaining quarter
+    assert pools <= peak < 1.25 * pools
+
+
+def test_train_on_sets_rejects_misshapen_auxiliary_rows():
+    sets = _sets(3)
+    rows = _train_rows(sets)
+    cfg = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
+    with pytest.raises(ValidationError, match="diversity-auxiliary features have shape"):
+        train_on_sets(sets, rows[:-1], None, 3, cfg)
+    with pytest.raises(ValidationError, match="requires diversity-auxiliary features"):
+        train_on_sets(sets, None, None, 3, cfg)
 
 
 def replace_cfg(cfg, **kw):
     from dataclasses import replace
 
     return replace(cfg, **kw)
-
-
-def test_train_requires_aligned_auxiliaries():
-    sets = _sets(3)
-    other = _sets(4)  # different labels/rows
-    cfg = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
-    with pytest.raises(ValidationError):
-        train_on_sets(sets, other, None, 3, cfg)
-    with pytest.raises(ValidationError):
-        train_on_sets(sets, None, None, 3, cfg)
 
 
 def test_logit_feature_sets_preserve_rows():
@@ -798,8 +842,9 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
     for fold in folds + [one]:
         rest = [d for d in manifest.domain_ids if d != fold.target_domain]
         alone = train_on_sets(
-            [sets["main_full", d] for d in rest], [sets["div_heavy", d] for d in rest],
-            [sets["cor_heavy", d] for d in rest], manifest.n_classes, cfg,
+            [sets["main_full", d] for d in rest],
+            _train_rows([sets["div_heavy", d] for d in rest]),
+            _train_rows([sets["cor_heavy", d] for d in rest]), manifest.n_classes, cfg,
             [sets["main_full", fold.target_domain]],
         )
         assert np.array_equal(fold.result.head.params, alone.head.params)
@@ -808,6 +853,64 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
         assert (fold.logit_f_div, fold.logit_f_cor) == logit_shift(
             alone.head, main_sets, manifest.n_classes
         )
+
+
+def test_train_requires_aligned_auxiliaries(tmp_path, monkeypatch):
+    manifest, _, _ = build_zoo(SynthSpec(samples_per_domain=100, seed=3), zoo_size=4,
+                               out_dir=tmp_path)
+    cfg = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
+
+    def relabelled(manifest, encoder_id, domain_id, seed=0):
+        fs = load_domain_features(manifest, encoder_id, domain_id, seed=seed)
+        if encoder_id == "main_full":
+            return fs
+        return dataclasses.replace(fs, labels=np.roll(fs.labels, 1))  # different labels/rows
+
+    monkeypatch.setattr(et, "load_domain_features", relabelled)
+    with pytest.raises(ValidationError, match="diversity-auxiliary features disagree .* 'domain1'"):
+        train(manifest, "main_full", "div_heavy", None, cfg, ["domain0"])
+    with pytest.raises(ValidationError, match="requires a diversity auxiliary encoder id"):
+        train(manifest, "main_full", None, None, cfg, ["domain0"])
+
+
+def test_single_target_train_holds_auxiliary_training_rows_once(tmp_path, monkeypatch):
+    spec = SynthSpec(samples_per_domain=4000, dim_core=16, dim_div=48, dim_spur=48, seed=1)
+    manifest, _, _ = build_zoo(spec, zoo_size=4, out_dir=tmp_path)
+    cfg = TrainConfig(lam=1.0, n_warmup=0, n_anneal=0, steps=3, eval_every=3, batch_size=8,
+                      aux_steps=3, aux_batch_size=8, learning_rate=1e-3, aux_lr=1e-2)
+    sets = {
+        (e, d): load_domain_features(manifest, e, d)
+        for e in ("main_full", "div_heavy", "cor_heavy") for d in manifest.domain_ids
+    }
+    rest = manifest.domain_ids[1:]
+    main_bytes = sum(sets["main_full", d].features.nbytes for d in manifest.domain_ids)
+    aux_rows = {e: _train_rows([sets[e, d] for d in rest]) for e in ("div_heavy", "cor_heavy")}
+    labels_and_masks = sum(
+        sets["main_full", d].labels.nbytes + sets["main_full", d].split_mask.nbytes
+        for d in manifest.domain_ids
+    )
+    del sets
+    held = []
+    real = et.train_on_sets
+
+    def measuring(main_sets, div_rows, cor_rows, *args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        assert np.array_equal(div_rows, aux_rows["div_heavy"])
+        assert np.array_equal(cor_rows, aux_rows["cor_heavy"])
+        return real(main_sets, div_rows, cor_rows, *args)
+
+    monkeypatch.setattr(et, "train_on_sets", measuring)
+    tracemalloc.start()
+    try:
+        train(manifest, "main_full", "div_heavy", "cor_heavy", cfg, ["domain0"])
+    finally:
+        tracemalloc.stop()
+    # when the fold starts, train holds the main encoder's features and each
+    # auxiliary's training rows on the two training domains, once (6.3 MB);
+    # holding the auxiliaries' whole FeatureSets instead would add their
+    # validation rows and labels (1.1 MB)
+    once = main_bytes + sum(rows.nbytes for rows in aux_rows.values())
+    assert once <= held[0] <= once + labels_and_masks + 128 * 1024
 
 
 def test_train_rejects_unknown_target(tmp_path):
