@@ -298,6 +298,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ShiftZooError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValidationError) else 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

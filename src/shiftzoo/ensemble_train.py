@@ -138,7 +138,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     batch_size: int = 16
     steps: int = 5000
-    dropout: float = 0.0
     seed: int = 0
     eval_every: int = 100
     aux_lr: float = 1e-5
@@ -165,8 +164,6 @@ class TrainConfig:
             raise ValidationError("batch sizes must be >= 1")
         if self.steps < 1 or self.aux_steps < 1:
             raise ValidationError("step counts must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"dropout must be in [0,1), got {self.dropout}")
         if self.eval_every < 1:
             raise ValidationError("eval_every must be >= 1")
         if self.seed < 0:
@@ -179,34 +176,6 @@ class TrainConfig:
     @property
     def rew_active(self) -> bool:
         return math.isfinite(self.temperature)
-
-
-def benchmark_train_config(seed: int = 0, **overrides) -> TrainConfig:
-    """Desk-scale training preset for the planted-shift benchmark.
-
-    The reweighting classifier's step count and learning rate differ from
-    the pretrained-feature defaults: zero-initialized logits on unit-scale
-    synthetic features need a much larger step size to produce informative
-    confidences within the budget, and a short schedule keeps the classifier
-    leaning on the dominant (spurious) direction, which is what makes its
-    low-confidence rows the counterexample rows worth upweighting.
-    """
-    params = dict(
-        lam=20.0,
-        temperature=1.0,
-        n_warmup=100,
-        n_anneal=300,
-        learning_rate=1e-3,
-        batch_size=32,
-        steps=1200,
-        eval_every=100,
-        weight_decay=0.01,
-        aux_lr=1e-2,
-        aux_steps=200,
-        seed=seed,
-    )
-    params.update(overrides)
-    return TrainConfig(**params)
 
 
 def apply_mode(config: TrainConfig, mode: str) -> TrainConfig:
@@ -235,16 +204,13 @@ class MlpHead:
     input width, 256 (512 when the input is 2048-dimensional), classes.
     """
 
-    def __init__(self, dims: Sequence[int], rng: np.random.Generator | int = 0, dropout: float = 0.0):
+    def __init__(self, dims: Sequence[int], rng: np.random.Generator | int = 0):
         dims = [int(d) for d in dims]
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValidationError(f"invalid layer dims {dims}")
-        if not 0.0 <= dropout < 1.0:
-            raise ValidationError(f"dropout must be in [0,1), got {dropout}")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self.dims = tuple(dims)
-        self.dropout = float(dropout)
         self.params = np.zeros(sum(i * o + o for i, o in zip(dims[:-1], dims[1:])))
         self.grad = np.zeros_like(self.params)
         self.weights, self.biases = self._layer_views(self.params)
@@ -262,17 +228,11 @@ class MlpHead:
         return weights, biases
 
     @classmethod
-    def for_input(
-        cls,
-        in_dim: int,
-        n_classes: int,
-        rng: np.random.Generator | int = 0,
-        dropout: float = 0.0,
-    ) -> "MlpHead":
+    def for_input(cls, in_dim: int, n_classes: int, rng: np.random.Generator | int = 0) -> "MlpHead":
         if in_dim < 1 or n_classes < 2:
             raise ValidationError(f"bad head shape: in_dim={in_dim}, n_classes={n_classes}")
         hidden2 = 512 if in_dim == 2048 else 256
-        return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rng, dropout)
+        return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rng)
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a float64 matrix of the head's input width (no copy if it is one)."""
@@ -281,33 +241,36 @@ class MlpHead:
             raise ValidationError(f"input shape {h.shape} does not match head input {self.dims[0]}")
         return h
 
-    def forward(
-        self, x: np.ndarray, dropout_rng: np.random.Generator | None = None
-    ) -> tuple[np.ndarray, dict]:
-        h = self._input(x)
-        acts, pre, masks = [h], [], []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = _matmul(h, w)
-            z += b
-            pre.append(z)
-            h = np.maximum(z, 0.0)
-            mask = None
-            if self.dropout > 0.0 and dropout_rng is not None:
-                mask = dropout_rng.random(h.shape) >= self.dropout
-                h = h * mask / (1.0 - self.dropout)
-            masks.append(mask)
-            acts.append(h)
-        logits = _matmul(h, self.weights[-1])
-        logits += self.biases[-1]
-        return logits, {"acts": acts, "pre": pre, "masks": masks}
+    def _layers(self, x: np.ndarray, acts: list[np.ndarray] | None) -> np.ndarray:
+        """The logits of ``x``; each hidden layer is rectified in place.
 
-    def backward(self, cache: dict, dlogits: np.ndarray) -> np.ndarray:
-        """Fill ``grad``, laid out like ``params``, for the cached forward pass.
-
-        Returns ``grad`` itself; the next call overwrites it.
+        With ``acts`` a list, each layer's input is appended to it: the
+        float64 input, then every rectified hidden layer. Without, each
+        hidden layer replaces the one before it.
         """
-        acts, pre, masks = cache["acts"], cache["pre"], cache["masks"]
-        keep = 1.0 - self.dropout
+        h = self._input(x)
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if acts is not None:
+                acts.append(h)
+            h = _matmul(h, w)
+            h += b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
+        return h
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The logits of ``x`` and each layer's input, which ``backward`` reads."""
+        acts: list[np.ndarray] = []
+        return self._layers(x, acts), acts
+
+    def backward(self, acts: list[np.ndarray], dlogits: np.ndarray) -> np.ndarray:
+        """Fill ``grad``, laid out like ``params``, for the forward pass that kept ``acts``.
+
+        A hidden unit passes gradient where its rectified output is positive,
+        which is where its pre-activation was. Returns ``grad`` itself; the
+        next call overwrites it.
+        """
         delta = dlogits
         for i in range(len(self.weights) - 1, -1, -1):
             _matmul(acts[i].T, delta, out=self._grad_w[i])
@@ -315,26 +278,16 @@ class MlpHead:
             if i == 0:
                 break
             delta = _matmul(delta, self.weights[i].T)
-            if masks[i - 1] is not None:
-                delta = delta * masks[i - 1] / keep
-            delta *= pre[i - 1] > 0.0
+            delta *= acts[i] > 0.0
         return self.grad
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        """``forward``'s logits without dropout, the same bits, keeping no activations.
+        """``forward``'s logits, the same bits, keeping no activations.
 
-        Each hidden layer replaces the one before it and is rectified in
-        place, so a pass holds at most two layers: at first the (float64)
-        input and the first hidden layer.
+        A pass holds at most two layers: at first the (float64) input and
+        the first hidden layer.
         """
-        h = self._input(x)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = _matmul(h, w)
-            h += b
-            np.maximum(h, 0.0, out=h)
-        logits = _matmul(h, self.weights[-1])
-        logits += self.biases[-1]
-        return logits
+        return self._layers(x, None)
 
 
 class AdamW:
@@ -509,7 +462,13 @@ def rew_weights(
     probs = aux.predict_proba(z)
     p_y = np.maximum(probs[np.arange(len(labels)), labels], P_FLOOR)
     raw = (aux.class_prior[labels] / p_y) ** (1.0 / temperature)
-    return batch_weights(np.minimum(raw, WEIGHT_CLIP))
+    try:
+        return batch_weights(np.minimum(raw, WEIGHT_CLIP))
+    except ValidationError:
+        # prior and p_y are positive: a weight is 0 only when the power underflows
+        raise ValidationError(
+            f"temperature {temperature} underflows reweighting weights to 0; raise the temperature"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -531,7 +490,6 @@ def head_loss_and_grads(
     lam: float = 0.0,
     gamma1: float = 0.1,
     gamma2: float = 0.5,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, float, float, np.ndarray]:
     """Combined loss and parameter gradients for one batch.
 
@@ -541,7 +499,7 @@ def head_loss_and_grads(
     and aux_div = None; the HSIC gradient flows through the logits only, the
     auxiliary kernel is constant.
     """
-    logits, cache = head.forward(x, dropout_rng=dropout_rng)
+    logits, acts = head.forward(x)
     ce, dlogits = weighted_cross_entropy(logits, labels, weights)
     hsic_val = 0.0
     if lam > 0 and aux_div is not None:
@@ -551,7 +509,7 @@ def head_loss_and_grads(
         hsic_grad *= lam
         dlogits += hsic_grad
     total = ce + lam * hsic_val
-    return total, ce, hsic_val, head.backward(cache, dlogits)
+    return total, ce, hsic_val, head.backward(acts, dlogits)
 
 
 def train_step(
@@ -563,7 +521,6 @@ def train_step(
     rew_batch: np.ndarray | None,
     config: TrainConfig,
     step_index: int,
-    dropout_rng: np.random.Generator | None = None,
 ) -> StepStats:
     """One optimisation step of the gated combined loss.
 
@@ -579,7 +536,6 @@ def train_step(
     total, ce, hsic_val, grad = head_loss_and_grads(
         head, x, labels, weights, aux_div=aux_div if use_hsic else None,
         lam=config.lam if use_hsic else 0.0, gamma1=config.gamma1, gamma2=config.gamma2,
-        dropout_rng=dropout_rng,
     )
     if not math.isfinite(total):
         raise NumericalError(
@@ -697,11 +653,8 @@ def train_on_sets(
             )
 
     ss = np.random.SeedSequence(config.seed)
-    ss_init, ss_batch, ss_aux, ss_drop = ss.spawn(4)
-    head = MlpHead.for_input(
-        dim, n_classes, rng=np.random.default_rng(ss_init), dropout=config.dropout
-    )
-    dropout_rng = np.random.default_rng(ss_drop) if config.dropout > 0 else None
+    ss_init, ss_batch, ss_aux = ss.spawn(3)
+    head = MlpHead.for_input(dim, n_classes, rng=np.random.default_rng(ss_init))
     batch_rng = np.random.default_rng(ss_batch)
 
     aux = None
@@ -729,7 +682,6 @@ def train_on_sets(
         stats = train_step(
             head, optimizer, x_train[idx], y_train[idx],
             x_div[idx] if config.hsic_active else None, rew_batch, config, step,
-            dropout_rng=dropout_rng,
         )
         log.append(stats)
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:

@@ -222,11 +222,24 @@ def build_feature_set(
 ) -> FeatureSet:
     """Assemble and validate a FeatureSet from in-memory arrays."""
     features = np.ascontiguousarray(features, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
         raise ValidationError("features must be a 2-D matrix")
     if not np.isfinite(features).all():
         raise ValidationError(f"domain '{domain_id}': non-finite feature values")
+    return _feature_set(domain_id, features, labels, dataset_name, n_classes, split_ratio, seed)
+
+
+def _feature_set(
+    domain_id: str,
+    features: np.ndarray,
+    labels: np.ndarray,
+    dataset_name: str,
+    n_classes: int,
+    split_ratio: float,
+    seed: int,
+) -> FeatureSet:
+    """A FeatureSet of a finite float32 matrix: the labels checked, the split drawn."""
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (features.shape[0],):
         raise ValidationError(
             f"domain '{domain_id}': {labels.shape[0]} labels for {features.shape[0]} rows"
@@ -246,7 +259,11 @@ def load_feature_set(
     seed: int = 0,
     expected_dim: int | None = None,
 ) -> FeatureSet:
-    """Load and validate one (encoder, domain) feature file plus its labels."""
+    """Load and validate one (encoder, domain) feature file plus its labels.
+
+    ``read_features`` has checked the matrix for NaN/Inf, so it is not
+    checked again.
+    """
     features = read_features(features_path)
     labels = read_labels(labels_path)
     info = manifest.domain(domain_id)
@@ -260,14 +277,9 @@ def load_feature_set(
             f"domain '{domain_id}': dim mismatch, manifest {expected_dim} vs file "
             f"{features.shape[1]}"
         )
-    return build_feature_set(
-        domain_id,
-        features,
-        labels,
-        dataset_name=manifest.dataset_name,
-        n_classes=manifest.n_classes,
-        split_ratio=manifest.split_ratio,
-        seed=seed,
+    return _feature_set(
+        domain_id, features, labels, manifest.dataset_name, manifest.n_classes,
+        manifest.split_ratio, seed,
     )
 
 

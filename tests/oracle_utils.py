@@ -19,6 +19,8 @@ them into a whole forward and backward pass. ``reference_fit_class`` is the
 LogME fixed point that evaluates the evidence terms twice at each point and
 once more for the final posterior mean; the package's ``_fit_class``, which
 evaluates each point once, must reproduce every field of it bit for bit.
+``benchmark_train_config`` is the desk-scale training preset that the
+planted-shift benchmark tests train with.
 """
 
 import math
@@ -32,6 +34,7 @@ from shiftzoo.correlation_profile import (
     EvidenceModel,
     _fit_class,
 )
+from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import ValidationError
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
 
@@ -110,7 +113,7 @@ def reference_weighted_cross_entropy(
 
 
 def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1, gamma2):
-    """(total, ce, hsic, flat grad) of a dropout-free ``MlpHead``: plain forward,
+    """(total, ce, hsic, flat grad) of an ``MlpHead``: plain forward,
     the reference CE and HSIC, and backward with fresh temporaries."""
     acts, pre = [np.asarray(x, dtype=np.float64)], []
     for w, b in zip(head.weights[:-1], head.biases[:-1]):
@@ -130,6 +133,34 @@ def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1
         if i > 0:
             delta = (delta @ head.weights[i].T) * (pre[i - 1] > 0.0)
     return ce + lam * hsic, ce, hsic, np.concatenate([g.ravel() for g in grads])
+
+
+def benchmark_train_config(seed: int = 0, **overrides) -> TrainConfig:
+    """Desk-scale training preset for the planted-shift benchmark.
+
+    The reweighting classifier's step count and learning rate differ from
+    the pretrained-feature defaults: zero-initialized logits on unit-scale
+    synthetic features need a much larger step size to produce informative
+    confidences within the budget, and a short schedule keeps the classifier
+    leaning on the dominant (spurious) direction, which is what makes its
+    low-confidence rows the counterexample rows worth upweighting.
+    """
+    params = dict(
+        lam=20.0,
+        temperature=1.0,
+        n_warmup=100,
+        n_anneal=300,
+        learning_rate=1e-3,
+        batch_size=32,
+        steps=1200,
+        eval_every=100,
+        weight_decay=0.01,
+        aux_lr=1e-2,
+        aux_steps=200,
+        seed=seed,
+    )
+    params.update(overrides)
+    return TrainConfig(**params)
 
 
 def direct_log_evidence(phi: np.ndarray, y: np.ndarray, alpha: float, beta: float) -> float:

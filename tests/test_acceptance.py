@@ -17,7 +17,6 @@ from shiftzoo.ensemble_train import (
     MlpHead,
     apply_mode,
     batch_weights,
-    benchmark_train_config,
     head_loss_and_grads,
     train,
 )
@@ -34,7 +33,7 @@ from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import SynthSpec, build_zoo
 
-from oracle_utils import grid_argmax_ties, hsic_b, quadratic_hsic
+from oracle_utils import benchmark_train_config, grid_argmax_ties, hsic_b, quadratic_hsic
 
 
 @contextmanager

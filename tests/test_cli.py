@@ -615,3 +615,48 @@ def test_profile_accepts_a_negative_seed(zoo_dir, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main([*_argv("profile", zoo_dir, out), "--seed", "-1"]) == 0
     assert json.loads(out.read_text())["seed"] == -1
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_train_has_no_dropout(zoo_dir, tmp_path, capsys, via):
+    out = tmp_path / "out"
+    argv = _argv("train", zoo_dir, out)
+    if via == "flag":
+        argv += ["--dropout", "0.1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dropout": 0.1}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "dropout" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_temperature_that_underflows_the_weights_exits_2_naming_it(
+    zoo_dir, tmp_path, capsys
+):
+    out = tmp_path / "out.json"
+    argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
+            "--main", "main_full", "--rew-aux", "cor_heavy", "--mode", "rew",
+            "--target", "domain2", "--steps", "50", "--eval-every", "10", "--anneal", "5",
+            "--aux-steps", "200", "--aux-lr", "1e-2"]
+    # (prior / p_y) ** (1 / T) underflows to 0 on rows the classifier gets right
+    assert main([*argv, "--temperature", "0.001"]) == 2
+    err = capsys.readouterr().err
+    assert "temperature 0.001" in err and "Traceback" not in err
+    assert not out.exists()
+    assert main([*argv, "--temperature", "0.01"]) == 0
+
+
+def test_out_of_memory_exits_1_without_a_traceback(zoo_dir, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "train", exhausted)
+    out = tmp_path / "out"
+    assert main(_argv("train", zoo_dir, out)) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+    )
+    assert not out.exists()

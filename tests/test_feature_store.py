@@ -157,6 +157,17 @@ def test_build_feature_set_rejects_length_mismatch():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_feature_set_rejects_non_finite_features(bad):
+    feats = np.zeros((4, 2), dtype=np.float32)
+    feats[2, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        build_feature_set(
+            "d0", feats, np.array([0, 1, 0, 1]), dataset_name="ds", n_classes=2,
+            split_ratio=0.25, seed=0,
+        )
+
+
 def test_feature_set_split_accessors():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(100, 5)).astype(np.float32)
@@ -264,3 +275,17 @@ def test_save_and_load_feature_set_roundtrip(tmp_path):
     assert np.array_equal(back.features.view(np.uint32), fs.features.view(np.uint32))
     assert np.array_equal(back.labels, fs.labels)
     assert np.array_equal(back.split_mask, fs.split_mask)
+
+
+def test_loading_checks_each_matrix_for_non_finite_values_once(tmp_path, monkeypatch):
+    manifest = _tiny_manifest(tmp_path)
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    fs = load_domain_features(manifest, "encA", "dom0")
+    assert calls == [fs.features.shape]

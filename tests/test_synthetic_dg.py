@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle_utils import benchmark_train_config
 
 import shiftzoo
 from shiftzoo.correlation_profile import dataset_correlation
-from shiftzoo.ensemble_train import TrainConfig, benchmark_train_config
+from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import FeatureSet, load_domain_features, load_manifest
 from shiftzoo.gaussian_profile import dataset_diversity
