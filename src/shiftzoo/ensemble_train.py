@@ -461,7 +461,9 @@ def rew_weights(
     """Per-sample weights for a batch: smoothed, clipped at 100, mean 1 (all 1 at T=inf)."""
     probs = aux.predict_proba(z)
     p_y = np.maximum(probs[np.arange(len(labels)), labels], P_FLOOR)
-    raw = (aux.class_prior[labels] / p_y) ** (1.0 / temperature)
+    # at a small temperature the power may overflow to inf; the clip below is meant for it
+    with np.errstate(over="ignore"):
+        raw = (aux.class_prior[labels] / p_y) ** (1.0 / temperature)
     try:
         return batch_weights(np.minimum(raw, WEIGHT_CLIP))
     except ValidationError:

@@ -12,15 +12,10 @@ fraction of their training rows under each other's fit:
 ``dataset_diversity`` fits each domain once per call; a pair only scores
 each side's training rows against the other side's fit.
 
-Distances are taken against the lower Cholesky factor L of the regularised
-covariance. The threshold comes from a triangular solve with L. Escape flags
-take a fast path: one matrix product with the precomputed inverse factor
-L^-1, whose distances differ from the solve's only by round-off. A guard band
-of 64 * d * eps * kappa * threshold (kappa = ||L||_F * ||L^-1||_F) bounds
-that round-off. If any row's distance falls inside the band around the
-threshold, the whole batch is solved with L instead, so every flag is the
-one the triangular solve gives. The fallback must solve the whole batch:
-OpenBLAS's solve of a row depends on the batch the row is solved in.
+Distances are taken against the inverse L^-1 of the lower Cholesky factor L
+of the regularised covariance: one matrix product and a row-wise sum of
+squares. The threshold and the escape flags come from that same product, so a
+validation row that sets the threshold sits exactly on it.
 """
 
 from __future__ import annotations
@@ -45,10 +40,8 @@ class DomainProfile:
 
     domain_id: str
     mean: np.ndarray
-    chol: np.ndarray
-    threshold: float
     inv_chol: np.ndarray
-    band: float  # distances closer than this to the threshold take the exact solve
+    threshold: float
 
 
 @dataclass(frozen=True)
@@ -100,12 +93,14 @@ def regularize_and_factor(cov: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE)
         ) from exc
 
 
-def mahalanobis_sq(mean: np.ndarray, chol: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of rows of ``x`` via triangular solve."""
-    diff = np.subtract(np.atleast_2d(x), mean, dtype=np.float64)
-    # solve L y = diff^T, then d^2 = ||y||^2 columnwise
-    y = scipy.linalg.solve_triangular(chol, diff.T, lower=True, check_finite=False)
-    return np.sum(y * y, axis=0)
+def mahalanobis_sq(mean: np.ndarray, inv_chol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances ||(x - mean) L^-T||^2 of the rows of ``x``.
+
+    Float32 rows are widened (exactly) inside the subtraction of the mean, so
+    no float64 copy of ``x`` is made.
+    """
+    y = np.subtract(np.atleast_2d(x), mean, dtype=np.float64) @ inv_chol.T
+    return np.einsum("ij,ij->i", y, y)
 
 
 def estimate_threshold(distances: np.ndarray, quantile: float = DEFAULT_QUANTILE) -> float:
@@ -149,35 +144,16 @@ def fit_profile(
             "this means training collapsed (try a lower learning rate)"
         )
     chol = regularize_and_factor(cov, shrinkage)
-    threshold = estimate_threshold(mahalanobis_sq(mean, chol, val), quantile)
-    d = chol.shape[0]
-    inv_chol = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True, check_finite=False)
-    kappa = float(np.linalg.norm(chol)) * float(np.linalg.norm(inv_chol))
-    band = 64.0 * d * float(np.finfo(np.float64).eps) * kappa * threshold
-    return DomainProfile(
-        domain_id=fs.domain_id,
-        mean=mean,
-        chol=chol,
-        threshold=threshold,
-        inv_chol=inv_chol,
-        band=band,
+    inv_chol = scipy.linalg.solve_triangular(
+        chol, np.eye(chol.shape[0]), lower=True, check_finite=False
     )
+    threshold = estimate_threshold(mahalanobis_sq(mean, inv_chol, val), quantile)
+    return DomainProfile(domain_id=fs.domain_id, mean=mean, inv_chol=inv_chol, threshold=threshold)
 
 
 def escape_mask(profile: DomainProfile, x: np.ndarray) -> np.ndarray:
-    """True where a row's squared distance strictly exceeds the threshold.
-
-    Equal, flag for flag, to ``mahalanobis_sq(mean, chol, x) > threshold``
-    on the whole batch ``x``. Float32 rows are widened (exactly) inside the
-    subtraction of the mean, so no float64 copy of ``x`` is made.
-    """
-    x = np.atleast_2d(x)
-    y = np.subtract(x, profile.mean, dtype=np.float64) @ profile.inv_chol.T
-    d2 = np.einsum("ij,ij->i", y, y)
-    # written so that a NaN distance or an infinite band also falls back
-    if (np.abs(d2 - profile.threshold) > profile.band).all():
-        return d2 > profile.threshold
-    return mahalanobis_sq(profile.mean, profile.chol, x) > profile.threshold
+    """True where a row's squared distance strictly exceeds the threshold."""
+    return mahalanobis_sq(profile.mean, profile.inv_chol, x) > profile.threshold
 
 
 def diversity_shift(
@@ -194,7 +170,7 @@ def diversity_shift(
         )
     if (profile_a.domain_id, profile_b.domain_id) != (fs_a.domain_id, fs_b.domain_id):
         raise ValidationError("domain profiles do not match the given feature sets")
-    # the stored float32 rows: escape_mask widens them to float64 as it centres them
+    # the stored float32 rows: mahalanobis_sq widens them to float64 as it centres them
     escape_a = escape_mask(profile_b, fs_a.features[~fs_a.split_mask])
     escape_b = escape_mask(profile_a, fs_b.features[~fs_b.split_mask])
     f_div = 0.5 * (float(escape_a.mean()) + float(escape_b.mean()))

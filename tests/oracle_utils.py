@@ -20,12 +20,15 @@ LogME fixed point that evaluates the evidence terms twice at each point and
 once more for the final posterior mean; the package's ``_fit_class``, which
 evaluates each point once, must reproduce every field of it bit for bit.
 ``benchmark_train_config`` is the desk-scale training preset that the
-planted-shift benchmark tests train with.
+planted-shift benchmark tests train with. ``reference_mahalanobis_sq`` is
+the triangular solve with the Cholesky factor L that the package's one
+product with L^-1 must match within round-off.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from shiftzoo.correlation_profile import (
     PRECISION_RANGE,
@@ -62,6 +65,13 @@ def hsic_from_kernels(k: np.ndarray, l: np.ndarray) -> float:
     term_marginal = float(np.mean(k)) * float(np.mean(l))
     term_row = 2.0 * float(np.mean(k.mean(axis=1) * l.mean(axis=1)))
     return term_cross + term_marginal - term_row
+
+
+def reference_mahalanobis_sq(mean: np.ndarray, chol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of the rows of ``x``: solve L y = (x - mean)^T."""
+    diff = np.atleast_2d(x).astype(np.float64) - mean
+    y = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
+    return np.sum(y * y, axis=0)
 
 
 def reference_gaussian_kernel(z: np.ndarray, gamma: float) -> np.ndarray:

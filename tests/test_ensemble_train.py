@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,19 @@ def test_rew_weight_examples():
     w0 = rew_weights(aux0, z, np.array([2, 1]), temperature=1.0)
     assert np.isfinite(w0).all()
     assert w0[0] / w0[1] == pytest.approx(WEIGHT_CLIP)
+
+
+def test_rew_weights_overflow_to_the_clip_warns_nothing():
+    # a confident classifier: p(y) is exactly 1 or 0 (floored at P_FLOOR), so at
+    # T = 0.01 a ruled-out label's raw weight (0.5 / P_FLOOR)^100 overflows to
+    # inf and is clipped to WEIGHT_CLIP, while a sure label's is 0.5^100
+    aux = _fixed_aux([0.0, -1e3], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = rew_weights(aux, np.zeros((3, 1)), np.array([0, 1, 1]), temperature=0.01)
+    # 2^-100 * 3/200 and 100 * 3/200, bit for bit
+    want = np.array([float.fromhex("0x1.eb851eb851eb8p-107"), 1.5, 1.5])
+    assert w.tobytes() == want.tobytes()
 
 
 def test_batch_weights_examples_and_properties():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from oracle_utils import reference_mahalanobis_sq
 from shiftzoo import gaussian_profile
 from shiftzoo.errors import NumericalError, ValidationError
 from shiftzoo.feature_store import build_feature_set
@@ -31,6 +32,12 @@ def _make_set(domain_id, x, y, n_classes=2, seed=0, ratio=0.2):
 
 def _pair(fa, fb):
     return diversity_shift(fa, fb, fit_profile(fa), fit_profile(fb))
+
+
+def _fit(x, shrinkage):
+    """Mean and inverse Cholesky factor L^-1 of the rows of ``x``."""
+    mean, cov = fit_gaussian(x)
+    return mean, np.linalg.inv(regularize_and_factor(cov, shrinkage))
 
 
 def test_fit_gaussian_matches_numpy_biased_cov():
@@ -98,15 +105,18 @@ def test_identical_training_rows_end_in_the_zero_variance_error(row, n, val_nois
 
 def test_mahalanobis_matches_explicit_inverse():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(200, 5))
-    mean, cov = fit_gaussian(x)
+    fs = _make_set("a", rng.normal(size=(200, 5)), rng.integers(0, 2, size=200))
+    profile = fit_profile(fs, shrinkage=1e-3)
+    mean, cov = fit_gaussian(fs.features[~fs.split_mask])
+    # the profile's L^-1 inverts the Cholesky factor of the regularised covariance
     chol = regularize_and_factor(cov, shrinkage=1e-3)
+    np.testing.assert_allclose(profile.inv_chol @ chol, np.eye(5), atol=1e-12)
     reg = cov + 1e-3 * (np.trace(cov) / 5) * np.eye(5)
     inv = np.linalg.inv(reg)
     q = rng.normal(size=(30, 5))
     diff = q - mean
     want = np.einsum("ij,jk,ik->i", diff, inv, diff)
-    got = mahalanobis_sq(mean, chol, q)
+    got = mahalanobis_sq(profile.mean, profile.inv_chol, q)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -143,18 +153,14 @@ def test_mahalanobis_affine_invariance():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(300, 4))
     q = rng.normal(size=(50, 4))
-    mean, cov = fit_gaussian(x)
-    chol = regularize_and_factor(cov, shrinkage=0.0)
-    base = mahalanobis_sq(mean, chol, q)
+    base = mahalanobis_sq(*_fit(x, 0.0), q)
     for seed in range(5):
         rng2 = np.random.default_rng(100 + seed)
         qmat, _ = np.linalg.qr(rng2.normal(size=(4, 4)))
         a = qmat @ np.diag(rng2.uniform(0.5, 2.0, size=4))
         b = rng2.normal(size=4)
         xt, qt = x @ a.T + b, q @ a.T + b
-        mean_t, cov_t = fit_gaussian(xt)
-        chol_t = regularize_and_factor(cov_t, shrinkage=0.0)
-        np.testing.assert_allclose(mahalanobis_sq(mean_t, chol_t, qt), base, rtol=1e-8)
+        np.testing.assert_allclose(mahalanobis_sq(*_fit(xt, 0.0), qt), base, rtol=1e-8)
 
 
 def test_threshold_tracks_chi_square_quantile():
@@ -241,23 +247,26 @@ def test_escape_mask_equals_the_full_batch_solve(
         profile = fit_profile(fa, shrinkage=shrinkage)
     except NumericalError:
         assume(False)
-
-    def solved(x):
-        return mahalanobis_sq(profile.mean, profile.chol, x) > profile.threshold
-
-    for x in (fb.train_features, fa.train_features):
-        np.testing.assert_array_equal(escape_mask(profile, x), solved(x))
-    # the domain's own validation rows: one of them sets the threshold, so its
-    # solved distance equals it, and the product's round-off lands in the band
+    chol = regularize_and_factor(fit_gaussian(fa.features[~fa.split_mask])[1], shrinkage)
     val = fa.val_features
-    assert (mahalanobis_sq(profile.mean, profile.chol, val) == profile.threshold).any()
-    y_val = (val - profile.mean) @ profile.inv_chol.T
-    gemm_val = np.einsum("ij,ij->i", y_val, y_val)
-    assert (np.abs(gemm_val - profile.threshold) <= profile.band).any()
-    np.testing.assert_array_equal(escape_mask(profile, val), solved(val))
-    # a band that covers every row sends the whole batch to the solve
-    wide = replace(profile, band=np.inf)
-    np.testing.assert_array_equal(escape_mask(wide, fb.train_features), solved(fb.train_features))
+    for x in (fb.train_features, fa.train_features, val):
+        got = mahalanobis_sq(profile.mean, profile.inv_chol, x)
+        solved = reference_mahalanobis_sq(profile.mean, chol, x)
+        np.testing.assert_allclose(got, solved, rtol=1e-9)
+        # wherever round-off cannot move a distance across the threshold,
+        # the flags are the solve's
+        clear = np.abs(solved - profile.threshold) > 2e-9 * profile.threshold
+        np.testing.assert_array_equal(
+            escape_mask(profile, x)[clear], (solved > profile.threshold)[clear]
+        )
+    # the threshold is one of the validation rows' own distances, so at most
+    # k = ceil(0.01 * n_val) of them escape, and exactly k when they are distinct
+    k = int(np.ceil(0.01 * len(val) - 1e-9))
+    flags = escape_mask(profile, val)
+    assert flags.sum() <= k
+    d2 = mahalanobis_sq(profile.mean, profile.inv_chol, val)
+    if np.unique(d2).size == d2.size:
+        assert flags.sum() == k
 
 
 def test_escape_flags_come_from_the_stored_float32_rows(monkeypatch):
@@ -266,12 +275,13 @@ def test_escape_flags_come_from_the_stored_float32_rows(monkeypatch):
     fa = _make_set("a", rng.normal(size=(400, 5)).astype(np.float32), y)
     fb = _make_set("b", (rng.normal(size=(400, 5)) + 0.5).astype(np.float32), y)
     profile_a, profile_b = fit_profile(fa), fit_profile(fb)
-    # float32 rows give the float64 rows' flags, on the product and on the solve
+    # float32 rows give the float64 rows' flags
     for profile, fs in ((profile_b, fa), (profile_a, fb)):
         rows = fs.features[~fs.split_mask]
         assert rows.dtype == np.float32
-        for p in (profile, replace(profile, band=np.inf)):
-            np.testing.assert_array_equal(escape_mask(p, rows), escape_mask(p, fs.train_features))
+        np.testing.assert_array_equal(
+            escape_mask(profile, rows), escape_mask(profile, fs.train_features)
+        )
     # scoring a pair makes no float64 copy of either domain's training rows
     copies = []
     real = type(fa).train_features
@@ -313,15 +323,6 @@ def test_float32_rows_widened_inside_the_fit_and_the_distances(n, d, scale, offs
 def test_shrinkage_must_be_finite_and_non_negative(shrinkage):
     with pytest.raises(ValidationError, match="shrinkage must be finite and >= 0"):
         regularize_and_factor(np.eye(3), shrinkage)
-
-
-def test_escape_mask_band_scales_with_width_condition_and_threshold():
-    rng = np.random.default_rng(12)
-    fs = _make_set("a", rng.normal(size=(400, 6)).astype(np.float32), rng.integers(0, 2, 400))
-    p = fit_profile(fs)
-    kappa = np.linalg.norm(p.chol) * np.linalg.norm(p.inv_chol)
-    assert p.band == 64 * 6 * np.finfo(np.float64).eps * kappa * p.threshold
-    np.testing.assert_allclose(p.inv_chol @ p.chol, np.eye(6), atol=1e-12)
 
 
 def test_diversity_rejects_dim_mismatch():
