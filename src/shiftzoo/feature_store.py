@@ -134,7 +134,7 @@ def write_features(path: Path | str, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(memoryview(arr))  # straight from the array's buffer, no copy
 
 
 def read_feature_header(path: Path | str) -> tuple[int, int]:
@@ -171,7 +171,7 @@ def write_labels(path: Path | str, labels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(LABEL_MAGIC)
         fh.write(struct.pack("<I", arr.shape[0]))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(memoryview(arr))  # straight from the array's buffer, no copy
 
 
 def read_labels(path: Path | str) -> np.ndarray:

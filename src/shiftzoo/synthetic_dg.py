@@ -20,6 +20,12 @@ linear map and a leaky rectifier; the built zoo contains a clean encoder
 (core only), a diversity-heavy one (core+div), a correlation-heavy one
 (core+spur), a full encoder used as the main model, and mixed randoms that
 see at most half of each shifted block.
+
+Memory: ``generate`` writes each domain straight into one float32 matrix,
+drawing and finishing each block one row block of float64 at a time (see
+``BLOCK_DOUBLES``). ``build_zoo`` then holds the raw domains, one encoder's
+projection, one domain's float32 encoding and the two float64 buffers of one
+row block at a time; it makes no full-width float64 copy of a domain.
 """
 
 from __future__ import annotations
@@ -47,6 +53,17 @@ from .feature_store import (
 CORE_SCALE = 1.8  # class-mean separation in the core block, in noise units
 PATTERN_NORM = 3.0  # length of each spur class pattern
 LEAKY_SLOPE = 0.2
+# Rows are drawn and encoded in blocks of about BLOCK_DOUBLES float64 values
+# (1 MiB, so a block's elementwise passes stay in cache and a desk-width
+# domain is one block), but of at least MIN_BLOCK_ROWS rows, so that each
+# product's pass over a wide projection is shared by enough rows. Blocks hold
+# a multiple of 48 rows, the row cut that keeps every element of an OpenBLAS
+# product's bits (see ensemble_train.SPLIT_MACS), and the last block also
+# takes the remainder: a one-row block would go to the matrix-vector kernel
+# and can change the last bit.
+BLOCK_DOUBLES = 1 << 17
+MIN_BLOCK_ROWS = 480
+_ROW_ALIGN = 48
 
 
 @dataclass(frozen=True)
@@ -135,6 +152,38 @@ def _spur_patterns(rng: np.random.Generator, n_classes: int, dim: int) -> np.nda
     return patterns
 
 
+def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of each row block of an n-row matrix of this width."""
+    rows = max(MIN_BLOCK_ROWS, BLOCK_DOUBLES // max(width, 1) // _ROW_ALIGN * _ROW_ALIGN)
+    cuts = [i * rows for i in range(max(n // rows, 1))] + [n]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _fill_noisy(
+    rng: np.random.Generator,
+    x: np.ndarray,
+    cols: slice,
+    labels: np.ndarray,
+    centers: np.ndarray,
+    sigma: float,
+    signs: np.ndarray | None = None,
+) -> None:
+    """x[:, cols] = signs * centers[labels] + sigma * N(0, 1), one row block at a time.
+
+    The normals come in row order, so the stream is that of one whole-block
+    draw; IEEE addition commutes, so ``b *= sigma; b += c`` has the bits of
+    ``c + sigma * b``, and a +/-1 sign multiplies exactly.
+    """
+    for lo, hi in _row_blocks(x.shape[0], cols.stop - cols.start):
+        b = rng.normal(size=(hi - lo, cols.stop - cols.start))
+        b *= sigma
+        c = centers[labels[lo:hi]]
+        if signs is not None:
+            c *= signs[lo:hi, None]
+        b += c
+        x[lo:hi, cols] = b
+
+
 def _balanced_labels(rng: np.random.Generator, n: int, n_classes: int) -> np.ndarray:
     reps = -(-n // n_classes)
     labels = np.tile(np.arange(n_classes), reps)[:n]
@@ -155,13 +204,16 @@ def generate(
         rng = np.random.default_rng(dseed)
         n = spec.samples_per_domain
         labels = _balanced_labels(rng, n, spec.n_classes)
-        blocks = []
+        x = np.empty((n, spec.dim_total), dtype=np.float32)
+        core = slice(0, spec.dim_core)
+        div = slice(core.stop, core.stop + spec.dim_div)
+        spur = slice(div.stop, spec.dim_total)
         if spec.dim_core:
-            blocks.append(means[labels] + spec.noise_sigma * rng.normal(size=(n, spec.dim_core)))
+            _fill_noisy(rng, x, core, labels, means, spec.noise_sigma)
         if spec.dim_div:
-            blocks.append(
-                e * spec.div_offset + spec.noise_sigma * rng.normal(size=(n, spec.dim_div))
-            )
+            # every class is centred at the domain's offset
+            centers = np.full((spec.n_classes, spec.dim_div), e * spec.div_offset)
+            _fill_noisy(rng, x, div, labels, centers, spec.noise_sigma)
         if spec.dim_spur:
             # sign mixture: each row carries its own class pattern with
             # probability (1 + strength) / 2, otherwise the partner's.
@@ -169,12 +221,8 @@ def generate(
             # over a +/- class pair is strength-free, so nothing leaks into
             # the diversity axis.
             own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
-            signs = np.where(own, 1.0, -1.0)[:, None]
-            blocks.append(
-                signs * patterns[labels]
-                + spec.noise_sigma * rng.normal(size=(n, spec.dim_spur))
-            )
-        x = np.concatenate(blocks, axis=1).astype(np.float32)
+            signs = np.where(own, 1.0, -1.0)
+            _fill_noisy(rng, x, spur, labels, patterns, spec.noise_sigma, signs)
         sets.append(
             build_feature_set(
                 f"domain{e}",
@@ -227,18 +275,47 @@ class SynthEncoder:
         return len(self.coord_indices)
 
     def projection(self) -> np.ndarray:
+        # LAPACK's QR can take other bits under another OpenBLAS thread count
+        # (seen at d = 446 and 1032), so it runs on one thread. Imported
+        # here: blas_threads loads scipy, which the generator does not need.
+        from .blas_threads import single_blas_thread
+
         rng = np.random.default_rng(self.seed)
         d = self.dim
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        return q * rng.uniform(0.8, 1.25, size=d)  # scales column j of q by u[j]
+        with single_blas_thread():
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        q *= rng.uniform(0.8, 1.25, size=d)  # scales column j of q by u[j]
+        return q
 
     def transform(self, x: np.ndarray) -> np.ndarray:
+        """The float32 features that ``build_zoo`` stores for raw rows ``x``."""
         return _encode(x, self.coord_indices, self.projection())
 
 
 def _encode(x: np.ndarray, coord_indices: tuple[int, ...], projection: np.ndarray) -> np.ndarray:
-    z = np.asarray(x, dtype=np.float64)[:, list(coord_indices)] @ projection
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
+    """leaky(x[:, coord_indices] @ projection) as float32, one row block at a time.
+
+    Each block's columns are gathered and widened to float64 (exact, so these
+    are the bits of widening first), multiplied into a reused buffer, and
+    rectified as max(z, slope * z), which has the bits of
+    where(z > 0, z, slope * z) for every double, signed zeros, subnormals,
+    infinities and NaN included. Only the float32 result, two row blocks of
+    float64 and one block's float32 gather are alive at once.
+    """
+    cols = np.asarray(coord_indices, dtype=np.intp)
+    n, d = x.shape[0], projection.shape[1]
+    out = np.empty((n, d), dtype=np.float32)
+    blocks = _row_blocks(n, d)
+    rows = max(hi - lo for lo, hi in blocks)
+    # the projection is square, so one buffer holds the gathered block and then slope * z
+    xb, zb = np.empty((rows, d)), np.empty((rows, d))
+    for lo, hi in blocks:
+        xr, zr = xb[: hi - lo], zb[: hi - lo]
+        np.copyto(xr, np.take(x[lo:hi], cols, axis=1))
+        np.matmul(xr, projection, out=zr)
+        np.multiply(zr, LEAKY_SLOPE, out=xr)
+        np.maximum(zr, xr, out=out[lo:hi], casting="same_kind")
+    return out
 
 
 ZOO_ROLES = ("clean", "div_heavy", "cor_heavy", "main_full")
@@ -286,7 +363,12 @@ def build_zoo(
 
     Emits FZF1/FZL1 files, a manifest, and a ground-truth card naming the
     planted-extreme encoder for each shift axis. Byte-identical across runs
-    with the same spec.
+    with the same spec, and across OpenBLAS thread counts wherever
+    ``blas_threads`` finds OpenBLAS.
+
+    Memory: the raw float32 domains, one encoder's float64 projection, one
+    domain's float32 encoding and the two float64 buffers of one row block
+    (see ``BLOCK_DOUBLES``) are alive at a time.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
@@ -308,14 +390,13 @@ def build_zoo(
         domains.append(DomainInfo(fs.domain_id, fs.n_samples, label_file))
     infos = []
     for enc in encoders:
-        # one projection per encoder, shared by its domains
+        # one projection per encoder, shared by its domains and freed before
+        # the next encoder's QR; one domain's encoding alive at a time
         projection = enc.projection()
         files = {}
         for fs in raw_sets:
             fname = f"{enc.encoder_id}_{fs.domain_id}.fzf"
-            z = _encode(fs.features, enc.coord_indices, projection)
-            write_features(out_dir / fname, z.astype(np.float32))
-            del z  # one domain's encoding alive at a time
+            write_features(out_dir / fname, _encode(fs.features, enc.coord_indices, projection))
             files[fs.domain_id] = fname
         del projection
         infos.append(EncoderInfo(enc.encoder_id, enc.dim, files))

@@ -22,7 +22,12 @@ evaluates each point once, must reproduce every field of it bit for bit.
 ``benchmark_train_config`` is the desk-scale training preset that the
 planted-shift benchmark tests train with. ``reference_mahalanobis_sq`` is
 the triangular solve with the Cholesky factor L that the package's one
-product with L^-1 must match within round-off.
+product with L^-1 must match within round-off. ``reference_encode`` is the
+synthetic encoder as one whole-matrix float64 product and ``np.where``
+rectifier, cast to the float32 that the zoo stores; the package's row-blocked
+``_encode`` must reproduce it bit for bit, and ``reference_generate`` is the
+generator's whole-domain float64 formula, concatenated and then cast, that
+the package's in-place, row-blocked ``generate`` must reproduce bit for bit.
 """
 
 import math
@@ -40,6 +45,13 @@ from shiftzoo.correlation_profile import (
 from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import ValidationError
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
+from shiftzoo.synthetic_dg import (
+    LEAKY_SLOPE,
+    SynthSpec,
+    _balanced_labels,
+    _class_means,
+    _spur_patterns,
+)
 
 
 def hsic_b(
@@ -431,4 +443,36 @@ def loop_calibrator_apply(bin_accuracy: np.ndarray, n_bins: int, probs: np.ndarr
         acc = bin_accuracy[k, idx[:, k]]
         hit = ~np.isnan(acc)
         out[hit, k] = acc[hit]
+    return out
+
+
+def reference_encode(x: np.ndarray, coord_indices, projection: np.ndarray) -> np.ndarray:
+    """leaky(x[:, coord_indices] @ projection) over the whole matrix, as float32."""
+    z = np.asarray(x, dtype=np.float64)[:, list(coord_indices)] @ projection
+    return np.where(z > 0, z, LEAKY_SLOPE * z).astype(np.float32)
+
+
+def reference_generate(spec: SynthSpec) -> list[np.ndarray]:
+    """Each domain's raw float32 features, every block drawn whole in float64."""
+    ss = np.random.SeedSequence(spec.seed)
+    ss_means, ss_patterns, *domain_seeds = ss.spawn(2 + spec.n_domains)
+    means = _class_means(np.random.default_rng(ss_means), spec.n_classes, spec.dim_core)
+    patterns = _spur_patterns(np.random.default_rng(ss_patterns), spec.n_classes, spec.dim_spur)
+    out = []
+    for e, dseed in enumerate(domain_seeds):
+        rng = np.random.default_rng(dseed)
+        n = spec.samples_per_domain
+        labels = _balanced_labels(rng, n, spec.n_classes)
+        blocks = []
+        if spec.dim_core:
+            blocks.append(means[labels] + spec.noise_sigma * rng.normal(size=(n, spec.dim_core)))
+        if spec.dim_div:
+            blocks.append(e * spec.div_offset + spec.noise_sigma * rng.normal(size=(n, spec.dim_div)))
+        if spec.dim_spur:
+            own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
+            signs = np.where(own, 1.0, -1.0)[:, None]
+            blocks.append(
+                signs * patterns[labels] + spec.noise_sigma * rng.normal(size=(n, spec.dim_spur))
+            )
+        out.append(np.concatenate(blocks, axis=1).astype(np.float32))
     return out

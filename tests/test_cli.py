@@ -75,6 +75,31 @@ def test_profile_bytes_independent_of_jobs(zoo_dir, profile_path, tmp_path):
         assert out.read_bytes() == profile_path.read_bytes()
 
 
+def test_synth_bytes_independent_of_blas_threads(tmp_path):
+    """A zoo of 1032-wide encoders under 1 and 2 OpenBLAS threads.
+
+    Unpinned, LAPACK's QR gives the 1032-wide projections other last bits
+    under two threads, and ``cor_heavy_domain1.fzf`` differs. ``synth`` pins
+    OpenBLAS to one thread for each projection, so both runs write the same
+    bytes.
+    """
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "SHIFTZOO_SEED")}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftzoo.cli", "synth", "--out", str(tmp_path / threads),
+             "--seed", "0", "--samples", "1000", "--dim-core", "32", "--dim-div", "1000",
+             "--dim-spur", "1000"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_profile_bytes_independent_of_blas_threads(tmp_path):
     """One encoder of a 6-domain, 256-wide zoo under 1 and 2 OpenBLAS threads.
 

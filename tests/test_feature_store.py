@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_empty_feature_file_roundtrip(tmp_path):
     write_features(p, np.zeros((0, 7), dtype=np.float32))
     out = read_features(p)
     assert out.shape == (0, 7)
+
+
+def test_write_features_writes_from_the_array_buffer(tmp_path):
+    matrix = np.random.default_rng(0).standard_normal(size=(1000, 1000), dtype=np.float32)
+    p = tmp_path / "big.fzf"
+    tracemalloc.start()
+    try:
+        write_features(p, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a bytes copy of the payload would trace 4 MB
+    assert peak < matrix.nbytes // 8
+    assert p.read_bytes()[12:] == matrix.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracle_utils import benchmark_train_config
+from oracle_utils import benchmark_train_config, reference_encode, reference_generate
 
 import shiftzoo
+from shiftzoo import synthetic_dg
 from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import ValidationError
@@ -17,10 +19,11 @@ from shiftzoo.feature_store import FeatureSet, load_domain_features, load_manife
 from shiftzoo.gaussian_profile import dataset_diversity
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import (
-    LEAKY_SLOPE,
     ZOO_ROLES,
     SynthEncoder,
     SynthSpec,
+    _encode,
+    _row_blocks,
     _spur_patterns,
     build_zoo,
     generate,
@@ -144,11 +147,95 @@ def test_encoder_is_deterministic_and_leaky():
     enc = SynthEncoder("e", (0, 1, 2), 21)
     x = np.random.default_rng(0).normal(size=(40, 5))
     z1, z2 = enc.transform(x), enc.transform(x)
-    assert np.array_equal(z1, z2)
-    pre = x[:, :3] @ enc.projection()
-    neg = pre < 0
-    np.testing.assert_allclose(z1[neg], LEAKY_SLOPE * pre[neg], atol=1e-12)
-    np.testing.assert_allclose(z1[~neg], pre[~neg], atol=1e-12)
+    assert z1.dtype == np.float32
+    assert z1.tobytes() == z2.tobytes()
+    assert z1.tobytes() == reference_encode(x, (0, 1, 2), enc.projection()).tobytes()
+    assert (z1 < 0).any() and (z1 > 0).any()
+
+
+def test_row_blocks_are_aligned_and_never_short():
+    # a desk-width domain is one block; at width 2048 blocks hold 480 rows
+    assert _row_blocks(2000, 16) == [(0, 2000)]
+    assert _row_blocks(2000, 2048) == [(0, 480), (480, 960), (960, 1440), (1440, 2000)]
+    for n in (1, 47, 48, 481, 1001, 4000):
+        for width in (1, 12, 1032, 2048, 10**6):
+            blocks = _row_blocks(n, width)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            # cuts on multiples of 48, and the remainder rides with the last
+            # block, so no block but a whole domain is shorter than 48 rows
+            assert all(lo % 48 == 0 for lo, _ in blocks)
+            assert len(blocks) == 1 or min(hi - lo for lo, hi in blocks) >= 48
+
+
+@pytest.mark.parametrize("block_rows", [None, 48, 96])
+@pytest.mark.parametrize("width", [12, 192, 1032])
+def test_blocked_encode_matches_whole_matrix_reference(monkeypatch, width, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(synthetic_dg, "MIN_BLOCK_ROWS", 48)
+        monkeypatch.setattr(synthetic_dg, "BLOCK_DOUBLES", block_rows * width)
+        assert len(_row_blocks(1001, width)) > 1
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(1001, width + 9)).astype(np.float32)
+    x[::17] = 0.0  # whole rows of exact +0
+    x[3::17, ::2] = -0.0
+    # a column set that is no one contiguous range
+    cols = tuple(sorted(rng.choice(width + 9, size=width, replace=False).tolist()))
+    assert cols != tuple(range(cols[0], cols[0] + width))
+    projection = SynthEncoder("e", cols, 7).projection()
+    z = _encode(x, cols, projection)
+    assert z.dtype == np.float32 and z.shape == (1001, width)
+    assert z.tobytes() == reference_encode(x, cols, projection).tobytes()
+
+
+def test_encode_rectifier_keeps_the_bits_of_where_on_special_values():
+    values = [0.0, -0.0, 1e-45, -1e-45, 1e-40, -1e-40, 1.5, -1.5, 3e38, -3e38,
+              np.inf, -np.inf, np.nan]
+    x = np.array(values, dtype=np.float32)[:, None]
+    # 1e-300 makes subnormal doubles out of the small inputs
+    for scale in (1.0, -1.0, 1e-300, -1e-300):
+        projection = np.array([[scale]])
+        z = _encode(x, (0,), projection)
+        assert z.tobytes() == reference_encode(x, (0,), projection).tobytes()
+
+
+def test_encode_allocates_its_output_and_a_few_row_blocks():
+    rng = np.random.default_rng(0)
+    n, d = 2000, 2048
+    x = rng.standard_normal(size=(n, d), dtype=np.float32)
+    projection = rng.normal(size=(d, d))
+    cols = tuple(range(d))
+    tracemalloc.start()
+    try:
+        z = _encode(x, cols, projection)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 16.4 MB of float32 output plus two float64 row-block buffers and the
+    # float32 gather (about 23 MB); a whole-matrix float64 encode peaks near
+    # 102 MB
+    block_bytes = 8 * d * max(hi - lo for lo, hi in _row_blocks(n, d))
+    assert peak <= z.nbytes + 3 * block_bytes
+
+
+@pytest.mark.parametrize("block_rows", [None, 48])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SynthSpec(seed=8),
+        SynthSpec(seed=3, n_classes=3, dim_core=5, dim_div=0, dim_spur=7, samples_per_domain=1001,
+                  div_offset=1.3, noise_sigma=0.7, spur_strength=(0.5, -0.2, 1.0)),
+    ],
+)
+def test_generate_matches_whole_domain_reference(monkeypatch, spec, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(synthetic_dg, "MIN_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(synthetic_dg, "BLOCK_DOUBLES", block_rows)
+        assert len(_row_blocks(spec.samples_per_domain, spec.dim_spur)) > 1
+    sets, _ = generate(spec)
+    for fs, expected in zip(sets, reference_generate(spec), strict=True):
+        assert fs.features.dtype == np.float32
+        assert fs.features.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("width", [5, 1024])
@@ -195,7 +282,7 @@ def test_build_zoo_projects_once_per_encoder(tmp_path, monkeypatch):
     for enc in encoders:
         for fs in raw_sets:
             stored = load_domain_features(manifest, enc.encoder_id, fs.domain_id).features
-            assert np.array_equal(stored, enc.transform(fs.features).astype(np.float32))
+            assert stored.tobytes() == enc.transform(fs.features).tobytes()
 
 
 def test_build_zoo_is_byte_deterministic(tmp_path):
