@@ -1,11 +1,12 @@
 """Correlation shift: evidence-maximised linear readouts compared on overlap rows.
 
 For each domain a one-vs-rest Bayesian linear regression is fit per class by
-maximising the log evidence over the prior/noise precisions (alpha, beta)
-with MacKay fixed-point updates, run in the eigenbasis of the Gram matrix
-Phi^T Phi (the right singular vectors of the feature matrix Phi). Each point
-of the iteration is evaluated once: one pass gives its evidence, its
-posterior mean and the terms of the next update.
+maximising the log evidence over the prior/noise precisions (alpha, beta), in
+the eigenbasis of the Gram matrix Phi^T Phi (the right singular vectors of
+the feature matrix Phi). With t = alpha / beta the optimal noise precision is
+beta*(t) = n / q(t), which leaves one scalar problem in log t: a log-spaced
+grid brackets each local maximum of the profiled evidence, a root of its
+slope pins it down, and the highest wins.
 Raw per-class outputs are clamped at zero and L1-normalised into pseudo
 probabilities, then recalibrated with equal-width accuracy bins built on the
 domain's own overlap rows. The correlation shift between domains a and b is
@@ -28,13 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet
 from .gaussian_profile import PairDiversity
 
 DEFAULT_BINS = 10
-RESIDUAL_FLOOR = 1e-12
-PRECISION_RANGE = (1e-12, 1e12)
+GRID_STEP = 0.4 * math.log(10.0)  # spacing in log t of the grid that brackets the maxima
+ROOT_TOL = 1e-12  # width in log t at which a bracketed root of the slope is taken
+EMPTY_CLASS_BETA = 1e12  # noise precision reported for a class without training rows
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,7 @@ class ClassRegression:
     alpha: float
     beta: float
     evidence: float  # log evidence per sample at (alpha, beta)
-    n_iters: int
-    clamped: bool
-    evidence_trace: tuple[float, ...]
+    n_iters: int  # rounds that refined roots of the slope in log(alpha / beta)
 
 
 @dataclass(frozen=True)
@@ -63,88 +64,110 @@ class EvidenceModel:
         return np.stack([r.weights for r in self.regressions], axis=1)
 
 
-def _evidence(
-    s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
-) -> tuple[float, np.ndarray, float, float, float]:
-    """Per-sample log evidence at (alpha, beta), the posterior mean in the
-    eigenbasis, the residual before its floor, the weight norm and the dof.
-
-    ``s`` holds the eigenvalues (squared singular values of Phi); a basis with
-    fewer than ``d`` of them counts each missing one as 0.
+def _evidence(log_t: np.ndarray, s: np.ndarray, v: np.ndarray, r0: float, n: int) -> np.ndarray:
+    """Profiled evidence per sample at each log t. With tau = t / (t + s) and
+    v = btilde^2 / s, res + t |m|^2 is q = r0 + sum(v tau), beta*(t) = n / q,
+    and 2n times the evidence is n log(n / q) - n - n log(2 pi) + sum(log tau).
     """
-    denom = alpha + beta * s
-    m_tilde = beta * btilde / denom
-    res = y_sq - 2.0 * float(m_tilde @ btilde) + float(s @ (m_tilde * m_tilde))
-    m_sq = float(m_tilde @ m_tilde)
-    gamma = float(np.sum(beta * s / denom))
-    log_det = float(np.sum(np.log(denom))) + (d - s.size) * math.log(alpha)
-    total = 0.5 * (
-        n * math.log(beta)
-        + d * math.log(alpha)
-        - n * math.log(2.0 * math.pi)
-        - beta * max(res, RESIDUAL_FLOOR)
-        - alpha * m_sq
-        - log_det
+    tau = 1.0 / (1.0 + s / np.exp(log_t)[:, None])
+    return 0.5 * (np.log(n / (r0 + tau @ v)) - 1.0 - _LOG_2PI + np.log(tau).sum(axis=1) / n)
+
+
+def _slope(log_t: np.ndarray, s: np.ndarray, v: np.ndarray, r0: float, n: int) -> np.ndarray:
+    """2n times the derivative of ``_evidence`` in log t at each log t.
+
+    That is gamma - alpha |m|^2 = sum(rho) - n sum(v tau rho) / q, with
+    rho = 1 - tau, or equally n (r0 + sum(v tau^2)) / q - (n - k) - sum(tau).
+    Each t takes the form whose sums are small, so neither cancels where the
+    evidence is flat.
+    """
+    t = np.exp(log_t)[:, None]
+    tau, rho = t / (t + s), s / (t + s)
+    q = r0 + tau @ v
+    above, below = rho.sum(axis=1), tau.sum(axis=1)
+    return np.where(
+        above < below,
+        above - n * ((tau * rho) @ v) / q,
+        n * (r0 + (tau * tau) @ v) / q - (n - s.size) - below,
     )
-    return total / n, m_tilde, res, m_sq, gamma
-
-
-def log_evidence(
-    s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
-) -> float:
-    """Per-sample log evidence of a Bayesian ridge model in the eigenbasis of Phi^T Phi."""
-    return _evidence(s, btilde, y_sq, n, d, alpha, beta)[0]
 
 
 def _fit_class(
-    s: np.ndarray,
-    btilde: np.ndarray,
-    y_sq: float,
-    n: int,
-    d: int,
-    max_iters: int,
-    tol: float,
-) -> tuple[float, float, np.ndarray, float, int, bool, tuple[float, ...]]:
-    """MacKay fixed point from alpha = beta = 1; each point is evaluated once."""
-    lo, hi = PRECISION_RANGE
-    alpha = beta = 1.0
-    clamped = False
-    ev, m_tilde, res, m_sq, gamma = _evidence(s, btilde, y_sq, n, d, alpha, beta)
-    trace = [ev]
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        if res < RESIDUAL_FLOOR:
-            res, clamped = RESIDUAL_FLOOR, True
-        if m_sq < RESIDUAL_FLOOR:
-            m_sq, clamped = RESIDUAL_FLOOR, True
-        new_alpha = min(max(gamma / m_sq, lo), hi)
-        new_beta = min(max((n - gamma) / res, lo), hi)
-        if new_alpha in (lo, hi) or new_beta in (lo, hi):
-            clamped = True
-        point = _evidence(s, btilde, y_sq, n, d, new_alpha, new_beta)
-        if point[0] < trace[-1] - 1e-12:
-            # fixed point overshot numerically; keep the best point seen
-            iters -= 1
-            break
-        ev, m_tilde, res, m_sq, gamma = point
-        trace.append(ev)
-        moved = max(
-            abs(new_alpha - alpha) / max(abs(alpha), RESIDUAL_FLOOR),
-            abs(new_beta - beta) / max(abs(beta), RESIDUAL_FLOOR),
-        )
-        alpha, beta = new_alpha, new_beta
-        if moved < tol:
-            break
-    return alpha, beta, m_tilde, trace[-1], iters, clamped, tuple(trace)
+    s: np.ndarray, btilde: np.ndarray, r0: float, n: int, grid: np.ndarray
+) -> tuple[float, int]:
+    """The t = alpha / beta of highest evidence for one target, and the rounds
+    spent refining roots of the slope. The local maxima on the ``grid`` of
+    log t are the ends where the slope points outward and the cells where it
+    turns from positive to not, each cut into 16 parts round after round
+    until the part that holds the turn is ROOT_TOL wide.
+    """
+    v = btilde * btilde / s
+    rising = _slope(grid, s, v, r0, n) > 0
+    peaks = [(grid[0], 0)] if not rising[0] else []
+    for j in np.flatnonzero(rising[:-1] & ~rising[1:]):
+        lo, hi, rounds = grid[j], grid[j + 1], 0
+        while hi - lo > ROOT_TOL:
+            u = np.linspace(lo, hi, 17)
+            turn = 1 + int(np.argmin(_slope(u[1:], s, v, r0, n) > 0))
+            lo, hi, rounds = u[turn - 1], u[turn], rounds + 1
+        peaks.append((0.5 * (lo + hi), rounds))
+    if rising[-1]:
+        peaks.append((grid[-1], 0))
+    evidence = _evidence(np.array([u for u, _ in peaks]), s, v, r0, n)
+    return math.exp(peaks[int(np.argmax(evidence))][0]), sum(rounds for _, rounds in peaks)
 
 
-def logme_fit(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
+def _fit_basis(
+    phi: np.ndarray, labels: np.ndarray, n_classes: int, s: np.ndarray, vt: np.ndarray
 ) -> EvidenceModel:
+    """Per-class fits in an eigenbasis of Phi^T Phi: eigenvalues ``s`` in
+    descending order, eigenvectors in the rows of ``vt``.
+
+    One rank rule serves the Gram matrix and an SVD of Phi alike: at most n
+    eigenvalues, each above max(n, d) * eps * s[0], so round-off is never
+    divided by. t runs from eps * s[k-1] to s[0] / eps, past which the
+    evidence no longer moves in double precision.
+    """
+    n, d = phi.shape
+    eps = np.finfo(np.float64).eps
+    k = min(n, d, int(np.count_nonzero(s > s[0] * max(n, d) * eps)))
+    if k == 0:
+        raise NumericalError("features have no nonzero entry, so LogME has no direction to fit")
+    s, vt = s[:k, None], vt[:k]
+    lo, hi = math.log(eps * s[-1, 0]), math.log(s[0, 0] / eps)
+    grid = np.linspace(lo, hi, 1 + math.ceil((hi - lo) / GRID_STEP))
+    targets = (labels[:, None] == np.arange(n_classes)).astype(np.float64)
+    btilde = vt @ (phi.T @ targets)
+
+    def outside(coef: np.ndarray) -> np.ndarray:  # |y - Phi V coef|^2 for each target
+        return np.sum((targets - phi @ (vt.T @ coef)) ** 2, axis=0)
+
+    # r0: the part of y outside the span, exactly 0 when k = n. With btilde = 0
+    # the evidence only rises with t, to the top of the range; y = 0 also has
+    # q = 0 there and an evidence unbounded in beta, so beta = EMPTY_CLASS_BETA.
+    r0 = outside(btilde / s) if k < n else np.zeros(n_classes)
+    fits = [
+        _fit_class(s[:, 0], col, r, n, grid) if col.any() else (math.exp(hi), 0)
+        for col, r in zip(btilde.T, r0)
+    ]
+    t = np.array([t_c for t_c, _ in fits])
+    # q = res + t |m|^2 at t, with y's share along the directions below t
+    # from the residual, not from btilde^2 / s, which a small s holds badly
+    above = s >= t
+    q = np.where(above, btilde**2 * t / (s * (t + s)), -(btilde**2) / (t + s)).sum(axis=0)
+    if k < n or not above.all():
+        q += outside(np.where(above, btilde / s, 0.0))
+    beta = np.divide(n, q, out=np.full(n_classes, EMPTY_CLASS_BETA), where=q > 0)
+    evidence = 0.5 * (np.log(beta) - beta * q / n - _LOG_2PI + np.log(t / (t + s)).sum(axis=0) / n)
+    weights = (vt.T @ (btilde / (t + s))).T
+    regressions = [
+        ClassRegression(w, float(a), float(b), float(e), rounds)
+        for w, a, b, e, (_, rounds) in zip(weights, t * beta, beta, evidence, fits)
+    ]
+    return EvidenceModel(n_classes=n_classes, dim=d, regressions=tuple(regressions))
+
+
+def logme_fit(features: np.ndarray, labels: np.ndarray, n_classes: int) -> EvidenceModel:
     """Fit per-class one-vs-rest evidence-maximised regressions.
 
     The eigendecomposition of the Gram matrix Phi^T Phi is computed once and
@@ -158,37 +181,8 @@ def logme_fit(
         raise ValidationError("labels must align with feature rows")
     if n_classes < 2:
         raise ValidationError(f"need at least 2 classes, got {n_classes}")
-    n, d = phi.shape
-    # The squared singular values and right singular vectors of Phi are the
-    # eigenpairs of the d x d Gram matrix: sorted descending, round-off below
-    # 0 clipped. Phi has rank <= n, so when d > n only the top n are kept, as
-    # in a thin SVD: the other d - n are 0 up to round-off of either sign, and
-    # a positive one would push the effective dof past n (a negative beta
-    # update). log_evidence counts each dropped eigenvalue as exactly 0.
     eigvals, eigvecs = np.linalg.eigh(phi.T @ phi)
-    keep = min(n, d)
-    s = np.maximum(eigvals[::-1][:keep], 0.0)
-    vt = eigvecs[:, ::-1][:, :keep].T
-    regressions = []
-    for k in range(n_classes):
-        y = (labels == k).astype(np.float64)
-        btilde = vt @ (phi.T @ y)
-        alpha, beta, m_tilde, ev, iters, clamped, trace = _fit_class(
-            s, btilde, float(y @ y), n, d, max_iters, tol
-        )
-        weights = vt.T @ m_tilde
-        regressions.append(
-            ClassRegression(
-                weights=weights,
-                alpha=alpha,
-                beta=beta,
-                evidence=ev,
-                n_iters=iters,
-                clamped=clamped,
-                evidence_trace=trace,
-            )
-        )
-    return EvidenceModel(n_classes=n_classes, dim=d, regressions=tuple(regressions))
+    return _fit_basis(phi, labels, n_classes, eigvals[::-1], eigvecs[:, ::-1].T)
 
 
 def predict_tilde(model: EvidenceModel, features: np.ndarray) -> np.ndarray:
@@ -202,7 +196,7 @@ def predict_tilde(model: EvidenceModel, features: np.ndarray) -> np.ndarray:
     raw = np.maximum(phi @ model.weight_matrix, 0.0)
     sums = raw.sum(axis=1, keepdims=True)
     out = np.full_like(raw, 1.0 / model.n_classes)
-    ok = sums[:, 0] > RESIDUAL_FLOOR
+    ok = sums[:, 0] > 1e-12
     out[ok] = raw[ok] / sums[ok]
     return out
 

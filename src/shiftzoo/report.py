@@ -37,7 +37,7 @@ def write_report(report: Mapping, path: Path | str) -> None:
 
 
 def read_report(path: Path | str) -> dict:
-    """Load a report, checking the schema version, kind and dataset name."""
+    """Load a report, checking its schema version, kind, dataset name and numbers."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -55,7 +55,18 @@ def read_report(path: Path | str) -> dict:
         raise ValidationError(f"unknown report kind {report.get('kind')!r}")
     if not isinstance(report.get("dataset_name"), str):
         raise ValidationError("report has no string 'dataset_name'")
+    _check_finite(report, "report")
     return report
+
+
+def _check_finite(node, path: str) -> None:
+    """Reject the NaN and Infinity that json.loads accepts, naming where they are."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ValidationError(f"{path} is {node}; numbers in a report must be finite")
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            name = value.get("encoder_id", key) if isinstance(value, dict) else key
+            _check_finite(value, f"{path}[{name!r}]")
 
 
 def profile_encoder(
@@ -170,9 +181,17 @@ def report_scores(report: Mapping) -> dict[str, tuple[float, float]]:
     out = {}
     for entry in encoders:
         try:
-            out[entry["encoder_id"]] = (float(entry["f_div"]), float(entry["f_cor"]))
+            encoder_id, f_div, f_cor = entry["encoder_id"], entry["f_div"], entry["f_cor"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed encoder entry in report: {exc}") from exc
+        if not isinstance(encoder_id, str):
+            raise ValidationError(f"encoder id {encoder_id!r} in report is not a string")
+        for key, value in (("f_div", f_div), ("f_cor", f_cor)):
+            if type(value) not in (int, float) or not math.isfinite(value):  # bool is no score
+                raise ValidationError(
+                    f"encoder '{encoder_id}' has {key} = {value!r}; scores must be finite numbers"
+                )
+        out[encoder_id] = (float(f_div), float(f_cor))
     return out
 
 

@@ -16,9 +16,11 @@ kernel and row mean computed where it is used) that the package's trimmed
 training step must reproduce bit for bit; ``hsic_from_kernels`` is their HSIC
 value from two kernel matrices, and ``reference_head_loss_and_grads`` puts
 them into a whole forward and backward pass. ``reference_fit_class`` is the
-LogME fixed point that evaluates the evidence terms twice at each point and
-once more for the final posterior mean; the package's ``_fit_class``, which
-evaluates each point once, must reproduce every field of it bit for bit.
+MacKay fixed point for the LogME precisions, with its residual and weight
+floors and its precision clamps, and ``reference_logme_fit`` runs it in the
+Gram eigenbasis; the package's search over t = alpha / beta must never end
+below its evidence. ``log_evidence`` is the per-sample evidence at a given
+(alpha, beta) in that basis, the fixed point's objective.
 ``benchmark_train_config`` is the desk-scale training preset that the
 planted-shift benchmark tests train with. ``reference_mahalanobis_sq`` is
 the triangular solve with the Cholesky factor L that the package's one
@@ -35,13 +37,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from shiftzoo.correlation_profile import (
-    PRECISION_RANGE,
-    RESIDUAL_FLOOR,
-    ClassRegression,
-    EvidenceModel,
-    _fit_class,
-)
+from shiftzoo.correlation_profile import EvidenceModel, _fit_basis
 from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import ValidationError
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
@@ -203,6 +199,10 @@ def direct_log_evidence(phi: np.ndarray, y: np.ndarray, alpha: float, beta: floa
     return total / n
 
 
+RESIDUAL_FLOOR = 1e-12
+PRECISION_RANGE = (1e-12, 1e12)
+
+
 def _reference_evidence_terms(
     s: np.ndarray, btilde: np.ndarray, y_sq: float, alpha: float, beta: float
 ) -> tuple[np.ndarray, float, float, float]:
@@ -214,9 +214,14 @@ def _reference_evidence_terms(
     return m_tilde, res, m_sq, gamma
 
 
-def _reference_log_evidence(
+def log_evidence(
     s: np.ndarray, btilde: np.ndarray, y_sq: float, n: int, d: int, alpha: float, beta: float
 ) -> float:
+    """Per-sample log evidence of a Bayesian ridge model in the eigenbasis of Phi^T Phi.
+
+    ``s`` holds the eigenvalues; a basis with fewer than ``d`` of them counts
+    each missing one as 0. The residual is floored at ``RESIDUAL_FLOOR``.
+    """
     _, res, m_sq, _ = _reference_evidence_terms(s, btilde, y_sq, alpha, beta)
     res = max(res, RESIDUAL_FLOOR)
     log_det = float(np.sum(np.log(alpha + beta * s))) + (d - s.size) * math.log(alpha)
@@ -244,7 +249,7 @@ def reference_fit_class(
     lo, hi = PRECISION_RANGE
     alpha = beta = 1.0
     clamped = False
-    trace = [_reference_log_evidence(s, btilde, y_sq, n, d, alpha, beta)]
+    trace = [log_evidence(s, btilde, y_sq, n, d, alpha, beta)]
     iters = 0
     for iters in range(1, max_iters + 1):
         _, res, m_sq, gamma = _reference_evidence_terms(s, btilde, y_sq, alpha, beta)
@@ -256,7 +261,7 @@ def reference_fit_class(
         new_beta = min(max((n - gamma) / res, lo), hi)
         if new_alpha in (lo, hi) or new_beta in (lo, hi):
             clamped = True
-        ev = _reference_log_evidence(s, btilde, y_sq, n, d, new_alpha, new_beta)
+        ev = log_evidence(s, btilde, y_sq, n, d, new_alpha, new_beta)
         if ev < trace[-1] - 1e-12:
             iters -= 1
             break
@@ -278,9 +283,9 @@ def _grid_evidence_surface(
     """Per-sample evidence on an (alpha, beta) log10 grid.
 
     Uses an eigendecomposition of phi^T phi, a different matrix route from
-    ``direct_log_evidence`` and a grid search instead of the package's
-    fixed-point iteration. Returns the
-    grid values and the (alpha-index, beta-index) evidence surface.
+    ``direct_log_evidence`` and a two-dimensional grid search instead of the
+    package's search over alpha / beta. Returns the grid values and the
+    (alpha-index, beta-index) evidence surface.
     """
     n, d = phi.shape
     w, q = np.linalg.eigh(phi.T @ phi)
@@ -326,7 +331,7 @@ def grid_argmax_ties(
     """All grid points whose evidence ties the grid maximum within tie_tol.
 
     Flat ridges make the literal argmax arbitrary among near-equal cells;
-    a fixed point is considered grid-confirmed when it lands within a cell
+    a fit is considered grid-confirmed when it lands within a cell
     of any tied point.
     """
     grid, surface = _grid_evidence_surface(phi, y, log10_lo, log10_hi, step)
@@ -384,37 +389,41 @@ class ListAdamW:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def svd_logme_fit(
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-) -> EvidenceModel:
+def svd_logme_fit(features: np.ndarray, labels: np.ndarray, n_classes: int) -> EvidenceModel:
     """LogME fit in the thin-SVD basis of the feature matrix.
 
     The basis comes from ``np.linalg.svd(phi, full_matrices=False)``: min(n, d)
-    squared singular values and right singular vectors. The per-class fixed
-    point is the package's ``_fit_class``.
+    squared singular values and right singular vectors. The rank rule and the
+    per-class search are the package's.
+    """
+    phi = np.asarray(features, dtype=np.float64)
+    _, sv, vt = np.linalg.svd(phi, full_matrices=False)
+    return _fit_basis(phi, np.asarray(labels), n_classes, sv * sv, vt)
+
+
+def reference_logme_fit(
+    features: np.ndarray, labels: np.ndarray, n_classes: int
+) -> list[tuple[float, float, np.ndarray, float, int, bool, tuple[float, ...]]]:
+    """``reference_fit_class`` for each one-vs-rest target, in the Gram eigenbasis,
+    with at most 100 iterations and a relative step tolerance of 1e-6.
+
+    The top min(n, d) eigenvalues of Phi^T Phi are kept, round-off below 0
+    clipped; a kept eigenvalue of 0 is harmless to the fixed point, which
+    never divides by one.
     """
     phi = np.asarray(features, dtype=np.float64)
     n, d = phi.shape
-    _, sv, vt = np.linalg.svd(phi, full_matrices=False)
-    s = sv * sv
-    regressions = []
+    eigvals, eigvecs = np.linalg.eigh(phi.T @ phi)
+    keep = min(n, d)
+    s = np.maximum(eigvals[::-1][:keep], 0.0)
+    vt = eigvecs[:, ::-1][:, :keep].T
+    fits = []
     for k in range(n_classes):
-        y = (labels == k).astype(np.float64)
-        btilde = vt @ (phi.T @ y)
-        alpha, beta, m_tilde, ev, iters, clamped, trace = _fit_class(
-            s, btilde, float(y @ y), n, d, max_iters, tol
+        y = (np.asarray(labels) == k).astype(np.float64)
+        fits.append(
+            reference_fit_class(s, vt @ (phi.T @ y), float(y @ y), n, d, 100, 1e-6)
         )
-        regressions.append(
-            ClassRegression(
-                weights=vt.T @ m_tilde, alpha=alpha, beta=beta, evidence=ev,
-                n_iters=iters, clamped=clamped, evidence_trace=trace,
-            )
-        )
-    return EvidenceModel(n_classes=n_classes, dim=d, regressions=tuple(regressions))
+    return fits
 
 
 def loop_calibrate(probs: np.ndarray, labels: np.ndarray, n_classes: int, n_bins: int) -> np.ndarray:

@@ -33,7 +33,13 @@ from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import SynthSpec, build_zoo
 
-from oracle_utils import benchmark_train_config, grid_argmax_ties, hsic_b, quadratic_hsic
+from oracle_utils import (
+    benchmark_train_config,
+    grid_argmax_ties,
+    hsic_b,
+    quadratic_hsic,
+    reference_logme_fit,
+)
 
 
 @contextmanager
@@ -118,7 +124,7 @@ def test_c2_full_loss_gradient_check(capsys):
 
 
 def test_c3_logme_grid_oracle(capsys):
-    with criterion(capsys, "C3 logme fixed point vs grid search"):
+    with criterion(capsys, "C3 logme evidence search vs grid search"):
         start = time.perf_counter()
         rng = np.random.default_rng(303)
         done = 0
@@ -137,11 +143,12 @@ def test_c3_logme_grid_oracle(capsys):
                 continue
             one_hot = np.eye(2)[labels]
             model = logme_fit(phi, labels, n_classes=2)
-            for reg, y in zip(model.regressions, one_hot.T):
-                trace = np.asarray(reg.evidence_trace)
-                assert np.all(np.diff(trace) >= -1e-12)
+            reference = reference_logme_fit(phi, labels, n_classes=2)
+            for reg, y, ref in zip(model.regressions, one_hot.T, reference):
+                # never below the MacKay fixed point's evidence
+                assert reg.evidence >= ref[3] - 1e-12
                 # near-flat ridges leave several grid cells numerically tied
-                # at the max; the fixed point must land within one cell of a
+                # at the max; the fit must land within one cell of a
                 # tied cell, which a misconverged (alpha, beta) cannot do
                 ties = grid_argmax_ties(phi, y)
                 la, lb = np.log10(reg.alpha), np.log10(reg.beta)

@@ -214,6 +214,26 @@ def test_report_without_dataset_name_exits_2(profile_path, tmp_path, capsys, com
     assert "dataset_name" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["rank", "report"])
+@pytest.mark.parametrize(
+    "key,score",
+    [("f_div", "NaN"), ("f_cor", "Infinity"), ("f_div", "-Infinity"),
+     ("f_cor", '"inf"'), ("f_div", '"0.5"'), ("f_cor", "true")],
+)
+def test_report_with_a_non_finite_or_non_number_score_exits_2(
+    profile_path, tmp_path, capsys, command, key, score
+):
+    report = json.loads(profile_path.read_text())
+    entry = report["encoders"][1]
+    entry[key] = "SCORE"
+    bad = tmp_path / "scores.json"
+    bad.write_text(json.dumps(report).replace('"SCORE"', score))
+    argv = ["rank", "--report", str(bad)] if command == "rank" else ["report", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert entry["encoder_id"] in err and key in err and "Traceback" not in err
+
+
 def test_train_outputs_are_deterministic(zoo_dir, tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):

@@ -168,6 +168,13 @@ def test_report_scores_requires_profile_kind(profile):
         report_scores({"kind": PROFILE_KIND, "encoders": []})
 
 
+def test_report_scores_rejects_an_encoder_id_that_is_no_string():
+    # rank_lines sizes its columns by len(encoder_id)
+    entry = {"encoder_id": 7, "f_div": 0.5, "f_cor": 0.25}
+    with pytest.raises(ValidationError, match="encoder id 7"):
+        report_scores({"kind": PROFILE_KIND, "encoders": [entry]})
+
+
 def test_rank_lines_lists_both_axes(profile):
     text = rank_lines(profile, main_encoder_id="main_full")
     assert "by f_div" in text and "by f_cor" in text
