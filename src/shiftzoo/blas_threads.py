@@ -1,4 +1,5 @@
-"""Process-wide OpenBLAS thread count, set through ctypes, and the CPU count.
+"""Process-wide OpenBLAS thread count, set through ctypes, the CPU count and
+the process's one worker pool.
 
 numpy and scipy wheels each bundle their own OpenBLAS build, so a process can
 hold two copies with separate thread counts. Both are found in the process's
@@ -12,16 +13,21 @@ later call returns the same libraries. This module imports numpy and
 
 The setter is process-wide: a count set from one thread is the count every
 thread's next BLAS call uses. Set it once, from the thread that then starts
-any workers, and restore it from that same thread.
+any workers, and restore it from that same thread. A ``single_blas_thread``
+nested inside another, on any thread, finds every count at 1 and sets
+nothing.
 
 ``usable_cpus`` is the one CPU count that sizes the process's own worker
-threads: the profile grid's ``--jobs`` default and the train pool.
+threads: the profile grid's ``--jobs`` default and ``worker_pool``, which
+``synth`` (its projection QRs) and ``train`` (its split GEMMs and optimizer
+runs) share.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
@@ -82,15 +88,18 @@ def max_blas_threads() -> int:
 
 @contextmanager
 def single_blas_thread() -> Iterator[None]:
-    """Run the body with every OpenBLAS on one thread, then restore each count."""
-    libs = openblas_libraries()
-    previous = [lib.get_num_threads() for lib in libs]
-    for lib in libs:
+    """Run the body with every OpenBLAS on one thread, then restore each count.
+
+    Only counts other than 1 are set and restored, so a nested call sets nothing.
+    """
+    counts = [(lib, lib.get_num_threads()) for lib in openblas_libraries()]
+    changed = [(lib, count) for lib, count in counts if count != 1]
+    for lib, _ in changed:
         lib.set_num_threads(1)
     try:
         yield
     finally:
-        for lib, count in zip(libs, previous):
+        for lib, count in changed:
             lib.set_num_threads(count)
 
 
@@ -100,3 +109,11 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def worker_pool() -> ThreadPoolExecutor:
+    """The process's one pool: ``usable_cpus() - 1`` workers (at least one), made
+    at the first call and kept for the process; the calling thread is the last CPU.
+    """
+    return ThreadPoolExecutor(max_workers=max(usable_cpus() - 1, 1), thread_name_prefix="shiftzoo")

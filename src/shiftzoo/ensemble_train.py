@@ -20,10 +20,10 @@ updates the vector in place, one cache-sized chunk at a time, with two
 chunk-sized scratch vectors. All gradients are computed analytically (manual
 backprop); parameters update with Adam plus decoupled weight decay.
 
-Threads: ``train`` runs with OpenBLAS on one thread, and one pool sized from
-the usable CPU count does the parallel work instead. ``AdamW`` gives each
-worker one contiguous run of chunks; the head's large GEMMs (``_matmul``)
-are cut into row or column blocks, one per worker. With OpenBLAS on one
+Threads: ``train`` runs with OpenBLAS on one thread, and the process's one
+worker pool (``blas_threads.worker_pool``) does the parallel work instead.
+``AdamW`` gives each worker one contiguous run of chunks; the head's large
+GEMMs (``_matmul``) are cut into row or column blocks, one per worker. With OpenBLAS on one
 thread both splits are bit for bit the serial result, and small heads and
 GEMMs take the serial code.
 
@@ -40,14 +40,13 @@ straight to ``np.matmul``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blas_threads import max_blas_threads, single_blas_thread, usable_cpus
+from .blas_threads import max_blas_threads, single_blas_thread, usable_cpus, worker_pool
 from .correlation_profile import dataset_correlation
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet, ZooManifest, load_domain_features
@@ -71,16 +70,9 @@ SPLIT_MACS = 1 << 21
 _ROW_ALIGN, _COL_ALIGN = 48, 16
 
 
-@lru_cache(maxsize=1)
-def _pool(cpus: int) -> ThreadPoolExecutor:
-    """The train pool: ``cpus - 1`` workers; the calling thread is the last CPU."""
-    return ThreadPoolExecutor(max_workers=max(cpus - 1, 1), thread_name_prefix="shiftzoo-train")
-
-
 def _run(tasks: Sequence[Callable[[], object]]) -> None:
     """Run ``tasks[0]`` on the calling thread and the rest on the pool; wait for all."""
-    pool = _pool(usable_cpus())
-    futures = [pool.submit(task) for task in tasks[1:]]
+    futures = [worker_pool().submit(task) for task in tasks[1:]]
     try:
         tasks[0]()
     finally:
@@ -99,7 +91,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
     A product of at least two ``SPLIT_MACS`` blocks is cut, by rows when it
     has enough of them, else by columns, into one block per usable CPU, and
-    the blocks run on the train pool. It is cut only while OpenBLAS is on one
+    the blocks run on the worker pool. It is cut only while OpenBLAS is on one
     thread, as ``train`` runs it: with more OpenBLAS threads, OpenBLAS cuts
     each block again, and a product of ragged shape can then differ from the
     uncut one in the last bit, so it runs uncut. Smaller products, every one
@@ -299,7 +291,7 @@ class AdamW:
     gradient and scratch stay in cache instead of streaming from memory once
     per op. The chunks are split into one contiguous run per worker, up to
     the usable CPU count; each worker has its own two chunk-length scratch
-    vectors, and the runs go to the train pool. The update is elementwise, so
+    vectors, and the runs go to the worker pool. The update is elementwise, so
     the split changes no bit. The moments are full size. The per-chunk views
     are built once, so a step allocates no arrays, and a vector that fits in
     one chunk is updated by the calling thread without slicing.
@@ -561,6 +553,7 @@ class TrainResult:
 
     ``head`` carries the final-step parameters; the ``best_*`` fields come
     from the checkpoint with the highest pooled validation accuracy.
+    ``test_logits`` holds the final head's float64 logits on each test set.
     """
 
     head: MlpHead
@@ -571,13 +564,19 @@ class TrainResult:
     best_step: int
     final_test_accuracy: float | None
     best_test_accuracy: float | None
+    test_logits: list[np.ndarray] | None
     prior_floored: bool
 
 
 def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
-    if x.shape[0] == 0:
+    return _argmax_accuracy([head.predict_logits(x)], labels)
+
+
+def _argmax_accuracy(logits: Sequence[np.ndarray], labels: np.ndarray) -> float:
+    """Share of rows whose argmax logit is the label; ``logits`` are stacked row blocks."""
+    if labels.size == 0:
         raise ValidationError("cannot evaluate accuracy on an empty set")
-    return float((head.predict_logits(x).argmax(axis=1) == labels).mean())
+    return float((np.concatenate([z.argmax(axis=1) for z in logits]) == labels).mean())
 
 
 def _aligned(main: FeatureSet, other: FeatureSet, name: str) -> FeatureSet:
@@ -695,19 +694,22 @@ def train_on_sets(
 
     # free the optimizer's moments and scratch and the main pools before the test passes
     del optimizer, x_train, x_val
-    final_test = best_test = None
+    final_test = best_test = test_logits = None
     if test_sets:
-        x_test = np.concatenate([fs.features for fs in test_sets])
         y_test = np.concatenate([fs.labels for fs in test_sets])
-        final_test = accuracy(head, x_test, y_test)
-        final_state = head.params.copy()
-        head.params[...] = best_state
-        best_test = accuracy(head, x_test, y_test)
-        head.params[...] = final_state
+        test_logits = [head.predict_logits(fs.features) for fs in test_sets]
+        final_test = best_test = _argmax_accuracy(test_logits, y_test)
+        # a best checkpoint at the last step holds the final parameters
+        if best_step != config.steps - 1:
+            final_state = head.params.copy()
+            head.params[...] = best_state
+            best_logits = [head.predict_logits(fs.features) for fs in test_sets]
+            best_test = _argmax_accuracy(best_logits, y_test)
+            head.params[...] = final_state
     return TrainResult(
         head=head, log=log, evals=evals, final_val_accuracy=evals[-1].val_accuracy,
         best_val_accuracy=best_acc, best_step=best_step, final_test_accuracy=final_test,
-        best_test_accuracy=best_test, prior_floored=prior_floored,
+        best_test_accuracy=best_test, test_logits=test_logits, prior_floored=prior_floored,
     )
 
 
@@ -776,7 +778,7 @@ def train(
     div = train_rows(div_aux_id, "diversity-auxiliary") if config.hsic_active else None
     cor = train_rows(rew_aux_id, "correlation-auxiliary") if config.rew_active else None
     folds = []
-    # OpenBLAS stays on one thread: the train pool does the parallel work, and
+    # OpenBLAS stays on one thread: the worker pool does the parallel work, and
     # an idle OpenBLAS worker would spin on the pool's cores between GEMMs
     with single_blas_thread():
         for target in targets:
@@ -785,20 +787,29 @@ def train(
                 fold_rows(div, target), fold_rows(cor, target),
                 manifest.n_classes, config, [main[target]],
             )
-            f_div, f_cor = logit_shift(result.head, list(main.values()), manifest.n_classes)
+            f_div, f_cor = logit_shift(
+                result.head, list(main.values()), manifest.n_classes,
+                known={target: result.test_logits[0]},
+            )
             folds.append(Fold(target, result, f_div, f_cor))
     return folds
 
 
-def logit_feature_sets(head: MlpHead, sets: Sequence[FeatureSet]) -> list[FeatureSet]:
+def logit_feature_sets(
+    head: MlpHead, sets: Sequence[FeatureSet], known: Mapping[str, np.ndarray] | None = None
+) -> list[FeatureSet]:
     """Push each domain's features through the head; logits become features.
 
     Labels and split masks carry over, so the shift estimators can profile
-    the trained representation exactly like any encoder.
+    the trained representation exactly like any encoder. ``known`` maps a
+    domain id to the float64 logits this head already gave for that domain's
+    rows, which are used instead of a second pass.
     """
     out = []
     for fs in sets:
-        logits = head.predict_logits(fs.features)
+        logits = (known or {}).get(fs.domain_id)
+        if logits is None:
+            logits = head.predict_logits(fs.features)
         out.append(
             FeatureSet(
                 domain_id=fs.domain_id,
@@ -810,9 +821,17 @@ def logit_feature_sets(head: MlpHead, sets: Sequence[FeatureSet]) -> list[Featur
     return out
 
 
-def logit_shift(head: MlpHead, sets: Sequence[FeatureSet], n_classes: int) -> tuple[float, float]:
-    """(f_div, f_cor) of the head's logits over ``sets``, profiled like an encoder."""
-    logit_sets = logit_feature_sets(head, sets)
+def logit_shift(
+    head: MlpHead,
+    sets: Sequence[FeatureSet],
+    n_classes: int,
+    known: Mapping[str, np.ndarray] | None = None,
+) -> tuple[float, float]:
+    """(f_div, f_cor) of the head's logits over ``sets``, profiled like an encoder.
+
+    ``known`` is passed on to ``logit_feature_sets``.
+    """
+    logit_sets = logit_feature_sets(head, sets, known)
     f_div, div_pairs = dataset_diversity(logit_sets)
     f_cor, _ = dataset_correlation(logit_sets, div_pairs, n_classes)
     return f_div, f_cor

@@ -37,7 +37,7 @@ def write_report(report: Mapping, path: Path | str) -> None:
 
 
 def read_report(path: Path | str) -> dict:
-    """Load a report, checking its schema version, kind, dataset name and numbers."""
+    """Load a report, checking its schema version, kind, dataset name, seed and numbers."""
     try:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -55,6 +55,9 @@ def read_report(path: Path | str) -> dict:
         raise ValidationError(f"unknown report kind {report.get('kind')!r}")
     if not isinstance(report.get("dataset_name"), str):
         raise ValidationError("report has no string 'dataset_name'")
+    seed = report.get("seed", 0)
+    if type(seed) is not int or seed < 0:  # bool is no seed
+        raise ValidationError(f"report {path}: seed is {seed!r}; it must be a non-negative integer")
     _check_finite(report, "report")
     return report
 

@@ -23,9 +23,13 @@ see at most half of each shifted block.
 
 Memory: ``generate`` writes each domain straight into one float32 matrix,
 drawing and finishing each block one row block of float64 at a time (see
-``BLOCK_DOUBLES``). ``build_zoo`` then holds the raw domains, one encoder's
-projection, one domain's float32 encoding and the two float64 buffers of one
-row block at a time; it makes no full-width float64 copy of a domain.
+``BLOCK_DOUBLES``). Each projection is one d x d float64 matrix, factored in
+place, so its QR peaks at two such matrices. ``build_zoo`` makes the
+projections while ``generate`` runs and then holds the raw domains and every
+encoder's projection; it frees each projection once its encoder's files are
+written, and encodes one domain at a time into its float32 result through
+the two float64 buffers of one row block. It makes no full-width float64
+copy of a domain.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .feature_store import (
     DomainInfo,
     EncoderInfo,
@@ -275,17 +279,44 @@ class SynthEncoder:
         return len(self.coord_indices)
 
     def projection(self) -> np.ndarray:
-        # LAPACK's QR can take other bits under another OpenBLAS thread count
-        # (seen at d = 446 and 1032), so it runs on one thread. Imported
-        # here: blas_threads loads scipy, which the generator does not need.
+        """Q of a seeded d x d Gaussian's QR, column j scaled by a seeded u[j] in [0.8, 1.25].
+
+        The Gaussian is copied once into Fortran order, and LAPACK's
+        ``dgeqrf`` and then ``dorgqr`` overwrite that copy with Q: no R is
+        formed, and the peak is two d x d matrices. These are the routines
+        and the queried workspace sizes of ``np.linalg.qr``, so Q has its
+        bits. The result is Fortran-ordered.
+
+        LAPACK's QR can take other bits under another OpenBLAS thread count
+        (seen at d = 446 and 1032), so it runs on one thread; under
+        ``build_zoo``'s pin this sets nothing. Imported here: blas_threads
+        and scipy, which the generator does not need.
+        """
+        from scipy.linalg import lapack
+
         from .blas_threads import single_blas_thread
 
         rng = np.random.default_rng(self.seed)
         d = self.dim
+        a = np.asfortranarray(rng.normal(size=(d, d)))
         with single_blas_thread():
-            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
-        q *= rng.uniform(0.8, 1.25, size=d)  # scales column j of q by u[j]
-        return q
+            lwork, info = lapack.dgeqrf_lwork(d, d)
+            self._lapack_ok("dgeqrf workspace query", info)
+            a, tau, _, info = lapack.dgeqrf(a, lwork=int(lwork), overwrite_a=1)
+            self._lapack_ok("dgeqrf", info)
+            _, work, info = lapack.dorgqr(a, tau, lwork=-1, overwrite_a=1)
+            self._lapack_ok("dorgqr workspace query", info)
+            a, _, info = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
+            self._lapack_ok("dorgqr", info)
+        a *= rng.uniform(0.8, 1.25, size=d)  # scales column j of q by u[j]
+        return a
+
+    def _lapack_ok(self, routine: str, info: int) -> None:
+        if info != 0:
+            raise NumericalError(
+                f"LAPACK {routine} returned info={info} for the {self.dim}-wide projection "
+                f"of encoder '{self.encoder_id}'"
+            )
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """The float32 features that ``build_zoo`` stores for raw rows ``x``."""
@@ -352,6 +383,42 @@ def _zoo_encoders(spec: SynthSpec, zoo_size: int) -> list[SynthEncoder]:
     return encoders
 
 
+def _generate_and_project(
+    spec: SynthSpec, encoders: list[SynthEncoder], split_ratio: float, dataset_name: str
+) -> tuple[list[FeatureSet], dict, list[np.ndarray]]:
+    """``generate`` on the calling thread while the worker pool makes the
+    encoders' projections; returns its domains and card, and the projections.
+
+    OpenBLAS is pinned to one thread once, from this thread, for all of it,
+    so each projection has the bits of one made alone. Once the domains are
+    generated, this thread makes, from the last encoder backwards, every
+    projection no worker has started; with one usable CPU it makes them all.
+    An error in a projection reaches the caller once every started
+    projection has ended.
+    """
+    from concurrent.futures import wait
+
+    from .blas_threads import single_blas_thread, usable_cpus, worker_pool
+
+    with single_blas_thread():
+        pool = worker_pool() if usable_cpus() > 1 else None
+        futures = [pool.submit(enc.projection) for enc in encoders] if pool else []
+        try:
+            raw_sets, card = generate(spec, split_ratio=split_ratio, dataset_name=dataset_name)
+            projections: list[np.ndarray | None] = [None] * len(encoders)
+            for i in reversed(range(len(encoders))):
+                if not futures or futures[i].cancel():
+                    projections[i] = encoders[i].projection()
+            for i, future in enumerate(futures):
+                if projections[i] is None:
+                    projections[i] = future.result()
+            return raw_sets, card, projections
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+
+
 def build_zoo(
     spec: SynthSpec,
     zoo_size: int = 6,
@@ -363,12 +430,18 @@ def build_zoo(
 
     Emits FZF1/FZL1 files, a manifest, and a ground-truth card naming the
     planted-extreme encoder for each shift axis. Byte-identical across runs
-    with the same spec, and across OpenBLAS thread counts wherever
-    ``blas_threads`` finds OpenBLAS.
+    with the same spec, across usable CPU counts, and across OpenBLAS thread
+    counts wherever ``blas_threads`` finds OpenBLAS.
 
-    Memory: the raw float32 domains, one encoder's float64 projection, one
-    domain's float32 encoding and the two float64 buffers of one row block
-    (see ``BLOCK_DOUBLES``) are alive at a time.
+    The worker pool makes the projections while this thread runs
+    ``generate``, all on one OpenBLAS thread; encoding then runs unpinned.
+
+    Memory: the raw float32 domains and every encoder's float64 projection
+    are alive together, with at most one in-place QR (two d x d float64
+    matrices) per usable CPU while they are made. Each projection is freed
+    once its encoder's files are written; during encoding one domain's
+    float32 encoding and the two float64 buffers of one row block (see
+    ``BLOCK_DOUBLES``) are alive at a time.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
@@ -381,24 +454,22 @@ def build_zoo(
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw_sets, card = generate(spec, split_ratio=split_ratio, dataset_name=dataset_name)
     encoders = _zoo_encoders(spec, zoo_size)
+    raw_sets, card, projections = _generate_and_project(spec, encoders, split_ratio, dataset_name)
     domains = []
     for fs in raw_sets:
         label_file = f"{fs.domain_id}.fzl"
         write_labels(out_dir / label_file, fs.labels)
         domains.append(DomainInfo(fs.domain_id, fs.n_samples, label_file))
     infos = []
-    for enc in encoders:
-        # one projection per encoder, shared by its domains and freed before
-        # the next encoder's QR; one domain's encoding alive at a time
-        projection = enc.projection()
+    for i, enc in enumerate(encoders):
+        # one domain's encoding alive at a time
         files = {}
         for fs in raw_sets:
             fname = f"{enc.encoder_id}_{fs.domain_id}.fzf"
-            write_features(out_dir / fname, _encode(fs.features, enc.coord_indices, projection))
+            write_features(out_dir / fname, _encode(fs.features, enc.coord_indices, projections[i]))
             files[fs.domain_id] = fname
-        del projection
+        projections[i] = None
         infos.append(EncoderInfo(enc.encoder_id, enc.dim, files))
     manifest = ZooManifest(
         dataset_name=dataset_name,

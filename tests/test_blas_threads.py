@@ -1,6 +1,7 @@
 """OpenBLAS thread pinning: found libraries, one thread inside, counts restored."""
 
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import scipy
 import scipy.linalg  # noqa: F401  (maps scipy's own OpenBLAS)
 
-from shiftzoo.blas_threads import openblas_libraries, single_blas_thread
+from shiftzoo import blas_threads
+from shiftzoo.blas_threads import OpenBlas, openblas_libraries, single_blas_thread
 
 
 def _bundled(module) -> set[str]:
@@ -56,3 +58,38 @@ def test_counts_restored_when_the_body_raises(libs):
     finally:
         for lib, count in zip(libs, before):
             lib.set_num_threads(count)
+
+
+def test_a_nested_pin_sets_nothing(monkeypatch):
+    """Only counts other than 1 are set, so workers under an outer pin never call the setter."""
+    counts, calls = [2, 1], []
+
+    def fake(i):
+        def setter(n):
+            calls.append((i, n))
+            counts[i] = n
+
+        return OpenBlas(f"lib{i}", lambda: counts[i], setter)
+
+    monkeypatch.setattr(blas_threads, "openblas_libraries", lambda: (fake(0), fake(1)))
+    with single_blas_thread():
+        assert counts == [1, 1] and calls == [(0, 1)]
+        with single_blas_thread():
+            assert calls == [(0, 1)]
+        assert calls == [(0, 1)]
+    assert counts == [2, 1] and calls == [(0, 1), (0, 2)]
+
+
+def test_synth_and_train_share_one_worker_pool(tmp_path, monkeypatch):
+    import shiftzoo.ensemble_train as et
+    from shiftzoo.synthetic_dg import SynthSpec, build_zoo
+
+    pool = blas_threads.worker_pool()
+    assert blas_threads.worker_pool() is pool
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)  # the projections go to the pool
+    build_zoo(SynthSpec(samples_per_domain=100), zoo_size=5, out_dir=tmp_path)
+    names = []
+    et._run([lambda: None] + [lambda: names.append(threading.current_thread().name)] * 3)
+    assert names and all(name.startswith("shiftzoo") for name in names)
+    workers = [t for t in threading.enumerate() if t.name.startswith("shiftzoo")]
+    assert 1 <= len(workers) <= pool._max_workers

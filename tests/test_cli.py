@@ -80,8 +80,8 @@ def test_synth_bytes_independent_of_blas_threads(tmp_path):
 
     Unpinned, LAPACK's QR gives the 1032-wide projections other last bits
     under two threads, and ``cor_heavy_domain1.fzf`` differs. ``synth`` pins
-    OpenBLAS to one thread for each projection, so both runs write the same
-    bytes.
+    OpenBLAS to one thread once for all its projections, so both runs write
+    the same bytes.
     """
     src = str(Path(shiftzoo.__file__).resolve().parent.parent)
     for threads in ("1", "2"):
@@ -134,7 +134,7 @@ def test_train_bytes_independent_of_blas_threads(tmp_path):
     """``train`` on a 512-wide main encoder under 1 and 2 OpenBLAS threads.
 
     The 512 -> 256 -> 256 -> 4 head is wide enough that, given two CPUs, its
-    products and its AdamW update are split over the train pool. ``train``
+    products and its AdamW update are split over the worker pool. ``train``
     pins OpenBLAS to one thread, so both runs write the same bytes.
     """
     zoo = tmp_path / "zoo"
@@ -232,6 +232,36 @@ def test_report_with_a_non_finite_or_non_number_score_exits_2(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert entry["encoder_id"] in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ['"1"', "true", "false", "-1", "1.0", "null"])
+def test_report_with_a_bad_seed_exits_2_naming_the_file(profile_path, tmp_path, capsys, seed):
+    """A string seed used to end in a TypeError from the table's sort; true sorted as 1."""
+    report = json.loads(profile_path.read_text())
+    report["seed"] = "SEED"
+    bad = tmp_path / "bad-seed.json"
+    bad.write_text(json.dumps(report).replace('"SEED"', seed))
+    assert main(["report", str(profile_path), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "seed" in err and "Traceback" not in err
+    assert main(["rank", "--report", str(bad)]) == 2
+
+
+def test_report_accepts_a_missing_or_non_negative_seed(profile_path, tmp_path, capsys):
+    report = json.loads(profile_path.read_text())
+    paths = []
+    for seed in (None, 0, 7):
+        if seed is None:
+            report.pop("seed")
+        else:
+            report["seed"] = seed
+        paths.append(tmp_path / f"seed-{seed}.json")
+        paths[-1].write_text(json.dumps(report))
+    assert main(["report", *map(str, paths)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["0"] * (2 * len(report["encoders"])) + [
+        "7"
+    ] * len(report["encoders"])
 
 
 def test_train_outputs_are_deterministic(zoo_dir, tmp_path, capsys):

@@ -26,6 +26,7 @@ from shiftzoo.ensemble_train import (
     RewAuxiliary,
     StepStats,
     TrainConfig,
+    accuracy,
     apply_mode,
     batch_weights,
     class_prior,
@@ -721,6 +722,32 @@ def test_train_on_sets_runs_and_logs():
     assert res.best_val_accuracy >= res.final_val_accuracy - 1e-12
     assert res.final_test_accuracy is not None
     assert res.evals[-1].step == 39
+
+
+@pytest.mark.parametrize("eval_every,best_step", [(5, 14), (100, 19)])
+def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_every, best_step):
+    """The final accuracy is the argmax of the returned float64 test logits,
+    and a best checkpoint at the last step reuses it instead of a second pass."""
+    sets, test = _sets(0), _sets(1, domains=1)
+    cfg = TrainConfig(lam=0.0, temperature=math.inf, steps=20, learning_rate=1e-2,
+                      eval_every=eval_every, seed=0)
+    rows = []
+    real = MlpHead.predict_logits
+    monkeypatch.setattr(MlpHead, "predict_logits",
+                        lambda self, x: rows.append(x.shape[0]) or real(self, x))
+    res = train_on_sets(sets, None, None, 3, cfg, test_sets=test)
+    monkeypatch.undo()
+    assert res.best_step == best_step
+    n_val, n_test = sum(int(fs.split_mask.sum()) for fs in sets), test[0].n_samples
+    [logits] = res.test_logits
+    assert logits.dtype == np.float64 and logits.shape == (n_test, 3)
+    assert np.array_equal(logits, res.head.predict_logits(test[0].features))
+    x_test, y_test = np.concatenate([fs.features for fs in test]), test[0].labels
+    assert res.final_test_accuracy == accuracy(res.head, x_test, y_test)
+    test_passes = 1 if best_step == cfg.steps - 1 else 2
+    assert rows == [n_val] * len(res.evals) + [n_test] * test_passes
+    # the earlier checkpoint's own pass scores otherwise
+    assert (res.best_test_accuracy == res.final_test_accuracy) == (test_passes == 1)
 
 
 def test_train_erm_equals_both_with_inactive_knobs():

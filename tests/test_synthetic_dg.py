@@ -3,18 +3,21 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from oracle_utils import benchmark_train_config, reference_encode, reference_generate
 
 import shiftzoo
-from shiftzoo import synthetic_dg
+from shiftzoo import blas_threads, synthetic_dg
+from shiftzoo.blas_threads import single_blas_thread
 from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.ensemble_train import TrainConfig
-from shiftzoo.errors import ValidationError
+from shiftzoo.errors import NumericalError, ValidationError
 from shiftzoo.feature_store import FeatureSet, load_domain_features, load_manifest
 from shiftzoo.gaussian_profile import dataset_diversity
 from shiftzoo.report import select_auxiliaries
@@ -245,6 +248,103 @@ def test_projection_equals_dense_diagonal_product(width):
     q, _ = np.linalg.qr(rng.normal(size=(width, width)))
     dense = q @ np.diag(rng.uniform(0.8, 1.25, size=width))
     assert enc.projection().tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 103, 446, 1032])
+def test_projection_equals_scipy_economic_qr(width):
+    """The in-place dgeqrf/dorgqr Q is scipy's economic-mode Q, through the same LAPACK."""
+    enc = SynthEncoder("e", tuple(range(width)), 5 + width)
+    rng = np.random.default_rng(enc.seed)
+    with single_blas_thread():
+        q = scipy.linalg.qr(rng.normal(size=(width, width)), mode="economic")[0]
+    q *= rng.uniform(0.8, 1.25, size=width)
+    assert enc.projection().tobytes() == q.tobytes()
+
+
+def test_projection_holds_two_matrices_at_its_peak():
+    """The Gaussian and its one Fortran-order copy; Q overwrites the copy and no R is made."""
+    d = 1024
+    enc = SynthEncoder("e", tuple(range(d)), 3)
+    enc.projection()  # first-call imports stay out of the measurement
+    tracemalloc.start()
+    try:
+        q = enc.projection()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.shape == (d, d)
+    # np.linalg.qr's copies and R took about four matrices here
+    assert 2 * d * d * 8 <= peak < 2 * d * d * 8 + (1 << 20)
+
+
+def test_projection_reports_a_lapack_failure(monkeypatch):
+    from scipy.linalg import lapack
+
+    real = lapack.dorgqr
+    monkeypatch.setattr(lapack, "dorgqr", lambda *a, **k: (*real(*a, **k)[:2], -3))
+    with pytest.raises(NumericalError, match=r"dorgqr.*info=-3.*encoder 'e'"):
+        SynthEncoder("e", (0, 1, 2), 1).projection()
+
+
+def _wide_spec():
+    # 1032-wide main_full, div_heavy and cor_heavy, whose QRs take other
+    # last bits under two OpenBLAS threads
+    return SynthSpec(dim_core=32, dim_div=1000, dim_spur=1000, samples_per_domain=1000)
+
+
+def test_build_zoo_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch):
+    """With one usable CPU the calling thread makes every projection; with two
+    the worker pool makes some; the files are the same bytes."""
+    callers = {}
+    original = SynthEncoder.projection
+
+    def recording(self):
+        callers.setdefault(cpus, []).append(threading.current_thread().name)
+        return original(self)
+
+    monkeypatch.setattr(SynthEncoder, "projection", recording)
+    for cpus in (1, 2):
+        monkeypatch.setattr(blas_threads, "usable_cpus", lambda c=cpus: c)
+        build_zoo(_wide_spec(), zoo_size=4, out_dir=tmp_path / str(cpus))
+    me = threading.current_thread().name
+    assert callers[1] == [me] * 4
+    # generate keeps this thread busy while the pool takes the first projections
+    assert len(callers[2]) == 4 and callers[2][0].startswith("shiftzoo")
+    assert all(name == me or name.startswith("shiftzoo") for name in callers[2])
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatch):
+    """The pool takes the first projection; its error ends build_zoo, which
+    waits for every started projection and restores the BLAS thread counts."""
+    original = SynthEncoder.projection
+
+    def failing(self):
+        if self.encoder_id == "clean":
+            raise NumericalError("projection failed on purpose")
+        return original(self)
+
+    monkeypatch.setattr(SynthEncoder, "projection", failing)
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    before = [lib.get_num_threads() for lib in blas_threads.openblas_libraries()]
+    outcome = []
+
+    def run():
+        try:
+            build_zoo(SynthSpec(samples_per_domain=200), zoo_size=5, out_dir=tmp_path)
+        except NumericalError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive(), "build_zoo hung after a failed projection"
+    assert [str(e) for e in outcome] == ["projection failed on purpose"]
+    assert [lib.get_num_threads() for lib in blas_threads.openblas_libraries()] == before
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_encoder_requires_coordinates():
