@@ -18,19 +18,22 @@ nested inside another, on any thread, finds every count at 1 and sets
 nothing.
 
 ``usable_cpus`` is the one CPU count that sizes the process's own worker
-threads: the profile grid's ``--jobs`` default and ``worker_pool``, which
-``synth`` (its projection QRs) and ``train`` (its split GEMMs and optimizer
-runs) share.
+threads: the profile grid's ``--jobs`` default and ``worker_pool``. Work goes
+to that pool only through ``run_tasks``, which ``synth`` (its domains,
+projection QRs and encoded cells), ``profile`` (its encoders) and ``train``
+(its split GEMMs and optimizer runs) share; the calling thread always takes
+tasks too.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy  # noqa: F401  (maps numpy's OpenBLAS before the one lookup)
 import scipy.linalg  # noqa: F401  (and scipy's)
@@ -38,6 +41,14 @@ import scipy.linalg  # noqa: F401  (and scipy's)
 # scipy-openblas wheels prefix their symbols; the 64-bit-integer build adds "64_"
 _SYMBOL_PREFIXES = ("scipy_openblas", "openblas")
 _SYMBOL_SUFFIXES = ("64_", "")
+
+# Work under 2 * SPLIT_MACS = 2^22 multiply-adds stays on the calling thread:
+# ``train`` cuts no smaller GEMM (see ensemble_train._matmul) and ``synth``
+# sends no zoo to the pool whose largest cell is smaller, since handing such
+# work to a pool thread costs more than it saves.
+SPLIT_MACS = 1 << 21
+
+T = TypeVar("T")
 
 
 class OpenBlas(NamedTuple):
@@ -117,3 +128,44 @@ def worker_pool() -> ThreadPoolExecutor:
     at the first call and kept for the process; the calling thread is the last CPU.
     """
     return ThreadPoolExecutor(max_workers=max(usable_cpus() - 1, 1), thread_name_prefix="shiftzoo")
+
+
+def run_tasks(tasks: Sequence[Callable[[], T]], workers: int) -> list[T]:
+    """Run every task once and return the results in task order.
+
+    The calling thread and up to ``min(workers, len(tasks), usable_cpus()) - 1``
+    threads of ``worker_pool`` each take the next task no thread has taken,
+    until none is left; with one worker nothing goes to the pool. After a task
+    raises, no thread starts another; once the running ones have ended, the
+    first error is raised here. A helper still queued behind busy pool threads
+    is cancelled, never waited for, so a task may call ``run_tasks`` itself.
+    """
+    results: list = [None] * len(tasks)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    taken = iter(range(len(tasks)))
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(taken, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i]()
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = min(workers, len(tasks), usable_cpus()) - 1
+    futures = [worker_pool().submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        for future in futures:
+            if not future.cancel():
+                future.result()
+    if errors:
+        raise errors[0]
+    return results

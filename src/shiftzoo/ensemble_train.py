@@ -20,12 +20,12 @@ updates the vector in place, one cache-sized chunk at a time, with two
 chunk-sized scratch vectors. All gradients are computed analytically (manual
 backprop); parameters update with Adam plus decoupled weight decay.
 
-Threads: ``train`` runs with OpenBLAS on one thread, and the process's one
-worker pool (``blas_threads.worker_pool``) does the parallel work instead.
-``AdamW`` gives each worker one contiguous run of chunks; the head's large
-GEMMs (``_matmul``) are cut into row or column blocks, one per worker. With OpenBLAS on one
-thread both splits are bit for bit the serial result, and small heads and
-GEMMs take the serial code.
+Threads: ``train`` runs with OpenBLAS on one thread, and the calling thread
+and the process's one worker pool (``blas_threads.run_tasks``) do the
+parallel work instead. ``AdamW`` gives each worker one contiguous run of
+chunks; the head's large GEMMs (``_matmul``) are cut into row or column
+blocks, one per worker. With OpenBLAS on one thread both splits are bit for
+bit the serial result, and small heads and GEMMs take the serial code.
 
 Per-call cost: a desk-sized head (12 -> 6 -> 256 -> 4, batch 32) makes each
 step a few dozen numpy calls on tiny arrays, so the step's time is call
@@ -46,7 +46,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blas_threads import max_blas_threads, single_blas_thread, usable_cpus, worker_pool
+from .blas_threads import (
+    SPLIT_MACS,
+    max_blas_threads,
+    run_tasks,
+    single_blas_thread,
+    usable_cpus,
+)
 from .correlation_profile import dataset_correlation
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet, ZooManifest, load_domain_features
@@ -66,18 +72,7 @@ MODES = ("erm", "rew", "hsic", "both")
 # other offsets, a ragged column tail in a narrow block, or blocks under
 # about 2^20 multiply-adds can take other OpenBLAS kernels (seen with
 # OpenBLAS 0.3.31 on AVX-512) and differ in the last bit.
-SPLIT_MACS = 1 << 21
 _ROW_ALIGN, _COL_ALIGN = 48, 16
-
-
-def _run(tasks: Sequence[Callable[[], object]]) -> None:
-    """Run ``tasks[0]`` on the calling thread and the rest on the pool; wait for all."""
-    futures = [worker_pool().submit(task) for task in tasks[1:]]
-    try:
-        tasks[0]()
-    finally:
-        for future in futures:
-            future.result()
 
 
 def _cuts(n: int, blocks: int, align: int) -> list[tuple[int, int]]:
@@ -91,11 +86,11 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
     A product of at least two ``SPLIT_MACS`` blocks is cut, by rows when it
     has enough of them, else by columns, into one block per usable CPU, and
-    the blocks run on the worker pool. It is cut only while OpenBLAS is on one
-    thread, as ``train`` runs it: with more OpenBLAS threads, OpenBLAS cuts
-    each block again, and a product of ragged shape can then differ from the
-    uncut one in the last bit, so it runs uncut. Smaller products, every one
-    of a desk-sized head, go straight to ``np.matmul``.
+    the blocks run on the calling thread and the worker pool. It is cut only
+    while OpenBLAS is on one thread, as ``train`` runs it: with more OpenBLAS
+    threads, OpenBLAS cuts each block again, and a product of ragged shape can
+    then differ from the uncut one in the last bit, so it runs uncut. Smaller
+    products, every one of a desk-sized head, go straight to ``np.matmul``.
     """
     (m, k), n = a.shape, b.shape[1]
     macs = m * k * n
@@ -112,7 +107,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
         tasks = [partial(np.matmul, a, b[:, lo:hi], out=out[:, lo:hi]) for lo, hi in spans]
     else:
         return np.matmul(a, b, out=out)
-    _run(tasks)
+    run_tasks(tasks, len(tasks))
     return out
 
 
@@ -290,8 +285,8 @@ class AdamW:
     starts, so at head widths of 2048 the chunk's parameters, moments,
     gradient and scratch stay in cache instead of streaming from memory once
     per op. The chunks are split into one contiguous run per worker, up to
-    the usable CPU count; each worker has its own two chunk-length scratch
-    vectors, and the runs go to the worker pool. The update is elementwise, so
+    the usable CPU count; each run has its own two chunk-length scratch
+    vectors, and the runs are ``run_tasks`` tasks. The update is elementwise, so
     the split changes no bit. The moments are full size. The per-chunk views
     are built once, so a step allocates no arrays, and a vector that fits in
     one chunk is updated by the calling thread without slicing.
@@ -330,7 +325,8 @@ class AdamW:
         if len(self._runs) == 1:
             self._update(self._runs[0], grad, c1, c2)
         else:
-            _run([partial(self._update, run, grad, c1, c2) for run in self._runs])
+            run_tasks([partial(self._update, run, grad, c1, c2) for run in self._runs],
+                      len(self._runs))
 
     def _update(self, run: list, grad: np.ndarray, c1: float, c2: float) -> None:
         b1, b2, lr = self.beta1, self.beta2, self.lr

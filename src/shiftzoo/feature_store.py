@@ -20,6 +20,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -126,15 +127,38 @@ class ZooManifest:
         return self.root / self.domain(domain_id).label_file
 
 
-def write_features(path: Path | str, matrix: np.ndarray) -> None:
-    """Write a 2-D array as an FZF1 file (values stored as little-endian f32)."""
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
+def write_feature_blocks(
+    path: Path | str, shape: tuple[int, int], blocks: Iterable[np.ndarray]
+) -> None:
+    """Write an FZF1 file of ``shape`` from its row blocks, taken in row order.
+
+    The header goes first, then each block's rows as little-endian f32, each
+    written as soon as it arrives, so a caller can reuse one block buffer. The
+    blocks must add up to exactly ``shape``.
+    """
+    n, d = shape
+    rows = 0
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(memoryview(arr))  # straight from the array's buffer, no copy
+        fh.write(struct.pack("<II", n, d))
+        for block in blocks:
+            arr = np.ascontiguousarray(block, dtype="<f4")
+            if arr.ndim != 2 or arr.shape[1] != d or rows + arr.shape[0] > n:
+                raise ValidationError(
+                    f"{path}: a {arr.shape} block does not fit rows {rows}.. of a {n}x{d} file"
+                )
+            fh.write(memoryview(arr))  # straight from the array's buffer, no copy
+            rows += arr.shape[0]
+    if rows != n:
+        raise ValidationError(f"{path}: {rows} rows written for a {n}x{d} file")
+
+
+def write_features(path: Path | str, matrix: np.ndarray) -> None:
+    """Write a 2-D array as an FZF1 file (values stored as little-endian f32)."""
+    arr = np.asarray(matrix)
+    if arr.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
+    write_feature_blocks(path, arr.shape, [arr])
 
 
 def read_feature_header(path: Path | str) -> tuple[int, int]:

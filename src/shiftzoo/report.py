@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .blas_threads import single_blas_thread, usable_cpus
+from .blas_threads import run_tasks, single_blas_thread, usable_cpus
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
 from .errors import ValidationError
 from .feature_store import ZooManifest, load_domain_features
@@ -123,12 +123,14 @@ def build_report(
 ) -> dict:
     """Profile the encoder grid in parallel; output independent of `jobs`.
 
-    ``jobs`` defaults to the usable CPU count; no more workers than encoders
-    are started, and one worker is the calling thread (a pool thread would
-    keep its own allocations mapped after the grid). OpenBLAS runs on one
-    thread for the whole grid, so the workers do not compete with BLAS
-    threads and every BLAS result is the same for any ``jobs`` and any
-    ``OPENBLAS_NUM_THREADS``. The previous thread count is restored on return.
+    ``jobs`` defaults to the usable CPU count. At most ``min(jobs, usable
+    CPUs, encoders)`` encoders are profiled at once, one of them on the
+    calling thread and the rest on the process's one worker pool
+    (``blas_threads.run_tasks``), so repeated calls start no new threads.
+    OpenBLAS runs on one thread for the whole grid, so the workers do not
+    compete with BLAS threads and every BLAS result is the same for any
+    ``jobs`` and any ``OPENBLAS_NUM_THREADS``. The previous thread count is
+    restored on return.
     """
     known = [e.encoder_id for e in manifest.encoders]
     if encoder_ids is None:
@@ -141,21 +143,15 @@ def build_report(
     if not todo:
         raise ValidationError("no encoders selected to profile")
 
-    def one(enc_id: str) -> dict:
-        return profile_encoder(
-            manifest, enc_id, seed=seed, shrinkage=shrinkage, quantile=quantile, n_bins=n_bins
-        )
-
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs or usable_cpus(), len(todo))
+    tasks = [
+        partial(profile_encoder, manifest, enc_id, seed=seed, shrinkage=shrinkage,
+                quantile=quantile, n_bins=n_bins)
+        for enc_id in todo
+    ]
     with single_blas_thread():
-        if workers == 1:
-            profiles = [one(enc_id) for enc_id in todo]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                profiles = list(pool.map(one, todo))
-    profiles.sort(key=lambda p: p["encoder_id"])
+        profiles = run_tasks(tasks, jobs or usable_cpus())
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": PROFILE_KIND,

@@ -21,23 +21,31 @@ linear map and a leaky rectifier; the built zoo contains a clean encoder
 (core+spur), a full encoder used as the main model, and mixed randoms that
 see at most half of each shifted block.
 
-Memory: ``generate`` writes each domain straight into one float32 matrix,
-drawing and finishing each block one row block of float64 at a time (see
+Memory: each domain is drawn straight into one float32 matrix, each block
+drawn and finished one row block of float64 at a time in reused buffers (see
 ``BLOCK_DOUBLES``). Each projection is one d x d float64 matrix, factored in
-place, so its QR peaks at two such matrices. ``build_zoo`` makes the
-projections while ``generate`` runs and then holds the raw domains and every
-encoder's projection; it frees each projection once its encoder's files are
-written, and encodes one domain at a time into its float32 result through
-the two float64 buffers of one row block. It makes no full-width float64
-copy of a domain.
+place, so its QR peaks at two such matrices. ``build_zoo`` holds the raw
+domains and every encoder's projection, and streams each (encoder, domain)
+cell to its file one float32 row block at a time: no encoded matrix and no
+full-width float64 copy of a domain is ever whole in memory. Each worker
+draws and encodes through one set of row-block buffers, allocated once by
+the calling thread, and each projection is freed once its encoder's cells
+are written. A zoo whose raw domains and widest projection alone would not
+fit in the physical memory is refused with a ``MemoryError`` before
+anything is drawn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -50,7 +58,7 @@ from .feature_store import (
     build_feature_set,
     save_manifest,
     validation_rows,
-    write_features,
+    write_feature_blocks,
     write_labels,
 )
 
@@ -60,13 +68,15 @@ LEAKY_SLOPE = 0.2
 # Rows are drawn and encoded in blocks of about BLOCK_DOUBLES float64 values
 # (1 MiB, so a block's elementwise passes stay in cache and a desk-width
 # domain is one block), but of at least MIN_BLOCK_ROWS rows, so that each
-# product's pass over a wide projection is shared by enough rows. Blocks hold
+# product's pass over a wide projection is shared by enough rows (240 rows
+# keep a 2048-wide cell's buffers near 13 MB per worker, with two or more
+# cells in flight at once). Blocks hold
 # a multiple of 48 rows, the row cut that keeps every element of an OpenBLAS
-# product's bits (see ensemble_train.SPLIT_MACS), and the last block also
+# product's bits (see ensemble_train._matmul), and the last block also
 # takes the remainder: a one-row block would go to the matrix-vector kernel
 # and can change the last bit.
 BLOCK_DOUBLES = 1 << 17
-MIN_BLOCK_ROWS = 480
+MIN_BLOCK_ROWS = 240
 _ROW_ALIGN = 48
 
 
@@ -170,18 +180,25 @@ def _fill_noisy(
     labels: np.ndarray,
     centers: np.ndarray,
     sigma: float,
+    buffers: tuple[np.ndarray, ...],
     signs: np.ndarray | None = None,
 ) -> None:
     """x[:, cols] = signs * centers[labels] + sigma * N(0, 1), one row block at a time.
 
-    The normals come in row order, so the stream is that of one whole-block
-    draw; IEEE addition commutes, so ``b *= sigma; b += c`` has the bits of
+    Each block is drawn and finished in the two float64 ``buffers``. The
+    normals come in row order, so the stream is that of one whole-block
+    ``rng.normal`` draw, whose values are 0.0 + 1.0 * z: ``b += 0.0`` gives
+    their bits (it turns -0.0 into +0.0 and changes nothing else). IEEE
+    addition commutes, so ``b *= sigma; b += c`` has the bits of
     ``c + sigma * b``, and a +/-1 sign multiplies exactly.
     """
-    for lo, hi in _row_blocks(x.shape[0], cols.stop - cols.start):
-        b = rng.normal(size=(hi - lo, cols.stop - cols.start))
+    width = cols.stop - cols.start
+    for lo, hi in _row_blocks(x.shape[0], width):
+        b, c = (buf[: (hi - lo) * width].reshape(hi - lo, width) for buf in buffers[:2])
+        rng.standard_normal(out=b)
+        b += 0.0
         b *= sigma
-        c = centers[labels[lo:hi]]
+        np.take(centers, labels[lo:hi], axis=0, out=c, mode="clip")
         if signs is not None:
             c *= signs[lo:hi, None]
         b += c
@@ -195,50 +212,74 @@ def _balanced_labels(rng: np.random.Generator, n: int, n_classes: int) -> np.nda
     return labels
 
 
-def generate(
-    spec: SynthSpec, split_ratio: float = 0.2, dataset_name: str = "synth"
-) -> tuple[list[FeatureSet], dict]:
-    """Raw-input-space domains plus a ground-truth card describing the shifts."""
+def _draw_domain(
+    spec: SynthSpec,
+    e: int,
+    seed: np.random.SeedSequence,
+    means: np.ndarray,
+    patterns: np.ndarray,
+    x: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """Fill ``x`` with domain ``e``'s raw rows, drawn from its own seed
+    stream through the float64 row-block ``buffers``, and return the rows'
+    labels."""
+    rng = np.random.default_rng(seed)
+    n = spec.samples_per_domain
+    labels = _balanced_labels(rng, n, spec.n_classes)
+    core = slice(0, spec.dim_core)
+    div = slice(core.stop, core.stop + spec.dim_div)
+    spur = slice(div.stop, spec.dim_total)
+    if spec.dim_core:
+        _fill_noisy(rng, x, core, labels, means, spec.noise_sigma, buffers)
+    if spec.dim_div:
+        # every class is centred at the domain's offset
+        centers = np.full((spec.n_classes, spec.dim_div), e * spec.div_offset)
+        _fill_noisy(rng, x, div, labels, centers, spec.noise_sigma, buffers)
+    if spec.dim_spur:
+        # sign mixture: each row carries its own class pattern with
+        # probability (1 + strength) / 2, otherwise the partner's.
+        # E[spur | y] = strength * pattern[y], and the pooled marginal
+        # over a +/- class pair is strength-free, so nothing leaks into
+        # the diversity axis.
+        own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
+        signs = np.where(own, 1.0, -1.0)
+        _fill_noisy(rng, x, spur, labels, patterns, spec.noise_sigma, buffers, signs)
+    return labels
+
+
+def _domain_draws(spec: SynthSpec) -> tuple[list[np.ndarray], list[Callable[..., np.ndarray]]]:
+    """Each domain's float32 matrix, allocated here, and its draw, which takes
+    a set of ``_block_buffers``. Each draw has its own seed stream, so the
+    draws are independent and any thread may run any of them."""
     ss = np.random.SeedSequence(spec.seed)
     ss_means, ss_patterns, *domain_seeds = ss.spawn(2 + spec.n_domains)
     means = _class_means(np.random.default_rng(ss_means), spec.n_classes, spec.dim_core)
     patterns = _spur_patterns(np.random.default_rng(ss_patterns), spec.n_classes, spec.dim_spur)
-    sets = []
-    for e, dseed in enumerate(domain_seeds):
-        rng = np.random.default_rng(dseed)
-        n = spec.samples_per_domain
-        labels = _balanced_labels(rng, n, spec.n_classes)
-        x = np.empty((n, spec.dim_total), dtype=np.float32)
-        core = slice(0, spec.dim_core)
-        div = slice(core.stop, core.stop + spec.dim_div)
-        spur = slice(div.stop, spec.dim_total)
-        if spec.dim_core:
-            _fill_noisy(rng, x, core, labels, means, spec.noise_sigma)
-        if spec.dim_div:
-            # every class is centred at the domain's offset
-            centers = np.full((spec.n_classes, spec.dim_div), e * spec.div_offset)
-            _fill_noisy(rng, x, div, labels, centers, spec.noise_sigma)
-        if spec.dim_spur:
-            # sign mixture: each row carries its own class pattern with
-            # probability (1 + strength) / 2, otherwise the partner's.
-            # E[spur | y] = strength * pattern[y], and the pooled marginal
-            # over a +/- class pair is strength-free, so nothing leaks into
-            # the diversity axis.
-            own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
-            signs = np.where(own, 1.0, -1.0)
-            _fill_noisy(rng, x, spur, labels, patterns, spec.noise_sigma, signs)
-        sets.append(
-            build_feature_set(
-                f"domain{e}",
-                x,
-                labels,
-                dataset_name=dataset_name,
-                n_classes=spec.n_classes,
-                split_ratio=split_ratio,
-                seed=spec.seed,
-            )
-        )
-    card = {
+    xs = [
+        np.empty((spec.samples_per_domain, spec.dim_total), dtype=np.float32)
+        for _ in domain_seeds
+    ]
+    draws = [
+        partial(_draw_domain, spec, e, dseed, means, patterns, x)
+        for e, (dseed, x) in enumerate(zip(domain_seeds, xs))
+    ]
+    return xs, draws
+
+
+def _feature_sets(
+    spec: SynthSpec, xs: list[np.ndarray], labels: list[np.ndarray], split_ratio: float,
+    dataset_name: str,
+) -> list[FeatureSet]:
+    return [
+        build_feature_set(f"domain{e}", x, y, dataset_name=dataset_name,
+                          n_classes=spec.n_classes, split_ratio=split_ratio, seed=spec.seed)
+        for e, (x, y) in enumerate(zip(xs, labels))
+    ]
+
+
+def _ground_truth(spec: SynthSpec, dataset_name: str) -> dict:
+    return {
         "dataset_name": dataset_name,
         "blocks": {
             "core": list(spec.core_indices),
@@ -259,7 +300,17 @@ def generate(
         "noise_sigma": spec.noise_sigma,
         "seed": spec.seed,
     }
-    return sets, card
+
+
+def generate(
+    spec: SynthSpec, split_ratio: float = 0.2, dataset_name: str = "synth"
+) -> tuple[list[FeatureSet], dict]:
+    """Raw-input-space domains plus a ground-truth card describing the shifts."""
+    xs, draws = _domain_draws(spec)
+    buffers = _block_buffers(spec.samples_per_domain, _block_widths(spec))
+    labels = [draw(buffers) for draw in draws]
+    sets = _feature_sets(spec, xs, labels, split_ratio, dataset_name)
+    return sets, _ground_truth(spec, dataset_name)
 
 
 @dataclass(frozen=True)
@@ -323,29 +374,64 @@ class SynthEncoder:
         return _encode(x, self.coord_indices, self.projection())
 
 
-def _encode(x: np.ndarray, coord_indices: tuple[int, ...], projection: np.ndarray) -> np.ndarray:
+def _block_widths(spec: SynthSpec, encoders: Iterable[SynthEncoder] = ()) -> list[int]:
+    """The widths of the row blocks that drawing the spec's domains and
+    encoding them with these encoders go through."""
+    return [spec.dim_core, spec.dim_div, spec.dim_spur] + [enc.dim for enc in encoders]
+
+
+def _block_buffers(n: int, widths: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat float64, float64 and float32 buffers that hold the largest row
+    block of n rows at any of these widths."""
+    size = max(d * max(hi - lo for lo, hi in _row_blocks(n, d)) for d in widths)
+    return np.empty(size), np.empty(size), np.empty(size, dtype=np.float32)
+
+
+def _encoded_blocks(
+    x: np.ndarray,
+    coord_indices: tuple[int, ...],
+    projection: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Iterator[np.ndarray]:
     """leaky(x[:, coord_indices] @ projection) as float32, one row block at a time.
 
-    Each block's columns are gathered and widened to float64 (exact, so these
-    are the bits of widening first), multiplied into a reused buffer, and
-    rectified as max(z, slope * z), which has the bits of
-    where(z > 0, z, slope * z) for every double, signed zeros, subnormals,
-    infinities and NaN included. Only the float32 result, two row blocks of
-    float64 and one block's float32 gather are alive at once.
+    ``x`` is float32 or float64. Each block's columns are gathered (into the
+    float32 buffer, or straight into a float64 one) and widened to float64
+    (exact, so these are the bits of widening first), multiplied into the
+    second float64 buffer, and rectified as max(z, slope * z), which has the
+    bits of where(z > 0, z, slope * z) for every double, signed zeros,
+    subnormals, infinities and NaN included, into the float32 buffer. Each
+    yielded block is a view of that buffer, valid until the next one.
     """
     cols = np.asarray(coord_indices, dtype=np.intp)
-    n, d = x.shape[0], projection.shape[1]
-    out = np.empty((n, d), dtype=np.float32)
-    blocks = _row_blocks(n, d)
-    rows = max(hi - lo for lo, hi in blocks)
-    # the projection is square, so one buffer holds the gathered block and then slope * z
-    xb, zb = np.empty((rows, d)), np.empty((rows, d))
-    for lo, hi in blocks:
-        xr, zr = xb[: hi - lo], zb[: hi - lo]
-        np.copyto(xr, np.take(x[lo:hi], cols, axis=1))
+    d = projection.shape[1]
+    for lo, hi in _row_blocks(x.shape[0], d):
+        # the projection is square, so one buffer holds the gathered block and then slope * z
+        xr, zr, gr = (b[: (hi - lo) * d].reshape(hi - lo, d) for b in buffers)
+        if x.dtype == np.float64:
+            np.take(x[lo:hi], cols, axis=1, out=xr, mode="clip")
+        else:
+            np.take(x[lo:hi], cols, axis=1, out=gr, mode="clip")
+            np.copyto(xr, gr)
         np.matmul(xr, projection, out=zr)
         np.multiply(zr, LEAKY_SLOPE, out=xr)
-        np.maximum(zr, xr, out=out[lo:hi], casting="same_kind")
+        np.maximum(zr, xr, out=gr, casting="same_kind")
+        yield gr
+
+
+def _encode(x: np.ndarray, coord_indices: tuple[int, ...], projection: np.ndarray) -> np.ndarray:
+    """The row blocks of ``_encoded_blocks`` collected into one float32 matrix.
+
+    Only the result and one row block's buffers are alive at once.
+    """
+    if x.dtype != np.float32:
+        x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape[0], projection.shape[1]
+    out = np.empty((n, d), dtype=np.float32)
+    lo = 0
+    for block in _encoded_blocks(x, coord_indices, projection, _block_buffers(n, [d])):
+        out[lo : lo + block.shape[0]] = block
+        lo += block.shape[0]
     return out
 
 
@@ -383,40 +469,12 @@ def _zoo_encoders(spec: SynthSpec, zoo_size: int) -> list[SynthEncoder]:
     return encoders
 
 
-def _generate_and_project(
-    spec: SynthSpec, encoders: list[SynthEncoder], split_ratio: float, dataset_name: str
-) -> tuple[list[FeatureSet], dict, list[np.ndarray]]:
-    """``generate`` on the calling thread while the worker pool makes the
-    encoders' projections; returns its domains and card, and the projections.
-
-    OpenBLAS is pinned to one thread once, from this thread, for all of it,
-    so each projection has the bits of one made alone. Once the domains are
-    generated, this thread makes, from the last encoder backwards, every
-    projection no worker has started; with one usable CPU it makes them all.
-    An error in a projection reaches the caller once every started
-    projection has ended.
-    """
-    from concurrent.futures import wait
-
-    from .blas_threads import single_blas_thread, usable_cpus, worker_pool
-
-    with single_blas_thread():
-        pool = worker_pool() if usable_cpus() > 1 else None
-        futures = [pool.submit(enc.projection) for enc in encoders] if pool else []
-        try:
-            raw_sets, card = generate(spec, split_ratio=split_ratio, dataset_name=dataset_name)
-            projections: list[np.ndarray | None] = [None] * len(encoders)
-            for i in reversed(range(len(encoders))):
-                if not futures or futures[i].cancel():
-                    projections[i] = encoders[i].projection()
-            for i, future in enumerate(futures):
-                if projections[i] is None:
-                    projections[i] = future.result()
-            return raw_sets, card, projections
-        finally:
-            for future in futures:
-                future.cancel()
-            wait(futures)
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def build_zoo(
@@ -433,16 +491,25 @@ def build_zoo(
     with the same spec, across usable CPU counts, and across OpenBLAS thread
     counts wherever ``blas_threads`` finds OpenBLAS.
 
-    The worker pool makes the projections while this thread runs
-    ``generate``, all on one OpenBLAS thread; encoding then runs unpinned.
+    The work is independent tasks, run by ``blas_threads.run_tasks`` with
+    OpenBLAS pinned to one thread throughout: first each projection QR and
+    each domain's draw, then each (encoder, domain) cell's encoding. A zoo
+    whose largest cell is under ``2 * SPLIT_MACS`` multiply-adds (the desk
+    zoo) runs serially on the calling thread and gives the pool nothing.
 
-    Memory: the raw float32 domains and every encoder's float64 projection
-    are alive together, with at most one in-place QR (two d x d float64
-    matrices) per usable CPU while they are made. Each projection is freed
-    once its encoder's files are written; during encoding one domain's
-    float32 encoding and the two float64 buffers of one row block (see
-    ``BLOCK_DOUBLES``) are alive at a time.
+    Memory: the raw float32 domains, allocated by the calling thread, and
+    every encoder's float64 projection are alive together, with at most one
+    in-place QR (two d x d float64 matrices) per worker while they are made.
+    Each worker has one set of row-block buffers (two float64 and one float32
+    row block, see ``BLOCK_DOUBLES``), also allocated by the calling thread:
+    a domain is drawn through them, and a cell is encoded through them and
+    streamed to its file one row block at a time. Each projection is freed
+    once its encoder's cells are written. Before anything is drawn, a
+    ``MemoryError`` refuses a zoo whose raw domains and widest projection
+    exceed the physical memory.
     """
+    from .blas_threads import SPLIT_MACS, run_tasks, single_blas_thread, usable_cpus
+
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
     n = spec.samples_per_domain
@@ -452,25 +519,65 @@ def build_zoo(
             f"samples_per_domain={n} at split_ratio={split_ratio} leaves each domain {n_val} "
             f"validation and {n - n_val} training rows; each split needs at least one"
         )
+    encoders = _zoo_encoders(spec, zoo_size)
+    widest = max(enc.dim for enc in encoders)
+    need = 4 * spec.n_domains * n * spec.dim_total + 8 * widest**2
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"synth would hold {need / 2**30:.3g} GiB of raw domains and projection, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    encoders = _zoo_encoders(spec, zoo_size)
-    raw_sets, card, projections = _generate_and_project(spec, encoders, split_ratio, dataset_name)
+    workers = usable_cpus() if n * widest**2 >= 2 * SPLIT_MACS else 1
+    # one set of row-block buffers per worker, allocated by this thread: a
+    # pool thread's malloc arena would keep what it allocates after synth
+    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(min(workers, spec.n_domains * len(encoders))):
+        buffers.put(_block_buffers(n, _block_widths(spec, encoders)))
+
+    def borrowing(task: Callable, *args):
+        bufs = buffers.get()
+        try:
+            return task(*args, bufs)
+        finally:
+            buffers.put(bufs)
+
+    xs, draws = _domain_draws(spec)
+    unwritten, lock = [spec.n_domains] * len(encoders), threading.Lock()
+
+    def write_cell(i: int, fs: FeatureSet, bufs: tuple[np.ndarray, ...]) -> None:
+        enc = encoders[i]
+        write_feature_blocks(
+            out_dir / f"{enc.encoder_id}_{fs.domain_id}.fzf", (n, enc.dim),
+            _encoded_blocks(fs.features, enc.coord_indices, projections[i], bufs),
+        )
+        with lock:
+            unwritten[i] -= 1
+            if not unwritten[i]:
+                projections[i] = None  # the encoder's last cell is written
+
+    with single_blas_thread():
+        made = run_tasks(
+            [enc.projection for enc in encoders] + [partial(borrowing, draw) for draw in draws],
+            workers,
+        )
+        projections = made[: len(encoders)]
+        raw_sets = _feature_sets(spec, xs, made[len(encoders) :], split_ratio, dataset_name)
+        del made
+        cells = [(i, fs) for i in range(len(encoders)) for fs in raw_sets]
+        run_tasks([partial(borrowing, write_cell, i, fs) for i, fs in cells], workers)
     domains = []
     for fs in raw_sets:
         label_file = f"{fs.domain_id}.fzl"
         write_labels(out_dir / label_file, fs.labels)
         domains.append(DomainInfo(fs.domain_id, fs.n_samples, label_file))
-    infos = []
-    for i, enc in enumerate(encoders):
-        # one domain's encoding alive at a time
-        files = {}
-        for fs in raw_sets:
-            fname = f"{enc.encoder_id}_{fs.domain_id}.fzf"
-            write_features(out_dir / fname, _encode(fs.features, enc.coord_indices, projections[i]))
-            files[fs.domain_id] = fname
-        projections[i] = None
-        infos.append(EncoderInfo(enc.encoder_id, enc.dim, files))
+    infos = [
+        EncoderInfo(enc.encoder_id, enc.dim,
+                    {fs.domain_id: f"{enc.encoder_id}_{fs.domain_id}.fzf" for fs in raw_sets})
+        for enc in encoders
+    ]
     manifest = ZooManifest(
         dataset_name=dataset_name,
         n_classes=spec.n_classes,
@@ -480,11 +587,10 @@ def build_zoo(
         root=out_dir,
     )
     save_manifest(manifest, out_dir / "manifest.json")
-    card = dict(card)
+    card = _ground_truth(spec, dataset_name)
     card["zoo_roles"] = {role: role for role in ZOO_ROLES}
     card["encoders"] = {e.encoder_id: sorted(e.coord_indices) for e in encoders}
     (out_dir / "ground_truth.json").write_text(
         json.dumps(card, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return manifest, encoders, card
-

@@ -331,13 +331,13 @@ def _with_blas_threads(count, body):
 def _recording_run(monkeypatch):
     """Record the block count of every split product; the blocks still run."""
     blocks = []
-    real = et._run
+    real = et.run_tasks
 
-    def recording(tasks):
+    def recording(tasks, workers):
         blocks.append(len(tasks))
-        real(tasks)
+        return real(tasks, workers)
 
-    monkeypatch.setattr(et, "_run", recording)
+    monkeypatch.setattr(et, "run_tasks", recording)
     return blocks
 
 

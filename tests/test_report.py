@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from shiftzoo import blas_threads
 from shiftzoo import report as report_module
+from shiftzoo.cli import main
 from shiftzoo.errors import ValidationError
 from shiftzoo.report import (
     PROFILE_KIND,
@@ -128,10 +130,11 @@ def test_profiling_widens_the_stored_rows_not_the_accessors(small_zoo, profile, 
 
 @pytest.mark.parametrize("cpus", [1, 3, 64])
 def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
-    small_zoo, profile, monkeypatch, cpus
+    small_zoo, profile, monkeypatch, fresh_pool, cpus
 ):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    fresh_pool()  # the pool is sized from the CPU count once, at its first use
     threads = set()
     real = report_module.profile_encoder
 
@@ -146,8 +149,41 @@ def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
     n_encoders = len(small_zoo.encoders)
     assert n_encoders > 3
     assert len(threads) == min(cpus, n_encoders)
-    # one worker runs the grid on the caller; more run it on the pool only
-    assert (threading.get_ident() in threads) == (cpus == 1)
+    # the calling thread is always one of the workers
+    assert threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_build_report_bytes_do_not_depend_on_jobs(
+    small_zoo, profile, monkeypatch, fresh_pool, jobs
+):
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 3)
+    assert dumps_report(build_report(small_zoo, jobs=jobs)) == dumps_report(profile)
+
+
+def test_profile_calls_start_no_threads_after_the_first(
+    small_zoo, tmp_path, monkeypatch, fresh_pool
+):
+    """``profile --jobs 2`` runs on the process's one pool, so a second call in
+    the same process finds its worker and starts no thread."""
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    started = []
+    real = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    argv = ["profile", "--manifest", str(small_zoo.root / "manifest.json"), "--jobs", "2"]
+    per_call = []
+    for i in range(2):
+        assert main([*argv, "--out", str(tmp_path / f"p{i}.json")]) == 0
+        per_call.append(list(started))
+        started.clear()
+    assert len(per_call[0]) == 1 and per_call[0][0].startswith("shiftzoo")
+    assert per_call[1] == []
+    assert (tmp_path / "p0.json").read_bytes() == (tmp_path / "p1.json").read_bytes()
 
 
 def test_build_report_rejects_bad_selection(small_zoo):

@@ -18,7 +18,12 @@ from shiftzoo.blas_threads import single_blas_thread
 from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import NumericalError, ValidationError
-from shiftzoo.feature_store import FeatureSet, load_domain_features, load_manifest
+from shiftzoo.feature_store import (
+    FeatureSet,
+    load_domain_features,
+    load_manifest,
+    write_features,
+)
 from shiftzoo.gaussian_profile import dataset_diversity
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import (
@@ -157,9 +162,9 @@ def test_encoder_is_deterministic_and_leaky():
 
 
 def test_row_blocks_are_aligned_and_never_short():
-    # a desk-width domain is one block; at width 2048 blocks hold 480 rows
+    # a desk-width domain is one block; at width 2048 blocks hold 240 rows
     assert _row_blocks(2000, 16) == [(0, 2000)]
-    assert _row_blocks(2000, 2048) == [(0, 480), (480, 960), (960, 1440), (1440, 2000)]
+    assert _row_blocks(2000, 2048) == [(i, i + 240) for i in range(0, 1680, 240)] + [(1680, 2000)]
     for n in (1, 47, 48, 481, 1001, 4000):
         for width in (1, 12, 1032, 2048, 10**6):
             blocks = _row_blocks(n, width)
@@ -241,6 +246,25 @@ def test_generate_matches_whole_domain_reference(monkeypatch, spec, block_rows):
         assert fs.features.tobytes() == expected.tobytes()
 
 
+def test_buffered_draw_keeps_the_bits_of_normal_at_signed_zeros():
+    """rng.normal(0, 1) returns 0.0 + 1.0 * z, so a z of -0.0 comes out +0.0;
+    the buffered standard-normal draw must too, or a -0.0 center keeps its sign."""
+    z = np.array([[-0.0, 0.0, 1.5], [-0.0, -2.0, 0.0]])
+
+    class Draws:
+        def standard_normal(self, out):
+            out[...] = z
+
+    centers = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, -0.0]])
+    labels = np.array([0, 1])
+    x = np.empty((2, 3), dtype=np.float32)
+    buffers = synthetic_dg._block_buffers(2, [3])
+    synthetic_dg._fill_noisy(Draws(), x, slice(0, 3), labels, centers, 0.5, buffers)
+    expected = (centers[labels] + 0.5 * (0.0 + 1.0 * z)).astype(np.float32)
+    assert x.tobytes() == expected.tobytes()
+    assert not np.signbit(x[0, 0])
+
+
 @pytest.mark.parametrize("width", [5, 1024])
 def test_projection_equals_dense_diagonal_product(width):
     enc = SynthEncoder("e", tuple(range(width)), 21 + width)
@@ -308,8 +332,7 @@ def test_build_zoo_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch):
         build_zoo(_wide_spec(), zoo_size=4, out_dir=tmp_path / str(cpus))
     me = threading.current_thread().name
     assert callers[1] == [me] * 4
-    # generate keeps this thread busy while the pool takes the first projections
-    assert len(callers[2]) == 4 and callers[2][0].startswith("shiftzoo")
+    assert len(callers[2]) == 4
     assert all(name == me or name.startswith("shiftzoo") for name in callers[2])
     names = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
@@ -317,9 +340,16 @@ def test_build_zoo_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+def _pooled_spec(**kw):
+    # 4 domains x 600 rows, 192-wide encoders: 600 * 192^2 multiply-adds per
+    # cell, above the size rule, so build_zoo hands its tasks to the pool
+    return SynthSpec(n_domains=4, spur_strength=(0.9, 0.9, 0.9, -0.9), dim_core=128,
+                     dim_div=64, dim_spur=64, samples_per_domain=600, **kw)
+
+
 def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatch):
-    """The pool takes the first projection; its error ends build_zoo, which
-    waits for every started projection and restores the BLAS thread counts."""
+    """A failed projection ends build_zoo, which waits for every started task
+    and restores the BLAS thread counts."""
     original = SynthEncoder.projection
 
     def failing(self):
@@ -334,7 +364,7 @@ def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatc
 
     def run():
         try:
-            build_zoo(SynthSpec(samples_per_domain=200), zoo_size=5, out_dir=tmp_path)
+            build_zoo(_pooled_spec(), zoo_size=5, out_dir=tmp_path)
         except NumericalError as exc:
             outcome.append(exc)
 
@@ -345,6 +375,113 @@ def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatc
     assert [str(e) for e in outcome] == ["projection failed on purpose"]
     assert [lib.get_num_threads() for lib in blas_threads.openblas_libraries()] == before
     assert not (tmp_path / "manifest.json").exists()
+
+
+def _read_dir(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_pooled_synth_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, fresh_pool):
+    cells = []
+    real = synthetic_dg.write_feature_blocks
+
+    def recording(path, shape, blocks):
+        cells.append((cpus, threading.current_thread().name))
+        real(path, shape, blocks)
+
+    monkeypatch.setattr(synthetic_dg, "write_feature_blocks", recording)
+    outs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(blas_threads, "usable_cpus", lambda c=cpus: c)
+        fresh_pool()
+        build_zoo(_pooled_spec(seed=2), zoo_size=6, out_dir=tmp_path / str(cpus))
+        outs[cpus] = _read_dir(tmp_path / str(cpus))
+    assert outs[1] == outs[2] == outs[3]
+    me = threading.current_thread().name
+    assert [name for c, name in cells if c == 1] == [me] * 24
+    assert all(name == me or name.startswith("shiftzoo") for _, name in cells)
+
+
+def test_a_desk_sized_synth_gives_the_pool_nothing(tmp_path, monkeypatch):
+    def no_pool():
+        raise AssertionError("a desk-sized synth used the worker pool")
+
+    monkeypatch.setattr(blas_threads, "worker_pool", no_pool)
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 4)
+    # 2000 rows x 12 wide at most: far under 2 * SPLIT_MACS per cell
+    build_zoo(SynthSpec(), zoo_size=6, out_dir=tmp_path)
+    assert (tmp_path / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("width", [12, 192, 1032])
+def test_a_streamed_cell_equals_the_written_transform(tmp_path, width):
+    n = 2001
+    enc = SynthEncoder("e", tuple(range(1, width + 1)), 11)
+    x = np.random.default_rng(width).normal(size=(n, width + 3)).astype(np.float32)
+    # one block at desk width, several with a longer last one when wider
+    assert (len(_row_blocks(n, width)) > 1) == (width > 12)
+    synthetic_dg.write_feature_blocks(
+        tmp_path / "streamed.fzf", (n, width),
+        synthetic_dg._encoded_blocks(x, enc.coord_indices, enc.projection(),
+                                     synthetic_dg._block_buffers(n, [width])),
+    )
+    write_features(tmp_path / "whole.fzf", enc.transform(x))
+    assert (tmp_path / "streamed.fzf").read_bytes() == (tmp_path / "whole.fzf").read_bytes()
+
+
+def test_a_failing_cell_reaches_the_caller_and_leaves_no_task_running(
+    tmp_path, monkeypatch, fresh_pool
+):
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    real = synthetic_dg.write_feature_blocks
+    lock, running, started = threading.Lock(), [0], []
+
+    def tracked(path, shape, blocks):
+        with lock:
+            running[0] += 1
+            started.append(path.name)
+        try:
+            if path.name == "div_heavy_domain1.fzf":
+                raise OSError("cell failed on purpose")
+            real(path, shape, blocks)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(synthetic_dg, "write_feature_blocks", tracked)
+    outcome = []
+
+    def run():
+        try:
+            build_zoo(_pooled_spec(), zoo_size=6, out_dir=tmp_path)
+        except OSError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive(), "build_zoo hung after a failed cell"
+    assert [str(e) for e in outcome] == ["cell failed on purpose"]
+    assert running == [0]
+    # cells run in encoder order; none far past the failed one was started
+    assert len(started) < 24
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_synth_larger_than_physical_memory_exits_1_naming_both_sizes(
+    tmp_path, monkeypatch, capsys
+):
+    from shiftzoo.cli import main
+
+    # 3 domains x 2000 rows x 16 columns of float32 (0.37 MiB) and a 12-wide projection
+    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: 1 << 18)
+    assert main(["synth", "--out", str(tmp_path / "z")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: out of memory: synth would hold 0.000359 GiB of raw domains and projection, "
+        "more than the 0.000244 GiB of physical memory\n"
+    )
+    assert not (tmp_path / "z").exists()
 
 
 def test_encoder_requires_coordinates():
