@@ -1,15 +1,21 @@
-"""Process-wide OpenBLAS thread count, set through ctypes, the CPU count and
-the process's one worker pool.
+"""Process-wide OpenBLAS thread count and numpy's own LAPACK, both through
+ctypes; the CPU count; and the process's one worker pool.
 
-numpy and scipy wheels each bundle their own OpenBLAS build, so a process can
-hold two copies with separate thread counts. Both are found in the process's
-own memory map (``/proc/self/maps``) and driven through their exported
-``*_set_num_threads`` / ``*_get_num_threads`` symbols. Where there is no
-memory map or no OpenBLAS, nothing is found and nothing changes.
+Every OpenBLAS mapped into the process is found in its own memory map
+(``/proc/self/maps``) and driven through its exported ``*_set_num_threads`` /
+``*_get_num_threads`` symbols. shiftzoo needs only numpy, whose wheels bundle
+one OpenBLAS; a copy another package brings (scipy's, say) is found and
+pinned too when it was mapped before the lookup. Where there is no memory map
+or no OpenBLAS, nothing is found and nothing changes. The map is read once,
+at the first ``openblas_libraries`` call, and every later call returns the
+same libraries.
 
-The map is read once, at the first ``openblas_libraries`` call, and every
-later call returns the same libraries. This module imports numpy and
-``scipy.linalg`` itself, so both copies are mapped before that lookup.
+``lapack_routine`` binds a LAPACK routine of numpy's own OpenBLAS: the mapped
+copy that numpy's LAPACK module links, whatever else is mapped and in
+whichever order. shiftzoo calls three, in place on numpy's arrays: ``dgeqrf``
+and ``dorgqr`` for the projection QRs and ``dtrtrs`` for L^-1. Where numpy
+links no mapped OpenBLAS, or it exports no such routine (no memory map,
+Accelerate, MKL), the lookup finds nothing and callers use ``numpy.linalg``.
 
 The setter is process-wide: a count set from one thread is the count every
 thread's next BLAS call uses. Set it once, from the thread that then starts
@@ -35,11 +41,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-import numpy  # noqa: F401  (maps numpy's OpenBLAS before the one lookup)
-import scipy.linalg  # noqa: F401  (and scipy's)
+from numpy.linalg import _umath_linalg  # maps numpy's OpenBLAS before the one lookup
 
-# scipy-openblas wheels prefix their symbols; the 64-bit-integer build adds "64_"
-_SYMBOL_PREFIXES = ("scipy_openblas", "openblas")
+# scipy-openblas wheels (numpy's too) prefix their symbols; the 64-bit-integer build adds "64_"
+_SYMBOL_PREFIXES = ("scipy_", "")
 _SYMBOL_SUFFIXES = ("64_", "")
 
 # Work under 2 * SPLIT_MACS = 2^22 multiply-adds stays on the calling thread:
@@ -60,7 +65,7 @@ class OpenBlas(NamedTuple):
 def _bind(lib: ctypes.CDLL, verb: str):
     for prefix in _SYMBOL_PREFIXES:
         for suffix in _SYMBOL_SUFFIXES:
-            name = f"{prefix}_{verb}_num_threads{suffix}"
+            name = f"{prefix}openblas_{verb}_num_threads{suffix}"
             if hasattr(lib, name):
                 return getattr(lib, name)
     return None
@@ -90,6 +95,55 @@ def openblas_libraries() -> tuple[OpenBlas, ...]:
         setter.argtypes, setter.restype = [ctypes.c_int], None
         found.append(OpenBlas(path, getter, setter))
     return tuple(found)
+
+
+def _address(fn) -> int | None:
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+@lru_cache(maxsize=1)
+def numpy_openblas() -> OpenBlas | None:
+    """The mapped OpenBLAS that numpy's LAPACK module links, None when it links none.
+
+    A symbol looked up through that module's own handle resolves within the
+    module and its dependencies, so numpy's copy is the one whose thread
+    getter that lookup finds.
+    """
+    try:
+        linalg = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for lib in openblas_libraries():
+        own = getattr(linalg, lib.get_num_threads.__name__, None)
+        if own is not None and _address(own) == _address(lib.get_num_threads):
+            return lib
+    return None
+
+
+@lru_cache(maxsize=None)
+def lapack_routine(name: str, nargs: int) -> tuple[Callable[..., None], type] | None:
+    """numpy's OpenBLAS routine ``name`` (say "dgeqrf") and its integer ctype, or None.
+
+    The routine is bound to take ``nargs`` pointer-sized integers: the
+    addresses of its arrays, of its integers (of the returned ctype) and of
+    its one-character strings, then the strings' hidden Fortran lengths.
+    A ``64_`` symbol suffix means 64-bit integers and none 32-bit ones.
+    ctypes releases the GIL for each call.
+    """
+    lib = numpy_openblas()
+    if lib is None:
+        return None
+    handle = ctypes.CDLL(lib.path)
+    for prefix in _SYMBOL_PREFIXES:
+        for suffix, int_type in (("_64_", ctypes.c_int64), ("_", ctypes.c_int32)):
+            try:
+                # indexing makes a new function object, whose argtypes are its own
+                routine = handle[f"{prefix}{name}{suffix}"]
+            except AttributeError:
+                continue
+            routine.argtypes, routine.restype = (ctypes.c_void_p,) * nargs, None
+            return routine, int_type
+    return None
 
 
 def max_blas_threads() -> int:

@@ -68,7 +68,11 @@ def _strengths(value: str) -> tuple[float, ...]:
 _FLAG_EXCEPTIONS = {
     "samples_per_domain": {"flag": "--samples"},
     "spur_strength": {"type": _strengths, "help": "comma-separated, one per domain"},
-    "jobs": {"type": int, "help": "parallel workers for the grid (default: usable CPUs)"},
+    "jobs": {
+        "type": int,
+        "help": "profile min(JOBS, usable CPUs, encoders) encoders at once "
+        "(default: usable CPUs)",
+    },
     "n_bins": {"flag": "--bins", "metavar": "BINS"},
     "n_warmup": {"flag": "--warmup"},
     "n_anneal": {"flag": "--anneal"},

@@ -20,13 +20,14 @@ validation row that sets the threshold sits exactly on it.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
+from .blas_threads import lapack_routine
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet
 
@@ -93,6 +94,44 @@ def regularize_and_factor(cov: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE)
         ) from exc
 
 
+def lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower triangular L, Fortran-ordered.
+
+    LAPACK's ``dtrtrs`` on numpy's own OpenBLAS overwrites an identity with
+    the solution X of L X = I, reading C-ordered L as the upper triangle of
+    its Fortran-ordered transpose: the call, and so the bits, of
+    ``scipy.linalg.solve_triangular(chol, eye, lower=True)``. ctypes releases
+    the GIL for it. Where ``lapack_routine`` finds no ``dtrtrs``, numpy's
+    general solve gives X, its upper triangle zeroed. An exact zero on L's
+    diagonal raises ``NumericalError`` naming it.
+    """
+    chol = np.ascontiguousarray(chol, dtype=np.float64)
+    if chol.ndim != 2 or chol.shape[0] != chol.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {chol.shape}")
+    d = chol.shape[0]
+    found = lapack_routine("dtrtrs", 13)
+    if found is None:
+        zeros = np.flatnonzero(np.diagonal(chol) == 0.0)
+        if zeros.size:  # dtrtrs's test; a general solve need not see it
+            raise NumericalError(
+                f"the {d}-wide Cholesky factor is singular at diagonal {zeros[0] + 1}"
+            )
+        return np.asfortranarray(np.tril(np.linalg.solve(chol, np.eye(d))))
+    dtrtrs, int_type = found
+    inv = np.eye(d, order="F")
+    ints = (int_type * 2)(d, 0)  # n (= nrhs = lda = ldb), info
+    n = ctypes.addressof(ints)
+    info = n + ctypes.sizeof(int_type)
+    # then the hidden lengths of the three one-character strings
+    dtrtrs(b"U", b"T", b"N", n, n, chol.ctypes.data, n, inv.ctypes.data, n, info, 1, 1, 1)
+    if ints[1] != 0:
+        raise NumericalError(
+            f"LAPACK dtrtrs returned info={ints[1]} for the {d}-wide Cholesky factor"
+            + (f": it is singular at diagonal {ints[1]}" if ints[1] > 0 else "")
+        )
+    return inv
+
+
 def mahalanobis_sq(mean: np.ndarray, inv_chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances ||(x - mean) L^-T||^2 of the rows of ``x``.
 
@@ -143,10 +182,7 @@ def fit_profile(
             "is the same), so no Gaussian can be fitted; for a trained head's logits "
             "this means training collapsed (try a lower learning rate)"
         )
-    chol = regularize_and_factor(cov, shrinkage)
-    inv_chol = scipy.linalg.solve_triangular(
-        chol, np.eye(chol.shape[0]), lower=True, check_finite=False
-    )
+    inv_chol = lower_inverse(regularize_and_factor(cov, shrinkage))
     threshold = estimate_threshold(mahalanobis_sq(mean, inv_chol, val), quantile)
     return DomainProfile(domain_id=fs.domain_id, mean=mean, inv_chol=inv_chol, threshold=threshold)
 

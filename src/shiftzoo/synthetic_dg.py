@@ -37,6 +37,7 @@ anything is drawn.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .blas_threads import SPLIT_MACS, lapack_routine, run_tasks, single_blas_thread, usable_cpus
 from .errors import NumericalError, ValidationError
 from .feature_store import (
     DomainInfo,
@@ -333,34 +335,55 @@ class SynthEncoder:
         """Q of a seeded d x d Gaussian's QR, column j scaled by a seeded u[j] in [0.8, 1.25].
 
         The Gaussian is copied once into Fortran order, and LAPACK's
-        ``dgeqrf`` and then ``dorgqr`` overwrite that copy with Q: no R is
-        formed, and the peak is two d x d matrices. These are the routines
-        and the queried workspace sizes of ``np.linalg.qr``, so Q has its
-        bits. The result is Fortran-ordered.
+        ``dgeqrf`` and then ``dorgqr``, on numpy's own OpenBLAS, overwrite
+        that copy with Q: no R is formed, and the peak is two d x d matrices.
+        These are the routines and the queried workspace sizes of
+        ``np.linalg.qr``, so Q has its bits; where ``lapack_routine`` finds
+        no such routines, Q is ``np.linalg.qr``'s. The result is
+        Fortran-ordered.
 
         LAPACK's QR can take other bits under another OpenBLAS thread count
         (seen at d = 446 and 1032), so it runs on one thread; under
-        ``build_zoo``'s pin this sets nothing. Imported here: blas_threads
-        and scipy, which the generator does not need.
+        ``build_zoo``'s pin this sets nothing.
         """
-        from scipy.linalg import lapack
-
-        from .blas_threads import single_blas_thread
-
         rng = np.random.default_rng(self.seed)
         d = self.dim
         a = np.asfortranarray(rng.normal(size=(d, d)))
+        geqrf, orgqr = lapack_routine("dgeqrf", 8), lapack_routine("dorgqr", 9)
         with single_blas_thread():
-            lwork, info = lapack.dgeqrf_lwork(d, d)
-            self._lapack_ok("dgeqrf workspace query", info)
-            a, tau, _, info = lapack.dgeqrf(a, lwork=int(lwork), overwrite_a=1)
-            self._lapack_ok("dgeqrf", info)
-            _, work, info = lapack.dorgqr(a, tau, lwork=-1, overwrite_a=1)
-            self._lapack_ok("dorgqr workspace query", info)
-            a, _, info = lapack.dorgqr(a, tau, lwork=int(work[0]), overwrite_a=1)
-            self._lapack_ok("dorgqr", info)
+            if geqrf is None or orgqr is None:
+                a = np.asfortranarray(np.linalg.qr(a)[0])
+            else:
+                self._q_in_place(a, geqrf, orgqr)
         a *= rng.uniform(0.8, 1.25, size=d)  # scales column j of q by u[j]
         return a
+
+    def _q_in_place(self, a: np.ndarray, geqrf, orgqr) -> None:
+        """Overwrite the square Fortran-ordered ``a`` with the Q of its QR.
+
+        The integers and workspaces are ctypes buffers, whose addresses cost
+        far less to take than a numpy array's.
+        """
+        (geqrf, int_type), (orgqr, _) = geqrf, orgqr
+        d, size = a.shape[0], ctypes.sizeof(int_type)
+        ints = (int_type * 3)(d, -1, 0)  # n (= m = k = lda), lwork (-1 queries), info
+        n = ctypes.addressof(ints)
+        lwork, info = n + size, n + 2 * size
+        tau = (ctypes.c_double * (d + 2))()  # tau, then the two queried workspace sizes
+        a_p, tau_p = a.ctypes.data, ctypes.addressof(tau)
+        geqrf(n, n, a_p, n, tau_p, tau_p + 8 * d, lwork, info)
+        self._lapack_ok("dgeqrf workspace query", ints[2])
+        orgqr(n, n, n, a_p, n, tau_p, tau_p + 8 * (d + 1), lwork, info)
+        self._lapack_ok("dorgqr workspace query", ints[2])
+        sizes = int(tau[d]), int(tau[d + 1])
+        work = (ctypes.c_double * max(*sizes, 1))()
+        work_p = ctypes.addressof(work)
+        ints[1] = sizes[0]
+        geqrf(n, n, a_p, n, tau_p, work_p, lwork, info)
+        self._lapack_ok("dgeqrf", ints[2])
+        ints[1] = sizes[1]
+        orgqr(n, n, n, a_p, n, tau_p, work_p, lwork, info)
+        self._lapack_ok("dorgqr", ints[2])
 
     def _lapack_ok(self, routine: str, info: int) -> None:
         if info != 0:
@@ -508,8 +531,6 @@ def build_zoo(
     ``MemoryError`` refuses a zoo whose raw domains and widest projection
     exceed the physical memory.
     """
-    from .blas_threads import SPLIT_MACS, run_tasks, single_blas_thread, usable_cpus
-
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
     n = spec.samples_per_domain

@@ -1,8 +1,13 @@
-"""OpenBLAS thread pinning: found libraries, one thread inside, counts restored."""
+"""OpenBLAS thread pinning (found libraries, one thread inside, counts
+restored), numpy's LAPACK routines and the fallback where none is found."""
 
+import ctypes
 import os
+import subprocess
+import sys
 import threading
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -11,8 +16,19 @@ import pytest
 import scipy
 import scipy.linalg  # noqa: F401  (maps scipy's own OpenBLAS)
 
-from shiftzoo import blas_threads
-from shiftzoo.blas_threads import OpenBlas, openblas_libraries, single_blas_thread
+import shiftzoo
+from shiftzoo import blas_threads, gaussian_profile, synthetic_dg
+from shiftzoo.blas_threads import (
+    OpenBlas,
+    lapack_routine,
+    numpy_openblas,
+    openblas_libraries,
+    single_blas_thread,
+)
+from shiftzoo.correlation_profile import dataset_correlation
+from shiftzoo.feature_store import load_domain_features
+from shiftzoo.gaussian_profile import dataset_diversity
+from shiftzoo.synthetic_dg import SynthEncoder, SynthSpec, build_zoo
 
 
 def _bundled(module) -> set[str]:
@@ -31,11 +47,28 @@ def libs():
     return openblas_libraries()
 
 
-def test_numpy_and_scipy_openblas_are_both_found(libs):
+def _address(fn) -> int:
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+def test_numpy_openblas_is_found_pinned_and_its_lapack_bound(libs):
+    """With scipy's copy mapped too (this module imports it), every copy is
+    pinned, and the LAPACK lookup binds numpy's whatever the map order."""
+    if not BUNDLED["numpy"]:
+        pytest.skip("numpy brings no OpenBLAS of its own here")
     found = {os.path.realpath(lib.path) for lib in libs}
     assert len(found) == len(libs)
     for package, paths in BUNDLED.items():
         assert paths <= found, (package, sorted(found))
+    with single_blas_thread():
+        assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
+    own = numpy_openblas()
+    assert os.path.realpath(own.path) in BUNDLED["numpy"]
+    for name, nargs in (("dgeqrf", 8), ("dorgqr", 9), ("dtrtrs", 13)):
+        routine, int_type = lapack_routine(name, nargs)
+        assert _address(routine) == _address(ctypes.CDLL(own.path)[routine.__name__])
+        assert int_type is (ctypes.c_int64 if routine.__name__.endswith("_64_") else ctypes.c_int32)
+    assert lapack_routine("no_such_routine", 1) is None
 
 
 def test_single_thread_inside_and_previous_counts_after(libs):
@@ -179,3 +212,93 @@ def test_a_task_may_run_tasks_itself(monkeypatch, fresh_pool):
     caller.join(timeout=30)
     assert not caller.is_alive(), "nested run_tasks deadlocked"
     assert outcome == [[4, 4, 4, 4]]
+
+
+@contextmanager
+def _no_lapack():
+    """The lookup finds nothing, as under Accelerate or MKL or without a memory map."""
+    with pytest.MonkeyPatch.context() as m:
+        for module in (synthetic_dg, gaussian_profile):
+            m.setattr(module, "lapack_routine", lambda name, nargs: None)
+        yield
+
+
+@pytest.mark.parametrize("width", [1, 5, 103, 446])
+def test_projection_without_lapack_has_the_main_paths_bits(width):
+    enc = SynthEncoder("e", tuple(range(width)), 7 + width)
+    main = enc.projection()
+    with _no_lapack():
+        fallback = enc.projection()
+    assert fallback.flags.f_contiguous
+    assert fallback.tobytes() == main.tobytes()
+
+
+def _profile(manifest, encoder_id):
+    sets = [load_domain_features(manifest, encoder_id, d.domain_id) for d in manifest.domains]
+    f_div, div_pairs = dataset_diversity(sets)
+    f_cor, cor_pairs = dataset_correlation(sets, div_pairs, manifest.n_classes)
+    flags = {
+        key: (p.escape_a.tobytes(), p.escape_b.tobytes(), p.f_div) for key, p in div_pairs.items()
+    }
+    return f_div, f_cor, flags, {key: p.f_cor for key, p in cor_pairs.items()}
+
+
+def test_zoo_and_profile_without_lapack_match_the_main_path(tmp_path):
+    """Same zoo bytes; every escape flag, f_div and f_cor the same from a numpy L^-1."""
+    spec = SynthSpec(dim_core=32, dim_div=16, dim_spur=16, samples_per_domain=800, seed=4)
+    manifest, _, _ = build_zoo(spec, zoo_size=6, out_dir=tmp_path / "main")
+    with _no_lapack():
+        build_zoo(spec, zoo_size=6, out_dir=tmp_path / "fallback")
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "fallback").iterdir())
+    for name in names:
+        main, fallback = tmp_path / "main" / name, tmp_path / "fallback" / name
+        assert main.read_bytes() == fallback.read_bytes(), name
+    for enc in manifest.encoders:
+        main = _profile(manifest, enc.encoder_id)
+        with _no_lapack():
+            assert _profile(manifest, enc.encoder_id) == main, enc.encoder_id
+
+
+PIPELINE = """
+import sys
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+else:
+    sys.modules["scipy"] = None
+from shiftzoo import blas_threads
+from shiftzoo.cli import main
+out = sys.argv[2]
+assert main(["synth", "--out", out, "--seed", "2", "--samples", "600",
+             "--dim-core", "64", "--dim-div", "32", "--dim-spur", "32"]) == 0
+assert main(["profile", "--manifest", out + "/manifest.json", "--out", out + "/profile.json"]) == 0
+print(blas_threads.numpy_openblas().path, len(blas_threads.openblas_libraries()))
+"""
+
+
+def test_scipy_imported_first_changes_neither_the_lookup_nor_the_bytes(tmp_path):
+    """Imported first, scipy's OpenBLAS is mapped (and may come first in the
+    map), but the lookup still binds numpy's and synth and profile write the
+    bytes of a process without scipy."""
+    if not BUNDLED["numpy"]:
+        pytest.skip("numpy brings no OpenBLAS of its own here")
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "SHIFTZOO_SEED"}
+    env["PYTHONPATH"] = src
+    printed = {}
+    for how in ("scipy-first", "no-scipy"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PIPELINE, how, str(tmp_path / how)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        path, count = proc.stdout.splitlines()[-1].rsplit(maxsplit=1)
+        printed[how] = os.path.realpath(path), int(count)
+    assert printed["scipy-first"][0] in BUNDLED["numpy"]
+    assert printed["no-scipy"][0] == printed["scipy-first"][0]
+    assert printed["scipy-first"][1] == printed["no-scipy"][1] + (1 if BUNDLED["scipy"] else 0)
+    first, without = tmp_path / "scipy-first", tmp_path / "no-scipy"
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in without.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (without / name).read_bytes(), name

@@ -75,6 +75,37 @@ def test_profile_bytes_independent_of_jobs(zoo_dir, profile_path, tmp_path):
         assert out.read_bytes() == profile_path.read_bytes()
 
 
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import shiftzoo.synthetic_dg
+assert "shiftzoo.ensemble_train" not in sys.modules, "the generator imported the trainer"
+from shiftzoo.cli import main
+out = sys.argv[1]
+manifest = out + "/manifest.json"
+assert main(["synth", "--out", out, "--samples", "100", "--seed", "0"]) == 0
+assert main(["profile", "--manifest", manifest, "--out", out + "/profile.json"]) == 0
+assert main(["rank", "--report", out + "/profile.json", "--main", "main_full"]) == 0
+assert main(["train", "--manifest", manifest, "--out", out + "/run.json", "--main", "main_full",
+             "--div-aux", "div_heavy", "--rew-aux", "cor_heavy", "--mode", "both",
+             "--target", "domain2", "--steps", "20"]) == 0
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """numpy is the one runtime dependency: synth, profile, rank and train run
+    with scipy unimportable, and the generator imports no trainer."""
+    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "SHIFTZOO_SEED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "zoo")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "zoo" / "run.json").read_text())
+
+
 def test_synth_bytes_independent_of_blas_threads(tmp_path):
     """A zoo of 1032-wide encoders under 1 and 2 OpenBLAS threads.
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from oracle_utils import reference_mahalanobis_sq
@@ -19,6 +20,7 @@ from shiftzoo.gaussian_profile import (
     estimate_threshold,
     fit_gaussian,
     fit_profile,
+    lower_inverse,
     mahalanobis_sq,
     regularize_and_factor,
 )
@@ -118,6 +120,43 @@ def test_mahalanobis_matches_explicit_inverse():
     want = np.einsum("ij,jk,ik->i", diff, inv, diff)
     got = mahalanobis_sq(profile.mean, profile.inv_chol, q)
     np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("width", [1, 4, 12, 103, 192, 256])
+def test_lower_inverse_has_the_bits_of_solve_triangular(width):
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(width + 8, width))
+    chol = regularize_and_factor(x.T @ x / (width + 8))
+    want = solve_triangular(chol, np.eye(width), lower=True, check_finite=False)
+    got = lower_inverse(chol)
+    assert got.flags.f_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_lower_inverse_names_the_zero_diagonal(k):
+    """dtrtrs reports an exact zero at diagonal k as info=k, read at its integer width."""
+    if gaussian_profile.lapack_routine("dtrtrs", 13) is None:
+        pytest.skip("numpy links no OpenBLAS that exports dtrtrs here")
+    chol = np.tril(np.random.default_rng(k).normal(size=(7, 7))) + 4 * np.eye(7)
+    chol[k - 1, k - 1] = 0.0
+    with pytest.raises(NumericalError, match=rf"LAPACK dtrtrs returned info={k} .*diagonal {k}"):
+        lower_inverse(chol)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_lower_inverse_without_lapack_names_the_zero_diagonal(k, monkeypatch):
+    monkeypatch.setattr(gaussian_profile, "lapack_routine", lambda name, nargs: None)
+    chol = np.tril(np.random.default_rng(k).normal(size=(7, 7))) + 4 * np.eye(7)
+    chol[k - 1, k - 1] = 0.0
+    with pytest.raises(NumericalError, match=rf"singular at diagonal {k}$"):
+        lower_inverse(chol)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+def test_lower_inverse_rejects_a_non_square_factor(shape):
+    with pytest.raises(ValidationError, match="square"):
+        lower_inverse(np.ones(shape))
 
 
 def test_mahalanobis_accepts_single_row():

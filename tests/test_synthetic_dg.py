@@ -1,18 +1,13 @@
 """Planted-shift generator: block semantics, zoo construction, determinism."""
 
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from oracle_utils import benchmark_train_config, reference_encode, reference_generate
 
-import shiftzoo
 from shiftzoo import blas_threads, synthetic_dg
 from shiftzoo.blas_threads import single_blas_thread
 from shiftzoo.correlation_profile import dataset_correlation
@@ -302,11 +297,25 @@ def test_projection_holds_two_matrices_at_its_peak():
 
 
 def test_projection_reports_a_lapack_failure(monkeypatch):
-    from scipy.linalg import lapack
+    """An info the final dorgqr writes, at the lookup's integer width, is raised."""
+    real = synthetic_dg.lapack_routine
+    if real("dorgqr", 9) is None:
+        pytest.skip("numpy links no OpenBLAS that exports dorgqr here")
 
-    real = lapack.dorgqr
-    monkeypatch.setattr(lapack, "dorgqr", lambda *a, **k: (*real(*a, **k)[:2], -3))
-    with pytest.raises(NumericalError, match=r"dorgqr.*info=-3.*encoder 'e'"):
+    def lookup(name, nargs):
+        routine, int_type = real(name, nargs)
+        if name != "dorgqr":
+            return routine, int_type
+
+        def failing(*args):
+            routine(*args)
+            if int_type.from_address(args[-2]).value != -1:  # not the workspace query
+                int_type.from_address(args[-1]).value = -3
+
+        return failing, int_type
+
+    monkeypatch.setattr(synthetic_dg, "lapack_routine", lookup)
+    with pytest.raises(NumericalError, match=r"LAPACK dorgqr returned info=-3 .*encoder 'e'"):
         SynthEncoder("e", (0, 1, 2), 1).projection()
 
 
@@ -574,17 +583,3 @@ def test_benchmark_config_defaults_and_overrides():
     assert cfg.hsic_active and cfg.rew_active
     cfg2 = benchmark_train_config(seed=12, lam=0.0, steps=10)
     assert cfg2.lam == 0.0 and cfg2.steps == 10
-
-
-def test_importing_the_generator_leaves_the_trainer_and_scipy_unloaded():
-    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
-    probe = (
-        "import sys; import shiftzoo.synthetic_dg; "
-        "print(sorted({'shiftzoo.ensemble_train', 'scipy'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
