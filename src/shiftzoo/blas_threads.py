@@ -1,27 +1,20 @@
-"""Process-wide OpenBLAS thread count and numpy's own LAPACK, both through
-ctypes; the CPU count; and the process's one worker pool.
+"""numpy's own OpenBLAS through ctypes (its process-wide thread count and
+its LAPACK routines), the CPU count, and the process's one worker pool.
 
-Every OpenBLAS mapped into the process is found in its own memory map
-(``/proc/self/maps``) and driven through its exported ``*_set_num_threads`` /
-``*_get_num_threads`` symbols. shiftzoo needs only numpy, whose wheels bundle
-one OpenBLAS; a copy another package brings (scipy's, say) is found and
-pinned too when it was mapped before the lookup. Where there is no memory map
-or no OpenBLAS, nothing is found and nothing changes. The map is read once,
-at the first ``openblas_libraries`` call, and every later call returns the
-same libraries.
+Every OpenBLAS symbol is looked up through one handle: ``ctypes.CDLL`` of
+numpy's LAPACK module, which resolves within that module and the libraries
+it links. So it binds numpy's own copy, whatever else is loaded and in
+whichever order, and a copy another package brings (scipy's, say) is neither
+called nor pinned. Where numpy links no OpenBLAS (Accelerate, MKL), nothing
+is found: nothing is pinned, and ``lapack_routine``'s callers use
+``numpy.linalg``. shiftzoo calls three routines, in place on numpy's arrays:
+``dgeqrf`` and ``dorgqr`` for the projection QRs and ``dtrtrs`` for L^-1.
 
-``lapack_routine`` binds a LAPACK routine of numpy's own OpenBLAS: the mapped
-copy that numpy's LAPACK module links, whatever else is mapped and in
-whichever order. shiftzoo calls three, in place on numpy's arrays: ``dgeqrf``
-and ``dorgqr`` for the projection QRs and ``dtrtrs`` for L^-1. Where numpy
-links no mapped OpenBLAS, or it exports no such routine (no memory map,
-Accelerate, MKL), the lookup finds nothing and callers use ``numpy.linalg``.
-
-The setter is process-wide: a count set from one thread is the count every
-thread's next BLAS call uses. Set it once, from the thread that then starts
-any workers, and restore it from that same thread. A ``single_blas_thread``
-nested inside another, on any thread, finds every count at 1 and sets
-nothing.
+The thread setter is process-wide: a count set from one thread is the count
+every thread's next BLAS call uses. Set it once, from the thread that then
+starts any workers, and restore it from that same thread. A
+``single_blas_thread`` nested inside another, on any thread, finds the count
+at 1 and sets nothing.
 
 ``usable_cpus`` is the one CPU count that sizes the process's own worker
 threads: the profile grid's ``--jobs`` default and ``worker_pool``. Work goes
@@ -38,133 +31,115 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from numpy.linalg import _umath_linalg  # maps numpy's OpenBLAS before the one lookup
-
-# scipy-openblas wheels (numpy's too) prefix their symbols; the 64-bit-integer build adds "64_"
-_SYMBOL_PREFIXES = ("scipy_", "")
-_SYMBOL_SUFFIXES = ("64_", "")
+from numpy.linalg import _umath_linalg
 
 # Work under 2 * SPLIT_MACS = 2^22 multiply-adds stays on the calling thread:
 # ``train`` cuts no smaller GEMM (see ensemble_train._matmul) and ``synth``
 # sends no zoo to the pool whose largest cell is smaller, since handing such
 # work to a pool thread costs more than it saves.
 SPLIT_MACS = 1 << 21
+# Row cuts at multiples of ROW_ALIGN keep an OpenBLAS product's bits (see ensemble_train._matmul)
+ROW_ALIGN = 48
 
 T = TypeVar("T")
 
 
 class OpenBlas(NamedTuple):
-    path: str
+    handle: ctypes.CDLL | None
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
 
 
-def _bind(lib: ctypes.CDLL, verb: str):
-    for prefix in _SYMBOL_PREFIXES:
-        for suffix in _SYMBOL_SUFFIXES:
-            name = f"{prefix}openblas_{verb}_num_threads{suffix}"
-            if hasattr(lib, name):
-                return getattr(lib, name)
+def _symbol(lib: ctypes.CDLL, stem: str):
+    """``stem`` (say "dgeqrf_") as exported through ``lib``, None when it is not."""
+    # scipy-openblas wheels (numpy's too) prefix their symbols; the 64-bit-integer build adds "64_"
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}{stem}{suffix}", None)
+            if fn is not None:
+                return fn
     return None
-
-
-@lru_cache(maxsize=1)
-def openblas_libraries() -> tuple[OpenBlas, ...]:
-    """Every OpenBLAS mapped into this process, in map order, looked up once."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return ()
-    paths = dict.fromkeys(
-        f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
-    )
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        getter, setter = _bind(lib, "get"), _bind(lib, "set")
-        if getter is None or setter is None:
-            continue
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        found.append(OpenBlas(path, getter, setter))
-    return tuple(found)
-
-
-def _address(fn) -> int | None:
-    return ctypes.cast(fn, ctypes.c_void_p).value
 
 
 @lru_cache(maxsize=1)
 def numpy_openblas() -> OpenBlas | None:
-    """The mapped OpenBLAS that numpy's LAPACK module links, None when it links none.
-
-    A symbol looked up through that module's own handle resolves within the
-    module and its dependencies, so numpy's copy is the one whose thread
-    getter that lookup finds.
-    """
+    """The OpenBLAS that numpy's LAPACK module links, None when it links none."""
     try:
-        linalg = ctypes.CDLL(_umath_linalg.__file__)
+        lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for lib in openblas_libraries():
-        own = getattr(linalg, lib.get_num_threads.__name__, None)
-        if own is not None and _address(own) == _address(lib.get_num_threads):
-            return lib
-    return None
+    getter = _symbol(lib, "openblas_get_num_threads")
+    setter = _symbol(lib, "openblas_set_num_threads")
+    if getter is None or setter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return OpenBlas(lib, getter, setter)
 
 
 @lru_cache(maxsize=None)
-def lapack_routine(name: str, nargs: int) -> tuple[Callable[..., None], type] | None:
-    """numpy's OpenBLAS routine ``name`` (say "dgeqrf") and its integer ctype, or None.
+def lapack_routine(name: str) -> Callable[..., int] | None:
+    """numpy's OpenBLAS routine ``name`` (say "dgeqrf") as a call, or None.
 
-    The routine is bound to take ``nargs`` pointer-sized integers: the
-    addresses of its arrays, of its integers (of the returned ctype) and of
-    its one-character strings, then the strings' hidden Fortran lengths.
-    A ``64_`` symbol suffix means 64-bit integers and none 32-bit ones.
-    ctypes releases the GIL for each call.
+    The call takes the routine's arguments up to, not including, ``info``:
+    numpy arrays (passed by address), Python ints and one-character
+    ``bytes``; it returns ``info``. A ``64_`` symbol suffix means 64-bit
+    integers and none 32-bit ones. ctypes releases the GIL for each call.
     """
     lib = numpy_openblas()
-    if lib is None:
+    routine = None if lib is None else _symbol(lib.handle, f"{name}_")
+    if routine is None:
         return None
-    handle = ctypes.CDLL(lib.path)
-    for prefix in _SYMBOL_PREFIXES:
-        for suffix, int_type in (("_64_", ctypes.c_int64), ("_", ctypes.c_int32)):
-            try:
-                # indexing makes a new function object, whose argtypes are its own
-                routine = handle[f"{prefix}{name}{suffix}"]
-            except AttributeError:
-                continue
-            routine.argtypes, routine.restype = (ctypes.c_void_p,) * nargs, None
-            return routine, int_type
-    return None
+    routine.restype = None
+    int_type = ctypes.c_int64 if routine.__name__.endswith("64_") else ctypes.c_int32
+    return partial(_call, routine, int_type)
 
 
-def max_blas_threads() -> int:
-    """The highest thread count of any OpenBLAS in the process, 1 when none is found."""
-    return max((lib.get_num_threads() for lib in openblas_libraries()), default=1)
+def _call(routine, int_type: type, *args) -> int:
+    """Call a Fortran routine: every argument by address, ``info`` last, and then
+    the hidden lengths of the strings; return ``info``."""
+    n = len(args)
+    ints = (int_type * (n + 1))()  # the integer arguments, then info
+    base, size = ctypes.addressof(ints), ctypes.sizeof(int_type)
+    pointers, lengths = [], []
+    for i, arg in enumerate(args):
+        if isinstance(arg, int):
+            ints[i] = arg
+            pointers.append(base + i * size)
+        elif isinstance(arg, bytes):
+            pointers.append(arg)
+            lengths.append(len(arg))
+        else:
+            pointers.append(arg.ctypes.data)
+    if routine.argtypes is None:  # a routine is always called with the same arguments
+        routine.argtypes = (ctypes.c_void_p,) * (n + 1 + len(lengths))
+    routine(*pointers, base + n * size, *lengths)
+    return ints[n]
+
+
+def numpy_blas_threads() -> int:
+    """The thread count of numpy's OpenBLAS, 1 when none is found."""
+    lib = numpy_openblas()
+    return 1 if lib is None else lib.get_num_threads()
 
 
 @contextmanager
 def single_blas_thread() -> Iterator[None]:
-    """Run the body with every OpenBLAS on one thread, then restore each count.
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
 
-    Only counts other than 1 are set and restored, so a nested call sets nothing.
+    Only a count other than 1 is set and restored, so a nested call sets nothing.
     """
-    counts = [(lib, lib.get_num_threads()) for lib in openblas_libraries()]
-    changed = [(lib, count) for lib, count in counts if count != 1]
-    for lib, _ in changed:
+    lib = numpy_openblas()
+    count = numpy_blas_threads()
+    if count != 1:
         lib.set_num_threads(1)
     try:
         yield
     finally:
-        for lib, count in changed:
+        if count != 1:
             lib.set_num_threads(count)
 
 

@@ -47,8 +47,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .blas_threads import (
+    ROW_ALIGN,
     SPLIT_MACS,
-    max_blas_threads,
+    numpy_blas_threads,
     run_tasks,
     single_blas_thread,
     usable_cpus,
@@ -66,13 +67,13 @@ MODES = ("erm", "rew", "hsic", "both")
 
 # A GEMM of `macs` multiply-adds is cut into at most macs // SPLIT_MACS
 # blocks, so nothing under 2 * SPLIT_MACS = 2^22 is split. Row cuts fall on
-# multiples of 48 rows; column cuts on multiples of 16 columns, and only in a
-# product whose width is a multiple of 16. With these cuts every block runs
-# the kernels of the uncut product, so every element keeps its bits. Cuts at
-# other offsets, a ragged column tail in a narrow block, or blocks under
-# about 2^20 multiply-adds can take other OpenBLAS kernels (seen with
-# OpenBLAS 0.3.31 on AVX-512) and differ in the last bit.
-_ROW_ALIGN, _COL_ALIGN = 48, 16
+# multiples of ROW_ALIGN = 48 rows; column cuts on multiples of 16 columns,
+# and only in a product whose width is a multiple of 16. With these cuts
+# every block runs the kernels of the uncut product, so every element keeps
+# its bits. Cuts at other offsets, a ragged column tail in a narrow block, or
+# blocks under about 2^20 multiply-adds can take other OpenBLAS kernels (seen
+# with OpenBLAS 0.3.31 on AVX-512) and differ in the last bit.
+_COL_ALIGN = 16
 
 
 def _cuts(n: int, blocks: int, align: int) -> list[tuple[int, int]]:
@@ -94,13 +95,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     """
     (m, k), n = a.shape, b.shape[1]
     macs = m * k * n
-    if macs < 2 * SPLIT_MACS or max_blas_threads() > 1:
+    if macs < 2 * SPLIT_MACS or numpy_blas_threads() > 1:
         return np.matmul(a, b, out=out)
     blocks = min(usable_cpus(), macs // SPLIT_MACS)
     if out is None:
         out = np.empty((m, n), dtype=np.result_type(a, b))
-    if blocks >= 2 and m >= 2 * _ROW_ALIGN:
-        spans = _cuts(m, min(blocks, m // _ROW_ALIGN), _ROW_ALIGN)
+    if blocks >= 2 and m >= 2 * ROW_ALIGN:
+        spans = _cuts(m, min(blocks, m // ROW_ALIGN), ROW_ALIGN)
         tasks = [partial(np.matmul, a[lo:hi], b, out=out[lo:hi]) for lo, hi in spans]
     elif blocks >= 2 and n % _COL_ALIGN == 0 and n >= 2 * _COL_ALIGN:
         spans = _cuts(n, min(blocks, n // _COL_ALIGN), _COL_ALIGN)

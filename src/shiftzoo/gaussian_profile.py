@@ -20,7 +20,6 @@ validation row that sets the threshold sits exactly on it.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -100,8 +99,8 @@ def lower_inverse(chol: np.ndarray) -> np.ndarray:
     LAPACK's ``dtrtrs`` on numpy's own OpenBLAS overwrites an identity with
     the solution X of L X = I, reading C-ordered L as the upper triangle of
     its Fortran-ordered transpose: the call, and so the bits, of
-    ``scipy.linalg.solve_triangular(chol, eye, lower=True)``. ctypes releases
-    the GIL for it. Where ``lapack_routine`` finds no ``dtrtrs``, numpy's
+    ``scipy.linalg.solve_triangular(chol, eye, lower=True)``. The call
+    releases the GIL. Where ``lapack_routine`` finds no ``dtrtrs``, numpy's
     general solve gives X, its upper triangle zeroed. An exact zero on L's
     diagonal raises ``NumericalError`` naming it.
     """
@@ -109,25 +108,20 @@ def lower_inverse(chol: np.ndarray) -> np.ndarray:
     if chol.ndim != 2 or chol.shape[0] != chol.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {chol.shape}")
     d = chol.shape[0]
-    found = lapack_routine("dtrtrs", 13)
-    if found is None:
+    dtrtrs = lapack_routine("dtrtrs")
+    if dtrtrs is None:
         zeros = np.flatnonzero(np.diagonal(chol) == 0.0)
         if zeros.size:  # dtrtrs's test; a general solve need not see it
             raise NumericalError(
                 f"the {d}-wide Cholesky factor is singular at diagonal {zeros[0] + 1}"
             )
         return np.asfortranarray(np.tril(np.linalg.solve(chol, np.eye(d))))
-    dtrtrs, int_type = found
     inv = np.eye(d, order="F")
-    ints = (int_type * 2)(d, 0)  # n (= nrhs = lda = ldb), info
-    n = ctypes.addressof(ints)
-    info = n + ctypes.sizeof(int_type)
-    # then the hidden lengths of the three one-character strings
-    dtrtrs(b"U", b"T", b"N", n, n, chol.ctypes.data, n, inv.ctypes.data, n, info, 1, 1, 1)
-    if ints[1] != 0:
+    info = dtrtrs(b"U", b"T", b"N", d, d, chol, d, inv, d)
+    if info != 0:
         raise NumericalError(
-            f"LAPACK dtrtrs returned info={ints[1]} for the {d}-wide Cholesky factor"
-            + (f": it is singular at diagonal {ints[1]}" if ints[1] > 0 else "")
+            f"LAPACK dtrtrs returned info={info} for the {d}-wide Cholesky factor"
+            + (f": it is singular at diagonal {info}" if info > 0 else "")
         )
     return inv
 

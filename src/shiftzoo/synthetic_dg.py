@@ -37,7 +37,6 @@ anything is drawn.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -50,7 +49,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .blas_threads import SPLIT_MACS, lapack_routine, run_tasks, single_blas_thread, usable_cpus
+from .blas_threads import (
+    ROW_ALIGN, SPLIT_MACS, lapack_routine, run_tasks, single_blas_thread, usable_cpus
+)
 from .errors import NumericalError, ValidationError
 from .feature_store import (
     DomainInfo,
@@ -72,14 +73,12 @@ LEAKY_SLOPE = 0.2
 # domain is one block), but of at least MIN_BLOCK_ROWS rows, so that each
 # product's pass over a wide projection is shared by enough rows (240 rows
 # keep a 2048-wide cell's buffers near 13 MB per worker, with two or more
-# cells in flight at once). Blocks hold
-# a multiple of 48 rows, the row cut that keeps every element of an OpenBLAS
-# product's bits (see ensemble_train._matmul), and the last block also
-# takes the remainder: a one-row block would go to the matrix-vector kernel
-# and can change the last bit.
+# cells in flight at once). Blocks hold a multiple of ROW_ALIGN rows, the
+# row cut that keeps every element of an OpenBLAS product's bits, and the
+# last block also takes the remainder: a one-row block would go to the
+# matrix-vector kernel and can change the last bit.
 BLOCK_DOUBLES = 1 << 17
 MIN_BLOCK_ROWS = 240
-_ROW_ALIGN = 48
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def _spur_patterns(rng: np.random.Generator, n_classes: int, dim: int) -> np.nda
 
 def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     """(start, stop) of each row block of an n-row matrix of this width."""
-    rows = max(MIN_BLOCK_ROWS, BLOCK_DOUBLES // max(width, 1) // _ROW_ALIGN * _ROW_ALIGN)
+    rows = max(MIN_BLOCK_ROWS, BLOCK_DOUBLES // max(width, 1) // ROW_ALIGN * ROW_ALIGN)
     cuts = [i * rows for i in range(max(n // rows, 1))] + [n]
     return list(zip(cuts[:-1], cuts[1:]))
 
@@ -349,7 +348,7 @@ class SynthEncoder:
         rng = np.random.default_rng(self.seed)
         d = self.dim
         a = np.asfortranarray(rng.normal(size=(d, d)))
-        geqrf, orgqr = lapack_routine("dgeqrf", 8), lapack_routine("dorgqr", 9)
+        geqrf, orgqr = lapack_routine("dgeqrf"), lapack_routine("dorgqr")
         with single_blas_thread():
             if geqrf is None or orgqr is None:
                 a = np.asfortranarray(np.linalg.qr(a)[0])
@@ -359,31 +358,15 @@ class SynthEncoder:
         return a
 
     def _q_in_place(self, a: np.ndarray, geqrf, orgqr) -> None:
-        """Overwrite the square Fortran-ordered ``a`` with the Q of its QR.
-
-        The integers and workspaces are ctypes buffers, whose addresses cost
-        far less to take than a numpy array's.
-        """
-        (geqrf, int_type), (orgqr, _) = geqrf, orgqr
-        d, size = a.shape[0], ctypes.sizeof(int_type)
-        ints = (int_type * 3)(d, -1, 0)  # n (= m = k = lda), lwork (-1 queries), info
-        n = ctypes.addressof(ints)
-        lwork, info = n + size, n + 2 * size
-        tau = (ctypes.c_double * (d + 2))()  # tau, then the two queried workspace sizes
-        a_p, tau_p = a.ctypes.data, ctypes.addressof(tau)
-        geqrf(n, n, a_p, n, tau_p, tau_p + 8 * d, lwork, info)
-        self._lapack_ok("dgeqrf workspace query", ints[2])
-        orgqr(n, n, n, a_p, n, tau_p, tau_p + 8 * (d + 1), lwork, info)
-        self._lapack_ok("dorgqr workspace query", ints[2])
+        """Overwrite the square Fortran-ordered ``a`` with the Q of its QR."""
+        d = a.shape[0]
+        tau = np.empty(d + 2)  # tau, then the two queried workspace sizes
+        self._lapack_ok("dgeqrf workspace query", geqrf(d, d, a, d, tau, tau[d:], -1))
+        self._lapack_ok("dorgqr workspace query", orgqr(d, d, d, a, d, tau, tau[d + 1 :], -1))
         sizes = int(tau[d]), int(tau[d + 1])
-        work = (ctypes.c_double * max(*sizes, 1))()
-        work_p = ctypes.addressof(work)
-        ints[1] = sizes[0]
-        geqrf(n, n, a_p, n, tau_p, work_p, lwork, info)
-        self._lapack_ok("dgeqrf", ints[2])
-        ints[1] = sizes[1]
-        orgqr(n, n, n, a_p, n, tau_p, work_p, lwork, info)
-        self._lapack_ok("dorgqr", ints[2])
+        work = np.empty(max(*sizes, 1))
+        self._lapack_ok("dgeqrf", geqrf(d, d, a, d, tau, work, sizes[0]))
+        self._lapack_ok("dorgqr", orgqr(d, d, d, a, d, tau, work, sizes[1]))
 
     def _lapack_ok(self, routine: str, info: int) -> None:
         if info != 0:
@@ -512,10 +495,10 @@ def build_zoo(
     Emits FZF1/FZL1 files, a manifest, and a ground-truth card naming the
     planted-extreme encoder for each shift axis. Byte-identical across runs
     with the same spec, across usable CPU counts, and across OpenBLAS thread
-    counts wherever ``blas_threads`` finds OpenBLAS.
+    counts wherever numpy links OpenBLAS.
 
     The work is independent tasks, run by ``blas_threads.run_tasks`` with
-    OpenBLAS pinned to one thread throughout: first each projection QR and
+    numpy's OpenBLAS pinned to one thread throughout: first each projection QR and
     each domain's draw, then each (encoder, domain) cell's encoding. A zoo
     whose largest cell is under ``2 * SPLIT_MACS`` multiply-adds (the desk
     zoo) runs serially on the calling thread and gives the pool nothing.

@@ -30,12 +30,18 @@ rectifier, cast to the float32 that the zoo stores; the package's row-blocked
 ``_encode`` must reproduce it bit for bit, and ``reference_generate`` is the
 generator's whole-domain float64 formula, concatenated and then cast, that
 the package's in-place, row-blocked ``generate`` must reproduce bit for bit.
+``scipy_single_blas_thread`` pins the OpenBLAS that scipy's own LAPACK calls,
+which the package never pins, so a scipy oracle whose bits follow the thread
+count can be held against the package's one-thread result.
 """
 
+import ctypes
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg._flapack
 
 from shiftzoo.correlation_profile import EvidenceModel, _fit_basis
 from shiftzoo.ensemble_train import TrainConfig
@@ -48,6 +54,29 @@ from shiftzoo.synthetic_dg import (
     _class_means,
     _spur_patterns,
 )
+
+
+@contextmanager
+def scipy_single_blas_thread():
+    """Run the body with scipy's OpenBLAS on one thread, then restore its count.
+
+    Its thread symbols are looked up through scipy's LAPACK module, so they
+    are those of the copy scipy calls; where it links no OpenBLAS, nothing
+    changes.
+    """
+    lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    names = [f"{p}openblas_{{}}_num_threads{s}" for p in ("scipy_", "") for s in ("", "64_")]
+    found = [name for name in names if hasattr(lib, name.format("get"))]
+    if not found:
+        yield
+        return
+    get_num_threads, set_num_threads = (getattr(lib, found[0].format(v)) for v in ("get", "set"))
+    count = get_num_threads()
+    set_num_threads(1)
+    try:
+        yield
+    finally:
+        set_num_threads(count)
 
 
 def hsic_b(

@@ -1,5 +1,6 @@
-"""OpenBLAS thread pinning (found libraries, one thread inside, counts
-restored), numpy's LAPACK routines and the fallback where none is found."""
+"""numpy's OpenBLAS: found without a memory map, its routines bound, one
+thread inside ``single_blas_thread`` and the count restored after; and the
+fallback where none is found."""
 
 import ctypes
 import os
@@ -18,13 +19,7 @@ import scipy.linalg  # noqa: F401  (maps scipy's own OpenBLAS)
 
 import shiftzoo
 from shiftzoo import blas_threads, gaussian_profile, synthetic_dg
-from shiftzoo.blas_threads import (
-    OpenBlas,
-    lapack_routine,
-    numpy_openblas,
-    openblas_libraries,
-    single_blas_thread,
-)
+from shiftzoo.blas_threads import OpenBlas, lapack_routine, numpy_openblas, single_blas_thread
 from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.feature_store import load_domain_features
 from shiftzoo.gaussian_profile import dataset_diversity
@@ -41,78 +36,118 @@ BUNDLED = {"numpy": _bundled(np), "scipy": _bundled(scipy)}
 
 
 @pytest.fixture
-def libs():
-    if not any(BUNDLED.values()):
-        pytest.skip("numpy and scipy bring no OpenBLAS of their own here")
-    return openblas_libraries()
+def lib():
+    found = numpy_openblas()
+    if found is None:
+        pytest.skip("numpy links no OpenBLAS here")
+    return found
 
 
 def _address(fn) -> int:
     return ctypes.cast(fn, ctypes.c_void_p).value
 
 
-def test_numpy_openblas_is_found_pinned_and_its_lapack_bound(libs):
-    """With scipy's copy mapped too (this module imports it), every copy is
-    pinned, and the LAPACK lookup binds numpy's whatever the map order."""
-    if not BUNDLED["numpy"]:
-        pytest.skip("numpy brings no OpenBLAS of its own here")
-    found = {os.path.realpath(lib.path) for lib in libs}
-    assert len(found) == len(libs)
-    for package, paths in BUNDLED.items():
-        assert paths <= found, (package, sorted(found))
+def _env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "SHIFTZOO_SEED"}
+    env["PYTHONPATH"] = str(Path(shiftzoo.__file__).resolve().parent.parent)
+    return env
+
+
+def _numpy_wheel_symbol(name: str):
+    """``name`` looked up by path in the OpenBLAS that numpy's wheel bundles."""
+    if len(BUNDLED["numpy"]) != 1:
+        pytest.skip("numpy brings no one OpenBLAS of its own here")
+    (path,) = BUNDLED["numpy"]
+    return ctypes.CDLL(path)[name]
+
+
+def test_numpy_openblas_is_found_pinned_and_its_lapack_bound(lib):
+    """With scipy's copy mapped too (this module imports it), the lookup binds
+    numpy's copy: its thread symbols, which the pin sets, and its routines."""
+    for fn in (lib.get_num_threads, lib.set_num_threads):
+        assert _address(fn) == _address(_numpy_wheel_symbol(fn.__name__))
     with single_blas_thread():
-        assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
-    own = numpy_openblas()
-    assert os.path.realpath(own.path) in BUNDLED["numpy"]
-    for name, nargs in (("dgeqrf", 8), ("dorgqr", 9), ("dtrtrs", 13)):
-        routine, int_type = lapack_routine(name, nargs)
-        assert _address(routine) == _address(ctypes.CDLL(own.path)[routine.__name__])
+        assert _numpy_wheel_symbol(lib.get_num_threads.__name__)() == 1
+    for name in ("dgeqrf", "dorgqr", "dtrtrs"):
+        routine, int_type = lapack_routine(name).args
+        assert _address(routine) == _address(_numpy_wheel_symbol(routine.__name__))
         assert int_type is (ctypes.c_int64 if routine.__name__.endswith("_64_") else ctypes.c_int32)
-    assert lapack_routine("no_such_routine", 1) is None
+    assert lapack_routine("no_such_routine") is None
 
 
-def test_single_thread_inside_and_previous_counts_after(libs):
-    before = [lib.get_num_threads() for lib in libs]
+NO_MEMORY_MAP = """
+import builtins, ctypes, io, os, sys
+
+def refusing(real):
+    def call(file, *args, **kwargs):
+        if not isinstance(file, int) and os.fsdecode(file) == "/proc/self/maps":
+            raise PermissionError("no memory map here")
+        return real(file, *args, **kwargs)
+    return call
+
+builtins.open = io.open = refusing(builtins.open)
+os.open = refusing(os.open)
+from shiftzoo import blas_threads
+lib = blas_threads.numpy_openblas()
+assert lib is not None, "numpy's OpenBLAS was not found"
+own = ctypes.CDLL(sys.argv[1])[lib.get_num_threads.__name__]
+lib.set_num_threads(2)
+with blas_threads.single_blas_thread():
+    assert own() == 1, own()
+assert own() == 2, own()
+assert blas_threads.lapack_routine("dtrtrs") is not None
+"""
+
+
+def test_the_lookup_needs_no_memory_map():
+    """Where ``/proc/self/maps`` cannot be opened, numpy's OpenBLAS is still
+    found, pinned to one thread inside the pin, and its ``dtrtrs`` bound."""
+    if len(BUNDLED["numpy"]) != 1:
+        pytest.skip("numpy brings no one OpenBLAS of its own here")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MEMORY_MAP, *BUNDLED["numpy"]],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_single_thread_inside_and_previous_counts_after(lib):
+    before = lib.get_num_threads()
     with single_blas_thread():
-        assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
+        assert lib.get_num_threads() == 1
         np.linalg.eigh(np.eye(64))
-    assert [lib.get_num_threads() for lib in libs] == before
+    assert lib.get_num_threads() == before
 
 
-def test_counts_restored_when_the_body_raises(libs):
-    before = [lib.get_num_threads() for lib in libs]
-    # a count other than 1, so that a missing restore shows
-    for lib in libs:
-        lib.set_num_threads(2)
+def test_counts_restored_when_the_body_raises(lib):
+    before = lib.get_num_threads()
+    lib.set_num_threads(2)  # a count other than 1, so that a missing restore shows
     try:
         with pytest.raises(RuntimeError, match="body failed"):
             with single_blas_thread():
-                assert [lib.get_num_threads() for lib in libs] == [1] * len(libs)
+                assert lib.get_num_threads() == 1
                 raise RuntimeError("body failed")
-        assert [lib.get_num_threads() for lib in libs] == [2] * len(libs)
+        assert lib.get_num_threads() == 2
     finally:
-        for lib, count in zip(libs, before):
-            lib.set_num_threads(count)
+        lib.set_num_threads(before)
 
 
 def test_a_nested_pin_sets_nothing(monkeypatch):
-    """Only counts other than 1 are set, so workers under an outer pin never call the setter."""
-    counts, calls = [2, 1], []
+    """Only a count other than 1 is set, so workers under an outer pin never call the setter."""
+    count, calls = [2], []
 
-    def fake(i):
-        def setter(n):
-            calls.append((i, n))
-            counts[i] = n
+    def setter(n):
+        calls.append(n)
+        count[0] = n
 
-        return OpenBlas(f"lib{i}", lambda: counts[i], setter)
-
-    monkeypatch.setattr(blas_threads, "openblas_libraries", lambda: (fake(0), fake(1)))
+    fake = OpenBlas(None, lambda: count[0], setter)
+    monkeypatch.setattr(blas_threads, "numpy_openblas", lambda: fake)
     with single_blas_thread():
-        assert counts == [1, 1] and calls == [(0, 1)]
+        assert count == [1] and calls == [1]
         with single_blas_thread():
-            assert calls == [(0, 1)]
-        assert calls == [(0, 1)]
-    assert counts == [2, 1] and calls == [(0, 1), (0, 2)]
+            assert calls == [1]
+        assert calls == [1]
+    assert count == [2] and calls == [1, 2]
 
 
 def test_synth_and_train_share_one_worker_pool(tmp_path, monkeypatch, fresh_pool):
@@ -216,10 +251,10 @@ def test_a_task_may_run_tasks_itself(monkeypatch, fresh_pool):
 
 @contextmanager
 def _no_lapack():
-    """The lookup finds nothing, as under Accelerate or MKL or without a memory map."""
+    """The lookup finds nothing, as under Accelerate or MKL."""
     with pytest.MonkeyPatch.context() as m:
         for module in (synthetic_dg, gaussian_profile):
-            m.setattr(module, "lapack_routine", lambda name, nargs: None)
+            m.setattr(module, "lapack_routine", lambda name: None)
         yield
 
 
@@ -266,13 +301,17 @@ if sys.argv[1] == "scipy-first":
     import scipy.linalg
 else:
     sys.modules["scipy"] = None
-from shiftzoo import blas_threads
+if len(sys.argv) > 3:  # the lookup binds numpy's copy, found here by its path
+    import ctypes
+    from shiftzoo.blas_threads import numpy_openblas
+    fn = numpy_openblas().get_num_threads
+    own = ctypes.CDLL(sys.argv[3])[fn.__name__]
+    assert ctypes.cast(fn, ctypes.c_void_p).value == ctypes.cast(own, ctypes.c_void_p).value
 from shiftzoo.cli import main
 out = sys.argv[2]
 assert main(["synth", "--out", out, "--seed", "2", "--samples", "600",
              "--dim-core", "64", "--dim-div", "32", "--dim-spur", "32"]) == 0
 assert main(["profile", "--manifest", out + "/manifest.json", "--out", out + "/profile.json"]) == 0
-print(blas_threads.numpy_openblas().path, len(blas_threads.openblas_libraries()))
 """
 
 
@@ -280,23 +319,13 @@ def test_scipy_imported_first_changes_neither_the_lookup_nor_the_bytes(tmp_path)
     """Imported first, scipy's OpenBLAS is mapped (and may come first in the
     map), but the lookup still binds numpy's and synth and profile write the
     bytes of a process without scipy."""
-    if not BUNDLED["numpy"]:
-        pytest.skip("numpy brings no OpenBLAS of its own here")
-    src = str(Path(shiftzoo.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "SHIFTZOO_SEED"}
-    env["PYTHONPATH"] = src
-    printed = {}
+    own = list(BUNDLED["numpy"]) if len(BUNDLED["numpy"]) == 1 else []
     for how in ("scipy-first", "no-scipy"):
         proc = subprocess.run(
-            [sys.executable, "-c", PIPELINE, how, str(tmp_path / how)],
-            env=env, capture_output=True, text=True, timeout=300,
+            [sys.executable, "-c", PIPELINE, how, str(tmp_path / how), *own],
+            env=_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        path, count = proc.stdout.splitlines()[-1].rsplit(maxsplit=1)
-        printed[how] = os.path.realpath(path), int(count)
-    assert printed["scipy-first"][0] in BUNDLED["numpy"]
-    assert printed["no-scipy"][0] == printed["scipy-first"][0]
-    assert printed["scipy-first"][1] == printed["no-scipy"][1] + (1 if BUNDLED["scipy"] else 0)
     first, without = tmp_path / "scipy-first", tmp_path / "no-scipy"
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in without.iterdir())

@@ -135,8 +135,8 @@ def test_lower_inverse_has_the_bits_of_solve_triangular(width):
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_lower_inverse_names_the_zero_diagonal(k):
-    """dtrtrs reports an exact zero at diagonal k as info=k, read at its integer width."""
-    if gaussian_profile.lapack_routine("dtrtrs", 13) is None:
+    """dtrtrs reports an exact zero at diagonal k as info=k."""
+    if gaussian_profile.lapack_routine("dtrtrs") is None:
         pytest.skip("numpy links no OpenBLAS that exports dtrtrs here")
     chol = np.tril(np.random.default_rng(k).normal(size=(7, 7))) + 4 * np.eye(7)
     chol[k - 1, k - 1] = 0.0
@@ -146,7 +146,7 @@ def test_lower_inverse_names_the_zero_diagonal(k):
 
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_lower_inverse_without_lapack_names_the_zero_diagonal(k, monkeypatch):
-    monkeypatch.setattr(gaussian_profile, "lapack_routine", lambda name, nargs: None)
+    monkeypatch.setattr(gaussian_profile, "lapack_routine", lambda name: None)
     chol = np.tril(np.random.default_rng(k).normal(size=(7, 7))) + 4 * np.eye(7)
     chol[k - 1, k - 1] = 0.0
     with pytest.raises(NumericalError, match=rf"singular at diagonal {k}$"):

@@ -6,10 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from oracle_utils import benchmark_train_config, reference_encode, reference_generate
+from oracle_utils import (
+    benchmark_train_config,
+    reference_encode,
+    reference_generate,
+    scipy_single_blas_thread,
+)
 
 from shiftzoo import blas_threads, synthetic_dg
-from shiftzoo.blas_threads import single_blas_thread
 from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.ensemble_train import TrainConfig
 from shiftzoo.errors import NumericalError, ValidationError
@@ -274,7 +278,7 @@ def test_projection_equals_scipy_economic_qr(width):
     """The in-place dgeqrf/dorgqr Q is scipy's economic-mode Q, through the same LAPACK."""
     enc = SynthEncoder("e", tuple(range(width)), 5 + width)
     rng = np.random.default_rng(enc.seed)
-    with single_blas_thread():
+    with scipy_single_blas_thread():
         q = scipy.linalg.qr(rng.normal(size=(width, width)), mode="economic")[0]
     q *= rng.uniform(0.8, 1.25, size=width)
     assert enc.projection().tobytes() == q.tobytes()
@@ -297,22 +301,21 @@ def test_projection_holds_two_matrices_at_its_peak():
 
 
 def test_projection_reports_a_lapack_failure(monkeypatch):
-    """An info the final dorgqr writes, at the lookup's integer width, is raised."""
+    """An info the final dorgqr returns is raised."""
     real = synthetic_dg.lapack_routine
-    if real("dorgqr", 9) is None:
+    if real("dorgqr") is None:
         pytest.skip("numpy links no OpenBLAS that exports dorgqr here")
 
-    def lookup(name, nargs):
-        routine, int_type = real(name, nargs)
+    def lookup(name):
+        routine = real(name)
         if name != "dorgqr":
-            return routine, int_type
+            return routine
 
         def failing(*args):
-            routine(*args)
-            if int_type.from_address(args[-2]).value != -1:  # not the workspace query
-                int_type.from_address(args[-1]).value = -3
+            info = routine(*args)
+            return info if args[-1] == -1 else -3  # lwork -1 is the workspace query
 
-        return failing, int_type
+        return failing
 
     monkeypatch.setattr(synthetic_dg, "lapack_routine", lookup)
     with pytest.raises(NumericalError, match=r"LAPACK dorgqr returned info=-3 .*encoder 'e'"):
@@ -368,7 +371,7 @@ def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatc
 
     monkeypatch.setattr(SynthEncoder, "projection", failing)
     monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
-    before = [lib.get_num_threads() for lib in blas_threads.openblas_libraries()]
+    before = blas_threads.numpy_blas_threads()
     outcome = []
 
     def run():
@@ -382,7 +385,7 @@ def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatc
     caller.join(timeout=120)
     assert not caller.is_alive(), "build_zoo hung after a failed projection"
     assert [str(e) for e in outcome] == ["projection failed on purpose"]
-    assert [lib.get_num_threads() for lib in blas_threads.openblas_libraries()] == before
+    assert blas_threads.numpy_blas_threads() == before
     assert not (tmp_path / "manifest.json").exists()
 
 
