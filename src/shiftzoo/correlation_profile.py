@@ -278,37 +278,24 @@ def correlation_shift(
     keep_a = ~pair.escape_a
     keep_b = ~pair.escape_b
     n_a, n_b = int(keep_a.sum()), int(keep_b.sum())
-    if n_a + n_b == 0:
-        return PairCorrelation(
-            domain_a=fs_a.domain_id,
-            domain_b=fs_b.domain_id,
-            f_cor=0.0,
-            n_overlap_a=0,
-            n_overlap_b=0,
-            empty_overlap=True,
+    f_cor = 0.0
+    if n_a + n_b:
+        n_classes = model_a.n_classes
+        # select the overlap rows before the (exact) float32 -> float64 conversion
+        overlap_a = fs_a.features[~fs_a.split_mask][keep_a].astype(np.float64)
+        overlap_b = fs_b.features[~fs_b.split_mask][keep_b].astype(np.float64)
+        cal_a = calibrate(
+            predict_tilde(model_a, overlap_a), fs_a.train_labels[keep_a], n_classes, n_bins
         )
-    n_classes = model_a.n_classes
-    # select the overlap rows before the (exact) float32 -> float64 conversion
-    overlap_a = fs_a.features[~fs_a.split_mask][keep_a].astype(np.float64)
-    overlap_b = fs_b.features[~fs_b.split_mask][keep_b].astype(np.float64)
-    cal_a = calibrate(
-        predict_tilde(model_a, overlap_a), fs_a.train_labels[keep_a], n_classes, n_bins
-    )
-    cal_b = calibrate(
-        predict_tilde(model_b, overlap_b), fs_b.train_labels[keep_b], n_classes, n_bins
-    )
-    pooled = np.concatenate([overlap_a, overlap_b], axis=0)
-    p_a = cal_a.apply(predict_tilde(model_a, pooled))
-    p_b = cal_b.apply(predict_tilde(model_b, pooled))
-    f_cor = 0.5 * float(np.abs(p_a - p_b).sum(axis=1).mean())
-    f_cor = min(max(f_cor, 0.0), 1.0)
+        cal_b = calibrate(
+            predict_tilde(model_b, overlap_b), fs_b.train_labels[keep_b], n_classes, n_bins
+        )
+        pooled = np.concatenate([overlap_a, overlap_b], axis=0)
+        p_a = cal_a.apply(predict_tilde(model_a, pooled))
+        p_b = cal_b.apply(predict_tilde(model_b, pooled))
+        f_cor = min(max(0.5 * float(np.abs(p_a - p_b).sum(axis=1).mean()), 0.0), 1.0)
     return PairCorrelation(
-        domain_a=fs_a.domain_id,
-        domain_b=fs_b.domain_id,
-        f_cor=f_cor,
-        n_overlap_a=n_a,
-        n_overlap_b=n_b,
-        empty_overlap=False,
+        fs_a.domain_id, fs_b.domain_id, f_cor, n_a, n_b, empty_overlap=n_a + n_b == 0
     )
 
 

@@ -550,7 +550,7 @@ class TrainResult:
 
     ``head`` carries the final-step parameters; the ``best_*`` fields come
     from the checkpoint with the highest pooled validation accuracy.
-    ``test_logits`` holds the final head's float64 logits on each test set.
+    ``test_logits`` holds the final head's float64 logits on the test set.
     """
 
     head: MlpHead
@@ -561,32 +561,19 @@ class TrainResult:
     best_step: int
     final_test_accuracy: float | None
     best_test_accuracy: float | None
-    test_logits: list[np.ndarray] | None
+    test_logits: np.ndarray | None
     prior_floored: bool
 
 
 def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
-    return _argmax_accuracy([head.predict_logits(x)], labels)
+    return _argmax_accuracy(head.predict_logits(x), labels)
 
 
-def _argmax_accuracy(logits: Sequence[np.ndarray], labels: np.ndarray) -> float:
-    """Share of rows whose argmax logit is the label; ``logits`` are stacked row blocks."""
+def _argmax_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose argmax logit is the label."""
     if labels.size == 0:
         raise ValidationError("cannot evaluate accuracy on an empty set")
-    return float((np.concatenate([z.argmax(axis=1) for z in logits]) == labels).mean())
-
-
-def _aligned(main: FeatureSet, other: FeatureSet, name: str) -> FeatureSet:
-    """``other``, checked to hold ``main``'s rows: the same domain, labels and split."""
-    if main.domain_id != other.domain_id or main.n_samples != other.n_samples:
-        raise ValidationError(f"{name} features misaligned on domain '{main.domain_id}'")
-    if not np.array_equal(main.labels, other.labels) or not np.array_equal(
-        main.split_mask, other.split_mask
-    ):
-        raise ValidationError(
-            f"{name} features disagree with main encoder rows on domain '{main.domain_id}'"
-        )
-    return other
+    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def _stack_rows(
@@ -613,7 +600,7 @@ def train_on_sets(
     cor_rows: np.ndarray | None,
     n_classes: int,
     config: TrainConfig,
-    test_sets: Sequence[FeatureSet] | None = None,
+    test_set: FeatureSet | None = None,
 ) -> TrainResult:
     """Train the head on the pooled training rows of ``main_sets``.
 
@@ -692,16 +679,14 @@ def train_on_sets(
     # free the optimizer's moments and scratch and the main pools before the test passes
     del optimizer, x_train, x_val
     final_test = best_test = test_logits = None
-    if test_sets:
-        y_test = np.concatenate([fs.labels for fs in test_sets])
-        test_logits = [head.predict_logits(fs.features) for fs in test_sets]
-        final_test = best_test = _argmax_accuracy(test_logits, y_test)
+    if test_set is not None:
+        test_logits = head.predict_logits(test_set.features)
+        final_test = best_test = _argmax_accuracy(test_logits, test_set.labels)
         # a best checkpoint at the last step holds the final parameters
         if best_step != config.steps - 1:
             final_state = head.params.copy()
             head.params[...] = best_state
-            best_logits = [head.predict_logits(fs.features) for fs in test_sets]
-            best_test = _argmax_accuracy(best_logits, y_test)
+            best_test = _argmax_accuracy(head.predict_logits(test_set.features), test_set.labels)
             head.params[...] = final_state
     return TrainResult(
         head=head, log=log, evals=evals, final_val_accuracy=evals[-1].val_accuracy,
@@ -759,21 +744,19 @@ def train(
     starts = np.cumsum([0] + counts).tolist()
     spans = {d: slice(a, a + c) for d, a, c in zip(train_domains, starts, counts)}
 
-    def train_rows(encoder_id: str, name: str) -> np.ndarray:
-        def checked(i: int) -> FeatureSet:
-            d = train_domains[i]
-            fs = load_domain_features(manifest, encoder_id, d, seed=config.seed)
-            return _aligned(main[d], fs, name)
+    def train_rows(encoder_id: str) -> np.ndarray:
+        def load(i: int) -> FeatureSet:
+            return load_domain_features(manifest, encoder_id, train_domains[i], seed=config.seed)
 
-        return _stack_rows(masks, manifest.encoder(encoder_id).dim, checked)
+        return _stack_rows(masks, manifest.encoder(encoder_id).dim, load)
 
     def fold_rows(rows: np.ndarray | None, target: str) -> np.ndarray | None:
         if rows is None or target not in spans:
             return rows
         return np.delete(rows, spans[target], axis=0)
 
-    div = train_rows(div_aux_id, "diversity-auxiliary") if config.hsic_active else None
-    cor = train_rows(rew_aux_id, "correlation-auxiliary") if config.rew_active else None
+    div = train_rows(div_aux_id) if config.hsic_active else None
+    cor = train_rows(rew_aux_id) if config.rew_active else None
     folds = []
     # OpenBLAS stays on one thread: the worker pool does the parallel work, and
     # an idle OpenBLAS worker would spin on the pool's cores between GEMMs
@@ -782,11 +765,11 @@ def train(
             result = train_on_sets(
                 [fs for d, fs in main.items() if d != target],
                 fold_rows(div, target), fold_rows(cor, target),
-                manifest.n_classes, config, [main[target]],
+                manifest.n_classes, config, main[target],
             )
             f_div, f_cor = logit_shift(
                 result.head, list(main.values()), manifest.n_classes,
-                known={target: result.test_logits[0]},
+                known={target: result.test_logits},
             )
             folds.append(Fold(target, result, f_div, f_cor))
     return folds

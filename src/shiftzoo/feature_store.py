@@ -351,8 +351,9 @@ def load_manifest(path: Path | str) -> ZooManifest:
 
 def validate_manifest(manifest: ZooManifest) -> None:
     """Check id uniqueness and that every referenced file exists with matching dims."""
-    if manifest.n_classes < 1:
-        raise ValidationError("manifest n_classes must be >= 1")
+    # a u32 FZL1 label indexes at most 2**32 classes
+    if not 1 <= manifest.n_classes <= 2**32:
+        raise ValidationError(f"manifest n_classes must be in [1, 2**32], got {manifest.n_classes}")
     if not 0.0 < manifest.split_ratio < 1.0:
         raise ValidationError(f"manifest split_ratio must be in (0,1), got {manifest.split_ratio}")
     domain_ids = manifest.domain_ids

@@ -136,23 +136,27 @@ def mahalanobis_sq(mean: np.ndarray, inv_chol: np.ndarray, x: np.ndarray) -> np.
     return np.einsum("ij,ij->i", y, y)
 
 
+def _tail_count(n: int, quantile: float) -> int:
+    """k = max(1, ceil((1-quantile) * n)): how many of n distances sit above the threshold."""
+    if not 0.0 < quantile < 1.0:
+        raise ValidationError(f"quantile must be in (0,1), got {quantile}")
+    # epsilon guards against float noise in (1-q)*n pushing ceil one step up
+    return max(1, int(np.ceil((1.0 - quantile) * n - 1e-9)))
+
+
 def estimate_threshold(distances: np.ndarray, quantile: float = DEFAULT_QUANTILE) -> float:
     """Empirical quantile as an order statistic, ties resolved upward.
 
     With k = ceil((1-quantile) * n), returns the (k+1)-th largest value, so
     exactly the k largest distances sit strictly above the threshold when
-    values are distinct (e.g. 1..100 at 0.99 gives 99).
+    values are distinct (e.g. 1..100 at 0.99 gives 99). Needs n > k.
     """
     distances = np.asarray(distances, dtype=np.float64).ravel()
     n = distances.shape[0]
-    if n == 0:
-        raise ValidationError("cannot estimate a threshold from zero distances")
-    if not 0.0 < quantile < 1.0:
-        raise ValidationError(f"quantile must be in (0,1), got {quantile}")
-    # epsilon guards against float noise in (1-q)*n pushing ceil one step up
-    k = max(1, int(np.ceil((1.0 - quantile) * n - 1e-9)))
-    idx = max(n - k - 1, 0)
-    return float(np.sort(distances)[idx])
+    k = _tail_count(n, quantile)
+    if n <= k:
+        raise ValidationError(f"{n} distances have no ({k}+1)-th largest; need more than {k}")
+    return float(np.sort(distances)[n - k - 1])
 
 
 def fit_profile(
@@ -164,9 +168,11 @@ def fit_profile(
     # the stored float32 rows: fit_gaussian and mahalanobis_sq widen them
     train = fs.features[~fs.split_mask]
     val = fs.features[fs.split_mask]
-    if val.shape[0] == 0:
+    n_val, k = val.shape[0], _tail_count(val.shape[0], quantile)
+    if n_val <= k:
         raise ValidationError(
-            f"domain '{fs.domain_id}' has an empty validation split; cannot calibrate threshold"
+            f"domain '{fs.domain_id}' has {n_val} validation rows; calibrating its threshold "
+            f"at quantile {quantile} needs more than {k}"
         )
     mean, cov = fit_gaussian(train)
     if np.trace(cov) == 0.0:

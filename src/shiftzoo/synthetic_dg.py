@@ -518,10 +518,12 @@ def build_zoo(
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
     n = spec.samples_per_domain
     n_val = validation_rows(n, split_ratio)
-    if not 0 < n_val < n:
+    # the diversity threshold is the 2nd-largest validation distance at the least
+    if not 2 <= n_val < n:
         raise ValidationError(
             f"samples_per_domain={n} at split_ratio={split_ratio} leaves each domain {n_val} "
-            f"validation and {n - n_val} training rows; each split needs at least one"
+            f"validation and {n - n_val} training rows; validation needs at least two rows "
+            "and training at least one"
         )
     encoders = _zoo_encoders(spec, zoo_size)
     widest = max(enc.dim for enc in encoders)

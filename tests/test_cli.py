@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -550,15 +551,21 @@ def test_synth_bad_split_ratio_exits_2_without_writing(tmp_path, capsys, ratio):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ratio, n_val", [("0.2", 0), ("0.99999999999", 4)])
-def test_synth_split_without_validation_or_training_rows_exits_2(tmp_path, capsys, ratio, n_val):
-    # 4 rows at 0.2 leave no validation row; at 1 - 1e-11 validation takes all 4
+@pytest.mark.parametrize(
+    "ratio, n_val, n", [("0.2", 0, 4), ("0.99999999999", 4, 4), ("0.2", 1, 5)],
+    ids=["0.2-0", "0.99999999999-4", "0.2-1-of-5"],
+)
+def test_synth_split_without_validation_or_training_rows_exits_2(
+    tmp_path, capsys, ratio, n_val, n
+):
+    # 4 rows at 0.2 leave no validation row; at 1 - 1e-11 validation takes all 4;
+    # 5 rows at 0.2 leave one, and a threshold needs a second-largest distance
     out = tmp_path / "zoo"
-    argv = ["synth", "--out", str(out), "--samples", "4", "--n-classes", "4"]
+    argv = ["synth", "--out", str(out), "--samples", str(n), "--n-classes", "4"]
     assert main(argv + ["--split-ratio", ratio]) == 2
     err = capsys.readouterr().err
-    assert f"samples_per_domain=4 at split_ratio={float(ratio)} leaves each domain" in err
-    assert f"{n_val} validation and {4 - n_val} training rows" in err
+    assert f"samples_per_domain={n} at split_ratio={float(ratio)} leaves each domain" in err
+    assert f"{n_val} validation and {n - n_val} training rows" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -657,6 +664,25 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_key(
     err = capsys.readouterr().err
     [key] = config
     assert f"config key {key!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "train"])
+@pytest.mark.parametrize("n_classes", ["1e30", str(2**32 + 1)])
+def test_manifest_n_classes_past_the_label_range_exits_2(
+    zoo_dir, tmp_path, capsys, command, n_classes
+):
+    # a u32 label indexes at most 2**32 classes; both counts are refused before
+    # any array is made (numpy would refuse arrays this large before allocating)
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    doc = json.loads((zoo / "manifest.json").read_text())
+    text = json.dumps({**doc, "n_classes": "N"}).replace('"N"', n_classes)
+    (zoo / "manifest.json").write_text(text)
+    out = tmp_path / "out"
+    assert main(_argv(command, zoo, out)) == 2
+    err = capsys.readouterr().err
+    assert "manifest n_classes must be in [1, 2**32]" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,6 +1,5 @@
 """Head training: gradients, gating, reweighting, reductions, and selection."""
 
-import dataclasses
 import itertools
 import math
 import os
@@ -713,7 +712,7 @@ def test_train_on_sets_runs_and_logs():
         learning_rate=1e-3, eval_every=10, seed=11, aux_steps=50, aux_lr=1e-2,
     )
     rows = _train_rows(sets)
-    res = train_on_sets(sets, rows, rows, 3, cfg, test_sets=_sets(1, domains=1))
+    res = train_on_sets(sets, rows, rows, 3, cfg, test_set=_sets(1, domains=1)[0])
     assert len(res.log) == 40
     for rec in res.log:
         lam_term = cfg.lam * rec.hsic
@@ -728,22 +727,21 @@ def test_train_on_sets_runs_and_logs():
 def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_every, best_step):
     """The final accuracy is the argmax of the returned float64 test logits,
     and a best checkpoint at the last step reuses it instead of a second pass."""
-    sets, test = _sets(0), _sets(1, domains=1)
+    sets, [test] = _sets(0), _sets(1, domains=1)
     cfg = TrainConfig(lam=0.0, temperature=math.inf, steps=20, learning_rate=1e-2,
                       eval_every=eval_every, seed=0)
     rows = []
     real = MlpHead.predict_logits
     monkeypatch.setattr(MlpHead, "predict_logits",
                         lambda self, x: rows.append(x.shape[0]) or real(self, x))
-    res = train_on_sets(sets, None, None, 3, cfg, test_sets=test)
+    res = train_on_sets(sets, None, None, 3, cfg, test_set=test)
     monkeypatch.undo()
     assert res.best_step == best_step
-    n_val, n_test = sum(int(fs.split_mask.sum()) for fs in sets), test[0].n_samples
-    [logits] = res.test_logits
+    n_val, n_test = sum(int(fs.split_mask.sum()) for fs in sets), test.n_samples
+    logits = res.test_logits
     assert logits.dtype == np.float64 and logits.shape == (n_test, 3)
-    assert np.array_equal(logits, res.head.predict_logits(test[0].features))
-    x_test, y_test = np.concatenate([fs.features for fs in test]), test[0].labels
-    assert res.final_test_accuracy == accuracy(res.head, x_test, y_test)
+    assert np.array_equal(logits, res.head.predict_logits(test.features))
+    assert res.final_test_accuracy == accuracy(res.head, test.features, test.labels)
     test_passes = 1 if best_step == cfg.steps - 1 else 2
     assert rows == [n_val] * len(res.evals) + [n_test] * test_passes
     # the earlier checkpoint's own pass scores otherwise
@@ -854,7 +852,7 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
             [sets["main_full", d] for d in rest],
             _train_rows([sets["div_heavy", d] for d in rest]),
             _train_rows([sets["cor_heavy", d] for d in rest]), manifest.n_classes, cfg,
-            [sets["main_full", fold.target_domain]],
+            sets["main_full", fold.target_domain],
         )
         assert np.array_equal(fold.result.head.params, alone.head.params)
         assert fold.result.best_test_accuracy == alone.best_test_accuracy
@@ -864,22 +862,15 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
         )
 
 
-def test_train_requires_aligned_auxiliaries(tmp_path, monkeypatch):
+def test_train_requires_auxiliary_encoder_ids(tmp_path):
     manifest, _, _ = build_zoo(SynthSpec(samples_per_domain=100, seed=3), zoo_size=4,
                                out_dir=tmp_path)
-    cfg = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
-
-    def relabelled(manifest, encoder_id, domain_id, seed=0):
-        fs = load_domain_features(manifest, encoder_id, domain_id, seed=seed)
-        if encoder_id == "main_full":
-            return fs
-        return dataclasses.replace(fs, labels=np.roll(fs.labels, 1))  # different labels/rows
-
-    monkeypatch.setattr(et, "load_domain_features", relabelled)
-    with pytest.raises(ValidationError, match="diversity-auxiliary features disagree .* 'domain1'"):
-        train(manifest, "main_full", "div_heavy", None, cfg, ["domain0"])
+    hsic = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
+    rew = TrainConfig(lam=0.0, temperature=1.0, steps=5, eval_every=5)
     with pytest.raises(ValidationError, match="requires a diversity auxiliary encoder id"):
-        train(manifest, "main_full", None, None, cfg, ["domain0"])
+        train(manifest, "main_full", None, "cor_heavy", hsic, ["domain0"])
+    with pytest.raises(ValidationError, match="requires a correlation auxiliary encoder id"):
+        train(manifest, "main_full", "div_heavy", None, rew, ["domain0"])
 
 
 def test_single_target_train_holds_auxiliary_training_rows_once(tmp_path, monkeypatch):

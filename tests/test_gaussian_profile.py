@@ -91,7 +91,8 @@ def test_identical_training_rows_end_in_the_zero_variance_error(row, n, val_nois
     rng = np.random.default_rng(n)
     x = np.tile(np.asarray(row, dtype=np.float32), (n, 1))
     flat = _make_set("flat", x, rng.integers(0, 2, size=n))
-    assume((~flat.split_mask).sum() >= 2 and flat.split_mask.any())
+    # two validation rows, the fewest a threshold needs (also for ``live``)
+    assume((~flat.split_mask).sum() >= 2 and flat.split_mask.sum() >= 2)
     # validation rows may differ from the training rows
     noisy = flat.features.copy()
     noisy[flat.split_mask] += (val_noise * rng.normal(size=noisy[flat.split_mask].shape)).astype(
@@ -172,7 +173,10 @@ def test_threshold_on_distinct_integers():
 
 
 def test_threshold_small_samples_and_ties():
-    assert estimate_threshold(np.array([5.0])) == 5.0
+    # one distance has no second-largest, so no threshold leaves one row above it
+    with pytest.raises(ValidationError, match=r"no \(1\+1\)-th largest; need more than 1"):
+        estimate_threshold(np.array([5.0]))
+    assert estimate_threshold(np.array([5.0, 3.0])) == 3.0
     assert estimate_threshold(np.full(100, 7.0)) == 7.0
     # k = ceil(0.01*5) = 1, so the second-largest value
     assert estimate_threshold(np.array([1.0, 2.0, 3.0, 4.0, 100.0])) == 4.0
@@ -180,6 +184,15 @@ def test_threshold_small_samples_and_ties():
         estimate_threshold(np.array([]))
     with pytest.raises(ValidationError):
         estimate_threshold(np.array([1.0]), quantile=1.0)
+
+
+@pytest.mark.parametrize("n, n_val", [(5, 1), (4, 0)])
+def test_fit_profile_names_the_domain_with_too_few_validation_rows(n, n_val):
+    rng = np.random.default_rng(0)
+    fs = _make_set("dom", rng.normal(size=(n, 2)), np.zeros(n, dtype=int))
+    assert int(fs.split_mask.sum()) == n_val
+    with pytest.raises(ValidationError, match=f"domain 'dom' has {n_val} validation rows"):
+        fit_profile(fs)
 
 
 def test_threshold_quantile_parameter():

@@ -1,5 +1,7 @@
 """Report assembly: canonical bytes, schema checks, rankings, and tables."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -252,6 +254,14 @@ def test_scatter_csv_roundtrips_floats(profile):
         enc, f_div, f_cor = line.split(",")
         assert float(f_div) == scores[enc][0]
         assert float(f_cor) == scores[enc][1]
+
+
+def test_scatter_csv_quotes_an_id_holding_a_comma(profile):
+    entry = profile["encoders"][0]
+    doc = {**profile, "encoders": [{**entry, "encoder_id": "vit,b16"}]}
+    rows = list(csv.reader(io.StringIO(scatter_csv([doc]))))
+    f_div, f_cor = entry["f_div"], entry["f_cor"]
+    assert rows == [["encoder_id", "f_div", "f_cor"], ["vit,b16", repr(f_div), repr(f_cor)]]
 
 
 def _fold(target, acc, best, f_div, f_cor):
