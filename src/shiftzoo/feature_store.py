@@ -8,6 +8,9 @@ File formats (all little-endian):
 * manifest: UTF-8 JSON document, see ``ZooManifest``. Paths inside the
   manifest are relative to the manifest file's directory.
 
+A file whose size is not the one its header implies is refused, by the
+readers and, before any payload is read, by ``load_manifest``.
+
 Validation splits are a pure function of (dataset_name, domain_id, seed), so
 every encoder of a dataset sees the same rows of a domain in the same split,
 and reruns reproduce the split bit-for-bit on any platform.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +32,8 @@ from .errors import ValidationError
 
 FEATURE_MAGIC = b"FZF1"
 LABEL_MAGIC = b"FZL1"
+# magic -> (what the file holds, its number of dimensions, its value type)
+_FORMATS = {FEATURE_MAGIC: ("feature", 2, "<f4"), LABEL_MAGIC: ("label", 1, "<u4")}
 
 
 @dataclass(frozen=True)
@@ -127,30 +133,50 @@ class ZooManifest:
         return self.root / self.domain(domain_id).label_file
 
 
-def write_feature_blocks(
-    path: Path | str, shape: tuple[int, int], blocks: Iterable[np.ndarray]
-) -> None:
-    """Write an FZF1 file of ``shape`` from its row blocks, taken in row order.
+def _write(path: Path | str, magic: bytes, shape: tuple[int, ...], blocks: Iterable) -> None:
+    """Write ``magic``, one u32 per dimension of ``shape``, then ``blocks`` in row order.
 
-    The header goes first, then each block's rows as little-endian f32, each
-    written as soon as it arrives, so a caller can reuse one block buffer. The
-    blocks must add up to exactly ``shape``.
+    Each block goes out as soon as it arrives, straight from its buffer, so a
+    caller can reuse one block buffer. The blocks must add up to ``shape``.
     """
-    n, d = shape
     rows = 0
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", n, d))
+        fh.write(magic + struct.pack(f"<{len(shape)}I", *shape))
         for block in blocks:
-            arr = np.ascontiguousarray(block, dtype="<f4")
-            if arr.ndim != 2 or arr.shape[1] != d or rows + arr.shape[0] > n:
-                raise ValidationError(
-                    f"{path}: a {arr.shape} block does not fit rows {rows}.. of a {n}x{d} file"
-                )
-            fh.write(memoryview(arr))  # straight from the array's buffer, no copy
+            arr = np.ascontiguousarray(block, dtype=_FORMATS[magic][2])
+            if arr.shape[1:] != shape[1:] or rows + arr.shape[0] > shape[0]:
+                raise ValidationError(f"{path}: a {arr.shape} block does not fit rows {rows}.. "
+                                      f"of a {shape} file")
+            fh.write(memoryview(arr))
             rows += arr.shape[0]
-    if rows != n:
-        raise ValidationError(f"{path}: {rows} rows written for a {n}x{d} file")
+    if rows != shape[0]:
+        raise ValidationError(f"{path}: {rows} rows written for a {shape} file")
+
+
+def _shape(path: Path | str, magic: bytes, head: bytes, size: int) -> tuple[int, ...]:
+    """The shape that ``head``, a file's first bytes, declares, checked against its ``size``."""
+    kind, ndim, _ = _FORMATS[magic]
+    if len(head) < 4 + 4 * ndim or head[:4] != magic:
+        raise ValidationError(f"malformed {kind} file header: {path}")
+    shape = struct.unpack(f"<{ndim}I", head[4 : 4 + 4 * ndim])
+    expected = 4 + 4 * ndim + 4 * math.prod(shape)
+    if size != expected:
+        raise ValidationError(
+            f"{kind} file {path}: its {shape} header needs {expected} bytes, the file has {size}"
+        )
+    return shape
+
+
+def _payload(path: Path | str, magic: bytes) -> np.ndarray:
+    """A read-only view of a file's payload, from one read of its bytes."""
+    data = Path(path).read_bytes()
+    shape = _shape(path, magic, data, len(data))
+    return np.frombuffer(data, _FORMATS[magic][2], offset=4 + 4 * len(shape)).reshape(shape)
+
+
+def write_feature_blocks(path: Path | str, shape: tuple[int, int], blocks: Iterable) -> None:
+    """Write an FZF1 file of ``shape`` from its row blocks, taken in row order."""
+    _write(path, FEATURE_MAGIC, tuple(shape), blocks)
 
 
 def write_features(path: Path | str, matrix: np.ndarray) -> None:
@@ -161,52 +187,25 @@ def write_features(path: Path | str, matrix: np.ndarray) -> None:
     write_feature_blocks(path, arr.shape, [arr])
 
 
-def read_feature_header(path: Path | str) -> tuple[int, int]:
-    """Read (n_rows, n_cols) from an FZF1 header without loading the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-    if len(head) < 12 or head[:4] != FEATURE_MAGIC:
-        raise ValidationError(f"malformed feature file header: {path}")
-    return struct.unpack("<II", head[4:12])
-
-
 def read_features(path: Path | str) -> np.ndarray:
     """Load an FZF1 file into a float32 matrix, rejecting NaN/Inf payloads."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12 or data[:4] != FEATURE_MAGIC:
-        raise ValidationError(f"malformed feature file header: {path}")
-    n, d = struct.unpack("<II", data[4:12])
-    expected = 12 + 4 * n * d
-    if len(data) != expected:
-        raise ValidationError(
-            f"feature file {path}: expected {expected} bytes for {n}x{d}, got {len(data)}"
-        )
-    arr = np.frombuffer(data, dtype="<f4", offset=12).reshape(n, d)
+    arr = _payload(path, FEATURE_MAGIC)
     if not np.isfinite(arr).all():
         raise ValidationError(f"feature file {path}: non-finite payload")
     return arr.copy()
 
 
 def write_labels(path: Path | str, labels: np.ndarray) -> None:
-    arr = np.ascontiguousarray(labels, dtype="<u4")
+    arr = np.asarray(labels)
     if arr.ndim != 1:
         raise ValidationError(f"label vector must be 1-D, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(LABEL_MAGIC)
-        fh.write(struct.pack("<I", arr.shape[0]))
-        fh.write(memoryview(arr))  # straight from the array's buffer, no copy
+    if arr.size and (arr.min() < 0 or arr.max() >= 2**32):
+        raise ValidationError(f"{path}: labels must be in [0, 2**32), the range of a u32")
+    _write(path, LABEL_MAGIC, arr.shape, [arr])
 
 
 def read_labels(path: Path | str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != LABEL_MAGIC:
-        raise ValidationError(f"malformed label file header: {path}")
-    (n,) = struct.unpack("<I", data[4:8])
-    if len(data) != 8 + 4 * n:
-        raise ValidationError(f"label file {path}: truncated payload")
-    return np.frombuffer(data, dtype="<u4", offset=8).astype(np.int64)
+    return _payload(path, LABEL_MAGIC).astype(np.int64)
 
 
 def validation_rows(n: int, ratio: float) -> int:
@@ -214,6 +213,20 @@ def validation_rows(n: int, ratio: float) -> int:
     if not 0.0 < ratio < 1.0:
         raise ValidationError(f"split ratio must be in (0,1), got {ratio}")
     return int(ratio * n + 1e-9)
+
+
+def check_split(n: int, ratio: float, domain: str = "each domain") -> None:
+    """Refuse a split of ``n`` rows with fewer than two on either side.
+
+    A diversity threshold is the (k+1)-th largest validation distance, k >= 1,
+    and a Gaussian fit needs two training rows.
+    """
+    n_val = validation_rows(n, ratio)
+    if n_val < 2 or n - n_val < 2:
+        raise ValidationError(
+            f"samples_per_domain={n} at split_ratio={ratio} leaves {domain} {n_val} validation "
+            f"and {n - n_val} training rows; each side needs at least two"
+        )
 
 
 def split_mask(dataset_name: str, domain_id: str, n: int, ratio: float, seed: int) -> np.ndarray:
@@ -350,12 +363,10 @@ def load_manifest(path: Path | str) -> ZooManifest:
 
 
 def validate_manifest(manifest: ZooManifest) -> None:
-    """Check id uniqueness and that every referenced file exists with matching dims."""
+    """Check ids, each domain's split, and each file's header and size against the manifest."""
     # a u32 FZL1 label indexes at most 2**32 classes
     if not 1 <= manifest.n_classes <= 2**32:
         raise ValidationError(f"manifest n_classes must be in [1, 2**32], got {manifest.n_classes}")
-    if not 0.0 < manifest.split_ratio < 1.0:
-        raise ValidationError(f"manifest split_ratio must be in (0,1), got {manifest.split_ratio}")
     domain_ids = manifest.domain_ids
     if len(set(domain_ids)) != len(domain_ids):
         raise ValidationError("duplicate domain ids in manifest")
@@ -363,20 +374,18 @@ def validate_manifest(manifest: ZooManifest) -> None:
     if len(set(encoder_ids)) != len(encoder_ids):
         raise ValidationError("duplicate encoder ids in manifest")
     for dom in manifest.domains:
-        lp = manifest.label_path(dom.domain_id)
-        if not lp.is_file():
-            raise ValidationError(f"label file missing: {lp}")
-    for enc in manifest.encoders:
-        for dom in manifest.domains:
-            fp = manifest.feature_path(enc.encoder_id, dom.domain_id)
-            if not fp.is_file():
-                raise ValidationError(f"feature file missing: {fp}")
-            n, d = read_feature_header(fp)
-            if n != dom.n_samples or d != enc.dim:
-                raise ValidationError(
-                    f"{fp}: header {n}x{d} does not match manifest "
-                    f"({dom.n_samples}x{enc.dim})"
-                )
+        check_split(dom.n_samples, manifest.split_ratio, f"domain '{dom.domain_id}'")
+    files = [(manifest.label_path(d.domain_id), LABEL_MAGIC, (d.n_samples,))
+             for d in manifest.domains]
+    files += [(manifest.feature_path(e.encoder_id, d.domain_id), FEATURE_MAGIC,
+               (d.n_samples, e.dim)) for e in manifest.encoders for d in manifest.domains]
+    for path, magic, shape in files:
+        if not path.is_file():
+            raise ValidationError(f"{_FORMATS[magic][0]} file missing: {path}")
+        with open(path, "rb") as fh:
+            declared = _shape(path, magic, fh.read(4 + 4 * len(shape)), path.stat().st_size)
+        if declared != shape:
+            raise ValidationError(f"{path}: header {declared} does not match manifest {shape}")
 
 
 def save_manifest(manifest: ZooManifest, path: Path | str) -> None:

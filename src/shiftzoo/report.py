@@ -9,8 +9,6 @@ path-dependent is stored.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from functools import partial
@@ -259,14 +257,14 @@ def comparison_table(reports: Sequence[Mapping]) -> str:
 def scatter_csv(reports: Sequence[Mapping]) -> str:
     """Plot-ready rows, one per (report, encoder)."""
     _check_one_dataset(reports)
-    out = io.StringIO()
-    # an id holding a comma, a quote or a newline is quoted; a plain id is not
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["encoder_id", "f_div", "f_cor"])
+    lines = ["encoder_id,f_div,f_cor"]
     for rep in reports:
         for enc, (f_div, f_cor) in sorted(report_scores(rep).items()):
-            writer.writerow([enc, repr(f_div), repr(f_cor)])
-    return out.getvalue()
+            # quoted as csv.writer does; it leaves a lone CR unquoted before Python 3.13
+            if any(c in enc for c in ',"\r\n'):
+                enc = '"' + enc.replace('"', '""') + '"'
+            lines.append(f"{enc},{f_div!r},{f_cor!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _json_safe_config(config: Mapping) -> dict:

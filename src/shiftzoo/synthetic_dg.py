@@ -59,8 +59,8 @@ from .feature_store import (
     FeatureSet,
     ZooManifest,
     build_feature_set,
+    check_split,
     save_manifest,
-    validation_rows,
     write_feature_blocks,
     write_labels,
 )
@@ -517,14 +517,7 @@ def build_zoo(
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
     n = spec.samples_per_domain
-    n_val = validation_rows(n, split_ratio)
-    # the diversity threshold is the 2nd-largest validation distance at the least
-    if not 2 <= n_val < n:
-        raise ValidationError(
-            f"samples_per_domain={n} at split_ratio={split_ratio} leaves each domain {n_val} "
-            f"validation and {n - n_val} training rows; validation needs at least two rows "
-            "and training at least one"
-        )
+    check_split(n, split_ratio)
     encoders = _zoo_encoders(spec, zoo_size)
     widest = max(enc.dim for enc in encoders)
     need = 4 * spec.n_domains * n * spec.dim_total + 8 * widest**2

@@ -552,16 +552,18 @@ def test_synth_bad_split_ratio_exits_2_without_writing(tmp_path, capsys, ratio):
 
 
 @pytest.mark.parametrize(
-    "ratio, n_val, n", [("0.2", 0, 4), ("0.99999999999", 4, 4), ("0.2", 1, 5)],
-    ids=["0.2-0", "0.99999999999-4", "0.2-1-of-5"],
+    "ratio, n_val, n",
+    [("0.2", 0, 4), ("0.99999999999", 4, 4), ("0.2", 1, 5), ("0.67", 2, 3)],
+    ids=["0.2-0", "0.99999999999-4", "0.2-1-of-5", "0.67-2-of-3"],
 )
 def test_synth_split_without_validation_or_training_rows_exits_2(
     tmp_path, capsys, ratio, n_val, n
 ):
     # 4 rows at 0.2 leave no validation row; at 1 - 1e-11 validation takes all 4;
-    # 5 rows at 0.2 leave one, and a threshold needs a second-largest distance
+    # 5 rows at 0.2 leave one, and a threshold needs a second-largest distance;
+    # 3 rows at 0.67 leave one training row, and a Gaussian fit needs two
     out = tmp_path / "zoo"
-    argv = ["synth", "--out", str(out), "--samples", str(n), "--n-classes", "4"]
+    argv = ["synth", "--out", str(out), "--samples", str(n), "--n-classes", "2"]
     assert main(argv + ["--split-ratio", ratio]) == 2
     err = capsys.readouterr().err
     assert f"samples_per_domain={n} at split_ratio={float(ratio)} leaves each domain" in err
@@ -683,6 +685,47 @@ def test_manifest_n_classes_past_the_label_range_exits_2(
     assert main(_argv(command, zoo, out)) == 2
     err = capsys.readouterr().err
     assert "manifest n_classes must be in [1, 2**32]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_manifest_with_one_validation_row_exits_2_before_any_work(
+    zoo_dir, tmp_path, monkeypatch, capsys
+):
+    # 400 rows at 0.004 leave each domain one validation row: refused at load,
+    # before train fits a fold or profile profiles an encoder
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    doc = json.loads((zoo / "manifest.json").read_text())
+    (zoo / "manifest.json").write_text(json.dumps({**doc, "split_ratio": 0.004}))
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the split should have been refused at load")
+
+    monkeypatch.setattr("shiftzoo.ensemble_train.train_on_sets", recording)
+    monkeypatch.setattr("shiftzoo.report.profile_encoder", recording)
+    for command in ("train", "profile"):
+        out = tmp_path / command
+        assert main(_argv(command, zoo, out)) == 2
+        err = capsys.readouterr().err
+        assert "samples_per_domain=400 at split_ratio=0.004 leaves domain 'domain0'" in err
+        assert "1 validation and 399 training rows" in err and "Traceback" not in err
+        assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["profile", "train"])
+def test_feature_file_cut_short_exits_2_naming_it(zoo_dir, tmp_path, capsys, command):
+    # neither command reads mixed1's features: the manifest check at load finds it
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    cut = zoo / "mixed1_domain1.fzf"
+    cut.write_bytes(cut.read_bytes()[:-4])
+    out = tmp_path / "out"
+    assert main(_argv(command, zoo, out)) == 2
+    err = capsys.readouterr().err
+    assert f"feature file {cut}: its (400, " in err and "Traceback" not in err
     assert not out.exists()
 
 

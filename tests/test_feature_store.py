@@ -1,6 +1,8 @@
 """Feature/label file round-trips, manifest validation, and split determinism."""
 
+import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -16,6 +18,7 @@ from shiftzoo.feature_store import (
     EncoderInfo,
     ZooManifest,
     build_feature_set,
+    check_split,
     load_domain_features,
     load_feature_set,
     load_manifest,
@@ -99,6 +102,15 @@ def test_label_roundtrip_is_exact(tmp_path_factory, labels):
     write_labels(p, labels)
     out = read_labels(p)
     assert np.array_equal(out, labels.astype(np.int64))
+
+
+@pytest.mark.parametrize("labels", [[-1, 2, 3], [0, 2**32, 3], [-1, 2**32, 3]])
+def test_write_labels_refuses_a_label_a_u32_cannot_hold(tmp_path, labels):
+    # a u32 label would wrap: -1 read back as 4294967295 and 2**32 as 0
+    p = tmp_path / "wide.fzl"
+    with pytest.raises(ValidationError, match=r"labels must be in \[0, 2\*\*32\)"):
+        write_labels(p, np.array(labels))
+    assert not p.exists()
 
 
 def test_read_rejects_bad_magic(tmp_path):
@@ -248,6 +260,36 @@ def test_manifest_detects_header_mismatch(tmp_path):
     write_features(tmp_path / "encA_dom0.fzf", np.zeros((10, 4), dtype=np.float32))
     with pytest.raises(ValidationError):
         validate_manifest(manifest)
+
+
+@pytest.mark.parametrize("name", ["encB_dom1.fzf", "dom1.fzl"])
+def test_load_manifest_refuses_a_file_cut_short_and_names_it(tmp_path, name):
+    # the header still matches the manifest; only the file's size gives it away
+    save_manifest(_tiny_manifest(tmp_path), tmp_path / "manifest.json")
+    cut = tmp_path / name
+    cut.write_bytes(cut.read_bytes()[:-4])
+    with pytest.raises(ValidationError, match=f"file {re.escape(str(cut))}: its .* header needs"):
+        load_manifest(tmp_path / "manifest.json")
+
+
+def test_manifest_detects_a_label_count_mismatch(tmp_path):
+    manifest = _tiny_manifest(tmp_path)
+    write_labels(tmp_path / "dom1.fzl", np.zeros(9, dtype=np.int64))
+    with pytest.raises(ValidationError, match=r"header \(9,\) does not match manifest \(10,\)"):
+        validate_manifest(manifest)
+
+
+@pytest.mark.parametrize("n, ratio, n_val", [(10, 0.1, 1), (10, 0.9, 9), (3, 0.67, 2)])
+def test_manifest_refuses_a_split_with_a_side_under_two_rows(tmp_path, n, ratio, n_val):
+    # a threshold needs two validation rows and a Gaussian fit two training rows
+    manifest = dataclasses.replace(_tiny_manifest(tmp_path, n=n), split_ratio=ratio)
+    with pytest.raises(ValidationError, match=f"{n_val} validation and {n - n_val} training"):
+        validate_manifest(manifest)
+
+
+def test_check_split_accepts_two_rows_a_side():
+    check_split(4, 0.5)
+    check_split(10, 0.2)
 
 
 def test_manifest_rejects_duplicate_ids(tmp_path):

@@ -264,6 +264,21 @@ def test_scatter_csv_quotes_an_id_holding_a_comma(profile):
     assert rows == [["encoder_id", "f_div", "f_cor"], ["vit,b16", repr(f_div), repr(f_cor)]]
 
 
+@pytest.mark.parametrize("enc_id", ["a\rb", "a\nb", "a\r\nb", 'say "hi"', "vit,b16", "clean"])
+def test_scatter_csv_reads_back_every_id_whole(profile, enc_id):
+    # csv.writer left "a\rb" unquoted before Python 3.13, and the reader split its row
+    entry = profile["encoders"][0]
+    doc = {**profile, "encoders": [{**entry, "encoder_id": enc_id}]}
+    text = scatter_csv([doc])
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [["encoder_id", "f_div", "f_cor"], [enc_id, repr(entry["f_div"]),
+                                                       repr(entry["f_cor"])]]
+    if "\r" not in enc_id:  # the bytes csv.writer gives on every Python
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows(rows)
+        assert text == want.getvalue()
+
+
 def _fold(target, acc, best, f_div, f_cor):
     return {
         "target_domain": target,
