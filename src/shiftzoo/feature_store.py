@@ -195,8 +195,18 @@ def read_features(path: Path | str) -> np.ndarray:
     return arr.copy()
 
 
-def write_labels(path: Path | str, labels: np.ndarray) -> None:
+def _whole_labels(labels, owner: str) -> np.ndarray:
+    """``labels`` as an array, refused unless every value is a whole number."""
     arr = np.asarray(labels)
+    if arr.dtype.kind not in "biu" and not (
+        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+    ):
+        raise ValidationError(f"{owner}: labels must be whole numbers")
+    return arr
+
+
+def write_labels(path: Path | str, labels: np.ndarray) -> None:
+    arr = _whole_labels(labels, str(path))
     if arr.ndim != 1:
         raise ValidationError(f"label vector must be 1-D, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= 2**32):
@@ -276,7 +286,7 @@ def _feature_set(
     seed: int,
 ) -> FeatureSet:
     """A FeatureSet of a finite float32 matrix: the labels checked, the split drawn."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _whole_labels(labels, f"domain '{domain_id}'")
     if labels.shape != (features.shape[0],):
         raise ValidationError(
             f"domain '{domain_id}': {labels.shape[0]} labels for {features.shape[0]} rows"
@@ -285,7 +295,8 @@ def _feature_set(
         bad = int(labels.min()) if labels.min() < 0 else int(labels.max())
         raise ValidationError(f"domain '{domain_id}': label out of range ({bad})")
     mask = split_mask(dataset_name, domain_id, features.shape[0], split_ratio, seed)
-    return FeatureSet(domain_id=domain_id, features=features, labels=labels, split_mask=mask)
+    return FeatureSet(domain_id=domain_id, features=features,
+                      labels=np.asarray(labels, dtype=np.int64), split_mask=mask)
 
 
 def load_feature_set(

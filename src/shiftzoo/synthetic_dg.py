@@ -23,16 +23,13 @@ see at most half of each shifted block.
 
 Memory: each domain is drawn straight into one float32 matrix, each block
 drawn and finished one row block of float64 at a time in reused buffers (see
-``BLOCK_DOUBLES``). Each projection is one d x d float64 matrix, factored in
-place, so its QR peaks at two such matrices. ``build_zoo`` holds the raw
-domains and every encoder's projection, and streams each (encoder, domain)
-cell to its file one float32 row block at a time: no encoded matrix and no
-full-width float64 copy of a domain is ever whole in memory. Each worker
-draws and encodes through one set of row-block buffers, allocated once by
-the calling thread, and each projection is freed once its encoder's cells
-are written. A zoo whose raw domains and widest projection alone would not
-fit in the physical memory is refused with a ``MemoryError`` before
-anything is drawn.
+``BLOCK_DOUBLES``); a domain that overflows float32 is refused. Each
+projection is one d x d float64 matrix, factored in place, so its QR peaks
+at two such matrices. ``build_zoo`` streams each (encoder, domain) cell to
+its file one float32 row block at a time: no encoded matrix and no
+full-width float64 copy of a domain is ever whole in memory. A zoo whose raw
+domains and projections together would not fit in the physical memory is
+refused with a ``MemoryError`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import json
 import math
 import os
 import queue
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -224,28 +220,38 @@ def _draw_domain(
 ) -> np.ndarray:
     """Fill ``x`` with domain ``e``'s raw rows, drawn from its own seed
     stream through the float64 row-block ``buffers``, and return the rows'
-    labels."""
+    labels. A draw that overflows float32 is refused with a
+    ``ValidationError`` naming the domain."""
     rng = np.random.default_rng(seed)
     n = spec.samples_per_domain
     labels = _balanced_labels(rng, n, spec.n_classes)
     core = slice(0, spec.dim_core)
     div = slice(core.stop, core.stop + spec.dim_div)
     spur = slice(div.stop, spec.dim_total)
-    if spec.dim_core:
-        _fill_noisy(rng, x, core, labels, means, spec.noise_sigma, buffers)
-    if spec.dim_div:
-        # every class is centred at the domain's offset
-        centers = np.full((spec.n_classes, spec.dim_div), e * spec.div_offset)
-        _fill_noisy(rng, x, div, labels, centers, spec.noise_sigma, buffers)
-    if spec.dim_spur:
-        # sign mixture: each row carries its own class pattern with
-        # probability (1 + strength) / 2, otherwise the partner's.
-        # E[spur | y] = strength * pattern[y], and the pooled marginal
-        # over a +/- class pair is strength-free, so nothing leaks into
-        # the diversity axis.
-        own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
-        signs = np.where(own, 1.0, -1.0)
-        _fill_noisy(rng, x, spur, labels, patterns, spec.noise_sigma, buffers, signs)
+    # the finite check below reports an overflow in place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.dim_core:
+            _fill_noisy(rng, x, core, labels, means, spec.noise_sigma, buffers)
+        if spec.dim_div:
+            # every class is centred at the domain's offset
+            centers = np.full((spec.n_classes, spec.dim_div), e * spec.div_offset)
+            _fill_noisy(rng, x, div, labels, centers, spec.noise_sigma, buffers)
+        if spec.dim_spur:
+            # sign mixture: each row carries its own class pattern with
+            # probability (1 + strength) / 2, otherwise the partner's.
+            # E[spur | y] = strength * pattern[y], and the pooled marginal
+            # over a +/- class pair is strength-free, so nothing leaks into
+            # the diversity axis.
+            own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
+            signs = np.where(own, 1.0, -1.0)
+            _fill_noisy(rng, x, spur, labels, patterns, spec.noise_sigma, buffers, signs)
+    # an overflow leaves an infinity, so an extreme is not finite; unlike
+    # np.isfinite(x) this allocates nothing the size of the domain
+    if not np.isfinite([x.min(), x.max()]).all():
+        raise ValidationError(
+            f"domain 'domain{e}': the draw overflows float32 (noise_sigma={spec.noise_sigma:g}, "
+            f"div_offset={spec.div_offset:g})"
+        )
     return labels
 
 
@@ -266,17 +272,6 @@ def _domain_draws(spec: SynthSpec) -> tuple[list[np.ndarray], list[Callable[...,
         for e, (dseed, x) in enumerate(zip(domain_seeds, xs))
     ]
     return xs, draws
-
-
-def _feature_sets(
-    spec: SynthSpec, xs: list[np.ndarray], labels: list[np.ndarray], split_ratio: float,
-    dataset_name: str,
-) -> list[FeatureSet]:
-    return [
-        build_feature_set(f"domain{e}", x, y, dataset_name=dataset_name,
-                          n_classes=spec.n_classes, split_ratio=split_ratio, seed=spec.seed)
-        for e, (x, y) in enumerate(zip(xs, labels))
-    ]
 
 
 def _ground_truth(spec: SynthSpec, dataset_name: str) -> dict:
@@ -309,8 +304,11 @@ def generate(
     """Raw-input-space domains plus a ground-truth card describing the shifts."""
     xs, draws = _domain_draws(spec)
     buffers = _block_buffers(spec.samples_per_domain, _block_widths(spec))
-    labels = [draw(buffers) for draw in draws]
-    sets = _feature_sets(spec, xs, labels, split_ratio, dataset_name)
+    sets = [
+        build_feature_set(f"domain{e}", x, draw(buffers), dataset_name=dataset_name,
+                          n_classes=spec.n_classes, split_ratio=split_ratio, seed=spec.seed)
+        for e, (x, draw) in enumerate(zip(xs, draws))
+    ]
     return sets, _ground_truth(spec, dataset_name)
 
 
@@ -503,16 +501,14 @@ def build_zoo(
     whose largest cell is under ``2 * SPLIT_MACS`` multiply-adds (the desk
     zoo) runs serially on the calling thread and gives the pool nothing.
 
-    Memory: the raw float32 domains, allocated by the calling thread, and
-    every encoder's float64 projection are alive together, with at most one
-    in-place QR (two d x d float64 matrices) per worker while they are made.
-    Each worker has one set of row-block buffers (two float64 and one float32
-    row block, see ``BLOCK_DOUBLES``), also allocated by the calling thread:
-    a domain is drawn through them, and a cell is encoded through them and
-    streamed to its file one row block at a time. Each projection is freed
-    once its encoder's cells are written. Before anything is drawn, a
-    ``MemoryError`` refuses a zoo whose raw domains and widest projection
-    exceed the physical memory.
+    Memory: the raw float32 domains and every encoder's float64 projection
+    are all made before the first cell and held until the last, with at most
+    one in-place QR (two d x d float64 matrices) per worker while they are
+    made. Each worker has one set of row-block buffers (see
+    ``BLOCK_DOUBLES``), allocated by the calling thread, through which a
+    domain is drawn and a cell is encoded and streamed to its file. Before
+    anything is drawn, a ``MemoryError`` refuses a zoo whose raw domains and
+    projections together exceed the physical memory.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
@@ -520,15 +516,14 @@ def build_zoo(
     check_split(n, split_ratio)
     encoders = _zoo_encoders(spec, zoo_size)
     widest = max(enc.dim for enc in encoders)
-    need = 4 * spec.n_domains * n * spec.dim_total + 8 * widest**2
+    need = 4 * spec.n_domains * n * spec.dim_total + sum(8 * enc.dim**2 for enc in encoders)
     have = _physical_memory()
     if have is not None and need > have:
         raise MemoryError(
-            f"synth would hold {need / 2**30:.3g} GiB of raw domains and projection, "
+            f"synth would hold {need / 2**30:.3g} GiB of raw domains and projections, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     workers = usable_cpus() if n * widest**2 >= 2 * SPLIT_MACS else 1
     # one set of row-block buffers per worker, allocated by this thread: a
     # pool thread's malloc arena would keep what it allocates after synth
@@ -544,45 +539,35 @@ def build_zoo(
             buffers.put(bufs)
 
     xs, draws = _domain_draws(spec)
-    unwritten, lock = [spec.n_domains] * len(encoders), threading.Lock()
+    domain_ids = [f"domain{e}" for e in range(spec.n_domains)]
 
-    def write_cell(i: int, fs: FeatureSet, bufs: tuple[np.ndarray, ...]) -> None:
-        enc = encoders[i]
+    def write_cell(enc: SynthEncoder, projection: np.ndarray, e: int, bufs) -> None:
         write_feature_blocks(
-            out_dir / f"{enc.encoder_id}_{fs.domain_id}.fzf", (n, enc.dim),
-            _encoded_blocks(fs.features, enc.coord_indices, projections[i], bufs),
+            out_dir / f"{enc.encoder_id}_{domain_ids[e]}.fzf", (n, enc.dim),
+            _encoded_blocks(xs[e], enc.coord_indices, projection, bufs),
         )
-        with lock:
-            unwritten[i] -= 1
-            if not unwritten[i]:
-                projections[i] = None  # the encoder's last cell is written
 
     with single_blas_thread():
         made = run_tasks(
             [enc.projection for enc in encoders] + [partial(borrowing, draw) for draw in draws],
             workers,
         )
-        projections = made[: len(encoders)]
-        raw_sets = _feature_sets(spec, xs, made[len(encoders) :], split_ratio, dataset_name)
-        del made
-        cells = [(i, fs) for i in range(len(encoders)) for fs in raw_sets]
-        run_tasks([partial(borrowing, write_cell, i, fs) for i, fs in cells], workers)
-    domains = []
-    for fs in raw_sets:
-        label_file = f"{fs.domain_id}.fzl"
-        write_labels(out_dir / label_file, fs.labels)
-        domains.append(DomainInfo(fs.domain_id, fs.n_samples, label_file))
-    infos = [
-        EncoderInfo(enc.encoder_id, enc.dim,
-                    {fs.domain_id: f"{enc.encoder_id}_{fs.domain_id}.fzf" for fs in raw_sets})
-        for enc in encoders
-    ]
+        projections, labels = made[: len(encoders)], made[len(encoders) :]
+        out_dir.mkdir(parents=True, exist_ok=True)  # a refused draw leaves no directory
+        cells = [(enc, q, e) for enc, q in zip(encoders, projections) for e in range(len(xs))]
+        run_tasks([partial(borrowing, write_cell, *cell) for cell in cells], workers)
+    for domain_id, y in zip(domain_ids, labels):
+        write_labels(out_dir / f"{domain_id}.fzl", y)
     manifest = ZooManifest(
         dataset_name=dataset_name,
         n_classes=spec.n_classes,
         split_ratio=split_ratio,
-        domains=tuple(domains),
-        encoders=tuple(infos),
+        domains=tuple(DomainInfo(d, n, f"{d}.fzl") for d in domain_ids),
+        encoders=tuple(
+            EncoderInfo(enc.encoder_id, enc.dim,
+                        {d: f"{enc.encoder_id}_{d}.fzf" for d in domain_ids})
+            for enc in encoders
+        ),
         root=out_dir,
     )
     save_manifest(manifest, out_dir / "manifest.json")

@@ -113,6 +113,21 @@ def test_write_labels_refuses_a_label_a_u32_cannot_hold(tmp_path, labels):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, np.nan], ["0", "1", "2"]])
+def test_write_labels_refuses_labels_that_are_not_whole_numbers(tmp_path, labels):
+    # a u32 cast would truncate 0.5, 1.7 and 2.2 to 0, 1 and 2
+    p = tmp_path / "frac.fzl"
+    with pytest.raises(ValidationError, match="labels must be whole numbers"):
+        write_labels(p, np.array(labels))
+    assert not p.exists()
+
+
+def test_write_labels_takes_whole_float_labels(tmp_path):
+    p = tmp_path / "whole.fzl"
+    write_labels(p, np.array([0.0, 2.0, 1.0]))
+    assert read_labels(p).tolist() == [0, 2, 1]
+
+
 def test_read_rejects_bad_magic(tmp_path):
     p = tmp_path / "bad.fzf"
     p.write_bytes(b"NOPE" + struct.pack("<II", 1, 1) + struct.pack("<f", 0.0))
@@ -173,6 +188,25 @@ def test_build_feature_set_rejects_label_equal_to_n_classes():
         build_feature_set(
             "d0", feats, labels, dataset_name="ds", n_classes=3, split_ratio=0.25, seed=0
         )
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 0.2, 1.9], [0.0, 1.0, np.inf, 1.0]])
+def test_build_feature_set_refuses_labels_that_are_not_whole_numbers(labels):
+    # an int64 cast would store classes 0 and 1 for 0.5, 1.7, 0.2 and 1.9
+    feats = np.zeros((4, 2), dtype=np.float32)
+    with pytest.raises(ValidationError, match="domain 'd0': labels must be whole numbers"):
+        build_feature_set(
+            "d0", feats, np.array(labels), dataset_name="ds", n_classes=2,
+            split_ratio=0.25, seed=0,
+        )
+
+
+def test_build_feature_set_takes_whole_float_labels():
+    fs = build_feature_set(
+        "d0", np.zeros((4, 2), dtype=np.float32), np.array([0.0, 1.0, 1.0, 0.0]),
+        dataset_name="ds", n_classes=2, split_ratio=0.25, seed=0,
+    )
+    assert fs.labels.dtype == np.int64 and fs.labels.tolist() == [0, 1, 1, 0]
 
 
 def test_build_feature_set_rejects_length_mismatch():

@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -485,15 +486,54 @@ def test_synth_larger_than_physical_memory_exits_1_naming_both_sizes(
 ):
     from shiftzoo.cli import main
 
-    # 3 domains x 2000 rows x 16 columns of float32 (0.37 MiB) and a 12-wide projection
+    # 3 domains x 2000 rows x 16 columns of float32 (0.37 MiB) and six 8- to 12-wide projections
     monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: 1 << 18)
     assert main(["synth", "--out", str(tmp_path / "z")]) == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: out of memory: synth would hold 0.000359 GiB of raw domains and projection, "
+        "error: out of memory: synth would hold 0.000362 GiB of raw domains and projections, "
         "more than the 0.000244 GiB of physical memory\n"
     )
     assert not (tmp_path / "z").exists()
+
+
+def test_synth_counts_every_projection_against_physical_memory(tmp_path, monkeypatch, capsys):
+    from shiftzoo.cli import main
+
+    spec = SynthSpec()
+    raw = 4 * spec.n_domains * spec.samples_per_domain * spec.dim_total
+    projections = [8 * enc.dim**2 for enc in synthetic_dg._zoo_encoders(spec, 6)]
+    # every projection is alive while the cells are written, so a memory that
+    # holds the raw domains and the widest projection alone is too small
+    have = raw + max(projections) + 8
+    assert have < raw + sum(projections)
+    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: have)
+    assert main(["synth", "--out", str(tmp_path / "z")]) == 1
+    assert "of raw domains and projections" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, domain",
+    [(["--noise-sigma", "1e300"], "domain0"), (["--div-offset", "1e308"], "domain1")],
+)
+def test_synth_whose_draw_overflows_float32_exits_2_naming_the_domain(
+    tmp_path, capsys, flags, domain
+):
+    from shiftzoo.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings must not escape either
+        assert main(["synth", "--out", str(tmp_path / "z"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: domain '{domain}': the draw overflows float32")
+    assert "Warning" not in captured.err
+    assert not (tmp_path / "z").exists()
+
+
+def test_generate_refuses_a_draw_that_overflows_float32():
+    with pytest.raises(ValidationError, match="domain 'domain0': the draw overflows float32"):
+        generate(SynthSpec(noise_sigma=1e300))
 
 
 def test_encoder_requires_coordinates():
