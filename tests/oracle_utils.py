@@ -33,6 +33,10 @@ the package's in-place, row-blocked ``generate`` must reproduce bit for bit.
 ``scipy_single_blas_thread`` pins the OpenBLAS that scipy's own LAPACK calls,
 which the package never pins, so a scipy oracle whose bits follow the thread
 count can be held against the package's one-thread result.
+``reference_train_on_sets`` is the per-fold trainer that the stacked
+``train_on_sets`` replaced: one head after another, each on its own copies of
+its pools, through the package's one-head step; the stack must give every
+fold its bits.
 """
 
 import ctypes
@@ -44,7 +48,18 @@ import scipy.linalg
 import scipy.linalg._flapack
 
 from shiftzoo.correlation_profile import EvidenceModel, _fit_basis
-from shiftzoo.ensemble_train import TrainConfig
+from shiftzoo.ensemble_train import (
+    AdamW,
+    EvalRecord,
+    MlpHead,
+    TrainConfig,
+    TrainResult,
+    _argmax_accuracy,
+    accuracy,
+    rew_weights,
+    train_rew_auxiliary,
+    train_step,
+)
 from shiftzoo.errors import ValidationError
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
 from shiftzoo.synthetic_dg import (
@@ -514,3 +529,84 @@ def reference_generate(spec: SynthSpec) -> list[np.ndarray]:
             )
         out.append(np.concatenate(blocks, axis=1).astype(np.float32))
     return out
+
+
+def reference_train_on_sets(main_sets, div_rows, cor_rows, n_classes, config, test_sets=(None,)):
+    """``train_on_sets`` one fold at a time: fold f trains alone on the sets of
+    ``main_sets`` outside the domain of ``test_sets[f]``, with its own copies of
+    their main and auxiliary rows."""
+    counts = [int(np.count_nonzero(~fs.split_mask)) for fs in main_sets]
+    starts = np.cumsum([0] + counts)
+    results = []
+    for test_set in test_sets:
+        keep = [i for i, fs in enumerate(main_sets)
+                if test_set is None or fs.domain_id != test_set.domain_id]
+
+        def own(rows):
+            if rows is None:
+                return None
+            return np.concatenate([rows[starts[i]:starts[i + 1]] for i in keep])
+
+        results.append(_reference_fold(
+            [main_sets[i] for i in keep], own(div_rows), own(cor_rows), n_classes, config, test_set
+        ))
+    return results
+
+
+def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
+    x_train = np.concatenate([fs.features[~fs.split_mask] for fs in main_sets])
+    y_train = np.concatenate([fs.train_labels for fs in main_sets])
+    x_val = np.concatenate([fs.features[fs.split_mask] for fs in main_sets])
+    y_val = np.concatenate([fs.val_labels for fs in main_sets])
+    x_div = div_rows if config.hsic_active else None
+    x_cor = cor_rows if config.rew_active else None
+    n = x_train.shape[0]
+
+    ss_init, ss_batch, ss_aux = np.random.SeedSequence(config.seed).spawn(3)
+    head = MlpHead.for_input(main_sets[0].dim, n_classes, rng=np.random.default_rng(ss_init))
+    batch_rng = np.random.default_rng(ss_batch)
+    aux = None
+    prior_floored = False
+    if config.rew_active:
+        aux = train_rew_auxiliary(
+            x_cor, y_train, n_classes, rng=np.random.default_rng(ss_aux),
+            steps=config.aux_steps, lr=config.aux_lr, batch_size=config.aux_batch_size,
+        )
+        prior_floored = aux.prior_floored
+
+    optimizer = AdamW(head.params, lr=config.learning_rate, weight_decay=config.weight_decay)
+    log, evals = [], []
+    best_acc, best_step = -1.0, -1
+    best_state = head.params.copy()
+    for step in range(config.steps):
+        idx = batch_rng.integers(0, n, size=config.batch_size)
+        rew_batch = (
+            rew_weights(aux, x_cor[idx], y_train[idx], config.temperature)
+            if config.rew_active and step >= config.n_anneal
+            else None
+        )
+        log.append(train_step(
+            head, optimizer, x_train[idx], y_train[idx],
+            x_div[idx] if config.hsic_active else None, rew_batch, config, step,
+        ))
+        if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
+            val_acc = accuracy(head, x_val, y_val)
+            evals.append(EvalRecord(step=step, val_accuracy=val_acc))
+            if val_acc > best_acc:
+                best_acc, best_step = val_acc, step
+                best_state[...] = head.params
+
+    final_test = best_test = test_logits = None
+    if test_set is not None:
+        test_logits = head.predict_logits(test_set.features)
+        final_test = best_test = _argmax_accuracy(test_logits, test_set.labels)
+        if best_step != config.steps - 1:
+            final_state = head.params.copy()
+            head.params[...] = best_state
+            best_test = _argmax_accuracy(head.predict_logits(test_set.features), test_set.labels)
+            head.params[...] = final_state
+    return TrainResult(
+        head=head, log=log, evals=evals, final_val_accuracy=evals[-1].val_accuracy,
+        best_val_accuracy=best_acc, best_step=best_step, final_test_accuracy=final_test,
+        best_test_accuracy=best_test, test_logits=test_logits, prior_floored=prior_floored,
+    )

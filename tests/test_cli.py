@@ -331,6 +331,57 @@ def test_train_log_has_line_per_step(zoo_dir, tmp_path):
         assert field in steps[0]
 
 
+def _log_sections(path):
+    """The lines of a training log, grouped under each fold's header line."""
+    sections = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# fold target="):
+            lines = sections[line.split("=", 1)[1]] = []
+        lines.append(line)
+    return sections
+
+
+@pytest.mark.parametrize("mode", ["erm", "rew", "hsic", "both"])
+def test_each_leave_one_out_fold_equals_its_target_run(zoo_dir, tmp_path, capsys, mode):
+    """The folds of one run over every target train as one stack; each fold's
+    report record and log section are those of a ``--target`` run of it alone."""
+    flags = [
+        "--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
+        "--mode", mode, "--steps", "40", "--warmup", "10", "--anneal", "20",
+        "--eval-every", "15", "--lr", "1e-2", "--batch-size", "32", "--aux-lr", "1e-2",
+        "--aux-steps", "30", "--seed", "5",
+    ]
+
+    def run(name, *extra):
+        rep, log = tmp_path / f"{name}.json", tmp_path / f"{name}.log"
+        argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(rep),
+                "--log", str(log), *flags, *extra]
+        assert main(argv) == 0
+        return json.loads(rep.read_text())["folds"], _log_sections(log)
+
+    folds, sections = run("all")
+    capsys.readouterr()
+    assert [f["target_domain"] for f in folds] == ["domain0", "domain1", "domain2"]
+    for fold in folds:
+        target = fold["target_domain"]
+        [alone], alone_sections = run(target, "--target", target)
+        assert json.dumps(fold) == json.dumps(alone)
+        assert sections[target] == alone_sections[target]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_non_finite_loss_exits_1_naming_the_fold(zoo_dir, tmp_path, capsys):
+    out = tmp_path / "diverged.json"
+    argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
+            "--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
+            "--steps", "20", "--lr", "1e300"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "non-finite loss at step 1 of the fold on target 'domain0'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_unknown_encoder_exits_2(zoo_dir, tmp_path, capsys):
     code = main(
         ["train", "--manifest", str(zoo_dir / "manifest.json"),

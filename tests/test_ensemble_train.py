@@ -18,6 +18,7 @@ import shiftzoo
 import shiftzoo.ensemble_train as et
 from shiftzoo.blas_threads import numpy_openblas, single_blas_thread
 from shiftzoo.ensemble_train import (
+    MODES,
     P_FLOOR,
     WEIGHT_CLIP,
     AdamW,
@@ -40,7 +41,7 @@ from shiftzoo.ensemble_train import (
     train_step,
     weighted_cross_entropy,
 )
-from shiftzoo.errors import ValidationError
+from shiftzoo.errors import NumericalError, ValidationError
 from shiftzoo.feature_store import build_feature_set, load_domain_features
 from shiftzoo.report import select_auxiliaries
 from shiftzoo.synthetic_dg import SynthSpec, build_zoo
@@ -49,6 +50,7 @@ from oracle_utils import (
     ListAdamW,
     reference_head_loss_and_grads,
     reference_softmax,
+    reference_train_on_sets,
     reference_weighted_cross_entropy,
 )
 
@@ -245,7 +247,8 @@ def test_train_step_matches_reference_step_bitwise(m, explicit, lam, log10_scale
             ref_head, x, labels, ref_weights, aux, lam, cfg.gamma1, cfg.gamma2
         )
         ref_opt.step(grad)
-        assert stats == StepStats(step, ce, hsic, total, float(ref_weights.mean()), 1e-3)
+        assert stats == StepStats(step, ce, hsic, float(ref_weights.mean()), 1e-3)
+        assert _bits(stats.ce + lam * stats.hsic) == _bits(total)
         assert head.params.tobytes() == ref_head.params.tobytes()
 
 
@@ -650,14 +653,15 @@ def test_train_step_gating():
     # no rew_batch: uniform weights; before n_warmup: no HSIC term
     plain_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, np.ones(8))
     pre = train_step(head, opt, x, y, aux, None, cfg, step_index=2)
-    assert pre.hsic == 0.0 and pre.total == pre.ce == plain_ce
+    assert pre.hsic == 0.0 and pre.ce + cfg.lam * pre.hsic == pre.ce == plain_ce
     assert pre.mean_weight == 1.0
     # a rew_batch applies as given; from n_warmup on the HSIC term is active
     weighted_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, weights)
+    total, _, _, _ = head_loss_and_grads(head, x, y, weights, aux, cfg.lam, cfg.gamma1, cfg.gamma2)
     post = train_step(head, opt, x, y, aux, weights, cfg, step_index=6)
     assert post.ce == weighted_ce
     assert post.hsic > 0.0
-    assert post.total == pytest.approx(post.ce + cfg.lam * post.hsic, abs=1e-12)
+    assert post.ce + cfg.lam * post.hsic == total
 
 
 def test_rew_weights_run_only_from_n_anneal(monkeypatch):
@@ -673,7 +677,7 @@ def test_rew_weights_run_only_from_n_anneal(monkeypatch):
         lam=0.0, temperature=1.0, n_anneal=13, steps=40, learning_rate=1e-3,
         eval_every=10, seed=3, aux_steps=20, aux_lr=1e-2,
     )
-    res = train_on_sets(sets, None, _train_rows(sets), 3, cfg)
+    [res] = train_on_sets(sets, None, _train_rows(sets), 3, cfg)
     assert len(calls) == cfg.steps - cfg.n_anneal
     assert all(s.mean_weight == 1.0 for s in res.log[: cfg.n_anneal])
 
@@ -712,11 +716,12 @@ def test_train_on_sets_runs_and_logs():
         learning_rate=1e-3, eval_every=10, seed=11, aux_steps=50, aux_lr=1e-2,
     )
     rows = _train_rows(sets)
-    res = train_on_sets(sets, rows, rows, 3, cfg, test_set=_sets(1, domains=1)[0])
+    # a test domain, d2, that the head does not train on
+    [res] = train_on_sets(sets, rows, rows, 3, cfg, [_sets(1, domains=3)[2]])
     assert len(res.log) == 40
     for rec in res.log:
-        lam_term = cfg.lam * rec.hsic
-        assert rec.total == pytest.approx(rec.ce + lam_term, abs=1e-12)
+        assert math.isfinite(rec.ce + cfg.lam * rec.hsic)
+        assert (rec.hsic > 0.0) == (rec.step >= cfg.n_warmup)
     assert 0.0 <= res.final_val_accuracy <= 1.0
     assert res.best_val_accuracy >= res.final_val_accuracy - 1e-12
     assert res.final_test_accuracy is not None
@@ -727,14 +732,14 @@ def test_train_on_sets_runs_and_logs():
 def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_every, best_step):
     """The final accuracy is the argmax of the returned float64 test logits,
     and a best checkpoint at the last step reuses it instead of a second pass."""
-    sets, [test] = _sets(0), _sets(1, domains=1)
+    sets, [test] = _sets(0), _sets(1, domains=3)[2:]
     cfg = TrainConfig(lam=0.0, temperature=math.inf, steps=20, learning_rate=1e-2,
                       eval_every=eval_every, seed=0)
     rows = []
     real = MlpHead.predict_logits
     monkeypatch.setattr(MlpHead, "predict_logits",
                         lambda self, x: rows.append(x.shape[0]) or real(self, x))
-    res = train_on_sets(sets, None, None, 3, cfg, test_set=test)
+    [res] = train_on_sets(sets, None, None, 3, cfg, [test])
     monkeypatch.undo()
     assert res.best_step == best_step
     n_val, n_test = sum(int(fs.split_mask.sum()) for fs in sets), test.n_samples
@@ -753,8 +758,8 @@ def test_train_erm_equals_both_with_inactive_knobs():
     base = TrainConfig(steps=30, learning_rate=1e-3, eval_every=10, seed=5)
     erm = apply_mode(base, "erm")
     both = apply_mode(replace_cfg(base, lam=0.0, temperature=math.inf), "both")
-    res_a = train_on_sets(sets, None, None, 3, erm)
-    res_b = train_on_sets(sets, None, None, 3, both)
+    [res_a] = train_on_sets(sets, None, None, 3, erm)
+    [res_b] = train_on_sets(sets, None, None, 3, both)
     assert np.array_equal(res_a.head.params, res_b.head.params)
     assert res_a.log == res_b.log
 
@@ -848,11 +853,11 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
     }
     for fold in folds + [one]:
         rest = [d for d in manifest.domain_ids if d != fold.target_domain]
-        alone = train_on_sets(
+        [alone] = train_on_sets(
             [sets["main_full", d] for d in rest],
             _train_rows([sets["div_heavy", d] for d in rest]),
             _train_rows([sets["cor_heavy", d] for d in rest]), manifest.n_classes, cfg,
-            sets["main_full", fold.target_domain],
+            [sets["main_full", fold.target_domain]],
         )
         assert np.array_equal(fold.result.head.params, alone.head.params)
         assert fold.result.best_test_accuracy == alone.best_test_accuracy
@@ -930,3 +935,132 @@ def test_select_auxiliaries_rules():
     assert select_auxiliaries(scores2, "A") == ("C", "B")
     with pytest.raises(ValidationError):
         select_auxiliaries({"A": (1.0, 1.0)}, "A")
+
+
+def _uneven_sets(seed, sizes=(150, 210, 270), d=6, n_classes=3, scale=1.0):
+    """Domains d0, d1, ... of the given sizes, so each fold's pools differ in size."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(d, n_classes))
+    out = []
+    for i, n in enumerate(sizes):
+        x = rng.normal(size=(n, d)) + 0.3 * i
+        y = (x @ w + rng.normal(size=(n, n_classes))).argmax(axis=1)
+        out.append(build_feature_set(
+            f"d{i}", (scale * x).astype(np.float32), y, dataset_name="st", n_classes=n_classes,
+            split_ratio=0.2, seed=7,
+        ))
+    return out
+
+
+def _result_bits(res):
+    """Everything a fold's result holds, with every float as its bits."""
+    def bits(*values):
+        return np.array(values, dtype=np.float64).tobytes()
+
+    return (
+        res.head.params.tobytes(),
+        [(s.step, bits(s.ce, s.hsic, s.mean_weight, s.lr)) for s in res.log],
+        [(e.step, bits(e.val_accuracy)) for e in res.evals],
+        res.best_step,
+        bits(res.final_val_accuracy, res.best_val_accuracy),
+        None if res.test_logits is None else res.test_logits.tobytes(),
+        None if res.test_logits is None else bits(res.final_test_accuracy, res.best_test_accuracy),
+        bool(res.prior_floored),
+    )
+
+
+# F = 1 on an index pool, F = 2 with one head on every set (no pool index),
+# F = 3 leave-one-domain-out
+STACKS = {1: ("d1",), 2: ("d2", None), 3: ("d0", "d1", "d2")}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n_heads", sorted(STACKS))
+def test_stacked_folds_match_the_per_fold_reference_bitwise(mode, n_heads):
+    sets = _uneven_sets(0)
+    by_id = {fs.domain_id: fs for fs in sets}
+    test_sets = [None if t is None else by_id[t] for t in STACKS[n_heads]]
+    rows = _train_rows(sets)
+    div_rows, cor_rows = rows[:, ::-1].copy(), rows[:, :4] ** 2
+    # 37 steps, evaluated every 10: the last evaluation is off the grid
+    cfg = apply_mode(TrainConfig(
+        lam=5.0, n_warmup=5, n_anneal=12, learning_rate=3e-2, weight_decay=0.01, batch_size=16,
+        steps=37, eval_every=10, seed=3, aux_steps=15, aux_lr=1e-2, aux_batch_size=8,
+    ), mode)
+    got = train_on_sets(sets, div_rows, cor_rows, 3, cfg, test_sets)
+    want = reference_train_on_sets(sets, div_rows, cor_rows, 3, cfg, test_sets)
+    assert len(got) == len(want) == n_heads
+    for g, w in zip(got, want):
+        assert _result_bits(g) == _result_bits(w)
+    if n_heads == 3:
+        # the best checkpoint comes before the last step for some fold
+        assert any(r.best_step < cfg.steps - 1 for r in got)
+
+
+def test_stacked_wide_folds_split_each_fold_product_bitwise(monkeypatch):
+    """A 512 -> 256 -> 256 -> 4 stack: each fold's step products reach two
+    SPLIT_MACS blocks and are cut as the one-fold product is."""
+    monkeypatch.setattr(et, "usable_cpus", lambda: 3)
+    blocks = _recording_run(monkeypatch)
+    sets = _uneven_sets(1, sizes=(60, 80, 100), d=512)
+    cfg = apply_mode(TrainConfig(learning_rate=1e-3, batch_size=32, steps=4, eval_every=2,
+                                 seed=1), "erm")
+    with single_blas_thread():
+        got = train_on_sets(sets, None, None, 3, cfg, sets[:2])
+        # a step product of 32 * 512 * 256 = 2 * SPLIT_MACS: two blocks for each of two folds
+        assert 4 in blocks
+        want = reference_train_on_sets(sets, None, None, 3, cfg, sets[:2])
+    for g, w in zip(got, want):
+        assert _result_bits(g) == _result_bits(w)
+
+
+def test_stacked_head_folds_are_views_of_one_block():
+    head = MlpHead([5, 4, 3], rng=[np.random.default_rng(s) for s in (0, 1, 2)])
+    size = 5 * 4 + 4 + 4 * 3 + 3
+    assert head.params.shape == (3, size) and head.params.flags.c_contiguous
+    for w, b in zip(head.weights, head.biases):
+        assert w.shape[0] == b.shape[0] == 3
+        assert np.shares_memory(w, head.params) and np.shares_memory(b, head.params)
+    for f in range(3):
+        # fold f is the head its own generator draws, on views into row f
+        alone = MlpHead([5, 4, 3], rng=f)
+        fold = head.fold(f)
+        assert fold.params.tobytes() == alone.params.tobytes()
+        assert np.shares_memory(fold.params, head.params[f])
+        assert np.shares_memory(fold.grad, head.grad[f])
+    x = np.random.default_rng(3).normal(size=(3, 7, 5))
+    stacked = head.predict_logits(x)
+    for f in range(3):
+        assert stacked[f].tobytes() == head.fold(f).predict_logits(x[f]).tobytes()
+    with pytest.raises(ValidationError, match="does not match head input"):
+        head.predict_logits(x[0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_loss_names_the_fold_of_its_target():
+    # d0's rows are 1e30 times the others: after one step at a learning rate of
+    # 1e96 the folds that train on it (targets d1 and d2) overflow to a
+    # non-finite loss, and the fold that holds it out (target d0) does not
+    sets = _uneven_sets(2, scale=1.0)
+    sets[0] = _uneven_sets(2, scale=1e30)[0]
+    cfg = apply_mode(TrainConfig(learning_rate=1e96, steps=20, eval_every=5, seed=0), "erm")
+    named = r"non-finite loss at step \d+ of the fold on target 'd1'"
+    with pytest.raises(NumericalError, match=named):
+        train_on_sets(sets, None, None, 3, cfg, sets)
+    # held out alone, d0 trains to the end
+    [res] = train_on_sets(sets, None, None, 3, cfg, sets[:1])
+    assert len(res.log) == cfg.steps
+
+
+def test_train_refuses_empty_or_repeated_targets_before_reading(tmp_path, monkeypatch):
+    manifest, _, _ = build_zoo(SynthSpec(samples_per_domain=100), zoo_size=4, out_dir=tmp_path)
+    cfg = apply_mode(TrainConfig(steps=5), "erm")
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("no feature file should be read")
+
+    monkeypatch.setattr(et, "load_domain_features", refusing)
+    with pytest.raises(ValidationError, match="need at least one target domain"):
+        train(manifest, "main_full", None, None, cfg, [])
+    with pytest.raises(ValidationError, match="target domain 'domain0' is given more than once"):
+        train(manifest, "main_full", None, None, cfg, ["domain0", "domain1", "domain0"])
