@@ -26,6 +26,7 @@ tasks too.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 import threading
@@ -168,6 +169,8 @@ def run_tasks(tasks: Sequence[Callable[[], T]], workers: int) -> list[T]:
     raises, no thread starts another; once the running ones have ended, the
     first error is raised here. A helper still queued behind busy pool threads
     is cancelled, never waited for, so a task may call ``run_tasks`` itself.
+    Each helper runs in a copy of the caller's ``contextvars`` context, so its
+    tasks compute under the caller's numpy error state (``np.errstate``).
     """
     results: list = [None] * len(tasks)
     errors: list[BaseException] = []
@@ -188,7 +191,9 @@ def run_tasks(tasks: Sequence[Callable[[], T]], workers: int) -> list[T]:
                 return
 
     helpers = min(workers, len(tasks), usable_cpus()) - 1
-    futures = [worker_pool().submit(drain) for _ in range(helpers)]
+    futures = [
+        worker_pool().submit(contextvars.copy_context().run, drain) for _ in range(helpers)
+    ]
     try:
         drain()
     finally:

@@ -13,21 +13,23 @@ representation and stay at 1 until ``n_anneal`` steps have passed; with
 temperature +inf they are identically 1 and the auxiliary is never trained,
 which makes the reduction to plain ERM exact, bit for bit.
 
-Every trainable parameter of a model lives in one contiguous float64 vector:
-the head's weights and biases are reshaped views into ``MlpHead.params``,
-backprop fills one gradient vector laid out the same way, and ``AdamW``
-updates the vector in place, one cache-sized chunk at a time, with two
-chunk-sized scratch vectors. All gradients are computed analytically (manual
-backprop); parameters update with Adam plus decoupled weight decay.
+Every head is a stack of F >= 1 heads of one shape (``MlpHead``), whose
+parameters are the rows of one (F, P) float64 block: each head's weights and
+biases are views into its row, backprop fills a gradient block laid out the
+same way, and ``AdamW`` updates the block in place as one F * P vector, one
+cache-sized chunk at a time, with two chunk-sized scratch vectors. All
+gradients are computed analytically (manual backprop); parameters update
+with Adam plus decoupled weight decay.
 
-``train`` trains the F leave-one-domain-out folds of one call as one stack
-of F heads: their parameters are the rows of one (F, P) block, each layer's
-forward and backward is one ``matmul`` over (F, rows, width) stacks, and the
-cross-entropy, the HSIC penalty, the reweighting classifier and AdamW (over
-the F * P vector) each serve every fold with one call. Each fold keeps its
-own random streams, batch draws, evaluations, best checkpoint and test pass,
-and gets the bits it gets when trained alone. The folds draw their batches
-by row index from one array of training rows per encoder.
+``train`` trains the F leave-one-domain-out folds of one call as one stack:
+each layer's forward and backward is one ``matmul`` over (F, rows, width)
+stacks, and the cross-entropy, the HSIC penalty, the reweighting classifier
+and AdamW each serve every fold with one call. Each fold keeps its own random
+streams, batch draws (row indices into one array of training rows per
+encoder), evaluations, best checkpoint and test pass, and gets the bits it
+gets when trained alone, as a stack of one. numpy's overflow and invalid
+warnings are off while it trains, on every thread: a non-finite loss or
+logit ends the run as one ``NumericalError`` that names its fold.
 
 Threads: ``train`` runs with OpenBLAS on one thread, and the calling thread
 and the process's one worker pool (``blas_threads.run_tasks``) do the
@@ -111,27 +113,25 @@ def _blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list[Callable[[], 
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.matmul(a, b, out=out)`` for 2-D operands or stacks of them, the same bits.
+    """``np.matmul(a, b, out=out)`` for stacks of matrices, (F, m, k) @ (F, k, n),
+    the same bits.
 
-    A product of at least two ``SPLIT_MACS`` blocks per matrix is cut, by rows
-    when it has enough of them, else by columns, into one block per usable
-    CPU; a stack is cut matrix by matrix. The blocks run on the calling thread
-    and the worker pool. It is cut only while OpenBLAS is on one thread, as
-    ``train`` runs it: with more OpenBLAS threads, OpenBLAS cuts each block
-    again, and a product of ragged shape can then differ from the uncut one
-    in the last bit, so it runs uncut. Smaller products, every one of a
-    desk-sized head, go straight to ``np.matmul``, which runs each matrix of
-    a stack as the 2-D product.
+    A product of at least two ``SPLIT_MACS`` blocks per matrix is cut matrix
+    by matrix, by rows when it has enough of them, else by columns, into one
+    block per usable CPU. The blocks run on the calling thread and the worker
+    pool. It is cut only while OpenBLAS is on one thread, as ``train`` runs
+    it: with more OpenBLAS threads, OpenBLAS cuts each block again, and a
+    product of ragged shape can then differ from the uncut one in the last
+    bit, so it runs uncut. Smaller products, every one of a desk-sized head,
+    go straight to ``np.matmul``, which runs each matrix of a stack as the
+    2-D product.
     """
     (m, k), n = a.shape[-2:], b.shape[-1]
     if m * k * n < 2 * SPLIT_MACS or numpy_blas_threads() > 1:
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, b))
-    if a.ndim == 2:
-        tasks = _blocks(a, b, out)
-    else:
-        tasks = [t for f in range(a.shape[0]) for t in _blocks(a[f], b[f], out[f])]
+    tasks = [t for f in range(a.shape[0]) for t in _blocks(a[f], b[f], out[f])]
     if len(tasks) == 1:
         tasks[0]()
     else:
@@ -211,86 +211,80 @@ def apply_mode(config: TrainConfig, mode: str) -> TrainConfig:
 
 
 class MlpHead:
-    """Dense ReLU network trained by manual backprop, or a stack of F of them.
+    """A stack of F >= 1 dense ReLU networks of one shape, trained by manual backprop.
 
-    ``params`` holds every weight and bias in one float64 vector, layer by
-    layer (weight, then bias); ``weights[i]`` and ``biases[i]`` are views into
-    it. ``rng`` (a generator or a seed) draws one head. A sequence of them
-    draws a stack, one head per entry: ``params`` is then an (F, P) block
-    whose row f is head f's vector, the views gain a leading F axis, and
-    every pass takes and gives stacks, (F, rows, width), one ``matmul`` per
-    layer for all F heads. ``fold(f)`` is head f as a head of its own, on
-    views into the stack. ``for_input`` builds the standard three-layer
-    shape: input, half the input width, 256 (512 when the input is
-    2048-dimensional), classes.
+    ``rngs`` holds one generator or seed per head, which draws that head's
+    weights. ``params`` is one (F, P) float64 block whose row f holds every
+    weight and bias of head f, layer by layer (weight, then bias);
+    ``weights[i]`` and ``biases[i]`` are (F, ...) views into it. A pass takes
+    (F, rows, width), one matrix per head, or (rows, width), which every head
+    reads, and gives (F, rows, out): one ``matmul`` per layer for all F heads.
+    ``fold(f)`` is head f as a stack of one, on views into the stack.
+    ``for_input`` builds the standard three-layer shape: input, half the
+    input width, 256 (512 when the input is 2048-dimensional), classes.
     """
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        rng: np.random.Generator | int | Sequence[np.random.Generator | int] = 0,
-    ):
+    def __init__(self, dims: Sequence[int], rngs: Sequence[np.random.Generator | int]):
         dims = [int(d) for d in dims]
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValidationError(f"invalid layer dims {dims}")
-        stacked = isinstance(rng, Sequence)
-        rngs = [_generator(r) for r in rng] if stacked else [_generator(rng)]
         self.dims = tuple(dims)
         size = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
-        params = np.zeros((len(rngs), size) if stacked else size)
+        params = np.zeros((len(rngs), size))
         self._bind(params, np.zeros_like(params))
-        for f, r in enumerate(rngs):
+        for f, rng in enumerate(rngs):
+            rng = np.random.default_rng(rng)  # a generator is used as it is
             for w in self.weights:
-                fan_in = w.shape[-2]
-                (w[f] if stacked else w)[...] = r.normal(
-                    0.0, math.sqrt(2.0 / fan_in), size=w.shape[-2:]
-                )
+                w[f] = rng.normal(0.0, math.sqrt(2.0 / w.shape[1]), size=w.shape[1:])
 
     def _bind(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.params, self.grad = params, grad
         self.weights, self.biases = self._layer_views(params)
         self._grad_w, self._grad_b = self._layer_views(grad)
         # the views each pass reads: every bias as one row, every weight transposed
-        self._bias_rows = [b[..., None, :] for b in self.biases]
-        self._weights_t = [np.swapaxes(w, -1, -2) for w in self.weights]
+        self._bias_rows = [b[:, None, :] for b in self.biases]
+        self._weights_t = [np.swapaxes(w, 1, 2) for w in self.weights]
 
-    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        lead = flat.shape[:-1]
+    def _layer_views(self, block: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         weights, biases, start = [], [], 0
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
             stop = start + fan_in * fan_out
-            weights.append(flat[..., start:stop].reshape(*lead, fan_in, fan_out))
-            biases.append(flat[..., stop : stop + fan_out])
+            weights.append(block[:, start:stop].reshape(len(block), fan_in, fan_out))
+            biases.append(block[:, stop : stop + fan_out])
             start = stop + fan_out
         return weights, biases
 
-    def fold(self, f: int) -> "MlpHead":
-        """Head ``f`` of a stack as a head of its own: views into the stack's
-        parameters and gradient, so each sees the other's updates."""
+    def _on(self, params: np.ndarray, grad: np.ndarray) -> "MlpHead":
+        """This stack's shape on another (F, P) parameter and gradient block."""
         head = copy.copy(self)
-        head._bind(self.params[f], self.grad[f])
+        head._bind(params, grad)
         return head
+
+    def fold(self, f: int) -> "MlpHead":
+        """Head ``f`` as a stack of one: views into row f of the stack's
+        parameters and gradient, so each sees the other's updates."""
+        return self._on(self.params[f : f + 1], self.grad[f : f + 1])
 
     @classmethod
     def for_input(
-        cls,
-        in_dim: int,
-        n_classes: int,
-        rng: np.random.Generator | int | Sequence[np.random.Generator | int] = 0,
+        cls, in_dim: int, n_classes: int, rngs: Sequence[np.random.Generator | int]
     ) -> "MlpHead":
         if in_dim < 1 or n_classes < 2:
             raise ValidationError(f"bad head shape: in_dim={in_dim}, n_classes={n_classes}")
         hidden2 = 512 if in_dim == 2048 else 256
-        return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rng)
+        return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rngs)
 
     def _input(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as float64 rows of the head's input width, one matrix per head
-        of a stack (no copy if it is one)."""
+        """``x`` as float64 (F, rows, width), no copy if it is one; rows of shape
+        (rows, width) become a broadcast view that every head reads."""
         h = x if x.dtype == np.float64 else np.asarray(x, dtype=np.float64)
-        lead = self.params.shape[:-1]
-        if h.ndim != len(lead) + 2 or h.shape[:-2] != lead or h.shape[-1] != self.dims[0]:
+        heads = len(self.params)
+        if h.ndim == 2:
+            h = np.broadcast_to(h, (heads, *h.shape))
+        if h.ndim != 3 or h.shape[0] != heads or h.shape[2] != self.dims[0]:
             raise ValidationError(
-                f"input shape {h.shape} does not match head input {lead + ('rows', self.dims[0])}"
+                f"input shape {x.shape} does not match head input "
+                f"({heads}, rows, {self.dims[0]}) or (rows, {self.dims[0]})"
             )
         return h
 
@@ -335,16 +329,12 @@ class MlpHead:
         return self.grad
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        """``forward``'s logits, the same bits, keeping no activations.
+        """``forward``'s (F, rows, out) logits, the same bits, keeping no activations.
 
         A pass holds at most two layers: at first the (float64) input and
         the first hidden layer.
         """
         return self._layers(x, None)
-
-
-def _generator(rng: np.random.Generator | int) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
 class AdamW:
@@ -463,18 +453,16 @@ def weighted_cross_entropy(
 
 @dataclass(frozen=True)
 class RewAuxiliary:
-    """Linear softmax classifier over frozen auxiliary features: a one-layer head.
-
-    A stack of classifiers has a stack of heads, one prior row per head and
-    one ``prior_floored`` flag per head.
-    """
+    """A stack of F linear softmax classifiers over frozen auxiliary features: a
+    stack of one-layer heads, an (F, classes) class prior and F ``prior_floored`` flags."""
 
     head: MlpHead
     class_prior: np.ndarray
-    prior_floored: bool | np.ndarray
+    prior_floored: np.ndarray
 
     def predict_proba(self, z: np.ndarray) -> np.ndarray:
-        return softmax(self.head.predict_logits(np.atleast_2d(z)))
+        """(F, rows, classes) probabilities of (F, rows, dim) or (rows, dim) features."""
+        return softmax(self.head.predict_logits(z))
 
 
 def class_prior(labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, bool]:
@@ -488,26 +476,13 @@ def class_prior(labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, bool]:
 
 
 def _draw(
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    pools: Sequence[np.ndarray | None],
-    n: int,
-    size: int,
+    rngs: Sequence[np.random.Generator], pools: Sequence[np.ndarray], size: int
 ) -> np.ndarray:
-    """Row indices of one batch into arrays of ``n`` rows.
-
-    One generator draws ``size`` of the n rows. A sequence of generators
-    draws one batch per head of a stack, an (F, size) array: head f draws
-    with ``rng[f]`` from its pool, the rows listed in ``pools[f]``, or all n
-    rows where that is None.
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng.integers(0, n, size=size)
-    out = np.empty((len(rng), size), dtype=np.intp)
-    for f, (r, rows) in enumerate(zip(rng, pools)):
-        if rows is None:
-            out[f] = r.integers(0, n, size=size)
-        else:
-            out[f] = rows[r.integers(0, rows.size, size=size)]
+    """Row indices of one batch per head, an (F, size) array: head f draws
+    ``size`` positions in its pool, the row indices ``pools[f]``, with ``rngs[f]``."""
+    out = np.empty((len(rngs), size), dtype=np.intp)
+    for f, (rng, rows) in enumerate(zip(rngs, pools)):
+        out[f] = rows[rng.integers(0, rows.size, size=size)]
     return out
 
 
@@ -515,45 +490,31 @@ def train_rew_auxiliary(
     features: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
-    rng: np.random.Generator | int | Sequence[np.random.Generator] = 0,
+    rngs: Sequence[np.random.Generator | int],
+    pools: Sequence[np.ndarray],
     steps: int = 1000,
     lr: float = 1e-5,
     batch_size: int = 16,
-    pools: Sequence[np.ndarray | None] | None = None,
 ) -> RewAuxiliary:
-    """Train the reweighting classifier, a zero-initialized one-layer head, with AdamW.
-
-    A sequence of generators ``rng`` trains a stack of classifiers, one per
-    generator, each on its pool of rows (see ``_draw``; every pool is all
-    rows when ``pools`` is None), with one AdamW over the stack.
-    """
+    """Train a stack of reweighting classifiers, zero-initialized one-layer
+    heads, with one AdamW: classifier f draws its batches with ``rngs[f]``
+    from its pool, the row indices ``pools[f]`` (see ``_draw``)."""
     z = np.asarray(features)
     y = np.asarray(labels)
     if z.ndim != 2 or z.shape[0] != y.shape[0] or z.shape[0] == 0:
         raise ValidationError("auxiliary features and labels must be non-empty and aligned")
-    stacked = isinstance(rng, Sequence)
-    if stacked:
-        rng = [_generator(r) for r in rng]
-        pools = [None] * len(rng) if pools is None else pools
-        pool_labels = [y if rows is None else y[rows] for rows in pools]
-    else:
-        rng, pool_labels = _generator(rng), [y]
+    rngs = [np.random.default_rng(rng) for rng in rngs]
+    pool_labels = [y[rows] for rows in pools]
     if any(np.unique(pool).size < 2 for pool in pool_labels):
         raise ValidationError("reweighting classifier needs at least 2 classes present")
-    priors = [class_prior(pool, n_classes) for pool in pool_labels]
-    head = MlpHead((z.shape[1], n_classes), [0] * len(rng) if stacked else 0)
+    priors, floored = zip(*(class_prior(pool, n_classes) for pool in pool_labels))
+    head = MlpHead((z.shape[1], n_classes), [0] * len(rngs))
     head.params[...] = 0.0
     opt = AdamW(head.params, lr=lr)
-    n = z.shape[0]
     for _ in range(steps):
-        idx = _draw(rng, pools, n, batch_size)
+        idx = _draw(rngs, pools, batch_size)
         opt.step(head_loss_and_grads(head, z[idx], y[idx], None)[3])
-    if not stacked:
-        return RewAuxiliary(head=head, class_prior=priors[0][0], prior_floored=priors[0][1])
-    return RewAuxiliary(
-        head=head, class_prior=np.stack([prior for prior, _ in priors]),
-        prior_floored=np.array([floored for _, floored in priors]),
-    )
+    return RewAuxiliary(head=head, class_prior=np.stack(priors), prior_floored=np.array(floored))
 
 
 def batch_weights(raw: np.ndarray) -> np.ndarray:
@@ -569,10 +530,8 @@ def batch_weights(raw: np.ndarray) -> np.ndarray:
 def rew_weights(
     aux: RewAuxiliary, z: np.ndarray, labels: np.ndarray, temperature: float
 ) -> np.ndarray:
-    """Per-sample weights for a batch: smoothed, clipped at 100, mean 1 (all 1 at T=inf).
-
-    A stack of classifiers takes a stack of batches and weighs each with its own.
-    """
+    """Per-sample weights of batch f, (F, m, dim) features and (F, m) labels, by
+    classifier f: smoothed, clipped at 100, mean 1 (all 1 at T=inf)."""
     probs = aux.predict_proba(z)
     p_y = np.maximum(np.take_along_axis(probs, labels[..., None], -1)[..., 0], P_FLOOR)
     # at a small temperature the power may overflow to inf; the clip below is meant for it
@@ -589,7 +548,9 @@ def rew_weights(
 
 @dataclass(frozen=True)
 class StepStats:
-    """One step's statistics: floats for one head, one entry per head for a stack."""
+    """One step's statistics: one entry per head of the stack from ``train_step``
+    (an array of F, or one number for all while a term is off), one head's
+    floats in ``TrainResult.log``."""
 
     step: int
     ce: float
@@ -607,12 +568,13 @@ def head_loss_and_grads(
     lam: float = 0.0,
     gamma1: float = 0.1,
     gamma2: float = 0.5,
-) -> tuple[float, float, float, np.ndarray]:
-    """Combined loss and parameter gradients for one batch, or one per head of a stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float, np.ndarray]:
+    """Combined loss and parameter gradients for one batch per head of the stack.
 
-    Returns (total, ce, hsic, grad) with total = ce + lam * hsic; ``grad`` is
-    the head's gradient vector, overwritten by its next backward pass.
-    ``weights`` None means uniform weights. An inactive penalty is lam = 0
+    ``x`` holds (F, m, width) rows. Returns (total, ce, hsic, grad), each
+    loss an array of F (hsic 0.0 while off), with total = ce + lam * hsic;
+    ``grad`` is the stack's gradient block, overwritten by its next backward
+    pass. ``weights`` None means uniform weights. An inactive penalty is lam = 0
     and aux_div = None; the HSIC gradient flows through the logits only, the
     auxiliary kernel is constant.
     """
@@ -640,7 +602,7 @@ def train_step(
     step_index: int,
     targets: Sequence[str] | None = None,
 ) -> StepStats:
-    """One optimisation step of the gated combined loss, for one head or a stack.
+    """One optimisation step of the gated combined loss for every head of the stack.
 
     ``rew_batch`` holds the batch's sample weights, or None for uniform
     weights. The HSIC penalty only applies once ``step_index`` reaches
@@ -681,10 +643,11 @@ class EvalRecord:
 class TrainResult:
     """Trained head plus the full step log and checkpoint metrics.
 
-    ``head`` carries the final-step parameters (a head trained in a stack is
-    its fold's view into the stack); the ``best_*`` fields come from the
+    ``head`` is the head's fold of the trained stack, a stack of one with
+    the final-step parameters; the ``best_*`` fields come from the
     checkpoint with the highest pooled validation accuracy.
-    ``test_logits`` holds the final head's float64 logits on the test set.
+    ``test_logits`` holds the final head's float64 (rows, classes) logits on
+    the test set.
     """
 
     head: MlpHead
@@ -693,13 +656,14 @@ class TrainResult:
     final_val_accuracy: float
     best_val_accuracy: float
     best_step: int
-    final_test_accuracy: float | None
-    best_test_accuracy: float | None
-    test_logits: np.ndarray | None
+    final_test_accuracy: float
+    best_test_accuracy: float
+    test_logits: np.ndarray
     prior_floored: bool
 
 
 def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
+    """The accuracy of a stack of one head on rows ``x``."""
     return _argmax_accuracy(head.predict_logits(x), labels)
 
 
@@ -707,7 +671,7 @@ def _argmax_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose argmax logit is the label."""
     if labels.size == 0:
         raise ValidationError("cannot evaluate accuracy on an empty set")
-    return float((logits.argmax(axis=1) == labels).mean())
+    return float((logits.argmax(axis=-1) == labels).mean())
 
 
 def _stack_rows(
@@ -728,23 +692,28 @@ def _stack_rows(
     return out
 
 
+# numpy's warnings stay off while training: the loss and logit checks report a diverging run
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def train_on_sets(
     main_sets: Sequence[FeatureSet],
     div_rows: np.ndarray | None,
     cor_rows: np.ndarray | None,
     n_classes: int,
     config: TrainConfig,
-    test_sets: Sequence[FeatureSet | None] = (None,),
+    test_sets: Sequence[FeatureSet],
 ) -> list[TrainResult]:
     """Train one head per entry of ``test_sets``, the F heads as one stack.
 
     Head f trains on the pooled training rows of every set of ``main_sets``
-    whose domain is not that of ``test_sets[f]`` (of every set where that is
-    None), selects its checkpoint on their pooled validation rows, and is
-    tested on ``test_sets[f]``. ``div_rows`` and ``cor_rows`` are the
-    diversity and correlation auxiliaries' features of the training rows of
-    ``main_sets``, in the same order: each set's training rows in turn. Each
-    is read only when its term is active and may otherwise be None.
+    whose domain is not that of ``test_sets[f]``, selects its checkpoint on
+    their pooled validation rows, and is tested on ``test_sets[f]``.
+    ``div_rows`` and ``cor_rows`` are the diversity and correlation
+    auxiliaries' features of the training rows of ``main_sets``, in the same
+    order: each set's training rows in turn. Each is read only when its term
+    is active and may otherwise be None.
 
     Each head draws its initial weights, batches and reweighting classifier
     from its own generators, seeded as a head trained alone, and keeps its
@@ -780,35 +749,36 @@ def train_on_sets(
             raise ValidationError(
                 f"{name} features have shape {rows.shape}, expected one row per training row ({n})"
             )
-    # each head's pools: None where it trains on every set, else its sets' rows
+    # each head's pools: the row indices of its sets; a slice where it
+    # validates on every set, so that indexing makes no copy
     val_counts = [int(np.count_nonzero(fs.split_mask)) for fs in main_sets]
     train_counts = [fs.n_samples - c for fs, c in zip(main_sets, val_counts)]
-    keeps = [[t is None or fs.domain_id != t.domain_id for fs in main_sets] for t in test_sets]
-    train_pools, val_pools = (
-        [None if all(keep) else np.flatnonzero(np.repeat(keep, counts)) for keep in keeps]
-        for counts in (train_counts, val_counts)
-    )
-    y_vals = [y_val if rows is None else y_val[rows] for rows in val_pools]
-    train_sizes = [n if rows is None else rows.size for rows in train_pools]
-    if min(train_sizes) == 0 or min(y.size for y in y_vals) == 0:
+    keeps = [[fs.domain_id != t.domain_id for fs in main_sets] for t in test_sets]
+    train_pools = [np.flatnonzero(np.repeat(keep, train_counts)) for keep in keeps]
+    val_pools = [
+        slice(None) if all(keep) else np.flatnonzero(np.repeat(keep, val_counts))
+        for keep in keeps
+    ]
+    y_vals = [y_val[rows] for rows in val_pools]
+    if min(rows.size for rows in train_pools) == 0 or min(y.size for y in y_vals) == 0:
         raise ValidationError("training and validation pools must be non-empty")
 
     heads_n = len(test_sets)
     streams = [np.random.SeedSequence(config.seed).spawn(3) for _ in range(heads_n)]
     stack = MlpHead.for_input(
-        dim, n_classes, rng=[np.random.default_rng(ss_init) for ss_init, _, _ in streams]
+        dim, n_classes, [np.random.default_rng(ss_init) for ss_init, _, _ in streams]
     )
     heads = [stack.fold(f) for f in range(heads_n)]
     batch_rngs = [np.random.default_rng(ss_batch) for _, ss_batch, _ in streams]
-    targets = [None if t is None else t.domain_id for t in test_sets]
+    targets = [t.domain_id for t in test_sets]
 
     aux = None
     prior_floored = [False] * heads_n
     if config.rew_active:
         aux = train_rew_auxiliary(
-            x_cor, y_train, n_classes, rng=[np.random.default_rng(ss) for _, _, ss in streams],
-            steps=config.aux_steps, lr=config.aux_lr, batch_size=config.aux_batch_size,
-            pools=train_pools,
+            x_cor, y_train, n_classes, [np.random.default_rng(ss) for _, _, ss in streams],
+            train_pools, steps=config.aux_steps, lr=config.aux_lr,
+            batch_size=config.aux_batch_size,
         )
         prior_floored = aux.prior_floored.tolist()
 
@@ -819,7 +789,7 @@ def train_on_sets(
     best_acc, best_step = [-1.0] * heads_n, [-1] * heads_n
     best_state = stack.params.copy()
     for step in range(config.steps):
-        idx = _draw(batch_rngs, train_pools, n, config.batch_size)
+        idx = _draw(batch_rngs, train_pools, config.batch_size)
         labels = y_train[idx]
         # reweighting switches on at n_anneal; before that the weights are uniform
         rew_batch = (
@@ -834,27 +804,23 @@ def train_on_sets(
         stats[step, 0], stats[step, 1], stats[step, 2] = row.ce, row.hsic, row.mean_weight
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
             for f, (head, rows) in enumerate(zip(heads, val_pools)):
-                val_acc = accuracy(head, x_val if rows is None else x_val[rows], y_vals[f])
+                val_acc = accuracy(head, x_val[rows], y_vals[f])
                 evals[f].append(EvalRecord(step=step, val_accuracy=val_acc))
                 if val_acc > best_acc[f]:
                     best_acc[f], best_step[f] = val_acc, step
-                    best_state[f] = head.params
+                    best_state[f] = stack.params[f]
 
     # free the optimizer's moments and scratch and the main pools before the test passes
     del optimizer, x_train, x_val
+    best = stack._on(best_state, stack.grad)  # read only: no pass of it writes a gradient
     results = []
     for f, (head, test_set) in enumerate(zip(heads, test_sets)):
-        final_test = best_test = test_logits = None
-        if test_set is not None:
-            test_logits = head.predict_logits(test_set.features)
-            final_test = best_test = _argmax_accuracy(test_logits, test_set.labels)
-            # a best checkpoint at the last step holds the final parameters
-            if best_step[f] != config.steps - 1:
-                final_state = head.params.copy()
-                head.params[...] = best_state[f]
-                best_logits = head.predict_logits(test_set.features)
-                best_test = _argmax_accuracy(best_logits, test_set.labels)
-                head.params[...] = final_state
+        [test_logits] = head.predict_logits(test_set.features)
+        final_test = best_test = _argmax_accuracy(test_logits, test_set.labels)
+        # a best checkpoint at the last step holds the final parameters
+        if best_step[f] != config.steps - 1:
+            [best_logits] = best.fold(f).predict_logits(test_set.features)
+            best_test = _argmax_accuracy(best_logits, test_set.labels)
         log = [
             StepStats(step, ce, hsic, mean_weight, config.learning_rate)
             for step, (ce, hsic, mean_weight) in enumerate(stats[:, :, f].tolist())
@@ -888,13 +854,14 @@ def train(
 ) -> list[Fold]:
     """Leave-one-domain-out folds: for each target, train on all other domains.
 
-    The folds train as one stack (``train_on_sets``), and each fold's head is
-    then profiled at logit level over every domain. Each feature file the
-    folds need is read once: the main encoder's whole, and each auxiliary's
-    only for its training rows on the domains that train a fold, gathered
-    into one array per auxiliary that every fold reads by row index. The
-    folds run with OpenBLAS on one thread, so their bytes do not depend on
-    the BLAS thread count; the previous count is restored on return.
+    The folds train as one stack (``train_on_sets``). Each fold's head is
+    then profiled at logit level over every domain, once every fold's logits
+    are known to be finite in float32. Each feature file the folds need is
+    read once: the main encoder's whole, and each auxiliary's only for its
+    training rows on the domains that train a fold, gathered into one array
+    per auxiliary that every fold reads by row index. The folds run with
+    OpenBLAS on one thread, so their bytes do not depend on the BLAS thread
+    count; the previous count is restored on return.
     """
     domains = manifest.domain_ids
     if not targets:
@@ -932,31 +899,40 @@ def train(
             [main[d] for d in train_domains], div, cor, manifest.n_classes, config,
             [main[t] for t in targets],
         )
-        folds = []
-        for target, result in zip(targets, results):
-            f_div, f_cor = logit_shift(
-                result.head, list(main.values()), manifest.n_classes,
-                known={target: result.test_logits},
-            )
-            folds.append(Fold(target, result, f_div, f_cor))
-    return folds
+        logit_sets = [
+            logit_feature_sets(result.head, list(main.values()), {target: result.test_logits})
+            for target, result in zip(targets, results)
+        ]
+        for target, sets in zip(targets, logit_sets):
+            for fs in sets:
+                if not np.isfinite(fs.features).all():
+                    raise NumericalError(
+                        f"the fold on target '{target}' gives non-finite float32 logits on "
+                        f"domain '{fs.domain_id}'; try a lower learning rate"
+                    )
+        return [
+            Fold(target, result, *logit_shift(sets, manifest.n_classes))
+            for target, result, sets in zip(targets, results, logit_sets)
+        ]
 
 
+@_quiet_overflow
 def logit_feature_sets(
     head: MlpHead, sets: Sequence[FeatureSet], known: Mapping[str, np.ndarray] | None = None
 ) -> list[FeatureSet]:
-    """Push each domain's features through the head; logits become features.
+    """Push each domain's features through a stack of one head; logits become features.
 
     Labels and split masks carry over, so the shift estimators can profile
     the trained representation exactly like any encoder. ``known`` maps a
     domain id to the float64 logits this head already gave for that domain's
-    rows, which are used instead of a second pass.
+    rows, which are used instead of a second pass. Logits past float32's
+    range become inf, with no warning; ``train`` refuses them.
     """
     out = []
     for fs in sets:
         logits = (known or {}).get(fs.domain_id)
         if logits is None:
-            logits = head.predict_logits(fs.features)
+            [logits] = head.predict_logits(fs.features)
         out.append(
             FeatureSet(
                 domain_id=fs.domain_id,
@@ -968,17 +944,8 @@ def logit_feature_sets(
     return out
 
 
-def logit_shift(
-    head: MlpHead,
-    sets: Sequence[FeatureSet],
-    n_classes: int,
-    known: Mapping[str, np.ndarray] | None = None,
-) -> tuple[float, float]:
-    """(f_div, f_cor) of the head's logits over ``sets``, profiled like an encoder.
-
-    ``known`` is passed on to ``logit_feature_sets``.
-    """
-    logit_sets = logit_feature_sets(head, sets, known)
+def logit_shift(logit_sets: Sequence[FeatureSet], n_classes: int) -> tuple[float, float]:
+    """(f_div, f_cor) of a head's logits (``logit_feature_sets``), profiled like an encoder."""
     f_div, div_pairs = dataset_diversity(logit_sets)
     f_cor, _ = dataset_correlation(logit_sets, div_pairs, n_classes)
     return f_div, f_cor

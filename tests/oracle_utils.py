@@ -35,8 +35,8 @@ which the package never pins, so a scipy oracle whose bits follow the thread
 count can be held against the package's one-thread result.
 ``reference_train_on_sets`` is the per-fold trainer that the stacked
 ``train_on_sets`` replaced: one head after another, each on its own copies of
-its pools, through the package's one-head step; the stack must give every
-fold its bits.
+its pools, through the package's step on a stack of one head; the stack must
+give every fold its bits.
 """
 
 import ctypes
@@ -52,6 +52,7 @@ from shiftzoo.ensemble_train import (
     AdamW,
     EvalRecord,
     MlpHead,
+    StepStats,
     TrainConfig,
     TrainResult,
     _argmax_accuracy,
@@ -175,13 +176,16 @@ def reference_weighted_cross_entropy(
 
 
 def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1, gamma2):
-    """(total, ce, hsic, flat grad) of an ``MlpHead``: plain forward,
-    the reference CE and HSIC, and backward with fresh temporaries."""
+    """(total, ce, hsic, flat grad) of a stack of one ``MlpHead`` on one 2-D
+    batch: plain forward, the reference CE and HSIC, and backward with fresh
+    temporaries."""
+    # the one head's layers: zip(*stack) gives each head's matrices
+    [weights_2d], [biases_2d] = zip(*head.weights), zip(*head.biases)
     acts, pre = [np.asarray(x, dtype=np.float64)], []
-    for w, b in zip(head.weights[:-1], head.biases[:-1]):
+    for w, b in zip(weights_2d[:-1], biases_2d[:-1]):
         pre.append(acts[-1] @ w + b)
         acts.append(np.maximum(pre[-1], 0.0))
-    logits = acts[-1] @ head.weights[-1] + head.biases[-1]
+    logits = acts[-1] @ weights_2d[-1] + biases_2d[-1]
     ce, dlogits = reference_weighted_cross_entropy(logits, labels, weights)
     hsic = 0.0
     if lam > 0:
@@ -193,7 +197,7 @@ def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1
     for i in range(len(head.weights) - 1, -1, -1):
         grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
         if i > 0:
-            delta = (delta @ head.weights[i].T) * (pre[i - 1] > 0.0)
+            delta = (delta @ weights_2d[i].T) * (pre[i - 1] > 0.0)
     return ce + lam * hsic, ce, hsic, np.concatenate([g.ravel() for g in grads])
 
 
@@ -531,7 +535,7 @@ def reference_generate(spec: SynthSpec) -> list[np.ndarray]:
     return out
 
 
-def reference_train_on_sets(main_sets, div_rows, cor_rows, n_classes, config, test_sets=(None,)):
+def reference_train_on_sets(main_sets, div_rows, cor_rows, n_classes, config, test_sets):
     """``train_on_sets`` one fold at a time: fold f trains alone on the sets of
     ``main_sets`` outside the domain of ``test_sets[f]``, with its own copies of
     their main and auxiliary rows."""
@@ -539,8 +543,7 @@ def reference_train_on_sets(main_sets, div_rows, cor_rows, n_classes, config, te
     starts = np.cumsum([0] + counts)
     results = []
     for test_set in test_sets:
-        keep = [i for i, fs in enumerate(main_sets)
-                if test_set is None or fs.domain_id != test_set.domain_id]
+        keep = [i for i, fs in enumerate(main_sets) if fs.domain_id != test_set.domain_id]
 
         def own(rows):
             if rows is None:
@@ -563,32 +566,36 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
     n = x_train.shape[0]
 
     ss_init, ss_batch, ss_aux = np.random.SeedSequence(config.seed).spawn(3)
-    head = MlpHead.for_input(main_sets[0].dim, n_classes, rng=np.random.default_rng(ss_init))
+    head = MlpHead.for_input(main_sets[0].dim, n_classes, [np.random.default_rng(ss_init)])
     batch_rng = np.random.default_rng(ss_batch)
     aux = None
     prior_floored = False
     if config.rew_active:
         aux = train_rew_auxiliary(
-            x_cor, y_train, n_classes, rng=np.random.default_rng(ss_aux),
+            x_cor, y_train, n_classes, [np.random.default_rng(ss_aux)], [np.arange(n)],
             steps=config.aux_steps, lr=config.aux_lr, batch_size=config.aux_batch_size,
         )
-        prior_floored = aux.prior_floored
+        [prior_floored] = aux.prior_floored.tolist()
 
     optimizer = AdamW(head.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     log, evals = [], []
     best_acc, best_step = -1.0, -1
     best_state = head.params.copy()
     for step in range(config.steps):
-        idx = batch_rng.integers(0, n, size=config.batch_size)
+        # the batch of the one head, as a stack of one
+        idx = batch_rng.integers(0, n, size=(1, config.batch_size))
         rew_batch = (
             rew_weights(aux, x_cor[idx], y_train[idx], config.temperature)
             if config.rew_active and step >= config.n_anneal
             else None
         )
-        log.append(train_step(
+        stats = train_step(
             head, optimizer, x_train[idx], y_train[idx],
             x_div[idx] if config.hsic_active else None, rew_batch, config, step,
-        ))
+        )
+        # each term is one head's entry, or one number while it is off
+        ce, hsic, mean_weight = (np.ravel(v)[0] for v in (stats.ce, stats.hsic, stats.mean_weight))
+        log.append(StepStats(step, float(ce), float(hsic), float(mean_weight), stats.lr))
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
             val_acc = accuracy(head, x_val, y_val)
             evals.append(EvalRecord(step=step, val_accuracy=val_acc))
@@ -596,15 +603,13 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
                 best_acc, best_step = val_acc, step
                 best_state[...] = head.params
 
-    final_test = best_test = test_logits = None
-    if test_set is not None:
-        test_logits = head.predict_logits(test_set.features)
-        final_test = best_test = _argmax_accuracy(test_logits, test_set.labels)
-        if best_step != config.steps - 1:
-            final_state = head.params.copy()
-            head.params[...] = best_state
-            best_test = _argmax_accuracy(head.predict_logits(test_set.features), test_set.labels)
-            head.params[...] = final_state
+    [test_logits] = head.predict_logits(test_set.features)
+    final_test = best_test = _argmax_accuracy(test_logits, test_set.labels)
+    if best_step != config.steps - 1:
+        final_state = head.params.copy()
+        head.params[...] = best_state
+        best_test = _argmax_accuracy(head.predict_logits(test_set.features), test_set.labels)
+        head.params[...] = final_state
     return TrainResult(
         head=head, log=log, evals=evals, final_val_accuracy=evals[-1].val_accuracy,
         best_val_accuracy=best_acc, best_step=best_step, final_test_accuracy=final_test,

@@ -91,28 +91,29 @@ def test_c2_full_loss_gradient_check(capsys):
         start = time.perf_counter()
         rng = np.random.default_rng(202)
         for _ in range(20):
-            head = MlpHead((2, 16, 8, 3), rng=np.random.default_rng(rng.integers(1 << 30)))
+            # a stack of one head, and its batch as a stack of one
+            head = MlpHead((2, 16, 8, 3), [np.random.default_rng(rng.integers(1 << 30))])
             m = int(rng.integers(4, 13))
-            x = rng.normal(size=(m, 2))
-            labels = rng.integers(0, 3, size=m)
-            weights = batch_weights(rng.uniform(0.2, 4.0, size=m))
-            aux = rng.normal(size=(m, int(rng.integers(2, 6))))
+            x = rng.normal(size=(1, m, 2))
+            labels = rng.integers(0, 3, size=(1, m))
+            weights = batch_weights(rng.uniform(0.2, 4.0, size=(1, m)))
+            aux = rng.normal(size=(1, m, int(rng.integers(2, 6))))
             lam = float(rng.uniform(0.5, 5.0))
-            total, _, _, grad = head_loss_and_grads(
+            [total], _, _, grad = head_loss_and_grads(
                 head, x, labels, weights, aux_div=aux, lam=lam
             )
-            ana = grad.copy()  # later evaluations overwrite the head's gradient buffer
-            p = head.params
+            ana = grad.ravel().copy()  # later evaluations overwrite the head's gradient buffer
+            p = head.params.reshape(-1)
             eps = 1e-6
             num = np.zeros_like(p)
             for idx in range(p.size):
                 orig = p[idx]
                 p[idx] = orig + eps
-                up, _, _, _ = head_loss_and_grads(
+                [up], _, _, _ = head_loss_and_grads(
                     head, x, labels, weights, aux_div=aux, lam=lam
                 )
                 p[idx] = orig - eps
-                down, _, _, _ = head_loss_and_grads(
+                [down], _, _, _ = head_loss_and_grads(
                     head, x, labels, weights, aux_div=aux, lam=lam
                 )
                 p[idx] = orig

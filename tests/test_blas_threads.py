@@ -176,7 +176,7 @@ def test_synth_and_train_share_one_worker_pool(tmp_path, monkeypatch, fresh_pool
     spec = SynthSpec(dim_core=128, dim_div=64, dim_spur=64, samples_per_domain=600)
     build_zoo(spec, zoo_size=4, out_dir=tmp_path)
     report.build_report(load_manifest(tmp_path / "manifest.json"), jobs=2)
-    a, b = np.ones((480, 96)), np.ones((96, 192))
+    a, b = np.ones((1, 480, 96)), np.ones((1, 96, 192))
     with single_blas_thread():
         assert et._matmul(a, b).tobytes() == np.matmul(a, b).tobytes()
     me = threading.current_thread().name
@@ -230,6 +230,27 @@ def test_an_error_starts_no_new_task_and_waits_for_the_running_ones(monkeypatch,
         blas_threads.run_tasks(tasks, 2)
     assert running == []  # the running task had ended before the error was raised
     assert sorted(started, key=str) == [1, "fail"]
+
+
+def test_pool_threads_run_under_the_callers_numpy_error_state(monkeypatch, fresh_pool):
+    """A task on a pool thread sees the caller's ``np.errstate``: under pytest's
+    ``error::RuntimeWarning`` an overflow it was told to ignore raises nothing."""
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    both_taken = threading.Barrier(2, timeout=10)  # so that each thread takes one task
+
+    def overflowing():
+        both_taken.wait()
+        big = np.full(4, 1e300)
+        return threading.current_thread().name, np.geterr()["over"], np.isinf(big * big).all()
+
+    with np.errstate(over="ignore"):
+        results = blas_threads.run_tasks([overflowing] * 2, 2)
+    assert len({name for name, _, _ in results}) == 2
+    assert [(over, inf) for _, over, inf in results] == [("ignore", True)] * 2
+    # the pool thread's own state is untouched: outside the block it warns again
+    both_taken.reset()
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        blas_threads.run_tasks([overflowing] * 2, 2)
 
 
 def test_a_task_may_run_tasks_itself(monkeypatch, fresh_pool):

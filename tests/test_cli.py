@@ -369,7 +369,6 @@ def test_each_leave_one_out_fold_equals_its_target_run(zoo_dir, tmp_path, capsys
         assert sections[target] == alone_sections[target]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_train_non_finite_loss_exits_1_naming_the_fold(zoo_dir, tmp_path, capsys):
     out = tmp_path / "diverged.json"
     argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
@@ -378,7 +377,24 @@ def test_train_non_finite_loss_exits_1_naming_the_fold(zoo_dir, tmp_path, capsys
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "non-finite loss at step 1 of the fold on target 'domain0'" in err
-    assert "Traceback" not in err
+    # one error line: no numpy warning, no traceback
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_logits_past_float32_exit_1_naming_the_fold(zoo_dir, tmp_path, capsys):
+    # at this learning rate every loss stays finite, but the trained heads'
+    # float64 logits lie past float32's range, which the logit profile reads
+    out = tmp_path / "overflowed.json"
+    argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
+            "--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
+            "--mode", "both", "--steps", "20", "--lr", "1e100"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the fold on target 'domain0' gives non-finite float32 logits on domain "
+        "'domain0'; try a lower learning rate\n"
+    )
     assert not out.exists()
 
 

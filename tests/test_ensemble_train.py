@@ -110,46 +110,50 @@ def test_config_rejects_non_finite_hyperparameters(name, value):
 
 
 def test_head_shapes():
-    head = MlpHead.for_input(100, 4, rng=0)
+    head = MlpHead.for_input(100, 4, [0])
     assert head.dims == (100, 50, 256, 4)
-    wide = MlpHead.for_input(2048, 7, rng=0)
+    wide = MlpHead.for_input(2048, 7, [0])
     assert wide.dims == (2048, 1024, 512, 7)
     logits = head.predict_logits(np.zeros((5, 100)))
-    assert logits.shape == (5, 4)
+    assert logits.shape == (1, 5, 4)
     with pytest.raises(ValidationError):
-        MlpHead([3], rng=0)
+        MlpHead([3], [0])
     with pytest.raises(ValidationError):
         head.predict_logits(np.zeros((5, 99)))
 
 
 def test_head_params_are_one_flat_vector():
-    head = MlpHead([5, 4, 3, 2], rng=0)
-    assert head.params.shape == (5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2,)
+    # a stack of one head: its parameters are the one row of a (1, P) block
+    head = MlpHead([5, 4, 3, 2], [0])
+    assert head.params.shape == (1, 5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2)
     assert head.params.dtype == np.float64 and head.params.flags.c_contiguous
     for w, b in zip(head.weights, head.biases):
         assert np.shares_memory(w, head.params) and np.shares_memory(b, head.params)
     # layout: each layer's weight (row-major), then its bias
     pieces = [a.ravel() for w, b in zip(head.weights, head.biases) for a in (w, b)]
-    assert np.array_equal(np.concatenate(pieces), head.params)
+    assert np.array_equal(np.concatenate(pieces), head.params[0])
     # the same normals in the same order as per-layer draws
     rng = np.random.default_rng(0)
     for w, b in zip(head.weights, head.biases):
-        fan_in, fan_out = w.shape
-        assert np.array_equal(w, rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        assert np.array_equal(b, np.zeros(fan_out))
+        _, fan_in, fan_out = w.shape
+        assert np.array_equal(
+            w[0], rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        )
+        assert np.array_equal(b[0], np.zeros(fan_out))
     head.params[:] = 7.0
     assert (head.weights[1] == 7.0).all() and (head.biases[2] == 7.0).all()
 
 
 def _fd_grads(head, x, y, weights, aux, lam, g1, g2, h=1e-5):
-    p = head.params
+    """Central differences of a stack of one head's total loss."""
+    p = head.params.reshape(-1)
     fd = np.zeros_like(p)
     for i in range(p.size):
         orig = p[i]
         p[i] = orig + h
-        up, _, _, _ = head_loss_and_grads(head, x, y, weights, aux, lam, g1, g2)
+        [up], _, _, _ = head_loss_and_grads(head, x, y, weights, aux, lam, g1, g2)
         p[i] = orig - h
-        dn, _, _, _ = head_loss_and_grads(head, x, y, weights, aux, lam, g1, g2)
+        [dn], _, _, _ = head_loss_and_grads(head, x, y, weights, aux, lam, g1, g2)
         p[i] = orig
         fd[i] = (up - dn) / (2 * h)
     return fd
@@ -158,15 +162,16 @@ def _fd_grads(head, x, y, weights, aux, lam, g1, g2, h=1e-5):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_full_loss_gradcheck(seed):
     rng = np.random.default_rng(seed)
-    head = MlpHead([2, 16, 8, 3], rng=rng)
+    head = MlpHead([2, 16, 8, 3], [rng])
     m = 8
-    x = rng.normal(size=(m, 2))
-    y = rng.integers(0, 3, size=m)
-    aux = rng.normal(size=(m, 4))
-    weights = batch_weights(rng.uniform(0.2, 3.0, size=m))
+    # one batch for the stack's one head
+    x = rng.normal(size=(1, m, 2))
+    y = rng.integers(0, 3, size=(1, m))
+    aux = rng.normal(size=(1, m, 4))
+    weights = batch_weights(rng.uniform(0.2, 3.0, size=(1, m)))
     lam, g1, g2 = 0.7, 0.1, 0.5
     _, _, _, grad = head_loss_and_grads(head, x, y, weights, aux, lam, g1, g2)
-    grad = grad.copy()  # the finite differences overwrite the head's gradient buffer
+    grad = grad.reshape(-1).copy()  # the finite differences overwrite the head's gradient buffer
     fd = _fd_grads(head, x, y, weights, aux, lam, g1, g2)
     num = math.sqrt(float(np.sum((grad - fd) ** 2)))
     den = max(math.sqrt(float(np.sum(fd ** 2))), 1e-12)
@@ -237,17 +242,22 @@ def test_train_step_matches_reference_step_bitwise(m, explicit, lam, log10_scale
     aux = rng.normal(size=(m, 5)).astype(np.float32)
     weights = batch_weights(rng.uniform(0.1, 3.0, size=m)) if explicit else None
     cfg = TrainConfig(lam=lam, n_warmup=0, weight_decay=0.01, learning_rate=1e-3)
-    head, ref_head = (MlpHead.for_input(12, 4, rng=seed % 1000) for _ in range(2))
+    head, ref_head = (MlpHead.for_input(12, 4, [seed % 1000]) for _ in range(2))
     opt = AdamW(head.params, lr=1e-3, weight_decay=0.01)
     ref_opt = AdamW(ref_head.params, lr=1e-3, weight_decay=0.01)
     for step in range(3):
-        stats = train_step(head, opt, x, labels, aux, weights, cfg, step)
+        # the stack's one head takes the batch as a stack of one
+        stats = train_step(head, opt, x[None], labels[None], aux[None],
+                           None if weights is None else weights[None], cfg, step)
         ref_weights = np.ones(m) if weights is None else weights
         total, ce, hsic, grad = reference_head_loss_and_grads(
             ref_head, x, labels, ref_weights, aux, lam, cfg.gamma1, cfg.gamma2
         )
         ref_opt.step(grad)
-        assert stats == StepStats(step, ce, hsic, float(ref_weights.mean()), 1e-3)
+        assert (stats.step, stats.lr) == (step, 1e-3)
+        assert [_bits(v) for v in (stats.ce, stats.hsic, stats.mean_weight)] == [
+            _bits(v) for v in (ce, hsic, ref_weights.mean())
+        ]
         assert _bits(stats.ce + lam * stats.hsic) == _bits(total)
         assert head.params.tobytes() == ref_head.params.tobytes()
 
@@ -277,7 +287,7 @@ def test_flat_adamw_matches_list_reference_bitwise(weight_decay, monkeypatch):
     # also on a machine with fewer CPUs
     for workers, dims in itertools.product([1, 2, 3], ([7, 5, 4, 3], [AdamW.CHUNK // 16, 48, 3])):
         monkeypatch.setattr(et, "usable_cpus", lambda w=workers: w)
-        head = MlpHead(dims, rng=rng)
+        head = MlpHead(dims, [rng])
         if dims[0] == AdamW.CHUNK // 16:
             assert head.params.size > 3 * AdamW.CHUNK and head.params.size % AdamW.CHUNK
         arrays = [a.copy() for w, b in zip(head.weights, head.biases) for a in (w, b)]
@@ -286,7 +296,7 @@ def test_flat_adamw_matches_list_reference_bitwise(weight_decay, monkeypatch):
         assert len(opt._runs) == min(workers, n_chunks)
         ref = ListAdamW(arrays, lr=1e-2, weight_decay=weight_decay)
         for _ in range(25):
-            grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=head.params.shape)
+            grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=head.params.size)
             grad[rng.random(grad.shape) < 0.1] = 0.0
             opt.step(grad)
             start = 0
@@ -295,7 +305,7 @@ def test_flat_adamw_matches_list_reference_bitwise(weight_decay, monkeypatch):
                 grads.append(grad[start : start + a.size].reshape(a.shape))
                 start += a.size
             ref.step(arrays, grads)
-            assert np.array_equal(head.params, np.concatenate([a.ravel() for a in arrays]))
+            assert np.array_equal(head.params[0], np.concatenate([a.ravel() for a in arrays]))
         assert opt.t == ref.t == 25
 
 
@@ -344,7 +354,8 @@ def _recording_run(monkeypatch):
 
 
 def _head_products(rng):
-    """The products of one 2048 -> 1024 -> 512 step and of one evaluation pass."""
+    """The products of one 2048 -> 1024 -> 512 step and of one evaluation pass,
+    as 2-D operands; a head's pass multiplies them as stacks of one."""
     x, x_eval = rng.normal(size=(32, 2048)), rng.normal(size=(900, 2048))
     w0, w1 = rng.normal(size=(2048, 1024)), rng.normal(size=(1024, 512))
     h1 = np.maximum(x @ w0, 0.0)
@@ -367,6 +378,7 @@ def test_split_matmul_matches_numpy_bitwise(cpus, blas_threads, monkeypatch):
     blocks = _recording_run(monkeypatch)
     products = _head_products(np.random.default_rng(cpus))
     for name, (a, b) in products.items():
+        a, b = a[None], b[None]
         want = _with_blas_threads(blas_threads, lambda: np.matmul(a, b))
         got = _with_blas_threads(blas_threads, lambda: et._matmul(a, b))
         assert got.tobytes() == want.tobytes(), name
@@ -398,7 +410,8 @@ def test_split_matmul_cuts_unevenly_at_the_alignment():
 def test_split_matmul_matches_numpy_on_any_shape(m, k, n, cpus, a_fortran, b_fortran):
     rng = np.random.default_rng(m * k + n)
     a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-    a, b = (np.asfortranarray(x) if f else x for x, f in ((a, a_fortran), (b, b_fortran)))
+    a, b = (np.asfortranarray(x)[None] if f else x[None]
+            for x, f in ((a, a_fortran), (b, b_fortran)))
     real = et.usable_cpus
     et.usable_cpus = lambda: cpus
     try:
@@ -426,7 +439,7 @@ def test_split_matmul_keeps_numpy_bits_under_two_openblas_threads():
         "et.usable_cpus = lambda: 2\n"
         "rng = np.random.default_rng(0)\n"
         "for m, k, n in ((465, 1006, 495), (500, 1000, 333), (97, 1500, 1500)):\n"
-        "    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))\n"
+        "    a, b = rng.normal(size=(1, m, k)), rng.normal(size=(1, k, n))\n"
         "    assert et._matmul(a, b).tobytes() == np.matmul(a, b).tobytes(), (m, k, n)\n"
     )
     src = str(Path(shiftzoo.__file__).resolve().parent.parent)
@@ -443,11 +456,12 @@ def test_small_heads_take_the_serial_code(monkeypatch):
     # of a step or of a 1200-row evaluation pass reaches two SPLIT_MACS blocks
     monkeypatch.setattr(et, "usable_cpus", lambda: 4)
     blocks = _recording_run(monkeypatch)
-    head = MlpHead.for_input(12, 4, rng=0)
+    head = MlpHead.for_input(12, 4, [0])
     opt = AdamW(head.params, lr=1e-3)
     assert len(opt._runs) == 1
     rng = np.random.default_rng(0)
-    _, _, _, grad = head_loss_and_grads(head, rng.normal(size=(32, 12)), np.arange(32) % 4, np.ones(32))
+    labels = np.arange(32)[None] % 4
+    _, _, _, grad = head_loss_and_grads(head, rng.normal(size=(1, 32, 12)), labels, np.ones((1, 32)))
     opt.step(grad)
     head.predict_logits(rng.normal(size=(1200, 12)))
     assert blocks == []
@@ -457,7 +471,7 @@ def test_small_heads_take_the_serial_code(monkeypatch):
 def test_predict_logits_equals_forward_bitwise(dims, rows, monkeypatch):
     monkeypatch.setattr(et, "usable_cpus", lambda: 3)
     blocks = _recording_run(monkeypatch)
-    head = MlpHead(dims, rng=1)
+    head = MlpHead(dims, [1])
     x = np.random.default_rng(2).normal(size=(rows, dims[0])).astype(np.float32)
     with single_blas_thread():
         want, _ = head.forward(x)
@@ -472,7 +486,7 @@ def test_predict_logits_equals_forward_bitwise(dims, rows, monkeypatch):
 
 
 def test_predict_logits_holds_the_input_and_one_hidden_layer():
-    head = MlpHead((512, 256, 128, 4), rng=0)
+    head = MlpHead((512, 256, 128, 4), [0])
     x = np.random.default_rng(0).normal(size=(500, 512)).astype(np.float32)
     widened, hidden, logits = 500 * 512 * 8, 500 * 256 * 8, 500 * 4 * 8
     tracemalloc.start()
@@ -488,12 +502,14 @@ def test_predict_logits_holds_the_input_and_one_hidden_layer():
 
 
 def _fixed_aux(bias, prior):
-    # zero weights: every row's class probabilities are softmax(bias)
-    head = MlpHead((1, len(bias)))
+    """A stack of one classifier with zero weights: every row's class
+    probabilities are softmax(bias)."""
+    head = MlpHead((1, len(bias)), [0])
     head.weights[0][...] = 0.0
     head.biases[0][...] = bias
     return RewAuxiliary(
-        head=head, class_prior=np.asarray(prior, dtype=np.float64), prior_floored=False
+        head=head, class_prior=np.asarray([prior], dtype=np.float64),
+        prior_floored=np.array([False]),
     )
 
 
@@ -501,18 +517,18 @@ def test_rew_weight_examples():
     # weights are rescaled to mean 1, so the raw weight (p(y) / p_c(y))^(1/T)
     # of row 0 shows as its ratio to row 1, whose raw weight is 0.5/0.5 = 1
     aux = _fixed_aux(np.log([0.25, 0.5, 0.25]), [0.5, 0.5, 0.0])
-    z, labels = np.zeros((2, 1)), np.array([0, 1])
-    w = rew_weights(aux, z, labels, temperature=1.0)
+    z, labels = np.zeros((1, 2, 1)), np.array([[0, 1]])
+    [w] = rew_weights(aux, z, labels, temperature=1.0)
     assert w[0] / w[1] == pytest.approx(2.0)
-    w2 = rew_weights(aux, z, labels, temperature=2.0)
+    [w2] = rew_weights(aux, z, labels, temperature=2.0)
     assert w2[0] / w2[1] == pytest.approx(math.sqrt(2.0))
-    assert np.array_equal(rew_weights(aux, z, labels, temperature=math.inf), np.ones(2))
+    assert np.array_equal(rew_weights(aux, z, labels, temperature=math.inf), np.ones((1, 2)))
     # p_c(y) = 0 is floored at P_FLOOR, which keeps the ratio finite; the
     # floored ratio 0.25 / P_FLOOR exceeds WEIGHT_CLIP, so the weight is clipped
     aux0 = _fixed_aux([math.log(0.5), math.log(0.5), -1e3], [0.25, 0.5, 0.25])
-    assert aux0.predict_proba(z)[0, 2] == 0.0
+    assert aux0.predict_proba(z)[0, 0, 2] == 0.0
     assert 0.25 / P_FLOOR > WEIGHT_CLIP
-    w0 = rew_weights(aux0, z, np.array([2, 1]), temperature=1.0)
+    [w0] = rew_weights(aux0, z, np.array([[2, 1]]), temperature=1.0)
     assert np.isfinite(w0).all()
     assert w0[0] / w0[1] == pytest.approx(WEIGHT_CLIP)
 
@@ -524,7 +540,7 @@ def test_rew_weights_overflow_to_the_clip_warns_nothing():
     aux = _fixed_aux([0.0, -1e3], [0.5, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = rew_weights(aux, np.zeros((3, 1)), np.array([0, 1, 1]), temperature=0.01)
+        w = rew_weights(aux, np.zeros((1, 3, 1)), np.array([[0, 1, 1]]), temperature=0.01)
     # 2^-100 * 3/200 and 100 * 3/200, bit for bit
     want = np.array([float.fromhex("0x1.eb851eb851eb8p-107"), 1.5, 1.5])
     assert w.tobytes() == want.tobytes()
@@ -559,10 +575,10 @@ def test_rew_auxiliary_learns_separable_data():
     x = rng.normal(size=(n, 4))
     y = (x[:, 0] > 0).astype(int)
     x[y == 1, 0] += 2.0  # margin 2 along the first coordinate
-    aux = train_rew_auxiliary(x, y, 2, rng=0, steps=1000, lr=1e-5, batch_size=16)
-    acc = (aux.predict_proba(x).argmax(axis=1) == y).mean()
+    aux = train_rew_auxiliary(x, y, 2, [0], [np.arange(n)], steps=1000, lr=1e-5, batch_size=16)
+    acc = (aux.predict_proba(x)[0].argmax(axis=1) == y).mean()
     assert acc >= 0.95
-    np.testing.assert_allclose(aux.class_prior, np.bincount(y) / n)
+    np.testing.assert_allclose(aux.class_prior, [np.bincount(y) / n])
 
 
 def _reference_rew_auxiliary(z, y, n_classes, seed, steps, lr, batch_size):
@@ -584,9 +600,9 @@ def test_rew_auxiliary_matches_list_reference_bitwise():
     rng = np.random.default_rng(11)
     z = rng.normal(size=(60, 4))
     y = rng.integers(0, 3, size=60)
-    aux = train_rew_auxiliary(z, y, 3, rng=2, steps=30, lr=1e-2, batch_size=8)
+    aux = train_rew_auxiliary(z, y, 3, [2], [np.arange(60)], steps=30, lr=1e-2, batch_size=8)
     w, b = _reference_rew_auxiliary(z, y, 3, seed=2, steps=30, lr=1e-2, batch_size=8)
-    assert np.array_equal(aux.head.weights[0], w) and np.array_equal(aux.head.biases[0], b)
+    assert np.array_equal(aux.head.weights[0][0], w) and np.array_equal(aux.head.biases[0][0], b)
 
 
 # The head's cross-entropy scales its gradient by 1/m where the reference
@@ -614,10 +630,10 @@ def test_rew_auxiliary_matches_list_reference(dim, n_classes, steps, batch_size,
     n = 50
     z = rng.normal(size=(n, dim)).astype(dtype)
     y = rng.permutation(np.arange(n) % n_classes)
-    aux = train_rew_auxiliary(z, y, n_classes, rng=seed, steps=steps, lr=1e-2,
+    aux = train_rew_auxiliary(z, y, n_classes, [seed], [np.arange(n)], steps=steps, lr=1e-2,
                               batch_size=batch_size)
     w, b = _reference_rew_auxiliary(z, y, n_classes, seed, steps, 1e-2, batch_size)
-    got, want = aux.head.params, np.concatenate([w.ravel(), b])
+    got, want = aux.head.params[0], np.concatenate([w.ravel(), b])
     if batch_size & (batch_size - 1) == 0:
         assert got.tobytes() == want.tobytes()
     else:
@@ -625,33 +641,38 @@ def test_rew_auxiliary_matches_list_reference(dim, n_classes, steps, batch_size,
 
 
 def test_rew_auxiliary_needs_two_classes():
-    with pytest.raises(ValidationError):
-        train_rew_auxiliary(np.ones((5, 2)), np.zeros(5, dtype=int), 2)
+    with pytest.raises(ValidationError, match="at least 2 classes"):
+        train_rew_auxiliary(np.ones((5, 2)), np.zeros(5, dtype=int), 2, [0], [np.arange(5)])
+    # in each classifier's own pool: rows 0 and 1 hold one class
+    y = np.array([0, 0, 1, 1, 1])
+    with pytest.raises(ValidationError, match="at least 2 classes"):
+        train_rew_auxiliary(np.ones((5, 2)), y, 2, [0, 1], [np.arange(5), np.arange(2)])
 
 
 def test_rew_weights_clip_and_inf_temperature():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(50, 3))
     y = rng.integers(0, 2, size=50)
-    aux = train_rew_auxiliary(x, y, 2, rng=1, steps=50, lr=1e-2)
-    w = rew_weights(aux, x, y, temperature=1.0)
-    assert w.shape == (50,)
+    aux = train_rew_auxiliary(x, y, 2, [1], [np.arange(50)], steps=50, lr=1e-2)
+    w = rew_weights(aux, x[None], y[None], temperature=1.0)
+    assert w.shape == (1, 50)
     assert w.mean() == pytest.approx(1.0)
-    winf = rew_weights(aux, x, y, temperature=math.inf)
-    assert np.array_equal(winf, np.ones(50))
+    winf = rew_weights(aux, x[None], y[None], temperature=math.inf)
+    assert np.array_equal(winf, np.ones((1, 50)))
 
 
 def test_train_step_gating():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(8, 4))
-    y = rng.integers(0, 3, size=8)
-    aux = rng.normal(size=(8, 5))
+    # one batch of 8 rows for a stack of one head
+    x = rng.normal(size=(1, 8, 4))
+    y = rng.integers(0, 3, size=(1, 8))
+    aux = rng.normal(size=(1, 8, 5))
     cfg = TrainConfig(lam=2.0, n_warmup=5, n_anneal=3, steps=10, batch_size=8)
-    head = MlpHead.for_input(4, 3, rng=0)
+    head = MlpHead.for_input(4, 3, [0])
     opt = AdamW(head.params, lr=1e-3)
-    weights = batch_weights(rng.uniform(0.5, 2.0, size=8))
+    weights = batch_weights(rng.uniform(0.5, 2.0, size=(1, 8)))
     # no rew_batch: uniform weights; before n_warmup: no HSIC term
-    plain_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, np.ones(8))
+    plain_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, np.ones((1, 8)))
     pre = train_step(head, opt, x, y, aux, None, cfg, step_index=2)
     assert pre.hsic == 0.0 and pre.ce + cfg.lam * pre.hsic == pre.ce == plain_ce
     assert pre.mean_weight == 1.0
@@ -672,39 +693,39 @@ def test_rew_weights_run_only_from_n_anneal(monkeypatch):
         return rew_weights(aux, z, labels, temperature)
 
     monkeypatch.setattr(et, "rew_weights", counting)
-    sets = _sets(6)
+    *sets, test = _sets(6, domains=3)
     cfg = TrainConfig(
         lam=0.0, temperature=1.0, n_anneal=13, steps=40, learning_rate=1e-3,
         eval_every=10, seed=3, aux_steps=20, aux_lr=1e-2,
     )
-    [res] = train_on_sets(sets, None, _train_rows(sets), 3, cfg)
+    [res] = train_on_sets(sets, None, _train_rows(sets), 3, cfg, [test])
     assert len(calls) == cfg.steps - cfg.n_anneal
     assert all(s.mean_weight == 1.0 for s in res.log[: cfg.n_anneal])
 
 
 def test_train_step_erm_reduction_is_bitwise():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(6, 4))
-    y = rng.integers(0, 3, size=6)
+    x = rng.normal(size=(1, 6, 4))
+    y = rng.integers(0, 3, size=(1, 6))
     cfg = TrainConfig(lam=0.0, temperature=math.inf, steps=5, batch_size=6)
-    head_a = MlpHead.for_input(4, 3, rng=123)
-    head_b = MlpHead.for_input(4, 3, rng=123)
+    head_a = MlpHead.for_input(4, 3, [123])
+    head_b = MlpHead.for_input(4, 3, [123])
     opt_a = AdamW(head_a.params, lr=1e-3)
     opt_b = AdamW(head_b.params, lr=1e-3)
     train_step(head_a, opt_a, x, y, None, None, cfg, step_index=0)
     # plain ERM step by hand
-    total, ce, h, grad = head_loss_and_grads(head_b, x, y, np.ones(6))
+    total, ce, h, grad = head_loss_and_grads(head_b, x, y, np.ones((1, 6)))
     opt_b.step(grad)
     assert np.array_equal(head_a.params, head_b.params)
 
 
 def test_train_step_hsic_needs_two_rows():
     cfg = TrainConfig(lam=1.0, n_warmup=0, batch_size=2)
-    head = MlpHead.for_input(3, 2, rng=0)
+    head = MlpHead.for_input(3, 2, [0])
     opt = AdamW(head.params, lr=1e-3)
     with pytest.raises(ValidationError):
         train_step(
-            head, opt, np.zeros((1, 3)), np.zeros(1, dtype=int), np.zeros((1, 2)),
+            head, opt, np.zeros((1, 1, 3)), np.zeros((1, 1), dtype=int), np.zeros((1, 1, 2)),
             None, cfg, step_index=0,
         )
 
@@ -724,7 +745,7 @@ def test_train_on_sets_runs_and_logs():
         assert (rec.hsic > 0.0) == (rec.step >= cfg.n_warmup)
     assert 0.0 <= res.final_val_accuracy <= 1.0
     assert res.best_val_accuracy >= res.final_val_accuracy - 1e-12
-    assert res.final_test_accuracy is not None
+    assert 0.0 <= res.final_test_accuracy <= 1.0
     assert res.evals[-1].step == 39
 
 
@@ -745,7 +766,7 @@ def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_eve
     n_val, n_test = sum(int(fs.split_mask.sum()) for fs in sets), test.n_samples
     logits = res.test_logits
     assert logits.dtype == np.float64 and logits.shape == (n_test, 3)
-    assert np.array_equal(logits, res.head.predict_logits(test.features))
+    assert np.array_equal(logits, res.head.predict_logits(test.features)[0])
     assert res.final_test_accuracy == accuracy(res.head, test.features, test.labels)
     test_passes = 1 if best_step == cfg.steps - 1 else 2
     assert rows == [n_val] * len(res.evals) + [n_test] * test_passes
@@ -754,12 +775,12 @@ def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_eve
 
 
 def test_train_erm_equals_both_with_inactive_knobs():
-    sets = _sets(2)
+    *sets, test = _sets(2, domains=3)
     base = TrainConfig(steps=30, learning_rate=1e-3, eval_every=10, seed=5)
     erm = apply_mode(base, "erm")
     both = apply_mode(replace_cfg(base, lam=0.0, temperature=math.inf), "both")
-    [res_a] = train_on_sets(sets, None, None, 3, erm)
-    [res_b] = train_on_sets(sets, None, None, 3, both)
+    [res_a] = train_on_sets(sets, None, None, 3, erm, [test])
+    [res_b] = train_on_sets(sets, None, None, 3, both, [test])
     assert np.array_equal(res_a.head.params, res_b.head.params)
     assert res_a.log == res_b.log
 
@@ -774,6 +795,9 @@ def test_train_pools_stay_float32():
         )
         for i in range(2)
     ]
+    test = build_feature_set("d2", rng.normal(size=(600, 128)).astype(np.float32),
+                             rng.integers(0, 3, 600), dataset_name="mem", n_classes=3,
+                             split_ratio=0.05, seed=1)
     # train rows held three times (main, diversity, correlation), plus validation
     pools = sum(3 * fs.features[~fs.split_mask].nbytes + fs.features[fs.split_mask].nbytes
                 for fs in sets)
@@ -785,7 +809,7 @@ def test_train_pools_stay_float32():
     try:
         # one array of training rows per auxiliary, as ``train`` gathers them
         div_rows, cor_rows = _train_rows(sets), _train_rows(sets)
-        train_on_sets(sets, div_rows, cor_rows, 3, cfg)
+        train_on_sets(sets, div_rows, cor_rows, 3, cfg, [test])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -796,13 +820,13 @@ def test_train_pools_stay_float32():
 
 
 def test_train_on_sets_rejects_misshapen_auxiliary_rows():
-    sets = _sets(3)
+    *sets, test = _sets(3, domains=3)
     rows = _train_rows(sets)
     cfg = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
     with pytest.raises(ValidationError, match="diversity-auxiliary features have shape"):
-        train_on_sets(sets, rows[:-1], None, 3, cfg)
+        train_on_sets(sets, rows[:-1], None, 3, cfg, [test])
     with pytest.raises(ValidationError, match="requires diversity-auxiliary features"):
-        train_on_sets(sets, None, None, 3, cfg)
+        train_on_sets(sets, None, None, 3, cfg, [test])
 
 
 def replace_cfg(cfg, **kw):
@@ -813,7 +837,7 @@ def replace_cfg(cfg, **kw):
 
 def test_logit_feature_sets_preserve_rows():
     sets = _sets(5, domains=1)
-    head = MlpHead.for_input(6, 3, rng=0)
+    head = MlpHead.for_input(6, 3, [0])
     out = logit_feature_sets(head, sets)
     assert out[0].features.shape == (sets[0].n_samples, 3)
     assert out[0].features.dtype == np.float32
@@ -863,7 +887,7 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
         assert fold.result.best_test_accuracy == alone.best_test_accuracy
         main_sets = [sets["main_full", d] for d in manifest.domain_ids]
         assert (fold.logit_f_div, fold.logit_f_cor) == logit_shift(
-            alone.head, main_sets, manifest.n_classes
+            logit_feature_sets(alone.head, main_sets), manifest.n_classes
         )
 
 
@@ -963,23 +987,23 @@ def _result_bits(res):
         [(e.step, bits(e.val_accuracy)) for e in res.evals],
         res.best_step,
         bits(res.final_val_accuracy, res.best_val_accuracy),
-        None if res.test_logits is None else res.test_logits.tobytes(),
-        None if res.test_logits is None else bits(res.final_test_accuracy, res.best_test_accuracy),
+        res.test_logits.tobytes(),
+        bits(res.final_test_accuracy, res.best_test_accuracy),
         bool(res.prior_floored),
     )
 
 
-# F = 1 on an index pool, F = 2 with one head on every set (no pool index),
-# F = 3 leave-one-domain-out
-STACKS = {1: ("d1",), 2: ("d2", None), 3: ("d0", "d1", "d2")}
+# F = 1 holding out d1, F = 2 with one head on every set (its test domain d3
+# trains no head), F = 3 leave-one-domain-out
+STACKS = {1: ("d1",), 2: ("d2", "d3"), 3: ("d0", "d1", "d2")}
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n_heads", sorted(STACKS))
 def test_stacked_folds_match_the_per_fold_reference_bitwise(mode, n_heads):
-    sets = _uneven_sets(0)
-    by_id = {fs.domain_id: fs for fs in sets}
-    test_sets = [None if t is None else by_id[t] for t in STACKS[n_heads]]
+    *sets, d3 = _uneven_sets(0, sizes=(150, 210, 270, 90))
+    by_id = {fs.domain_id: fs for fs in (*sets, d3)}
+    test_sets = [by_id[t] for t in STACKS[n_heads]]
     rows = _train_rows(sets)
     div_rows, cor_rows = rows[:, ::-1].copy(), rows[:, :4] ** 2
     # 37 steps, evaluated every 10: the last evaluation is off the grid
@@ -1015,28 +1039,33 @@ def test_stacked_wide_folds_split_each_fold_product_bitwise(monkeypatch):
 
 
 def test_stacked_head_folds_are_views_of_one_block():
-    head = MlpHead([5, 4, 3], rng=[np.random.default_rng(s) for s in (0, 1, 2)])
+    head = MlpHead([5, 4, 3], [np.random.default_rng(s) for s in (0, 1, 2)])
     size = 5 * 4 + 4 + 4 * 3 + 3
     assert head.params.shape == (3, size) and head.params.flags.c_contiguous
     for w, b in zip(head.weights, head.biases):
         assert w.shape[0] == b.shape[0] == 3
         assert np.shares_memory(w, head.params) and np.shares_memory(b, head.params)
     for f in range(3):
-        # fold f is the head its own generator draws, on views into row f
-        alone = MlpHead([5, 4, 3], rng=f)
+        # fold f is the stack of one head that its own generator draws, on views into row f
+        alone = MlpHead([5, 4, 3], [f])
         fold = head.fold(f)
+        assert fold.params.shape == alone.params.shape == (1, size)
         assert fold.params.tobytes() == alone.params.tobytes()
         assert np.shares_memory(fold.params, head.params[f])
         assert np.shares_memory(fold.grad, head.grad[f])
     x = np.random.default_rng(3).normal(size=(3, 7, 5))
     stacked = head.predict_logits(x)
+    # rows of shape (rows, width) are one matrix that every head reads
+    shared = head.predict_logits(x[0])
     for f in range(3):
         assert stacked[f].tobytes() == head.fold(f).predict_logits(x[f]).tobytes()
+        assert shared[f].tobytes() == head.fold(f).predict_logits(x[0]).tobytes()
     with pytest.raises(ValidationError, match="does not match head input"):
-        head.predict_logits(x[0])
+        head.predict_logits(x[:2])
+    with pytest.raises(ValidationError, match="does not match head input"):
+        head.predict_logits(x[..., :4])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_non_finite_loss_names_the_fold_of_its_target():
     # d0's rows are 1e30 times the others: after one step at a learning rate of
     # 1e96 the folds that train on it (targets d1 and d2) overflow to a
