@@ -18,7 +18,8 @@ clamped into [0, 1]. Overlap rows are the training rows that do not escape
 the other domain's Gaussian fit; with no overlap at all the estimate is 0 and
 flagged. ``dataset_correlation`` fits each domain at most once per call, and
 only when one of its pairs has overlap rows; a pair only calibrates and
-compares the two fits.
+compares the two fits. Fits and overlap rows come from a set's ``train`` view
+and ``train_labels``, whose rows are the ones the escape flags are in.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ def correlation_shift(
     if n_a + n_b:
         n_classes = model_a.n_classes
         # select the overlap rows before the (exact) float32 -> float64 conversion
-        overlap_a = fs_a.features[~fs_a.split_mask][keep_a].astype(np.float64)
-        overlap_b = fs_b.features[~fs_b.split_mask][keep_b].astype(np.float64)
+        overlap_a = fs_a.train[keep_a].astype(np.float64)
+        overlap_b = fs_b.train[keep_b].astype(np.float64)
         cal_a = calibrate(
             predict_tilde(model_a, overlap_a), fs_a.train_labels[keep_a], n_classes, n_bins
         )
@@ -314,7 +315,7 @@ def dataset_correlation(
         for domain_id in key
     }
     models = {
-        fs.domain_id: logme_fit(fs.features[~fs.split_mask], fs.train_labels, n_classes)
+        fs.domain_id: logme_fit(fs.train, fs.train_labels, n_classes)
         for fs in feature_sets
         if fs.domain_id in with_overlap
     }

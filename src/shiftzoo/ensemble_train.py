@@ -27,9 +27,12 @@ stacks, and the cross-entropy, the HSIC penalty, the reweighting classifier
 and AdamW each serve every fold with one call. Each fold keeps its own random
 streams, batch draws (row indices into one array of training rows per
 encoder), evaluations, best checkpoint and test pass, and gets the bits it
-gets when trained alone, as a stack of one. numpy's overflow and invalid
-warnings are off while it trains, on every thread: a non-finite loss or
-logit ends the run as one ``NumericalError`` that names its fold.
+gets when trained alone, as a stack of one. The training and validation
+pools concatenate the sets' ``train`` and ``val`` views; a test pass or a
+logit profile reads a whole set, in its train-first row order. numpy's
+overflow and invalid warnings are off while it trains, on every thread: a
+non-finite loss or logit, or logits that cannot be profiled, end the run as
+one ``NumericalError`` that names the fold.
 
 Threads: ``train`` runs with OpenBLAS on one thread, and the calling thread
 and the process's one worker pool (``blas_threads.run_tasks``) do the
@@ -425,15 +428,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def weighted_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Weighted mean CE and its gradient with respect to the logits.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean CE of each batch of a stack, and its gradient with respect to the logits.
 
-    ``weights`` None means uniform weights of 1. One max, one ``exp`` and one
-    row sum serve both the log-sum-exp and the softmax, with the same bits
-    as computing each on its own. For a stack of batches, (F, m, classes)
-    logits and (F, m) labels and weights, the CE is an array of F means.
+    ``logits`` is (F, m, classes), ``labels`` and ``weights`` (F, m); the CE
+    is an array of F means. ``weights`` None means uniform weights of 1. One
+    max, one ``exp`` and one row sum serve both the log-sum-exp and the
+    softmax, with the same bits as computing each on its own.
     """
-    m, n_classes = logits.shape[-2:]
+    if logits.ndim != 3:
+        raise ValidationError(f"expected a stack of (F, m, classes) logits, got {logits.shape}")
+    m, n_classes = logits.shape[1:]
     # each row's label entry, as an index into the flattened rows
     at = np.arange(0, logits.size, n_classes).reshape(labels.shape)
     at += labels
@@ -647,7 +652,7 @@ class TrainResult:
     the final-step parameters; the ``best_*`` fields come from the
     checkpoint with the highest pooled validation accuracy.
     ``test_logits`` holds the final head's float64 (rows, classes) logits on
-    the test set.
+    the test set, its rows in the set's train-first order.
     """
 
     head: MlpHead
@@ -672,24 +677,6 @@ def _argmax_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         raise ValidationError("cannot evaluate accuracy on an empty set")
     return float((logits.argmax(axis=-1) == labels).mean())
-
-
-def _stack_rows(
-    masks: Sequence[np.ndarray], dim: int, set_at: Callable[[int], FeatureSet]
-) -> np.ndarray:
-    """Rows ``masks[i]`` of ``set_at(i)`` for each i, stacked into one new float32 array.
-
-    Each set's rows are copied straight into place, with no per-set copy, and
-    a set that ``set_at`` loads is dropped as soon as its rows are in.
-    """
-    rows = [np.flatnonzero(mask) for mask in masks]
-    out = np.empty((sum(r.size for r in rows), dim), dtype=np.float32)
-    lo = 0
-    for i, r in enumerate(rows):
-        # mode "clip" writes straight into ``out``; "raise" would buffer the block
-        np.take(set_at(i).features, r, axis=0, out=out[lo : lo + r.size], mode="clip")
-        lo += r.size
-    return out
 
 
 # numpy's warnings stay off while training: the loss and logit checks report a diverging run
@@ -737,9 +724,9 @@ def train_on_sets(
     # The pools keep the stored float32 rows; batches and evaluation passes
     # convert to float64 (exactly), so no float64 copy of a pool is held.
     dim = main_sets[0].dim
-    x_train = _stack_rows([~fs.split_mask for fs in main_sets], dim, main_sets.__getitem__)
+    x_train = np.concatenate([fs.train for fs in main_sets])
     y_train = np.concatenate([fs.train_labels for fs in main_sets])
-    x_val = _stack_rows([fs.split_mask for fs in main_sets], dim, main_sets.__getitem__)
+    x_val = np.concatenate([fs.val for fs in main_sets])
     y_val = np.concatenate([fs.val_labels for fs in main_sets])
     x_div = div_rows if config.hsic_active else None
     x_cor = cor_rows if config.rew_active else None
@@ -751,8 +738,8 @@ def train_on_sets(
             )
     # each head's pools: the row indices of its sets; a slice where it
     # validates on every set, so that indexing makes no copy
-    val_counts = [int(np.count_nonzero(fs.split_mask)) for fs in main_sets]
-    train_counts = [fs.n_samples - c for fs, c in zip(main_sets, val_counts)]
+    train_counts = [fs.n_train for fs in main_sets]
+    val_counts = [len(fs.val) for fs in main_sets]
     keeps = [[fs.domain_id != t.domain_id for fs in main_sets] for t in test_sets]
     train_pools = [np.flatnonzero(np.repeat(keep, train_counts)) for keep in keeps]
     val_pools = [
@@ -858,7 +845,7 @@ def train(
     then profiled at logit level over every domain, once every fold's logits
     are known to be finite in float32. Each feature file the folds need is
     read once: the main encoder's whole, and each auxiliary's only for its
-    training rows on the domains that train a fold, gathered into one array
+    training rows on the domains that train a fold, concatenated into one array
     per auxiliary that every fold reads by row index. The folds run with
     OpenBLAS on one thread, so their bytes do not depend on the BLAS thread
     count; the previous count is restored on return.
@@ -882,13 +869,12 @@ def train(
         d: load_domain_features(manifest, main_encoder_id, d, seed=config.seed) for d in domains
     }
     train_domains = [d for d in domains if any(d != t for t in targets)]
-    masks = [~main[d].split_mask for d in train_domains]
 
     def train_rows(encoder_id: str) -> np.ndarray:
-        def load(i: int) -> FeatureSet:
-            return load_domain_features(manifest, encoder_id, train_domains[i], seed=config.seed)
-
-        return _stack_rows(masks, manifest.encoder(encoder_id).dim, load)
+        return np.concatenate([
+            load_domain_features(manifest, encoder_id, d, seed=config.seed).train
+            for d in train_domains
+        ])
 
     div = train_rows(div_aux_id) if config.hsic_active else None
     cor = train_rows(rew_aux_id) if config.rew_active else None
@@ -910,10 +896,14 @@ def train(
                         f"the fold on target '{target}' gives non-finite float32 logits on "
                         f"domain '{fs.domain_id}'; try a lower learning rate"
                     )
-        return [
-            Fold(target, result, *logit_shift(sets, manifest.n_classes))
-            for target, result, sets in zip(targets, results, logit_sets)
-        ]
+        folds = []
+        for target, result, sets in zip(targets, results, logit_sets):
+            try:
+                shifts = logit_shift(sets, manifest.n_classes)
+            except NumericalError as exc:
+                raise NumericalError(f"the fold on target '{target}': {exc}") from exc
+            folds.append(Fold(target, result, *shifts))
+        return folds
 
 
 @_quiet_overflow
@@ -922,8 +912,9 @@ def logit_feature_sets(
 ) -> list[FeatureSet]:
     """Push each domain's features through a stack of one head; logits become features.
 
-    Labels and split masks carry over, so the shift estimators can profile
-    the trained representation exactly like any encoder. ``known`` maps a
+    Labels and the split carry over: row i of a logit set is row i of its
+    feature set, training rows first, so the shift estimators can profile the
+    trained representation exactly like any encoder. ``known`` maps a
     domain id to the float64 logits this head already gave for that domain's
     rows, which are used instead of a second pass. Logits past float32's
     range become inf, with no warning; ``train`` refuses them.
@@ -933,14 +924,7 @@ def logit_feature_sets(
         logits = (known or {}).get(fs.domain_id)
         if logits is None:
             [logits] = head.predict_logits(fs.features)
-        out.append(
-            FeatureSet(
-                domain_id=fs.domain_id,
-                features=logits.astype(np.float32),
-                labels=fs.labels,
-                split_mask=fs.split_mask,
-            )
-        )
+        out.append(FeatureSet(fs.domain_id, logits.astype(np.float32), fs.labels, fs.n_train))
     return out
 
 

@@ -13,7 +13,9 @@ readers and, before any payload is read, by ``load_manifest``.
 
 Validation splits are a pure function of (dataset_name, domain_id, seed), so
 every encoder of a dataset sees the same rows of a domain in the same split,
-and reruns reproduce the split bit-for-bit on any platform.
+and reruns reproduce the split bit-for-bit on any platform. A set is split
+once, when it is built: its rows are stored train-first (``FeatureSet``), so
+no other module reads the split mask.
 """
 
 from __future__ import annotations
@@ -38,18 +40,20 @@ _FORMATS = {FEATURE_MAGIC: ("feature", 2, "<f4"), LABEL_MAGIC: ("label", 1, "<u4
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Encoder outputs for one domain, with labels and a frozen split.
+    """Encoder outputs for one domain, with labels, split once when the set is built.
 
-    ``split_mask`` is True on validation rows. ``features`` keeps the on-disk
-    float32 payload. ``train_features`` / ``val_features`` hand out float64
-    copies; the package itself no longer calls them and widens the stored
-    rows inside each operation instead.
+    ``features`` holds the float32 rows train-first: the ``n_train`` training
+    rows, then the validation rows, each in file order as ``split_mask``
+    picks them; ``labels`` is in the same order. ``train`` / ``val`` and
+    ``train_labels`` / ``val_labels`` are views of them. ``train_features``
+    / ``val_features`` hand out float64 copies; the package itself does not
+    call them and widens the stored rows inside each operation instead.
     """
 
     domain_id: str
     features: np.ndarray
     labels: np.ndarray
-    split_mask: np.ndarray
+    n_train: int
 
     @property
     def n_samples(self) -> int:
@@ -60,20 +64,28 @@ class FeatureSet:
         return self.features.shape[1]
 
     @property
-    def train_features(self) -> np.ndarray:
-        return self.features[~self.split_mask].astype(np.float64)
+    def train(self) -> np.ndarray:
+        return self.features[: self.n_train]
 
     @property
-    def val_features(self) -> np.ndarray:
-        return self.features[self.split_mask].astype(np.float64)
+    def val(self) -> np.ndarray:
+        return self.features[self.n_train :]
 
     @property
     def train_labels(self) -> np.ndarray:
-        return self.labels[~self.split_mask]
+        return self.labels[: self.n_train]
 
     @property
     def val_labels(self) -> np.ndarray:
-        return self.labels[self.split_mask]
+        return self.labels[self.n_train :]
+
+    @property
+    def train_features(self) -> np.ndarray:
+        return self.train.astype(np.float64)
+
+    @property
+    def val_features(self) -> np.ndarray:
+        return self.val.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -285,7 +297,7 @@ def _feature_set(
     split_ratio: float,
     seed: int,
 ) -> FeatureSet:
-    """A FeatureSet of a finite float32 matrix: the labels checked, the split drawn."""
+    """A FeatureSet of a finite float32 matrix: the labels checked, the rows split."""
     labels = _whole_labels(labels, f"domain '{domain_id}'")
     if labels.shape != (features.shape[0],):
         raise ValidationError(
@@ -295,8 +307,11 @@ def _feature_set(
         bad = int(labels.min()) if labels.min() < 0 else int(labels.max())
         raise ValidationError(f"domain '{domain_id}': label out of range ({bad})")
     mask = split_mask(dataset_name, domain_id, features.shape[0], split_ratio, seed)
-    return FeatureSet(domain_id=domain_id, features=features,
-                      labels=np.asarray(labels, dtype=np.int64), split_mask=mask)
+    # the training rows, then the validation rows, each side in file order
+    order = np.argsort(mask, kind="stable")
+    return FeatureSet(domain_id=domain_id, features=features[order],
+                      labels=np.asarray(labels, dtype=np.int64)[order],
+                      n_train=features.shape[0] - int(np.count_nonzero(mask)))
 
 
 def load_feature_set(

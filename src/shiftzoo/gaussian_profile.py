@@ -10,7 +10,9 @@ fraction of their training rows under each other's fit:
     F_div(a, b) = 0.5 * ( P[train_a escapes b] + P[train_b escapes a] )
 
 ``dataset_diversity`` fits each domain once per call; a pair only scores
-each side's training rows against the other side's fit.
+each side's training rows against the other side's fit. Every fit, threshold
+and score reads a set's ``train`` / ``val`` views, its stored float32 rows,
+which the distances widen to float64 as they centre them.
 
 Distances are taken against the inverse L^-1 of the lower Cholesky factor L
 of the regularised covariance: one matrix product and a row-wise sum of
@@ -165,16 +167,13 @@ def fit_profile(
     quantile: float = DEFAULT_QUANTILE,
 ) -> DomainProfile:
     """Fit the Gaussian on the train split, calibrate the threshold on validation."""
-    # the stored float32 rows: fit_gaussian and mahalanobis_sq widen them
-    train = fs.features[~fs.split_mask]
-    val = fs.features[fs.split_mask]
-    n_val, k = val.shape[0], _tail_count(val.shape[0], quantile)
+    n_val, k = len(fs.val), _tail_count(len(fs.val), quantile)
     if n_val <= k:
         raise ValidationError(
             f"domain '{fs.domain_id}' has {n_val} validation rows; calibrating its threshold "
             f"at quantile {quantile} needs more than {k}"
         )
-    mean, cov = fit_gaussian(train)
+    mean, cov = fit_gaussian(fs.train)
     if np.trace(cov) == 0.0:
         # the ridge scales with the trace, so no shrinkage makes this factorable
         raise NumericalError(
@@ -183,7 +182,7 @@ def fit_profile(
             "this means training collapsed (try a lower learning rate)"
         )
     inv_chol = lower_inverse(regularize_and_factor(cov, shrinkage))
-    threshold = estimate_threshold(mahalanobis_sq(mean, inv_chol, val), quantile)
+    threshold = estimate_threshold(mahalanobis_sq(mean, inv_chol, fs.val), quantile)
     return DomainProfile(domain_id=fs.domain_id, mean=mean, inv_chol=inv_chol, threshold=threshold)
 
 
@@ -206,9 +205,8 @@ def diversity_shift(
         )
     if (profile_a.domain_id, profile_b.domain_id) != (fs_a.domain_id, fs_b.domain_id):
         raise ValidationError("domain profiles do not match the given feature sets")
-    # the stored float32 rows: mahalanobis_sq widens them to float64 as it centres them
-    escape_a = escape_mask(profile_b, fs_a.features[~fs_a.split_mask])
-    escape_b = escape_mask(profile_a, fs_b.features[~fs_b.split_mask])
+    escape_a = escape_mask(profile_b, fs_a.train)
+    escape_b = escape_mask(profile_a, fs_b.train)
     f_div = 0.5 * (float(escape_a.mean()) + float(escape_b.mean()))
     return PairDiversity(
         domain_a=fs_a.domain_id,

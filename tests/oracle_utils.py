@@ -37,6 +37,11 @@ count can be held against the package's one-thread result.
 ``train_on_sets`` replaced: one head after another, each on its own copies of
 its pools, through the package's step on a stack of one head; the stack must
 give every fold its bits.
+``train_first`` reorders file-order rows the way a ``FeatureSet`` stores
+them, and ``reference_pair_shifts`` scores every domain pair from file-order
+rows with the split applied by mask gathers (``rows[~split_mask(...)]``),
+again for each pair a domain is in; the package's ``train`` / ``val`` views
+must give every pair the same bits.
 """
 
 import ctypes
@@ -47,7 +52,13 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg._flapack
 
-from shiftzoo.correlation_profile import EvidenceModel, _fit_basis
+from shiftzoo.correlation_profile import (
+    EvidenceModel,
+    _fit_basis,
+    calibrate,
+    logme_fit,
+    predict_tilde,
+)
 from shiftzoo.ensemble_train import (
     AdamW,
     EvalRecord,
@@ -62,6 +73,16 @@ from shiftzoo.ensemble_train import (
     train_step,
 )
 from shiftzoo.errors import ValidationError
+from shiftzoo.feature_store import split_mask
+from shiftzoo.gaussian_profile import (
+    DomainProfile,
+    escape_mask,
+    estimate_threshold,
+    fit_gaussian,
+    lower_inverse,
+    mahalanobis_sq,
+    regularize_and_factor,
+)
 from shiftzoo.hsic import KernelSpec, hsic_b_value_and_grad
 from shiftzoo.synthetic_dg import (
     LEAKY_SLOPE,
@@ -101,8 +122,9 @@ def hsic_b(
     spec_first: KernelSpec,
     spec_second: KernelSpec,
 ) -> float:
-    """Biased HSIC between two paired batches under Gaussian kernels."""
-    return hsic_b_value_and_grad(z_first, z_second, spec_first, spec_second)[0]
+    """Biased HSIC between two paired batches under Gaussian kernels, as a stack of one."""
+    [value] = hsic_b_value_and_grad(z_first[None], z_second[None], spec_first, spec_second)[0]
+    return float(value)
 
 
 def hsic_from_kernels(k: np.ndarray, l: np.ndarray) -> float:
@@ -539,7 +561,7 @@ def reference_train_on_sets(main_sets, div_rows, cor_rows, n_classes, config, te
     """``train_on_sets`` one fold at a time: fold f trains alone on the sets of
     ``main_sets`` outside the domain of ``test_sets[f]``, with its own copies of
     their main and auxiliary rows."""
-    counts = [int(np.count_nonzero(~fs.split_mask)) for fs in main_sets]
+    counts = [fs.n_train for fs in main_sets]
     starts = np.cumsum([0] + counts)
     results = []
     for test_set in test_sets:
@@ -557,9 +579,9 @@ def reference_train_on_sets(main_sets, div_rows, cor_rows, n_classes, config, te
 
 
 def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
-    x_train = np.concatenate([fs.features[~fs.split_mask] for fs in main_sets])
+    x_train = np.concatenate([fs.train for fs in main_sets])
     y_train = np.concatenate([fs.train_labels for fs in main_sets])
-    x_val = np.concatenate([fs.features[fs.split_mask] for fs in main_sets])
+    x_val = np.concatenate([fs.val for fs in main_sets])
     y_val = np.concatenate([fs.val_labels for fs in main_sets])
     x_div = div_rows if config.hsic_active else None
     x_cor = cor_rows if config.rew_active else None
@@ -615,3 +637,55 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
         best_val_accuracy=best_acc, best_step=best_step, final_test_accuracy=final_test,
         best_test_accuracy=best_test, test_logits=test_logits, prior_floored=prior_floored,
     )
+
+
+def train_first(rows, dataset_name, domain_id, ratio, seed):
+    """File-order ``rows`` as a ``FeatureSet`` stores them: the rows ``split_mask``
+    leaves in training, then its validation rows, each side in file order."""
+    mask = split_mask(dataset_name, domain_id, len(rows), ratio, seed)
+    return rows[np.concatenate([np.flatnonzero(~mask), np.flatnonzero(mask)])]
+
+
+def reference_pair_shifts(domains, dataset_name, n_classes, ratio, seed):
+    """Each unordered domain pair's (escape_a, escape_b, f_div, f_cor, n_overlap_a,
+    n_overlap_b), at the default shrinkage, quantile and bins, for ``domains``,
+    (domain_id, file-order float32 rows, labels) triples.
+
+    A domain's training and validation rows are gathered from its file rows by
+    its ``split_mask``, once for its fit and again for every pair it is in.
+    """
+    masks = {d: split_mask(dataset_name, d, len(x), ratio, seed) for d, x, _ in domains}
+
+    def fit(domain_id, rows):
+        mask = masks[domain_id]
+        mean, cov = fit_gaussian(rows[~mask])
+        inv_chol = lower_inverse(regularize_and_factor(cov))
+        threshold = estimate_threshold(mahalanobis_sq(mean, inv_chol, rows[mask]))
+        return DomainProfile(domain_id, mean, inv_chol, threshold)
+
+    profiles = {d: fit(d, x) for d, x, _ in domains}
+    out = {}
+    for i, (id_a, x_a, y_a) in enumerate(domains):
+        for id_b, x_b, y_b in domains[i + 1 :]:
+            train_a, labels_a = x_a[~masks[id_a]], y_a[~masks[id_a]]
+            train_b, labels_b = x_b[~masks[id_b]], y_b[~masks[id_b]]
+            escape_a = escape_mask(profiles[id_b], train_a)
+            escape_b = escape_mask(profiles[id_a], train_b)
+            f_div = 0.5 * (float(escape_a.mean()) + float(escape_b.mean()))
+            keep_a, keep_b = ~escape_a, ~escape_b
+            f_cor = 0.0
+            if keep_a.any() or keep_b.any():
+                model_a = logme_fit(train_a, labels_a, n_classes)
+                model_b = logme_fit(train_b, labels_b, n_classes)
+                overlap_a = train_a[keep_a].astype(np.float64)
+                overlap_b = train_b[keep_b].astype(np.float64)
+                cal_a = calibrate(predict_tilde(model_a, overlap_a), labels_a[keep_a], n_classes)
+                cal_b = calibrate(predict_tilde(model_b, overlap_b), labels_b[keep_b], n_classes)
+                pooled = np.concatenate([overlap_a, overlap_b])
+                p_a = cal_a.apply(predict_tilde(model_a, pooled))
+                p_b = cal_b.apply(predict_tilde(model_b, pooled))
+                f_cor = min(max(0.5 * float(np.abs(p_a - p_b).sum(axis=1).mean()), 0.0), 1.0)
+            out[(id_a, id_b)] = (
+                escape_a, escape_b, f_div, f_cor, int(keep_a.sum()), int(keep_b.sum())
+            )
+    return out

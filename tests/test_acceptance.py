@@ -74,8 +74,8 @@ def test_c1_hsic_oracle_equivalence(capsys):
             spec1 = KernelSpec(float(rng.uniform(0.05, 2.0)))
             spec2 = KernelSpec(float(rng.uniform(0.05, 2.0)))
             value = hsic_b(z1, z2, spec1, spec2)
-            k = gaussian_kernel_matrix(z1, spec1)
-            l = gaussian_kernel_matrix(z2, spec2)
+            [k] = gaussian_kernel_matrix(z1[None], spec1)
+            [l] = gaussian_kernel_matrix(z2[None], spec2)
             h = np.eye(m) - np.full((m, m), 1.0 / m)
             trace = float(np.trace(k @ h @ l @ h)) / (m * m)
             brute = quadratic_hsic(

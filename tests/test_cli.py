@@ -398,6 +398,21 @@ def test_train_logits_past_float32_exit_1_naming_the_fold(zoo_dir, tmp_path, cap
     assert not out.exists()
 
 
+def test_train_collapsed_fold_exits_1_naming_the_fold(zoo_dir, tmp_path, capsys):
+    # at this learning rate the losses and logits stay finite, but the fold on
+    # domain0 collapses: its logits on domain2 are one row repeated
+    out = tmp_path / "collapsed.json"
+    argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
+            "--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
+            "--mode", "both", "--steps", "20", "--lr", "1e10"]
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: the fold on target 'domain0': features of domain 'domain2' have zero variance"
+    )
+    assert not out.exists()
+
+
 def test_train_unknown_encoder_exits_2(zoo_dir, tmp_path, capsys):
     code = main(
         ["train", "--manifest", str(zoo_dir / "manifest.json"),

@@ -73,7 +73,7 @@ def _sets(seed, n=300, d=6, n_classes=3, domains=2):
 
 def _train_rows(sets):
     """The sets' training rows, pooled as ``train_on_sets`` pools the main encoder's."""
-    return np.concatenate([fs.features[~fs.split_mask] for fs in sets])
+    return np.concatenate([fs.train for fs in sets])
 
 
 def test_config_validation_and_modes():
@@ -183,10 +183,17 @@ def test_weighted_ce_reduces_to_plain_mean():
     logits = rng.normal(size=(10, 4))
     y = rng.integers(0, 4, size=10)
     ones = np.ones(10)
-    ce, _ = weighted_cross_entropy(logits, y, ones)
+    # a stack of one batch
+    [ce], _ = weighted_cross_entropy(logits[None], y[None], ones[None])
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     want = float(np.mean(-np.log(probs[np.arange(10), y])))
     assert ce == pytest.approx(want, rel=1e-12)
+
+
+def test_weighted_cross_entropy_takes_stacks_only():
+    logits, y = np.zeros((10, 4)), np.zeros(10, dtype=int)
+    with pytest.raises(ValidationError, match=r"stack of \(F, m, classes\) logits"):
+        weighted_cross_entropy(logits, y, None)
 
 
 def _bits(value) -> bytes:
@@ -217,7 +224,10 @@ def test_weighted_cross_entropy_matches_reference_bitwise(
         "ones": np.ones(m),
         "explicit": batch_weights(rng.uniform(0.01, 5.0, size=m)),
     }[weighting]
-    ce, dlogits = weighted_cross_entropy(logits, labels, weights)
+    # a stack of one batch
+    [ce], [dlogits] = weighted_cross_entropy(
+        logits[None], labels[None], None if weights is None else weights[None]
+    )
     want_ce, want_d = reference_weighted_cross_entropy(
         logits, labels, np.ones(m) if weights is None else weights
     )
@@ -763,7 +773,7 @@ def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_eve
     [res] = train_on_sets(sets, None, None, 3, cfg, [test])
     monkeypatch.undo()
     assert res.best_step == best_step
-    n_val, n_test = sum(int(fs.split_mask.sum()) for fs in sets), test.n_samples
+    n_val, n_test = sum(len(fs.val) for fs in sets), test.n_samples
     logits = res.test_logits
     assert logits.dtype == np.float64 and logits.shape == (n_test, 3)
     assert np.array_equal(logits, res.head.predict_logits(test.features)[0])
@@ -799,8 +809,7 @@ def test_train_pools_stay_float32():
                              rng.integers(0, 3, 600), dataset_name="mem", n_classes=3,
                              split_ratio=0.05, seed=1)
     # train rows held three times (main, diversity, correlation), plus validation
-    pools = sum(3 * fs.features[~fs.split_mask].nbytes + fs.features[fs.split_mask].nbytes
-                for fs in sets)
+    pools = sum(3 * fs.train.nbytes + fs.val.nbytes for fs in sets)
     cfg = TrainConfig(
         lam=1.0, temperature=1.0, n_warmup=0, n_anneal=0, steps=3, eval_every=1, batch_size=8,
         aux_steps=3, aux_batch_size=8, learning_rate=1e-3, aux_lr=1e-2,
@@ -842,7 +851,9 @@ def test_logit_feature_sets_preserve_rows():
     assert out[0].features.shape == (sets[0].n_samples, 3)
     assert out[0].features.dtype == np.float32
     assert np.array_equal(out[0].labels, sets[0].labels)
-    assert np.array_equal(out[0].split_mask, sets[0].split_mask)
+    assert out[0].n_train == sets[0].n_train
+    # row i of the logit set is the head's logits of row i of the feature set
+    assert np.array_equal(out[0].train, head.predict_logits(sets[0].train)[0].astype(np.float32))
 
 
 def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
@@ -914,10 +925,7 @@ def test_single_target_train_holds_auxiliary_training_rows_once(tmp_path, monkey
     rest = manifest.domain_ids[1:]
     main_bytes = sum(sets["main_full", d].features.nbytes for d in manifest.domain_ids)
     aux_rows = {e: _train_rows([sets[e, d] for d in rest]) for e in ("div_heavy", "cor_heavy")}
-    labels_and_masks = sum(
-        sets["main_full", d].labels.nbytes + sets["main_full", d].split_mask.nbytes
-        for d in manifest.domain_ids
-    )
+    labels = sum(sets["main_full", d].labels.nbytes for d in manifest.domain_ids)
     del sets
     held = []
     real = et.train_on_sets
@@ -939,7 +947,7 @@ def test_single_target_train_holds_auxiliary_training_rows_once(tmp_path, monkey
     # holding the auxiliaries' whole FeatureSets instead would add their
     # validation rows and labels (1.1 MB)
     once = main_bytes + sum(rows.nbytes for rows in aux_rows.values())
-    assert once <= held[0] <= once + labels_and_masks + 128 * 1024
+    assert once <= held[0] <= once + labels + 128 * 1024
 
 
 def test_train_rejects_unknown_target(tmp_path):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracle_utils import reference_pair_shifts, train_first
 
+from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import (
     DomainInfo,
@@ -30,6 +32,7 @@ from shiftzoo.feature_store import (
     write_features,
     write_labels,
 )
+from shiftzoo.gaussian_profile import dataset_diversity
 
 finite_f32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -206,7 +209,9 @@ def test_build_feature_set_takes_whole_float_labels():
         "d0", np.zeros((4, 2), dtype=np.float32), np.array([0.0, 1.0, 1.0, 0.0]),
         dataset_name="ds", n_classes=2, split_ratio=0.25, seed=0,
     )
-    assert fs.labels.dtype == np.int64 and fs.labels.tolist() == [0, 1, 1, 0]
+    # stored train-first, as whole numbers
+    want = train_first(np.array([0, 1, 1, 0]), "ds", "d0", 0.25, 0)
+    assert fs.labels.dtype == np.int64 and fs.labels.tolist() == want.tolist()
 
 
 def test_build_feature_set_rejects_length_mismatch():
@@ -236,13 +241,34 @@ def test_feature_set_split_accessors():
     fs = build_feature_set(
         "d0", feats, labels, dataset_name="ds", n_classes=4, split_ratio=0.2, seed=3
     )
+    assert fs.n_train == 80
     assert fs.val_features.shape == (20, 5)
     assert fs.train_features.shape == (80, 5)
     assert fs.train_features.dtype == np.float64
     # train/val partition the rows exactly
     assert fs.train_labels.size + fs.val_labels.size == 100
-    recombined = np.concatenate([fs.features[~fs.split_mask], fs.features[fs.split_mask]])
+    recombined = np.concatenate([fs.train, fs.val])
     assert sorted(map(tuple, recombined.tolist())) == sorted(map(tuple, feats.tolist()))
+    # the training rows first, then the validation rows, each side in file order
+    assert fs.features.tobytes() == train_first(feats, "ds", "d0", 0.2, 3).tobytes()
+    assert np.array_equal(fs.labels, train_first(labels, "ds", "d0", 0.2, 3))
+    assert np.array_equal(fs.train_features, fs.train.astype(np.float64))
+    assert np.array_equal(fs.val_features, fs.val.astype(np.float64))
+
+
+def test_train_and_val_are_views_of_the_stored_rows():
+    rng = np.random.default_rng(1)
+    fs = build_feature_set(
+        "d0", rng.normal(size=(50, 4)).astype(np.float32), rng.integers(0, 3, size=50),
+        dataset_name="ds", n_classes=3, split_ratio=0.3, seed=2,
+    )
+    assert (len(fs.train), len(fs.val)) == (35, 15) == (fs.n_train, fs.n_samples - fs.n_train)
+    for view, whole in ((fs.train, fs.features), (fs.val, fs.features),
+                        (fs.train_labels, fs.labels), (fs.val_labels, fs.labels)):
+        assert np.shares_memory(view, whole)
+    assert fs.train.flags.c_contiguous and fs.val.flags.c_contiguous
+    assert np.array_equal(np.concatenate([fs.train, fs.val]), fs.features)
+    assert np.array_equal(np.concatenate([fs.train_labels, fs.val_labels]), fs.labels)
 
 
 def _tiny_manifest(tmp_path, n=10, d=3, n_classes=2):
@@ -344,28 +370,45 @@ def test_split_shared_across_encoders(tmp_path):
     manifest = _tiny_manifest(tmp_path)
     fa = load_domain_features(manifest, "encA", "dom0", seed=11)
     fb = load_domain_features(manifest, "encB", "dom0", seed=11)
-    assert np.array_equal(fa.split_mask, fb.split_mask)
+    assert fa.n_train == fb.n_train
+    assert np.array_equal(fa.train_labels, fb.train_labels)
+    assert np.array_equal(fa.val_labels, fb.val_labels)
+    assert not np.array_equal(fa.train, fb.train)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_loaded_rows_are_the_file_rows_the_split_mask_picks(tmp_path, seed):
+    manifest = _tiny_manifest(tmp_path, n=40)
+    for domain_id in manifest.domain_ids:
+        labels = read_labels(manifest.label_path(domain_id))
+        mask = split_mask("tiny", domain_id, 40, 0.2, seed)
+        for encoder_id in manifest.encoder_ids:
+            rows = read_features(manifest.feature_path(encoder_id, domain_id))
+            fs = load_domain_features(manifest, encoder_id, domain_id, seed=seed)
+            # row i of ``train`` is file row np.flatnonzero(~mask)[i], and so on
+            for view, view_labels, picked in ((fs.train, fs.train_labels, ~mask),
+                                              (fs.val, fs.val_labels, mask)):
+                file_rows = np.flatnonzero(picked)
+                assert view.tobytes() == rows[file_rows].tobytes()
+                assert np.array_equal(view_labels, labels[file_rows])
 
 
 def test_save_and_load_feature_set_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     manifest = _tiny_manifest(tmp_path)
+    feats = rng.normal(size=(10, 3)).astype(np.float32)
+    labels = rng.integers(0, 2, size=10)
     fs = build_feature_set(
-        "dom0",
-        rng.normal(size=(10, 3)).astype(np.float32),
-        rng.integers(0, 2, size=10),
-        dataset_name="tiny",
-        n_classes=2,
-        split_ratio=0.2,
-        seed=4,
+        "dom0", feats, labels, dataset_name="tiny", n_classes=2, split_ratio=0.2, seed=4,
     )
+    # the files hold the rows in file order; both sets store them train-first
     fpath, lpath = tmp_path / "rt.fzf", tmp_path / "rt.fzl"
-    write_features(fpath, fs.features)
-    write_labels(lpath, fs.labels)
+    write_features(fpath, feats)
+    write_labels(lpath, labels)
     back = load_feature_set(fpath, lpath, "dom0", manifest, seed=4)
     assert np.array_equal(back.features.view(np.uint32), fs.features.view(np.uint32))
     assert np.array_equal(back.labels, fs.labels)
-    assert np.array_equal(back.split_mask, fs.split_mask)
+    assert back.n_train == fs.n_train
 
 
 def test_loading_checks_each_matrix_for_non_finite_values_once(tmp_path, monkeypatch):
@@ -380,3 +423,43 @@ def test_loading_checks_each_matrix_for_non_finite_values_once(tmp_path, monkeyp
     monkeypatch.setattr(np, "isfinite", counted)
     fs = load_domain_features(manifest, "encA", "dom0")
     assert calls == [fs.features.shape]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_domains=st.integers(2, 3),
+    n=st.integers(12, 90),
+    d=st.integers(1, 5),
+    n_classes=st.integers(2, 3),
+    ratio=st.sampled_from([0.2, 0.3, 0.5]),
+    split_seed=st.integers(0, 1000),
+    offset=st.sampled_from([0.0, 0.5, 3.0]),
+)
+def test_views_score_every_pair_as_gathers_by_split_mask(
+    seed, n_domains, n, d, n_classes, ratio, split_seed, offset
+):
+    """dataset_diversity and dataset_correlation on the train-first sets give
+    every pair the bits of scoring the file rows gathered by ``split_mask``."""
+    rng = np.random.default_rng(seed)
+    domains = [
+        (f"dom{e}", (rng.normal(size=(n, d)) + e * offset).astype(np.float32),
+         rng.integers(0, n_classes, size=n))
+        for e in range(n_domains)
+    ]
+    sets = [
+        build_feature_set(domain_id, x, y, dataset_name="hyp", n_classes=n_classes,
+                          split_ratio=ratio, seed=split_seed)
+        for domain_id, x, y in domains
+    ]
+    _, div_pairs = dataset_diversity(sets)
+    _, cor_pairs = dataset_correlation(sets, div_pairs, n_classes)
+    want = reference_pair_shifts(domains, "hyp", n_classes, ratio, split_seed)
+    assert list(div_pairs) == list(cor_pairs) == list(want)
+    for key, (escape_a, escape_b, f_div, f_cor, n_a, n_b) in want.items():
+        div, cor = div_pairs[key], cor_pairs[key]
+        assert np.array_equal(div.escape_a, escape_a)
+        assert np.array_equal(div.escape_b, escape_b)
+        assert div.f_div.hex() == f_div.hex()
+        assert cor.f_cor.hex() == f_cor.hex()
+        assert (cor.n_overlap_a, cor.n_overlap_b) == (n_a, n_b)

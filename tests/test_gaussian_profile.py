@@ -92,12 +92,10 @@ def test_identical_training_rows_end_in_the_zero_variance_error(row, n, val_nois
     x = np.tile(np.asarray(row, dtype=np.float32), (n, 1))
     flat = _make_set("flat", x, rng.integers(0, 2, size=n))
     # two validation rows, the fewest a threshold needs (also for ``live``)
-    assume((~flat.split_mask).sum() >= 2 and flat.split_mask.sum() >= 2)
+    assume(flat.n_train >= 2 and len(flat.val) >= 2)
     # validation rows may differ from the training rows
     noisy = flat.features.copy()
-    noisy[flat.split_mask] += (val_noise * rng.normal(size=noisy[flat.split_mask].shape)).astype(
-        np.float32
-    )
+    noisy[flat.n_train :] += (val_noise * rng.normal(size=flat.val.shape)).astype(np.float32)
     flat = replace(flat, features=noisy)
     assume(np.isfinite(flat.features).all())
     live = _make_set("live", rng.normal(size=(n, len(row))), rng.integers(0, 2, size=n))
@@ -110,7 +108,7 @@ def test_mahalanobis_matches_explicit_inverse():
     rng = np.random.default_rng(1)
     fs = _make_set("a", rng.normal(size=(200, 5)), rng.integers(0, 2, size=200))
     profile = fit_profile(fs, shrinkage=1e-3)
-    mean, cov = fit_gaussian(fs.features[~fs.split_mask])
+    mean, cov = fit_gaussian(fs.train)
     # the profile's L^-1 inverts the Cholesky factor of the regularised covariance
     chol = regularize_and_factor(cov, shrinkage=1e-3)
     np.testing.assert_allclose(profile.inv_chol @ chol, np.eye(5), atol=1e-12)
@@ -190,7 +188,7 @@ def test_threshold_small_samples_and_ties():
 def test_fit_profile_names_the_domain_with_too_few_validation_rows(n, n_val):
     rng = np.random.default_rng(0)
     fs = _make_set("dom", rng.normal(size=(n, 2)), np.zeros(n, dtype=int))
-    assert int(fs.split_mask.sum()) == n_val
+    assert len(fs.val) == n_val
     with pytest.raises(ValidationError, match=f"domain 'dom' has {n_val} validation rows"):
         fit_profile(fs)
 
@@ -299,7 +297,7 @@ def test_escape_mask_equals_the_full_batch_solve(
         profile = fit_profile(fa, shrinkage=shrinkage)
     except NumericalError:
         assume(False)
-    chol = regularize_and_factor(fit_gaussian(fa.features[~fa.split_mask])[1], shrinkage)
+    chol = regularize_and_factor(fit_gaussian(fa.train)[1], shrinkage)
     val = fa.val_features
     for x in (fb.train_features, fa.train_features, val):
         got = mahalanobis_sq(profile.mean, profile.inv_chol, x)
@@ -329,7 +327,7 @@ def test_escape_flags_come_from_the_stored_float32_rows(monkeypatch):
     profile_a, profile_b = fit_profile(fa), fit_profile(fb)
     # float32 rows give the float64 rows' flags
     for profile, fs in ((profile_b, fa), (profile_a, fb)):
-        rows = fs.features[~fs.split_mask]
+        rows = fs.train
         assert rows.dtype == np.float32
         np.testing.assert_array_equal(
             escape_mask(profile, rows), escape_mask(profile, fs.train_features)
@@ -345,7 +343,7 @@ def test_escape_flags_come_from_the_stored_float32_rows(monkeypatch):
     monkeypatch.setattr(type(fa), "train_features", property(counting))
     pair = diversity_shift(fa, fb, profile_a, profile_b)
     assert copies == []
-    assert pair.escape_a.shape == ((~fa.split_mask).sum(),)
+    assert pair.escape_a.shape == (fa.n_train,)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

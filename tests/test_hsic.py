@@ -50,7 +50,7 @@ def test_hsic_matches_explicit_trace(m, d1, d2, seed):
 def test_kernel_matrix_matches_naive():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(9, 3))
-    got = gaussian_kernel_matrix(z, KernelSpec(2.1))
+    [got] = gaussian_kernel_matrix(z[None], KernelSpec(2.1))
     want = naive_kernel(z, 2.1 / 3)
     np.testing.assert_allclose(got, want, atol=1e-13)
     assert np.allclose(np.diag(got), 1.0)
@@ -59,7 +59,7 @@ def test_kernel_matrix_matches_naive():
 def test_rescale_dim_divides_gamma():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(6, 4))
-    a = gaussian_kernel_matrix(z, KernelSpec(2.0))
+    [a] = gaussian_kernel_matrix(z[None], KernelSpec(2.0))
     np.testing.assert_allclose(a, reference_gaussian_kernel(z, 0.5), atol=1e-15)
 
 
@@ -108,7 +108,7 @@ def test_hsic_rejects_mismatched_rows():
     with pytest.raises(ValidationError):
         hsic_from_kernels(np.zeros((3, 3)), np.zeros((4, 4)))
     with pytest.raises(ValidationError):
-        gaussian_kernel_matrix(np.zeros((4, 2)), KernelSpec(0.0))
+        gaussian_kernel_matrix(np.zeros((1, 4, 2)), KernelSpec(0.0))
 
 
 @pytest.mark.parametrize("m,d1,d2,seed", [(4, 2, 3, 0), (10, 3, 2, 1), (12, 5, 5, 2)])
@@ -117,7 +117,7 @@ def test_hsic_gradient_matches_finite_differences(m, d1, d2, seed):
     z1 = rng.normal(size=(m, d1))
     z2 = rng.normal(size=(m, d2))
     s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
-    _, grad = hsic_b_value_and_grad(z1, z2, s1, s2)
+    _, [grad] = hsic_b_value_and_grad(z1[None], z2[None], s1, s2)
     h = 1e-6
     fd = np.zeros_like(z1)
     for i in range(m):
@@ -135,10 +135,21 @@ def test_value_and_grad_consistent_with_separate_calls():
     z1 = rng.normal(size=(8, 3))
     z2 = rng.normal(size=(8, 2))
     s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
-    v, g = hsic_b_value_and_grad(z1, z2, s1, s2)
+    [v], [g] = hsic_b_value_and_grad(z1[None], z2[None], s1, s2)
     assert v == pytest.approx(hsic_b(z1, z2, s1, s2), abs=1e-15)
     # a repeat call returns the same gradient
-    np.testing.assert_allclose(g, hsic_b_value_and_grad(z1, z2, s1, s2)[1], atol=1e-15)
+    np.testing.assert_allclose(g, hsic_b_value_and_grad(z1[None], z2[None], s1, s2)[1][0],
+                               atol=1e-15)
+
+
+def test_one_pair_of_batches_is_a_stack_of_one():
+    rng = np.random.default_rng(12)
+    z1, z2 = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+    s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
+    value, grad = hsic_b_value_and_grad(z1, z2, s1, s2)
+    [stack_value], [stack_grad] = hsic_b_value_and_grad(z1[None], z2[None], s1, s2)
+    assert np.float64(value).tobytes() == np.float64(stack_value).tobytes()
+    assert grad.tobytes() == stack_grad.tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -160,10 +171,11 @@ def test_value_and_grad_match_reference_bitwise(
     if second_float32:
         z2 = z2.astype(np.float32)  # a training batch of stored auxiliary rows
     s1, s2 = KernelSpec(gammas[0]), KernelSpec(gammas[1])
-    value, grad = hsic_b_value_and_grad(z1, z2, s1, s2)
+    # a stack of one pair of batches
+    [value], [grad] = hsic_b_value_and_grad(z1[None], z2[None], s1, s2)
     want_value, want_grad = reference_hsic_b_value_and_grad(z1, z2, s1, s2)
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
     assert hsic_b(z1, z2, s1, s2) == value
-    kernel = gaussian_kernel_matrix(z1, s1)
+    [kernel] = gaussian_kernel_matrix(z1[None], s1)
     assert kernel.tobytes() == reference_gaussian_kernel(z1, s1.effective_gamma(d1)).tobytes()

@@ -12,6 +12,7 @@ from oracle_utils import (
     reference_encode,
     reference_generate,
     scipy_single_blas_thread,
+    train_first,
 )
 
 from shiftzoo import blas_threads, synthetic_dg
@@ -41,7 +42,7 @@ from shiftzoo.synthetic_dg import (
 def _encoded(sets, coords, seed=99):
     enc = SynthEncoder("probe", tuple(coords), seed)
     return [
-        FeatureSet(f.domain_id, enc.transform(f.features).astype(np.float32), f.labels, f.split_mask)
+        FeatureSet(f.domain_id, enc.transform(f.features).astype(np.float32), f.labels, f.n_train)
         for f in sets
     ]
 
@@ -101,7 +102,7 @@ def test_generate_is_deterministic():
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.features, fb.features)
         assert np.array_equal(fa.labels, fb.labels)
-        assert np.array_equal(fa.split_mask, fb.split_mask)
+        assert fa.n_train == fb.n_train
 
 
 def test_iid_spec_has_near_zero_diversity():
@@ -243,6 +244,8 @@ def test_generate_matches_whole_domain_reference(monkeypatch, spec, block_rows):
     sets, _ = generate(spec)
     for fs, expected in zip(sets, reference_generate(spec), strict=True):
         assert fs.features.dtype == np.float32
+        # the set stores the generated rows train-first
+        expected = train_first(expected, "synth", fs.domain_id, 0.2, spec.seed)
         assert fs.features.tobytes() == expected.tobytes()
 
 
