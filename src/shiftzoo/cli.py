@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -26,8 +26,9 @@ from typing import Callable, Mapping, Sequence
 from .correlation_profile import dataset_correlation  # noqa: F401
 from .ensemble_train import MODES, Fold, TrainConfig, apply_mode, train
 from .errors import ShiftZooError, ValidationError
-from .feature_store import load_manifest
+from .feature_store import load_manifest, read_json
 from .report import (
+    FOLD_SPEC,
     build_report,
     comparison_table,
     rank_lines,
@@ -79,8 +80,9 @@ _FLAG_EXCEPTIONS = {
     "learning_rate": {"flag": "--lr"},
 }
 
-# The JSON a config value may be, per flag parser; a bool is never a number.
-_JSON_TYPES = {int: int, float: (int, float), str: str, _strengths: (list, str)}
+# The JSON spec of a config value, per flag parser (see feature_store.check_json);
+# JSON's Infinity is `--temperature inf`
+_JSON_SPECS = {int: int, float: (float, math.inf), str: str, _strengths: ([float], str)}
 
 
 def _flag(name: str, default) -> tuple[str, dict]:
@@ -95,36 +97,19 @@ def _add_params(parser: argparse.ArgumentParser, params: Mapping) -> None:
         parser.add_argument(flag, dest=name, **kwargs)
 
 
-def _config_value(key: str, value, parser: Callable):
-    """A config value, accepted and parsed as its flag's text would be."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[parser]):
-            raise ValueError
-        if isinstance(value, list):
-            return tuple(_config_value(key, v, float) for v in value)
-        return parser(value)
-    except (ValueError, OverflowError, argparse.ArgumentTypeError):
-        raise ValidationError(f"config key {key!r} cannot be {value!r}") from None
-
-
 def _load_config_file(path: str | None, defaults: Mapping) -> dict:
+    """The config file's values, each checked and parsed as its flag's text would be."""
     if path is None:
         return {}
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:  # also an integer past Python's digit limit
-        raise ValidationError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config file must hold a JSON object")
-    unknown = sorted(set(raw) - set(defaults))
-    if unknown:
-        raise ValidationError(f"unknown config keys: {unknown}")
-    return {
-        key: _config_value(key, value, _flag(key, defaults[key])[1]["type"])
-        for key, value in raw.items()
-    }
+    parsers = {key: _flag(key, default)[1]["type"] for key, default in defaults.items()}
+    raw = read_json(path, "config file", {k: (_JSON_SPECS[p], ...) for k, p in parsers.items()})
+    config = {}
+    for key, value in raw.items():
+        try:
+            config[key] = tuple(map(float, value)) if type(value) is list else parsers[key](value)
+        except argparse.ArgumentTypeError as exc:
+            raise ValidationError(f"config file {path}: $.{key}: {exc}") from None
+    return config
 
 
 def _env_seed() -> int | None:
@@ -171,17 +156,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _fold_record(fold: Fold) -> dict:
-    result = fold.result
-    return {
-        "target_domain": fold.target_domain,
-        "final_val_accuracy": result.final_val_accuracy,
-        "best_val_accuracy": result.best_val_accuracy,
-        "best_step": result.best_step,
-        "final_test_accuracy": result.final_test_accuracy,
-        "best_test_accuracy": result.best_test_accuracy,
-        "logit_f_div": fold.logit_f_div,
-        "logit_f_cor": fold.logit_f_cor,
-    }
+    """A fold's run-report record: each field of ``FOLD_SPEC``, from the fold or its result."""
+    return {key: getattr(fold if hasattr(fold, key) else fold.result, key) for key in FOLD_SPEC}
 
 
 def _write_train_log(path: str, folds: Sequence[Fold]) -> None:

@@ -5,8 +5,12 @@ File formats (all little-endian):
 * feature file: magic ``FZF1``, u32 n_rows, u32 n_cols, then n_rows*n_cols
   f32 values in row-major order;
 * label file: magic ``FZL1``, u32 n, then n u32 labels;
-* manifest: UTF-8 JSON document, see ``ZooManifest``. Paths inside the
-  manifest are relative to the manifest file's directory.
+* manifest: UTF-8 JSON document, see ``ZooManifest`` and ``MANIFEST_SPEC``.
+  Paths inside the manifest are relative to the manifest file's directory.
+
+Every JSON file the package reads goes through ``read_json`` and is checked
+against a declarative spec (``check_json``); every one it writes goes
+through ``write_json``.
 
 A file whose size is not the one its header implies is refused, by the
 readers and, before any payload is read, by ``load_manifest``.
@@ -24,6 +28,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -361,44 +366,142 @@ def load_domain_features(
     )
 
 
+# A JSON spec says what a parsed JSON value may be:
+#   object           any value;
+#   int, str, bool   that JSON type (a bool is no int);
+#   float            a finite number, integer or not, never a bool;
+#   slice(lo, hi)    an integer in [lo, hi], or >= lo if hi is None;
+#   [spec]           an array whose every item meets spec;
+#   {"key": spec}    an object with these keys, each meeting its spec, and
+#                    no other key, unless the dict also maps str to a spec:
+#                    {str: spec} takes any other key whose value meets spec;
+#   (spec, ...)      any one of these specs;
+#   a function       the spec it returns for the value;
+#   any other value  that value: None is null, and ``...`` an absent key, so
+#                    (spec, ...) makes a key optional.
+_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
+          None: "null", list: "an array", dict: "an object"}
+_UNKNOWN = object()
+
+
+def _expect(spec) -> str:
+    if isinstance(spec, tuple):
+        return " or ".join(_expect(s) for s in spec if s is not ...)
+    if isinstance(spec, slice):
+        bounds = f">= {spec.start}" if spec.stop is None else f"in [{spec.start}, {spec.stop}]"
+        return f"an integer {bounds}"
+    return _NAMES.get(type(spec) if isinstance(spec, (list, dict)) else spec, repr(spec))
+
+
+def _fits(node, spec) -> bool:
+    if spec is float:
+        return type(node) in (int, float) and abs(node) <= sys.float_info.max
+    if isinstance(spec, slice):
+        return type(node) is int and spec.start <= node and (spec.stop is None or node <= spec.stop)
+    # a [...] or {...} spec reaches here only with a node of another type
+    if isinstance(spec, (type, list, dict)):
+        return type(node) is spec or spec is object
+    return type(node) is type(spec) and node == spec
+
+
+def _mismatch(node, spec, path: tuple) -> tuple[tuple, str] | None:
+    """The JSON path of ``node``'s first departure from ``spec`` and what is wrong there.
+
+    Of alternatives that all fail, the one that fails deepest is reported.
+    """
+    if callable(spec) and not isinstance(spec, type):
+        spec = spec(node)
+    if isinstance(spec, tuple):
+        found = [_mismatch(node, s, path) for s in spec]
+        if None in found:
+            return None
+        deepest = max(found, key=lambda m: len(m[0]))
+        if len(deepest[0]) > len(path):
+            return deepest
+    elif type(node) is type(spec) in (list, dict):
+        if type(spec) is list:
+            items = [(i, v, spec[0]) for i, v in enumerate(node)]
+        else:  # the spec's keys in its order, then any key it does not name
+            items = [(k, node.get(k, ...), s) for k, s in spec.items() if k is not str]
+            items += [(k, v, spec.get(str, _UNKNOWN)) for k, v in node.items() if k not in spec]
+        for key, value, sub in items:
+            if sub is _UNKNOWN:
+                return path + (key,), "is an unknown key"
+            if found := _mismatch(value, sub, path + (key,)):
+                return found
+        return None
+    elif _fits(node, spec):
+        return None
+    if node is ...:
+        return path, f"is missing; it must be {_expect(spec)}"
+    shown = _NAMES[type(node)] if isinstance(node, (list, dict)) else repr(node)
+    return path, f"must be {_expect(spec)}, got {shown}"
+
+
+def check_json(node, spec, where: str):
+    """``node``, a parsed JSON value, if it meets ``spec``.
+
+    Otherwise a ``ValidationError`` names ``where`` (the file), the JSON path
+    of the first mismatch and what it must be.
+    """
+    if found := _mismatch(node, spec, ()):
+        steps = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in found[0])
+        raise ValidationError(f"{where}: ${steps} {found[1]}")
+    return node
+
+
+def read_json(path: Path | str, what: str, spec):
+    """Read and parse the JSON file at ``path`` and check it against ``spec``.
+
+    ``what`` names the kind of file in every error.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise ValidationError(f"{what} is not valid JSON: {path}: {exc}") from exc
+    return check_json(doc, spec, f"{what} {path}")
+
+
+def dumps_json(doc) -> str:
+    """Canonical JSON: sorted keys, two-space indent, a trailing newline, no NaN or infinity.
+
+    Identical content gives identical bytes.
+    """
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path: Path | str, doc) -> None:
+    Path(path).write_text(dumps_json(doc), encoding="utf-8")
+
+
+MANIFEST_SPEC = {
+    "dataset_name": str,
+    "n_classes": slice(1, 2**32),  # a u32 FZL1 label indexes at most 2**32 classes
+    "split_ratio": (float, ...),
+    "domains": [{"id": str, "n_samples": int, "label_file": str}],
+    "encoders": [{"id": str, "dim": int, "files": {str: str}}],
+}
+
+
 def load_manifest(path: Path | str) -> ZooManifest:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        manifest = ZooManifest(
-            dataset_name=str(doc["dataset_name"]),
-            n_classes=int(doc["n_classes"]),
-            split_ratio=float(doc.get("split_ratio", 0.2)),
-            domains=tuple(
-                DomainInfo(str(d["id"]), int(d["n_samples"]), str(d["label_file"]))
-                for d in doc["domains"]
-            ),
-            encoders=tuple(
-                EncoderInfo(str(e["id"]), int(e["dim"]), dict(e["files"]))
-                for e in doc["encoders"]
-            ),
-            root=path.parent,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"manifest {path} is missing or has malformed fields: {exc}") from exc
+    doc = read_json(path, "manifest", MANIFEST_SPEC)
+    manifest = ZooManifest(
+        doc["dataset_name"], doc["n_classes"], doc.get("split_ratio", 0.2),
+        tuple(DomainInfo(d["id"], d["n_samples"], d["label_file"]) for d in doc["domains"]),
+        tuple(EncoderInfo(e["id"], e["dim"], e["files"]) for e in doc["encoders"]),
+        Path(path).parent,
+    )
     validate_manifest(manifest)
     return manifest
 
 
 def validate_manifest(manifest: ZooManifest) -> None:
     """Check ids, each domain's split, and each file's header and size against the manifest."""
-    # a u32 FZL1 label indexes at most 2**32 classes
-    if not 1 <= manifest.n_classes <= 2**32:
-        raise ValidationError(f"manifest n_classes must be in [1, 2**32], got {manifest.n_classes}")
-    domain_ids = manifest.domain_ids
-    if len(set(domain_ids)) != len(domain_ids):
-        raise ValidationError("duplicate domain ids in manifest")
-    encoder_ids = manifest.encoder_ids
-    if len(set(encoder_ids)) != len(encoder_ids):
-        raise ValidationError("duplicate encoder ids in manifest")
+    for kind, ids in (("domain", manifest.domain_ids), ("encoder", manifest.encoder_ids)):
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"duplicate {kind} ids in manifest")
     for dom in manifest.domains:
         check_split(dom.n_samples, manifest.split_ratio, f"domain '{dom.domain_id}'")
     files = [(manifest.label_path(d.domain_id), LABEL_MAGIC, (d.n_samples,))
@@ -428,4 +531,4 @@ def save_manifest(manifest: ZooManifest, path: Path | str) -> None:
             for e in manifest.encoders
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, doc)

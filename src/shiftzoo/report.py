@@ -2,14 +2,14 @@
 
 A shift report captures, for every profiled encoder, the per-domain-pair
 diversity and correlation shifts plus their pair-averaged summaries. Reports
-are canonical JSON (sorted keys, two-space indent, trailing newline) so the
-same inputs always serialize to the same bytes; nothing time- or
-path-dependent is stored.
+are canonical JSON (``feature_store.write_json``) so the same inputs always
+serialize to the same bytes; nothing time- or path-dependent is stored. A
+report is read back through ``read_report`` and checked against the spec of
+its kind, ``PROFILE_SPEC`` or ``RUN_SPEC``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from functools import partial
 from pathlib import Path
@@ -19,7 +19,7 @@ from . import __version__
 from .blas_threads import run_tasks, single_blas_thread, usable_cpus
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
 from .errors import ValidationError
-from .feature_store import ZooManifest, load_domain_features
+from .feature_store import ZooManifest, check_json, load_domain_features, read_json, write_json
 from .gaussian_profile import DEFAULT_QUANTILE, DEFAULT_SHRINKAGE, dataset_diversity
 
 SCHEMA_VERSION = 1
@@ -27,49 +27,51 @@ PROFILE_KIND = "shift_profile"
 TRAIN_KIND = "train_run"
 
 
-def dumps_report(report: Mapping) -> str:
-    """Canonical serialization; identical content gives identical bytes."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+# The JSON specs of the two report kinds (see feature_store.check_json)
+_HEADER = {"schema_version": SCHEMA_VERSION, "tool_version": str, "dataset_name": str}
+_PAIR = {
+    "domain_a": str, "domain_b": str, "f_div": float, "f_cor": float, "escape_prob_a": float,
+    "escape_prob_b": float, "overlap_count_a": slice(0, None), "overlap_count_b": slice(0, None),
+    "empty_overlap": bool,
+}
+PROFILE_SPEC = {
+    **_HEADER,
+    "kind": PROFILE_KIND,
+    "n_classes": slice(1, 2**32),
+    "domains": [str],
+    "seed": (slice(0, None), ...),
+    "config": {"shrinkage": float, "quantile": float, "n_bins": int, "split_ratio": float},
+    "encoders": [{"encoder_id": str, "dim": int, "f_div": float, "f_cor": float, "pairs": [_PAIR]}],
+}
+FOLD_SPEC = {
+    "target_domain": str, "final_val_accuracy": float, "best_val_accuracy": float,
+    "best_step": int, "final_test_accuracy": float, "best_test_accuracy": float,
+    "logit_f_div": float, "logit_f_cor": float,
+}
+RUN_SPEC = {
+    **_HEADER,
+    "kind": TRAIN_KIND,
+    "encoders": {"main": str, "div_aux": (str, None), "rew_aux": (str, None)},
+    "config": {str: (float, "inf")},  # "inf" is T = infinity
+    "seed": slice(0, None),
+    "folds": [FOLD_SPEC],
+    "summary": {"mean_final_test_accuracy": float, "mean_best_test_accuracy": float,
+                "mean_logit_f_div": float, "mean_logit_f_cor": float},
+}
+
+# what ``report_scores`` reads of a profile report, which may hold anything else
+_SCORES = {"kind": PROFILE_KIND, "encoders": [
+    {"encoder_id": str, "f_div": float, "f_cor": float, str: object}], str: object}
 
 
 def write_report(report: Mapping, path: Path | str) -> None:
-    Path(path).write_text(dumps_report(report), encoding="utf-8")
+    write_json(path, report)
 
 
 def read_report(path: Path | str) -> dict:
-    """Load a report, checking its schema version, kind, dataset name, seed and numbers."""
-    try:
-        report = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read report: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(report, dict):
-        raise ValidationError("report must be a JSON object")
-    version = report.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported report schema version {version!r}, expected {SCHEMA_VERSION}"
-        )
-    if report.get("kind") not in (PROFILE_KIND, TRAIN_KIND):
-        raise ValidationError(f"unknown report kind {report.get('kind')!r}")
-    if not isinstance(report.get("dataset_name"), str):
-        raise ValidationError("report has no string 'dataset_name'")
-    seed = report.get("seed", 0)
-    if type(seed) is not int or seed < 0:  # bool is no seed
-        raise ValidationError(f"report {path}: seed is {seed!r}; it must be a non-negative integer")
-    _check_finite(report, "report")
-    return report
-
-
-def _check_finite(node, path: str) -> None:
-    """Reject the NaN and Infinity that json.loads accepts, naming where they are."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ValidationError(f"{path} is {node}; numbers in a report must be finite")
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            name = value.get("encoder_id", key) if isinstance(value, dict) else key
-            _check_finite(value, f"{path}[{name!r}]")
+    """Load a report, checked against the spec of its kind."""
+    return read_json(path, "report", lambda doc: RUN_SPEC if type(doc) is dict
+                     and doc.get("kind") == TRAIN_KIND else PROFILE_SPEC)
 
 
 def profile_encoder(
@@ -132,14 +134,11 @@ def build_report(
     ``jobs`` and any ``OPENBLAS_NUM_THREADS``. The previous thread count is
     restored on return.
     """
-    known = [e.encoder_id for e in manifest.encoders]
-    if encoder_ids is None:
-        encoder_ids = known
-    else:
-        for enc_id in encoder_ids:
-            if enc_id not in known:
-                raise ValidationError(f"unknown encoder id '{enc_id}' in manifest")
-    todo = sorted(set(encoder_ids))
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    for enc_id in encoder_ids or ():
+        manifest.encoder(enc_id)  # raises naming an unknown id
+    todo = sorted(set(manifest.encoder_ids if encoder_ids is None else encoder_ids))
     if not todo:
         raise ValidationError("no encoders selected to profile")
 
@@ -172,26 +171,10 @@ def build_report(
 
 def report_scores(report: Mapping) -> dict[str, tuple[float, float]]:
     """Extract {encoder_id: (f_div, f_cor)} from a profile report."""
-    if report.get("kind") != PROFILE_KIND:
-        raise ValidationError("ranking needs a shift-profile report")
-    encoders = report.get("encoders")
-    if not encoders:
+    check_json(report, _SCORES, "report")
+    if not report["encoders"]:
         raise ValidationError("report lists no encoders")
-    out = {}
-    for entry in encoders:
-        try:
-            encoder_id, f_div, f_cor = entry["encoder_id"], entry["f_div"], entry["f_cor"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed encoder entry in report: {exc}") from exc
-        if not isinstance(encoder_id, str):
-            raise ValidationError(f"encoder id {encoder_id!r} in report is not a string")
-        for key, value in (("f_div", f_div), ("f_cor", f_cor)):
-            if type(value) not in (int, float) or not math.isfinite(value):  # bool is no score
-                raise ValidationError(
-                    f"encoder '{encoder_id}' has {key} = {value!r}; scores must be finite numbers"
-                )
-        out[encoder_id] = (float(f_div), float(f_cor))
-    return out
+    return {e["encoder_id"]: (float(e["f_div"]), float(e["f_cor"])) for e in report["encoders"]}
 
 
 def select_auxiliaries(
@@ -267,16 +250,6 @@ def scatter_csv(reports: Sequence[Mapping]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_safe_config(config: Mapping) -> dict:
-    out = {}
-    for key, value in config.items():
-        if isinstance(value, float) and math.isinf(value):
-            out[key] = "inf"
-        else:
-            out[key] = value
-    return out
-
-
 def train_run_report(
     manifest: ZooManifest,
     encoder_ids: Mapping[str, str | None],
@@ -300,7 +273,7 @@ def train_run_report(
         "tool_version": __version__,
         "dataset_name": manifest.dataset_name,
         "encoders": dict(encoder_ids),
-        "config": _json_safe_config(config_echo),
+        "config": {k: "inf" if v == math.inf else v for k, v in config_echo.items()},
         "seed": seed,
         "folds": fold_list,
         "summary": {

@@ -34,7 +34,6 @@ refused with a ``MemoryError`` before anything is drawn.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import queue
@@ -58,6 +57,7 @@ from .feature_store import (
     check_split,
     save_manifest,
     write_feature_blocks,
+    write_json,
     write_labels,
 )
 
@@ -574,7 +574,5 @@ def build_zoo(
     card = _ground_truth(spec, dataset_name)
     card["zoo_roles"] = {role: role for role in ZOO_ROLES}
     card["encoders"] = {e.encoder_id: sorted(e.coord_indices) for e in encoders}
-    (out_dir / "ground_truth.json").write_text(
-        json.dumps(card, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "ground_truth.json", card)
     return manifest, encoders, card

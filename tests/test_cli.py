@@ -263,7 +263,7 @@ def test_report_with_a_non_finite_or_non_number_score_exits_2(
     argv = ["rank", "--report", str(bad)] if command == "rank" else ["report", str(bad)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert entry["encoder_id"] in err and key in err and "Traceback" not in err
+    assert f"$.encoders[1].{key} must be a finite number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", ['"1"', "true", "false", "-1", "1.0", "null"])
@@ -747,7 +747,7 @@ def test_config_value_of_the_wrong_type_exits_2_naming_the_key(
     assert main([*_argv(command, zoo_dir, out), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     [key] = config
-    assert f"config key {key!r}" in err and "Traceback" not in err
+    assert f"config file {cfg}: $.{key}" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -766,7 +766,9 @@ def test_manifest_n_classes_past_the_label_range_exits_2(
     out = tmp_path / "out"
     assert main(_argv(command, zoo, out)) == 2
     err = capsys.readouterr().err
-    assert "manifest n_classes must be in [1, 2**32]" in err and "Traceback" not in err
+    where = f"manifest {zoo / 'manifest.json'}: $.n_classes"
+    assert f"{where} must be an integer in [1, 4294967296], got " in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -850,7 +852,7 @@ def test_config_values_give_the_bytes_of_their_flags(
         assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("command", ["synth", "train", "profile"])
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_negative_seed_exits_2_naming_seed(zoo_dir, tmp_path, monkeypatch, capsys, command, via):
     out = tmp_path / "out"
@@ -864,14 +866,6 @@ def test_negative_seed_exits_2_naming_seed(zoo_dir, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "seed must be >= 0" in err and "Traceback" not in err
     assert not out.exists()
-
-
-def test_profile_accepts_a_negative_seed(zoo_dir, tmp_path, monkeypatch):
-    # the profile seed only keys the split hash, so any integer is usable
-    monkeypatch.delenv("SHIFTZOO_SEED", raising=False)
-    out = tmp_path / "out"
-    assert main([*_argv("profile", zoo_dir, out), "--seed", "-1"]) == 0
-    assert json.loads(out.read_text())["seed"] == -1
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

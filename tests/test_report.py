@@ -14,13 +14,13 @@ from shiftzoo import blas_threads
 from shiftzoo import report as report_module
 from shiftzoo.cli import main
 from shiftzoo.errors import ValidationError
+from shiftzoo.feature_store import dumps_json
 from shiftzoo.report import (
     PROFILE_KIND,
     SCHEMA_VERSION,
     TRAIN_KIND,
     build_report,
     comparison_table,
-    dumps_report,
     profile_encoder,
     rank_lines,
     read_report,
@@ -46,20 +46,20 @@ def profile(small_zoo):
 
 
 def test_dumps_report_is_canonical():
-    text = dumps_report({"b": 1, "a": [2, 3]})
+    text = dumps_json({"b": 1, "a": [2, 3]})
     assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
-    assert dumps_report(json.loads(text)) == text
+    assert dumps_json(json.loads(text)) == text
 
 
 def test_dumps_report_rejects_nan():
     with pytest.raises(ValueError):
-        dumps_report({"x": float("nan")})
+        dumps_json({"x": float("nan")})
 
 
 def test_write_read_roundtrip(profile, tmp_path):
     path = tmp_path / "profile.json"
     write_report(profile, path)
-    assert read_report(path) == json.loads(dumps_report(profile))
+    assert read_report(path) == json.loads(dumps_json(profile))
 
 
 @pytest.mark.parametrize(
@@ -116,7 +116,7 @@ def test_build_report_shape_and_order(small_zoo, profile):
 
 
 def test_build_report_parallel_matches_serial(small_zoo, profile):
-    assert dumps_report(build_report(small_zoo, jobs=3)) == dumps_report(profile)
+    assert dumps_json(build_report(small_zoo, jobs=3)) == dumps_json(profile)
 
 
 def test_profiling_widens_the_stored_rows_not_the_accessors(small_zoo, profile, monkeypatch):
@@ -127,7 +127,7 @@ def test_profiling_widens_the_stored_rows_not_the_accessors(small_zoo, profile, 
 
     monkeypatch.setattr(FeatureSet, "train_features", property(no_copy))
     monkeypatch.setattr(FeatureSet, "val_features", property(no_copy))
-    assert dumps_report(build_report(small_zoo, jobs=1)) == dumps_report(profile)
+    assert dumps_json(build_report(small_zoo, jobs=1)) == dumps_json(profile)
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 64])
@@ -147,7 +147,7 @@ def test_build_report_default_jobs_is_usable_cpus_capped_at_encoders(
 
     monkeypatch.setattr(report_module, "profile_encoder", recording)
     got = build_report(small_zoo)
-    assert dumps_report(got) == dumps_report(profile)
+    assert dumps_json(got) == dumps_json(profile)
     n_encoders = len(small_zoo.encoders)
     assert n_encoders > 3
     assert len(threads) == min(cpus, n_encoders)
@@ -160,7 +160,7 @@ def test_build_report_bytes_do_not_depend_on_jobs(
     small_zoo, profile, monkeypatch, fresh_pool, jobs
 ):
     monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 3)
-    assert dumps_report(build_report(small_zoo, jobs=jobs)) == dumps_report(profile)
+    assert dumps_json(build_report(small_zoo, jobs=jobs)) == dumps_json(profile)
 
 
 def test_profile_calls_start_no_threads_after_the_first(
@@ -209,7 +209,7 @@ def test_report_scores_requires_profile_kind(profile):
 def test_report_scores_rejects_an_encoder_id_that_is_no_string():
     # rank_lines sizes its columns by len(encoder_id)
     entry = {"encoder_id": 7, "f_div": 0.5, "f_cor": 0.25}
-    with pytest.raises(ValidationError, match="encoder id 7"):
+    with pytest.raises(ValidationError, match=r"encoders\[0\]\.encoder_id must be a string, got 7"):
         report_scores({"kind": PROFILE_KIND, "encoders": [entry]})
 
 
@@ -310,7 +310,7 @@ def test_train_run_report_sorts_folds_and_averages(small_zoo):
     assert rep["config"]["temperature"] == "inf"
     assert rep["config"]["lam"] == 5.0
     assert "mode" not in rep
-    dumped = dumps_report(rep)  # inf must survive canonical serialization
+    dumped = dumps_json(rep)  # inf must survive canonical serialization
     assert json.loads(dumped)["config"]["temperature"] == "inf"
     assert not math.isinf(json.loads(dumped)["config"]["lam"])
 
