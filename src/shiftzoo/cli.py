@@ -29,6 +29,7 @@ from .errors import ShiftZooError, ValidationError
 from .feature_store import load_manifest, read_json
 from .report import (
     FOLD_SPEC,
+    PROFILE_KIND,
     build_report,
     comparison_table,
     rank_lines,
@@ -150,7 +151,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    report = read_report(args.report)
+    report = read_report(args.report, PROFILE_KIND)
     sys.stdout.write(rank_lines(report, args.main))
     return 0
 
@@ -209,7 +210,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = [read_report(p) for p in args.reports]
+    reports = [read_report(p, PROFILE_KIND) for p in args.reports]
     sys.stdout.write(comparison_table(reports))
     if args.csv:
         Path(args.csv).write_text(scatter_csv(reports), encoding="utf-8")

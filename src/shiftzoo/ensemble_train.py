@@ -14,12 +14,22 @@ temperature +inf they are identically 1 and the auxiliary is never trained,
 which makes the reduction to plain ERM exact, bit for bit.
 
 Every head is a stack of F >= 1 heads of one shape (``MlpHead``), whose
-parameters are the rows of one (F, P) float64 block: each head's weights and
+parameters are the rows of one (F, P) float32 block: each head's weights and
 biases are views into its row, backprop fills a gradient block laid out the
 same way, and ``AdamW`` updates the block in place as one F * P vector, one
 cache-sized chunk at a time, with two chunk-sized scratch vectors. All
 gradients are computed analytically (manual backprop); parameters update
 with Adam plus decoupled weight decay.
+
+Precision: a head computes in float32, the dtype its feature rows are stored
+in. Its parameters, moments, gradients, activations, logits and
+cross-entropy are float32, and so is the reweighting classifier's stack. The
+HSIC penalty (``hsic`` widens its inputs) and the reweighting weights are
+float64; a batch's weights enter the cross-entropy as float32, and the HSIC
+gradient is added to the float32 logit gradient. "Exact" here means
+deterministic bytes and the oracle gates, not float64: every fold of a stack
+still gets the bits it gets alone, and the bits do not follow the OpenBLAS
+thread count.
 
 ``train`` trains the F leave-one-domain-out folds of one call as one stack:
 each layer's forward and backward is one ``matmul`` over (F, rows, width)
@@ -89,9 +99,10 @@ MODES = ("erm", "rew", "hsic", "both")
 # multiples of ROW_ALIGN = 48 rows; column cuts on multiples of 16 columns,
 # and only in a product whose width is a multiple of 16. With these cuts
 # every block runs the kernels of the uncut product, so every element keeps
-# its bits. Cuts at other offsets, a ragged column tail in a narrow block, or
-# blocks under about 2^20 multiply-adds can take other OpenBLAS kernels (seen
-# with OpenBLAS 0.3.31 on AVX-512) and differ in the last bit.
+# its bits, in float32 as in float64. Cuts at other offsets, a ragged column
+# tail in a narrow block, or blocks under about 2^20 multiply-adds can take
+# other OpenBLAS kernels (seen with OpenBLAS 0.3.31 on AVX-512) and differ in
+# the last bit.
 _COL_ALIGN = 16
 
 
@@ -217,11 +228,12 @@ class MlpHead:
     """A stack of F >= 1 dense ReLU networks of one shape, trained by manual backprop.
 
     ``rngs`` holds one generator or seed per head, which draws that head's
-    weights. ``params`` is one (F, P) float64 block whose row f holds every
-    weight and bias of head f, layer by layer (weight, then bias);
-    ``weights[i]`` and ``biases[i]`` are (F, ...) views into it. A pass takes
-    (F, rows, width), one matrix per head, or (rows, width), which every head
-    reads, and gives (F, rows, out): one ``matmul`` per layer for all F heads.
+    weights (float64 normals, rounded to float32). ``params`` is one (F, P)
+    float32 block whose row f holds every weight and bias of head f, layer by
+    layer (weight, then bias); ``weights[i]`` and ``biases[i]`` are (F, ...)
+    views into it. A pass computes in the block's dtype. It takes (F, rows,
+    width), one matrix per head, or (rows, width), which every head reads,
+    and gives (F, rows, out): one ``matmul`` per layer for all F heads.
     ``fold(f)`` is head f as a stack of one, on views into the stack.
     ``for_input`` builds the standard three-layer shape: input, half the
     input width, 256 (512 when the input is 2048-dimensional), classes.
@@ -233,7 +245,7 @@ class MlpHead:
             raise ValidationError(f"invalid layer dims {dims}")
         self.dims = tuple(dims)
         size = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
-        params = np.zeros((len(rngs), size))
+        params = np.zeros((len(rngs), size), dtype=np.float32)
         self._bind(params, np.zeros_like(params))
         for f, rng in enumerate(rngs):
             rng = np.random.default_rng(rng)  # a generator is used as it is
@@ -278,9 +290,11 @@ class MlpHead:
         return cls((in_dim, max(in_dim // 2, 1), hidden2, n_classes), rngs)
 
     def _input(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as float64 (F, rows, width), no copy if it is one; rows of shape
+        """``x`` in the parameters' dtype as (F, rows, width), no copy if it is
+        one (stored float32 rows are taken as they are); rows of shape
         (rows, width) become a broadcast view that every head reads."""
-        h = x if x.dtype == np.float64 else np.asarray(x, dtype=np.float64)
+        dtype = self.params.dtype
+        h = x if x.dtype == dtype else np.asarray(x, dtype=dtype)
         heads = len(self.params)
         if h.ndim == 2:
             h = np.broadcast_to(h, (heads, *h.shape))
@@ -295,7 +309,7 @@ class MlpHead:
         """The logits of ``x``; each hidden layer is rectified in place.
 
         With ``acts`` a list, each layer's input is appended to it: the
-        float64 input, then every rectified hidden layer. Without, each
+        input, then every rectified hidden layer. Without, each
         hidden layer replaces the one before it.
         """
         h = self._input(x)
@@ -334,8 +348,8 @@ class MlpHead:
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         """``forward``'s (F, rows, out) logits, the same bits, keeping no activations.
 
-        A pass holds at most two layers: at first the (float64) input and
-        the first hidden layer.
+        A pass holds at most two layers: at first the input and the first
+        hidden layer.
         """
         return self._layers(x, None)
 
@@ -343,11 +357,13 @@ class MlpHead:
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    Updates a float64 parameter array in place as one flat vector (a stack's
-    (F, P) block is one F * P vector), ``CHUNK`` doubles at a time: every op
-    of the update runs over one chunk before the next chunk starts, so at
-    head widths of 2048 the chunk's parameters, moments, gradient and scratch
-    stay in cache instead of streaming from memory once per op. The chunks
+    Updates a parameter array in place as one flat vector (a stack's (F, P)
+    block is one F * P vector), ``CHUNK`` elements at a time: every op of the
+    update runs over one chunk before the next chunk starts, so at head
+    widths of 2048 the chunk's parameters, moments, gradient and scratch stay
+    in cache instead of streaming from memory once per op. The moments and
+    scratch take the parameters' dtype, so with a gradient of that dtype the
+    update runs in it. The chunks
     are split into one contiguous run per worker, up to the usable CPU
     count; each run has its own two chunk-length scratch vectors, and the
     runs are ``run_tasks`` tasks. The update is elementwise, so the split
@@ -357,7 +373,10 @@ class AdamW:
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    CHUNK = 1 << 15  # 256 KiB per array; per-step time at d=2048 is flat over 2^14-2^15
+    # 256 KiB per float32 array. One step on the 2.6 M-parameter 2048-wide
+    # head, two workers on 2 vCPUs (AVX-512 Xeon), best of 5 x 50 steps:
+    # 13.1 ms at 2^14, 7.5 ms at 2^15, 6.2 ms at 2^16, 6.1 ms at 2^17
+    CHUNK = 1 << 16
 
     def __init__(self, params: np.ndarray, lr: float, weight_decay: float = 0.0):
         # a C-contiguous block of any shape, say a stack's (F, P), is one vector
@@ -374,7 +393,7 @@ class AdamW:
         self._runs = []
         for w in range(workers):
             run = starts[len(starts) * w // workers : len(starts) * (w + 1) // workers]
-            s, u = np.empty((2, min(n - run[0], c)))
+            s, u = np.empty((2, min(n - run[0], c)), dtype=params.dtype)
             self._runs.append([
                 (slice(a, a + c) if n > c else None, params[a : a + c], self.m[a : a + c],
                  self.v[a : a + c], s[: n - a], u[: n - a])
@@ -432,9 +451,10 @@ def weighted_cross_entropy(
     """Weighted mean CE of each batch of a stack, and its gradient with respect to the logits.
 
     ``logits`` is (F, m, classes), ``labels`` and ``weights`` (F, m); the CE
-    is an array of F means. ``weights`` None means uniform weights of 1. One
-    max, one ``exp`` and one row sum serve both the log-sum-exp and the
-    softmax, with the same bits as computing each on its own.
+    is an array of F means, computed in the logits' dtype, and ``weights`` is
+    cast to it. ``weights`` None means uniform weights of 1. One max, one
+    ``exp`` and one row sum serve both the log-sum-exp and the softmax, with
+    the same bits as computing each on its own.
     """
     if logits.ndim != 3:
         raise ValidationError(f"expected a stack of (F, m, classes) logits, got {logits.shape}")
@@ -451,6 +471,7 @@ def weighted_cross_entropy(
     if weights is None:
         e *= 1.0 / m
     else:
+        weights = weights.astype(logits.dtype, copy=False)
         ce_rows *= weights
         e *= (weights / m)[..., None]
     return np.add.reduce(ce_rows, -1) / m, e
@@ -613,7 +634,8 @@ def train_step(
     weights. The HSIC penalty only applies once ``step_index`` reaches
     ``n_warmup`` and lambda is positive. A non-finite loss raises
     ``NumericalError`` before the update; ``targets``, each head's target
-    domain, names the first head whose loss it is.
+    domain, names the first head whose loss it is, as the other errors of a
+    fold begin: "the fold on target 'X' ...".
     """
     m = x.shape[-2]
     use_hsic = config.hsic_active and step_index >= config.n_warmup
@@ -627,10 +649,10 @@ def train_step(
     finite = np.isfinite(total)
     if not finite.all():
         f = int(np.argmin(finite))
-        fold = "" if targets is None else f" of the fold on target '{targets[f]}'"
+        head = "the head" if targets is None else f"the fold on target '{targets[f]}'"
         ce_f, hsic_f = (np.broadcast_to(v, finite.shape).flat[f] for v in (ce, hsic_val))
         raise NumericalError(
-            f"non-finite loss at step {step_index}{fold} (ce={ce_f}, hsic={hsic_f}); "
+            f"{head} has a non-finite loss at step {step_index} (ce={ce_f}, hsic={hsic_f}); "
             "try a lower learning rate"
         )
     optimizer.step(grad)
@@ -651,7 +673,7 @@ class TrainResult:
     ``head`` is the head's fold of the trained stack, a stack of one with
     the final-step parameters; the ``best_*`` fields come from the
     checkpoint with the highest pooled validation accuracy.
-    ``test_logits`` holds the final head's float64 (rows, classes) logits on
+    ``test_logits`` holds the final head's float32 (rows, classes) logits on
     the test set, its rows in the set's train-first order.
     """
 
@@ -721,8 +743,8 @@ def train_on_sets(
     if config.rew_active and cor_rows is None:
         raise ValidationError("reweighting requires correlation-auxiliary features")
 
-    # The pools keep the stored float32 rows; batches and evaluation passes
-    # convert to float64 (exactly), so no float64 copy of a pool is held.
+    # The pools keep the stored float32 rows, which batches and evaluation
+    # passes hand to the float32 head as they are: no copy of a pool is made.
     dim = main_sets[0].dim
     x_train = np.concatenate([fs.train for fs in main_sets])
     y_train = np.concatenate([fs.train_labels for fs in main_sets])
@@ -915,16 +937,18 @@ def logit_feature_sets(
     Labels and the split carry over: row i of a logit set is row i of its
     feature set, training rows first, so the shift estimators can profile the
     trained representation exactly like any encoder. ``known`` maps a
-    domain id to the float64 logits this head already gave for that domain's
-    rows, which are used instead of a second pass. Logits past float32's
-    range become inf, with no warning; ``train`` refuses them.
+    domain id to the logits this head already gave for that domain's rows,
+    which are used instead of a second pass. Logits past float32's range are
+    inf, with no warning; ``train`` refuses them.
     """
     out = []
     for fs in sets:
         logits = (known or {}).get(fs.domain_id)
         if logits is None:
             [logits] = head.predict_logits(fs.features)
-        out.append(FeatureSet(fs.domain_id, logits.astype(np.float32), fs.labels, fs.n_train))
+        out.append(FeatureSet(
+            fs.domain_id, logits.astype(np.float32, copy=False), fs.labels, fs.n_train
+        ))
     return out
 
 

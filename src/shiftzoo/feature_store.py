@@ -493,15 +493,25 @@ def load_manifest(path: Path | str) -> ZooManifest:
         tuple(EncoderInfo(e["id"], e["dim"], e["files"]) for e in doc["encoders"]),
         Path(path).parent,
     )
-    validate_manifest(manifest)
+    validate_manifest(manifest, f"manifest {path}")
     return manifest
 
 
-def validate_manifest(manifest: ZooManifest) -> None:
-    """Check ids, each domain's split, and each file's header and size against the manifest."""
+def validate_manifest(manifest: ZooManifest, where: str = "manifest") -> None:
+    """Check ids, each domain's split, and each file's header and size against the manifest.
+
+    ``where`` names the manifest in the error for an encoder that has no
+    feature file for some domain, with the JSON path of its ``files`` map.
+    """
     for kind, ids in (("domain", manifest.domain_ids), ("encoder", manifest.encoder_ids)):
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate {kind} ids in manifest")
+    for i, enc in enumerate(manifest.encoders):
+        for domain_id in manifest.domain_ids:
+            if domain_id not in enc.files:
+                raise ValidationError(
+                    f"{where}: $.encoders[{i}].files has no feature file for domain '{domain_id}'"
+                )
     for dom in manifest.domains:
         check_split(dom.n_samples, manifest.split_ratio, f"domain '{dom.domain_id}'")
     files = [(manifest.label_path(d.domain_id), LABEL_MAGIC, (d.n_samples,))

@@ -68,10 +68,14 @@ def write_report(report: Mapping, path: Path | str) -> None:
     write_json(path, report)
 
 
-def read_report(path: Path | str) -> dict:
-    """Load a report, checked against the spec of its kind."""
-    return read_json(path, "report", lambda doc: RUN_SPEC if type(doc) is dict
-                     and doc.get("kind") == TRAIN_KIND else PROFILE_SPEC)
+def read_report(path: Path | str, kind: str | None = None) -> dict:
+    """Load a report, checked against the spec of its kind; with ``kind``, a
+    report of another kind is refused, naming the file."""
+    report = read_json(path, "report", lambda doc: RUN_SPEC if type(doc) is dict
+                       and doc.get("kind") == TRAIN_KIND else PROFILE_SPEC)
+    if kind is not None:
+        check_json(report, {"kind": kind, str: object}, f"report {path}")
+    return report
 
 
 def profile_encoder(

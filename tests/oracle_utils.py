@@ -15,7 +15,11 @@ value-and-gradient sequences (separate softmax, ``np.mean`` wrappers, each
 kernel and row mean computed where it is used) that the package's trimmed
 training step must reproduce bit for bit; ``hsic_from_kernels`` is their HSIC
 value from two kernel matrices, and ``reference_head_loss_and_grads`` puts
-them into a whole forward and backward pass. ``reference_fit_class`` is the
+them into a whole forward and backward pass. The CE, the pass and
+``ListAdamW`` compute in the dtype of the logits or parameters they are
+given: in float32 against the package's float32 heads, bit for bit, and in
+float64 on ``float64_head``'s copy of a head, which acceptance C2 holds
+against finite differences and bounds the package's float32 gradient by. ``reference_fit_class`` is the
 MacKay fixed point for the LogME precisions, with its residual and weight
 floors and its precision clamps, and ``reference_logme_fit`` runs it in the
 Gram eigenbasis; the package's search over t = alpha / beta must never end
@@ -185,8 +189,10 @@ def reference_softmax(logits: np.ndarray) -> np.ndarray:
 def reference_weighted_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Weighted mean CE and its logit gradient: log-sum-exp and softmax computed apart."""
+    """Weighted mean CE and its logit gradient: log-sum-exp and softmax computed
+    apart, in the logits' dtype, the weights cast to it."""
     m = logits.shape[0]
+    weights = np.asarray(weights).astype(logits.dtype)
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     ce_rows = lse - logits[np.arange(m), labels]
@@ -200,10 +206,12 @@ def reference_weighted_cross_entropy(
 def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1, gamma2):
     """(total, ce, hsic, flat grad) of a stack of one ``MlpHead`` on one 2-D
     batch: plain forward, the reference CE and HSIC, and backward with fresh
-    temporaries."""
+    temporaries, all in the dtype of the head's parameters (the HSIC in
+    float64, its gradient added in float64 and rounded to that dtype)."""
     # the one head's layers: zip(*stack) gives each head's matrices
     [weights_2d], [biases_2d] = zip(*head.weights), zip(*head.biases)
-    acts, pre = [np.asarray(x, dtype=np.float64)], []
+    dtype = head.params.dtype
+    acts, pre = [np.asarray(x, dtype=dtype)], []
     for w, b in zip(weights_2d[:-1], biases_2d[:-1]):
         pre.append(acts[-1] @ w + b)
         acts.append(np.maximum(pre[-1], 0.0))
@@ -214,13 +222,20 @@ def reference_head_loss_and_grads(head, x, labels, weights, aux_div, lam, gamma1
         hsic, hsic_grad = reference_hsic_b_value_and_grad(
             logits, aux_div, KernelSpec(gamma1), KernelSpec(gamma2)
         )
-        dlogits = dlogits + lam * hsic_grad
+        dlogits = (dlogits + lam * hsic_grad).astype(dtype)
     grads, delta = [], dlogits
     for i in range(len(head.weights) - 1, -1, -1):
         grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
         if i > 0:
             delta = (delta @ weights_2d[i].T) * (pre[i - 1] > 0.0)
     return ce + lam * hsic, ce, hsic, np.concatenate([g.ravel() for g in grads])
+
+
+def float64_head(head):
+    """A float64 copy of a stack of ``MlpHead``: its own parameter and gradient
+    blocks, the same layout."""
+    params = head.params.astype(np.float64)
+    return head._on(params, np.zeros_like(params))
 
 
 def benchmark_train_config(seed: int = 0, **overrides) -> TrainConfig:
@@ -431,7 +446,7 @@ class ListAdamW:
     """Adam with bias correction and decoupled weight decay over a list of arrays.
 
     Plain per-array numpy expressions with fresh temporaries, one array at a
-    time.
+    time, in the dtype of each array and its gradient.
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):

@@ -48,6 +48,7 @@ from shiftzoo.synthetic_dg import SynthSpec, build_zoo
 
 from oracle_utils import (
     ListAdamW,
+    float64_head,
     reference_head_loss_and_grads,
     reference_softmax,
     reference_train_on_sets,
@@ -126,19 +127,18 @@ def test_head_params_are_one_flat_vector():
     # a stack of one head: its parameters are the one row of a (1, P) block
     head = MlpHead([5, 4, 3, 2], [0])
     assert head.params.shape == (1, 5 * 4 + 4 + 4 * 3 + 3 + 3 * 2 + 2)
-    assert head.params.dtype == np.float64 and head.params.flags.c_contiguous
+    assert head.params.dtype == np.float32 and head.params.flags.c_contiguous
     for w, b in zip(head.weights, head.biases):
         assert np.shares_memory(w, head.params) and np.shares_memory(b, head.params)
     # layout: each layer's weight (row-major), then its bias
     pieces = [a.ravel() for w, b in zip(head.weights, head.biases) for a in (w, b)]
     assert np.array_equal(np.concatenate(pieces), head.params[0])
-    # the same normals in the same order as per-layer draws
+    # the same normals in the same order as per-layer draws, rounded to float32
     rng = np.random.default_rng(0)
     for w, b in zip(head.weights, head.biases):
         _, fan_in, fan_out = w.shape
-        assert np.array_equal(
-            w[0], rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        )
+        normals = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        assert w[0].tobytes() == normals.astype(np.float32).tobytes()
         assert np.array_equal(b[0], np.zeros(fan_out))
     head.params[:] = 7.0
     assert (head.weights[1] == 7.0).all() and (head.biases[2] == 7.0).all()
@@ -161,8 +161,10 @@ def _fd_grads(head, x, y, weights, aux, lam, g1, g2, h=1e-5):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_full_loss_gradcheck(seed):
+    """The backprop of ``head_loss_and_grads``, which computes in its head's
+    dtype, run on a float64 copy of a head so that finite differences resolve it."""
     rng = np.random.default_rng(seed)
-    head = MlpHead([2, 16, 8, 3], [rng])
+    head = float64_head(MlpHead([2, 16, 8, 3], [rng]))
     m = 8
     # one batch for the stack's one head
     x = rng.normal(size=(1, m, 2))
@@ -307,6 +309,7 @@ def test_flat_adamw_matches_list_reference_bitwise(weight_decay, monkeypatch):
         ref = ListAdamW(arrays, lr=1e-2, weight_decay=weight_decay)
         for _ in range(25):
             grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=head.params.size)
+            grad = grad.astype(head.params.dtype)
             grad[rng.random(grad.shape) < 0.1] = 0.0
             opt.step(grad)
             start = 0
@@ -321,7 +324,10 @@ def test_flat_adamw_matches_list_reference_bitwise(weight_decay, monkeypatch):
 
 def test_adamw_scratch_is_one_chunk(monkeypatch):
     n = 10 * AdamW.CHUNK + 123
-    params = np.zeros(n)
+    params = np.zeros(n, dtype=np.float32)
+    size = params.itemsize
+    # 256 KiB per chunk-length array
+    assert AdamW.CHUNK * size == 256 * 1024
     for workers in (1, 3):
         monkeypatch.setattr(et, "usable_cpus", lambda w=workers: w)
         tracemalloc.start()
@@ -334,8 +340,9 @@ def test_adamw_scratch_is_one_chunk(monkeypatch):
         # chunk each (the rest is the per-chunk views, a few hundred bytes
         # per chunk)
         assert opt.m.size == opt.v.size == n
+        assert opt.m.dtype == opt.v.dtype == np.float32
         assert len(opt._runs) == workers
-        assert 8 * 2 * n <= allocated <= 8 * (2 * n + workers * 2 * AdamW.CHUNK) + 64 * 1024
+        assert size * 2 * n <= allocated <= size * (2 * n + workers * 2 * AdamW.CHUNK) + 64 * 1024
 
 
 def _with_blas_threads(count, body):
@@ -400,6 +407,39 @@ def test_split_matmul_matches_numpy_bitwise(cpus, blas_threads, monkeypatch):
     assert blocks == ([cpus] * 2 * len(products) if blas_threads == 1 else [])
 
 
+@pytest.mark.parametrize("heads", [1, 3])
+def test_float32_split_matmul_matches_numpy_bitwise(heads, monkeypatch):
+    """The cuts keep sgemm's bits too: the wide head's float32 step products
+    and evaluation passes of 1234, 1500 and 2000 rows, as stacks of F."""
+    rng = np.random.default_rng(heads)
+    f32 = lambda *shape: rng.normal(size=(heads, *shape)).astype(np.float32)
+    w0, w1 = f32(2048, 1024), f32(1024, 512)
+    x, delta1, delta2 = f32(32, 2048), f32(32, 1024), f32(32, 512)
+    h1 = np.maximum(x @ w0, 0.0)
+    products = {
+        "forward 2048": (x, w0),
+        "forward 1024": (h1, w1),
+        "acts.T @ delta 2048": (np.swapaxes(x, 1, 2), delta1),
+        "acts.T @ delta 1024": (np.swapaxes(h1, 1, 2), delta2),
+        "delta @ W.T 1024": (delta1, np.swapaxes(w0, 1, 2)),
+        "delta @ W.T 512": (delta2, np.swapaxes(w1, 1, 2)),
+    }
+    for rows in (1234, 1500, 2000):
+        x_eval = f32(rows, 2048)
+        products[f"evaluation pass {rows}"] = (x_eval, w0)
+        products[f"evaluation pass {rows}, layer 2"] = (np.maximum(x_eval[:, :, :1024], 0.0), w1)
+    for cpus in (2, 3):
+        monkeypatch.setattr(et, "usable_cpus", lambda: cpus)
+        blocks = _recording_run(monkeypatch)
+        with single_blas_thread():
+            for name, (a, b) in products.items():
+                want = np.matmul(a, b)
+                assert want.dtype == np.float32
+                assert et._matmul(a, b).tobytes() == want.tobytes(), (cpus, name)
+        # every product is cut, one block per CPU for each matrix of the stack
+        assert blocks == [cpus * heads] * len(products)
+
+
 def test_split_matmul_cuts_unevenly_at_the_alignment():
     # 3-way cuts: 2048 rows -> 672/672/704, 1024 columns -> 336/336/352, 900 rows -> 288/288/324
     assert et._cuts(2048, 3, 48) == [(0, 672), (672, 1344), (1344, 2048)]
@@ -416,10 +456,11 @@ def test_split_matmul_cuts_unevenly_at_the_alignment():
     cpus=st.integers(2, 5),
     a_fortran=st.booleans(),
     b_fortran=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
 )
-def test_split_matmul_matches_numpy_on_any_shape(m, k, n, cpus, a_fortran, b_fortran):
+def test_split_matmul_matches_numpy_on_any_shape(m, k, n, cpus, a_fortran, b_fortran, dtype):
     rng = np.random.default_rng(m * k + n)
-    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    a, b = rng.normal(size=(m, k)).astype(dtype), rng.normal(size=(k, n)).astype(dtype)
     a, b = (np.asfortranarray(x)[None] if f else x[None]
             for x, f in ((a, a_fortran), (b, b_fortran)))
     real = et.usable_cpus
@@ -498,17 +539,18 @@ def test_predict_logits_equals_forward_bitwise(dims, rows, monkeypatch):
 def test_predict_logits_holds_the_input_and_one_hidden_layer():
     head = MlpHead((512, 256, 128, 4), [0])
     x = np.random.default_rng(0).normal(size=(500, 512)).astype(np.float32)
-    widened, hidden, logits = 500 * 512 * 8, 500 * 256 * 8, 500 * 4 * 8
+    hidden1, hidden2, logits = 500 * 256 * 4, 500 * 128 * 4, 500 * 4 * 4
     tracemalloc.start()
     try:
         head.predict_logits(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the float64 input and the first hidden layer (3.1 MB), plus the logits
-    # and 64 KiB of small objects; keeping every layer's input, as
-    # ``forward`` does, peaks at 3.7 MB here
-    assert widened + hidden <= peak <= widened + hidden + logits + 64 * 1024
+    # the stored float32 input is read as it is, with no copy: the two hidden
+    # layers (0.77 MB), plus the logits and 64 KiB of small objects; keeping
+    # every layer's input, as ``forward`` does, adds the first hidden layer's
+    # place again
+    assert hidden1 + hidden2 <= peak <= hidden1 + hidden2 + logits + 64 * 1024
 
 
 def _fixed_aux(bias, prior):
@@ -592,9 +634,9 @@ def test_rew_auxiliary_learns_separable_data():
 
 
 def _reference_rew_auxiliary(z, y, n_classes, seed, steps, lr, batch_size):
-    """The classifier's training loop over separate [w, b] arrays with ``ListAdamW``."""
-    z = z.astype(np.float64)  # exact; a mixed-dtype product may take another kernel
-    w, b = np.zeros((z.shape[1], n_classes)), np.zeros(n_classes)
+    """The classifier's training loop over separate float32 [w, b] arrays with ``ListAdamW``."""
+    z = z.astype(np.float32)  # the classifier's dtype; a mixed-dtype product may take another kernel
+    w, b = np.zeros((z.shape[1], n_classes), np.float32), np.zeros(n_classes, np.float32)
     ref = ListAdamW([w, b], lr=lr)
     batch_rng = np.random.default_rng(seed)
     for _ in range(steps):
@@ -761,7 +803,7 @@ def test_train_on_sets_runs_and_logs():
 
 @pytest.mark.parametrize("eval_every,best_step", [(5, 14), (100, 19)])
 def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_every, best_step):
-    """The final accuracy is the argmax of the returned float64 test logits,
+    """The final accuracy is the argmax of the returned float32 test logits,
     and a best checkpoint at the last step reuses it instead of a second pass."""
     sets, [test] = _sets(0), _sets(1, domains=3)[2:]
     cfg = TrainConfig(lam=0.0, temperature=math.inf, steps=20, learning_rate=1e-2,
@@ -775,7 +817,7 @@ def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_eve
     assert res.best_step == best_step
     n_val, n_test = sum(len(fs.val) for fs in sets), test.n_samples
     logits = res.test_logits
-    assert logits.dtype == np.float64 and logits.shape == (n_test, 3)
+    assert logits.dtype == np.float32 and logits.shape == (n_test, 3)
     assert np.array_equal(logits, res.head.predict_logits(test.features)[0])
     assert res.final_test_accuracy == accuracy(res.head, test.features, test.labels)
     test_passes = 1 if best_step == cfg.steps - 1 else 2
@@ -796,7 +838,7 @@ def test_train_erm_equals_both_with_inactive_knobs():
 
 
 def test_train_pools_stay_float32():
-    """The main pools are held once, as stored; only batches and passes are float64."""
+    """The main pools are held once, as stored, and the float32 head reads them as they are."""
     rng = np.random.default_rng(0)
     sets = [
         build_feature_set(
@@ -824,7 +866,7 @@ def test_train_pools_stay_float32():
         tracemalloc.stop()
     # float64 copies of the pools alone would take 2 * pools, and pooling the
     # main rows through per-domain copies 1.33 * pools; the head, its
-    # optimizer and one float64 validation pass fit in the remaining quarter
+    # optimizer and one validation pass fit in the remaining quarter
     assert pools <= peak < 1.25 * pools
 
 
@@ -1046,6 +1088,27 @@ def test_stacked_wide_folds_split_each_fold_product_bitwise(monkeypatch):
         assert _result_bits(g) == _result_bits(w)
 
 
+def test_stacked_wide_head_folds_match_the_per_fold_reference_bitwise(monkeypatch):
+    """The 2048 -> 1024 -> 512 -> 4 head, whose step products are 16 times
+    2 * SPLIT_MACS: three folds as one stack, with HSIC and weights on, get
+    the bits of each fold trained alone."""
+    monkeypatch.setattr(et, "usable_cpus", lambda: 2)
+    blocks = _recording_run(monkeypatch)
+    sets = _uneven_sets(4, sizes=(60, 80, 100), d=2048, n_classes=4)
+    rows = _train_rows(sets)
+    div_rows, cor_rows = rows[:, :8].copy(), rows[:, 8:16].copy()
+    cfg = TrainConfig(lam=5.0, n_warmup=1, n_anneal=2, learning_rate=1e-3, batch_size=32,
+                      steps=4, eval_every=2, seed=2, aux_steps=3, aux_lr=1e-2)
+    with single_blas_thread():
+        got = train_on_sets(sets, div_rows, cor_rows, 4, cfg, sets)
+        # the first forward product, 32 * 2048 * 1024: two blocks for each of three folds
+        assert blocks[0] == 6
+        want = reference_train_on_sets(sets, div_rows, cor_rows, 4, cfg, sets)
+    assert got[0].head.params.dtype == got[0].test_logits.dtype == np.float32
+    for g, w in zip(got, want):
+        assert _result_bits(g) == _result_bits(w)
+
+
 def test_stacked_head_folds_are_views_of_one_block():
     head = MlpHead([5, 4, 3], [np.random.default_rng(s) for s in (0, 1, 2)])
     size = 5 * 4 + 4 + 4 * 3 + 3
@@ -1076,12 +1139,12 @@ def test_stacked_head_folds_are_views_of_one_block():
 
 def test_non_finite_loss_names_the_fold_of_its_target():
     # d0's rows are 1e30 times the others: after one step at a learning rate of
-    # 1e96 the folds that train on it (targets d1 and d2) overflow to a
+    # 1e8 the folds that train on it (targets d1 and d2) overflow float32 to a
     # non-finite loss, and the fold that holds it out (target d0) does not
     sets = _uneven_sets(2, scale=1.0)
     sets[0] = _uneven_sets(2, scale=1e30)[0]
-    cfg = apply_mode(TrainConfig(learning_rate=1e96, steps=20, eval_every=5, seed=0), "erm")
-    named = r"non-finite loss at step \d+ of the fold on target 'd1'"
+    cfg = apply_mode(TrainConfig(learning_rate=1e8, steps=20, eval_every=5, seed=0), "erm")
+    named = r"^the fold on target 'd1' has a non-finite loss at step 1 \(ce=nan, hsic=0\.0\); "
     with pytest.raises(NumericalError, match=named):
         train_on_sets(sets, None, None, 3, cfg, sets)
     # held out alone, d0 trains to the end

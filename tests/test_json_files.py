@@ -291,6 +291,10 @@ def test_fuzzed_manifests_exit_0_unchanged_or_2_naming_the_path(tiny_zoo, tmp_pa
         where = f"manifest {fuzz}"
         _check(got, base[command], _refusal(check_json, mutated, MANIFEST_SPEC, where), where,
                _accepted("manifest", name, path), path)
+        if name == "missing" and len(path) == 4 and path[::2] == ("encoders", "files"):
+            # a domain left out of an encoder's files: refused naming the manifest and the map
+            assert got[2] == (f"error: {where}: {_json_path(path[:-1])} has no feature file "
+                              f"for domain '{path[-1]}'\n"), got
 
 
 @pytest.mark.parametrize("kind", ["profile", "run"])
@@ -313,6 +317,9 @@ def test_fuzzed_reports_exit_0_unchanged_or_2_naming_the_path(
     base = [_run(argv, capsys) for argv in commands]
     # rank and report take profile reports: a run report is refused by its kind
     assert {b[0] for b in base} == ({0} if kind == "profile" else {2})
+    if kind == "run":
+        for _, _, err, _ in base:
+            assert err == f"error: report {fuzz}: $.kind must be 'shift_profile', got 'train_run'\n"
     cases = list(_cases(doc, random.Random(14)))
     assert 40 <= len(cases) <= 200
     for name, path, mutated in cases:
