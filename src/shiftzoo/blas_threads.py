@@ -7,8 +7,9 @@ it links. So it binds numpy's own copy, whatever else is loaded and in
 whichever order, and a copy another package brings (scipy's, say) is neither
 called nor pinned. Where numpy links no OpenBLAS (Accelerate, MKL), nothing
 is found: nothing is pinned, and ``lapack_routine``'s callers use
-``numpy.linalg``. shiftzoo calls three routines, in place on numpy's arrays:
-``dgeqrf`` and ``dorgqr`` for the projection QRs and ``dtrtrs`` for L^-1.
+``numpy.linalg`` or numpy's product. shiftzoo calls four routines, in place
+on numpy's arrays: ``dgeqrf`` and ``dorgqr`` for the projection QRs,
+``dtrtrs`` for L^-1 and the BLAS ``dtrmm`` for the Mahalanobis distances.
 
 The thread setter is process-wide: a count set from one thread is the count
 every thread's next BLAS call uses. Set it once, from the thread that then
@@ -44,6 +45,10 @@ from numpy.linalg import _umath_linalg
 SPLIT_MACS = 1 << 21
 # Row cuts at multiples of ROW_ALIGN keep an OpenBLAS product's bits (see ensemble_train._matmul)
 ROW_ALIGN = 48
+# Work that runs in row blocks (synth's draws and encodings, the Mahalanobis
+# distances) takes about BLOCK_DOUBLES float64 values per block: 1 MiB, so a
+# block's elementwise passes stay in cache
+BLOCK_DOUBLES = 1 << 17
 
 T = TypeVar("T")
 
@@ -86,9 +91,11 @@ def lapack_routine(name: str) -> Callable[..., int] | None:
     """numpy's OpenBLAS routine ``name`` (say "dgeqrf") as a call, or None.
 
     The call takes the routine's arguments up to, not including, ``info``:
-    numpy arrays (passed by address), Python ints and one-character
-    ``bytes``; it returns ``info``. A ``64_`` symbol suffix means 64-bit
-    integers and none 32-bit ones. ctypes releases the GIL for each call.
+    numpy arrays (passed by address), Python ints, Python floats (as
+    doubles) and one-character ``bytes``; it returns ``info``. A BLAS
+    routine (``dtrmm``) takes no ``info``: the trailing address is not read,
+    and the call returns 0. A ``64_`` symbol suffix means 64-bit integers and
+    none 32-bit ones. ctypes releases the GIL for each call.
     """
     lib = numpy_openblas()
     routine = None if lib is None else _symbol(lib.handle, f"{name}_")
@@ -105,11 +112,15 @@ def _call(routine, int_type: type, *args) -> int:
     n = len(args)
     ints = (int_type * (n + 1))()  # the integer arguments, then info
     base, size = ctypes.addressof(ints), ctypes.sizeof(int_type)
+    doubles = (ctypes.c_double * n)()  # the float arguments
     pointers, lengths = [], []
     for i, arg in enumerate(args):
         if isinstance(arg, int):
             ints[i] = arg
             pointers.append(base + i * size)
+        elif isinstance(arg, float):
+            doubles[i] = arg
+            pointers.append(ctypes.addressof(doubles) + i * ctypes.sizeof(ctypes.c_double))
         elif isinstance(arg, bytes):
             pointers.append(arg)
             lengths.append(len(arg))

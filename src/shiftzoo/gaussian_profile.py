@@ -15,9 +15,14 @@ and score reads a set's ``train`` / ``val`` views, its stored float32 rows,
 which the distances widen to float64 as they centre them.
 
 Distances are taken against the inverse L^-1 of the lower Cholesky factor L
-of the regularised covariance: one matrix product and a row-wise sum of
-squares. The threshold and the escape flags come from that same product, so a
-validation row that sets the threshold sits exactly on it.
+of the regularised covariance: a triangular product and a row-wise sum of
+squares. Rows go through in blocks of about 1 MiB, each centred into one
+float64 scratch block and multiplied by L^-1 in place with BLAS ``dtrmm``
+(numpy's own OpenBLAS, through ctypes, which releases the GIL while profile
+workers score their encoders), so a call's memory does not grow with its row
+count. Without that routine, numpy's matrix product with L^-T is used. The
+threshold and the escape flags come from that same product, so a validation
+row that sets the threshold sits exactly on it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blas_threads import lapack_routine
+from .blas_threads import BLOCK_DOUBLES, ROW_ALIGN, lapack_routine
 from .errors import NumericalError, ValidationError
 from .feature_store import FeatureSet
 
@@ -131,11 +136,39 @@ def lower_inverse(chol: np.ndarray) -> np.ndarray:
 def mahalanobis_sq(mean: np.ndarray, inv_chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances ||(x - mean) L^-T||^2 of the rows of ``x``.
 
-    Float32 rows are widened (exactly) inside the subtraction of the mean, so
-    no float64 copy of ``x`` is made.
+    ``inv_chol`` is L^-1, lower triangular: its upper triangle is not read.
+    The rows go in blocks of about ``BLOCK_DOUBLES`` values, cut at multiples
+    of ``ROW_ALIGN`` rows, which on one OpenBLAS thread keep the bits of one
+    whole-batch ``dtrmm``. Each block is copied into the call's one float64
+    scratch block (float32 rows widen exactly, and no float64 copy of ``x``
+    is made), centred there, multiplied in place by L^-1 with BLAS ``dtrmm``
+    on numpy's own OpenBLAS, and summed row by row into the output. So a call
+    allocates one block and the output, whatever its row count; each call has
+    its own scratch, as profile workers call at once. Where ``lapack_routine``
+    finds no ``dtrmm``, numpy's product with L^-T scores all rows at once;
+    its distances may differ from ``dtrmm``'s in the last bit.
     """
-    y = np.subtract(np.atleast_2d(x), mean, dtype=np.float64) @ inv_chol.T
-    return np.einsum("ij,ij->i", y, y)
+    x = np.atleast_2d(x)
+    n, d = x.shape
+    if np.shape(inv_chol) != (d, d):
+        raise ValidationError(f"L^-1 of shape {np.shape(inv_chol)} does not fit {d}-wide rows")
+    dtrmm = lapack_routine("dtrmm")
+    if dtrmm is None:
+        y = np.subtract(x, mean, dtype=np.float64) @ inv_chol.T
+        return np.einsum("ij,ij->i", y, y)
+    inv_chol = np.asfortranarray(inv_chol, dtype=np.float64)
+    ld = max(d, 1)  # BLAS refuses a leading dimension of 0
+    rows = max(ROW_ALIGN, BLOCK_DOUBLES // ld // ROW_ALIGN * ROW_ALIGN)
+    scratch = np.empty((min(rows, n), d))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = scratch[: stop - start]
+        block[...] = x[start:stop]  # a widening copy, then a same-dtype subtract: one
+        block -= mean  # ufunc buffer, where a mixed-dtype subtract takes two
+        dtrmm(b"L", b"L", b"N", b"N", d, stop - start, 1.0, inv_chol, ld, block, ld)
+        np.einsum("ij,ij->i", block, block, out=out[start:stop])
+    return out
 
 
 def _tail_count(n: int, quantile: float) -> int:

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .blas_threads import (
-    ROW_ALIGN, SPLIT_MACS, lapack_routine, run_tasks, single_blas_thread, usable_cpus
+    BLOCK_DOUBLES, ROW_ALIGN, SPLIT_MACS, lapack_routine, run_tasks, single_blas_thread, usable_cpus
 )
 from .errors import NumericalError, ValidationError
 from .feature_store import (
@@ -65,15 +65,13 @@ CORE_SCALE = 1.8  # class-mean separation in the core block, in noise units
 PATTERN_NORM = 3.0  # length of each spur class pattern
 LEAKY_SLOPE = 0.2
 # Rows are drawn and encoded in blocks of about BLOCK_DOUBLES float64 values
-# (1 MiB, so a block's elementwise passes stay in cache and a desk-width
-# domain is one block), but of at least MIN_BLOCK_ROWS rows, so that each
-# product's pass over a wide projection is shared by enough rows (240 rows
-# keep a 2048-wide cell's buffers near 13 MB per worker, with two or more
-# cells in flight at once). Blocks hold a multiple of ROW_ALIGN rows, the
-# row cut that keeps every element of an OpenBLAS product's bits, and the
-# last block also takes the remainder: a one-row block would go to the
-# matrix-vector kernel and can change the last bit.
-BLOCK_DOUBLES = 1 << 17
+# (1 MiB, so a desk-width domain is one block), but of at least MIN_BLOCK_ROWS
+# rows, so that each product's pass over a wide projection is shared by
+# enough rows (240 rows keep a 2048-wide cell's buffers near 13 MB per
+# worker, with two or more cells in flight at once). Blocks hold a multiple
+# of ROW_ALIGN rows, the row cut that keeps every element of an OpenBLAS
+# product's bits, and the last block also takes the remainder: a one-row
+# block would go to the matrix-vector kernel and can change the last bit.
 MIN_BLOCK_ROWS = 240
 
 

@@ -27,8 +27,10 @@ below its evidence. ``log_evidence`` is the per-sample evidence at a given
 (alpha, beta) in that basis, the fixed point's objective.
 ``benchmark_train_config`` is the desk-scale training preset that the
 planted-shift benchmark tests train with. ``reference_mahalanobis_sq`` is
-the triangular solve with the Cholesky factor L that the package's one
-product with L^-1 must match within round-off. ``reference_encode`` is the
+the triangular solve with the Cholesky factor L that the package's product
+with L^-1 must match within round-off, and ``gemm_mahalanobis_sq`` is the
+whole-batch general product (x - mean) L^-T that the package's in-place,
+row-blocked triangular product replaced. ``reference_encode`` is the
 synthetic encoder as one whole-matrix float64 product and ``np.where``
 rectifier, cast to the float32 that the zoo stores; the package's row-blocked
 ``_encode`` must reproduce it bit for bit, and ``reference_generate`` is the
@@ -151,6 +153,12 @@ def reference_mahalanobis_sq(mean: np.ndarray, chol: np.ndarray, x: np.ndarray) 
     diff = np.atleast_2d(x).astype(np.float64) - mean
     y = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
     return np.sum(y * y, axis=0)
+
+
+def gemm_mahalanobis_sq(mean: np.ndarray, inv_chol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of the rows of ``x``: one product (x - mean) L^-T."""
+    y = (np.atleast_2d(x).astype(np.float64) - mean) @ np.asarray(inv_chol).T
+    return np.sum(y * y, axis=1)
 
 
 def reference_gaussian_kernel(z: np.ndarray, gamma: float) -> np.ndarray:

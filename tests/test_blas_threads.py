@@ -68,7 +68,7 @@ def test_numpy_openblas_is_found_pinned_and_its_lapack_bound(lib):
         assert _address(fn) == _address(_numpy_wheel_symbol(fn.__name__))
     with single_blas_thread():
         assert _numpy_wheel_symbol(lib.get_num_threads.__name__)() == 1
-    for name in ("dgeqrf", "dorgqr", "dtrtrs"):
+    for name in ("dgeqrf", "dorgqr", "dtrtrs", "dtrmm"):
         routine, int_type = lapack_routine(name).args
         assert _address(routine) == _address(_numpy_wheel_symbol(routine.__name__))
         assert int_type is (ctypes.c_int64 if routine.__name__.endswith("_64_") else ctypes.c_int32)

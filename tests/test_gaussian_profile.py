@@ -1,5 +1,6 @@
 """Gaussian fitting, Mahalanobis distances, thresholds, and diversity shift."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
-from oracle_utils import reference_mahalanobis_sq
+from oracle_utils import gemm_mahalanobis_sq, reference_mahalanobis_sq
 from shiftzoo import gaussian_profile
+from shiftzoo.blas_threads import BLOCK_DOUBLES, ROW_ALIGN, single_blas_thread
 from shiftzoo.errors import NumericalError, ValidationError
 from shiftzoo.feature_store import build_feature_set
 from shiftzoo.gaussian_profile import (
+    DomainProfile,
     dataset_diversity,
     diversity_shift,
     escape_mask,
@@ -164,6 +167,87 @@ def test_mahalanobis_accepts_single_row():
     d = mahalanobis_sq(mean, chol, np.array([3.0, 4.0]))
     assert d.shape == (1,)
     assert d[0] == pytest.approx(25.0)
+
+
+def _block_rows(width):
+    """Rows per block of ``mahalanobis_sq``: about BLOCK_DOUBLES values, a multiple of ROW_ALIGN."""
+    return max(ROW_ALIGN, BLOCK_DOUBLES // width // ROW_ALIGN * ROW_ALIGN)
+
+
+def _mean_and_inverse_factor(width, seed):
+    """A fitted mean and L^-1, as ``fit_profile`` makes them, of 2 * width + 8 normal rows."""
+    mean, cov = fit_gaussian(np.random.default_rng(seed).normal(size=(2 * width + 8, width)))
+    return mean, lower_inverse(regularize_and_factor(cov))
+
+
+@pytest.mark.parametrize("width", [1, 4, 17, 31, 100, 512, 700])
+def test_distances_match_the_whole_batch_product_on_either_side_of_a_block(width):
+    block = _block_rows(width)
+    mean, inv_chol = _mean_and_inverse_factor(width, width)
+    rng = np.random.default_rng(width + 1)
+    for n in (1, block - 1, block, block + 1, 3 * block + 5):
+        x = (rng.normal(size=(n, width)) + 0.5).astype(np.float32)
+        got = mahalanobis_sq(mean, inv_chol, x)
+        np.testing.assert_allclose(got, gemm_mahalanobis_sq(mean, inv_chol, x), rtol=1e-13)
+
+
+@pytest.mark.parametrize("width", [17, 100, 700])
+def test_the_block_size_does_not_change_a_distance_on_one_blas_thread(width, monkeypatch):
+    """Cuts at multiples of ROW_ALIGN keep the bits of one whole-batch product."""
+    mean, inv_chol = _mean_and_inverse_factor(width, width)
+    x = np.random.default_rng(width + 2).normal(size=(3001, width)).astype(np.float32)
+    with single_blas_thread():
+        want = mahalanobis_sq(mean, inv_chol, x)
+        # 100 and 250 rows round down to multiples of ROW_ALIGN
+        for block_rows in (ROW_ALIGN, 100, 250, len(x)):
+            monkeypatch.setattr(gaussian_profile, "BLOCK_DOUBLES", block_rows * width)
+            assert mahalanobis_sq(mean, inv_chol, x).tobytes() == want.tobytes(), block_rows
+
+
+@pytest.mark.parametrize("layout", ["C", "strided"])
+def test_a_hand_built_profile_scores_with_any_layout_of_its_inverse_factor(layout):
+    width = 37
+    mean, inv_chol = _mean_and_inverse_factor(width, 9)
+    if layout == "C":
+        hand = np.ascontiguousarray(inv_chol)
+    else:
+        rows = np.zeros((2 * width, width))
+        rows[::2] = inv_chol
+        hand = rows[::2]
+    assert not hand.flags.f_contiguous
+    x = np.random.default_rng(10).normal(size=(500, width)).astype(np.float32)
+    want = gemm_mahalanobis_sq(mean, inv_chol, x)
+    threshold = float(np.median(want))
+    profile = DomainProfile(domain_id="a", mean=mean, inv_chol=hand, threshold=threshold)
+    got = mahalanobis_sq(profile.mean, profile.inv_chol, x)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert got.tobytes() == mahalanobis_sq(mean, inv_chol, x).tobytes()
+    np.testing.assert_array_equal(escape_mask(profile, x), got > threshold)
+
+
+def test_a_batch_allocates_one_row_block_and_the_output():
+    """The whole-batch product held two 3200 x 192 float64 arrays, 4.9 MB each."""
+    if gaussian_profile.lapack_routine("dtrmm") is None:
+        pytest.skip("numpy links no OpenBLAS that exports dtrmm here")
+    n, width = 3200, 192
+    mean, inv_chol = _mean_and_inverse_factor(width, 3)
+    x = np.random.default_rng(4).normal(size=(n, width)).astype(np.float32)
+    mahalanobis_sq(mean, inv_chol, x)  # binds dtrmm and sets its argument types
+    tracemalloc.start()
+    try:
+        mahalanobis_sq(mean, inv_chol, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, out = 8 * _block_rows(width) * width, 8 * n
+    assert _block_rows(width) < n
+    # besides: numpy's one ufunc buffer (getbufsize() doubles), a few Python objects
+    assert peak <= block + out + 8 * np.getbufsize() + 4096, peak
+
+
+def test_an_inverse_factor_of_another_width_is_refused():
+    with pytest.raises(ValidationError, match=r"L\^-1 of shape \(4, 4\) does not fit 3-wide rows"):
+        mahalanobis_sq(np.zeros(3), np.eye(4), np.ones((5, 3)))
 
 
 def test_threshold_on_distinct_integers():
