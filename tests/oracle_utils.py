@@ -634,6 +634,12 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
             if config.rew_active and step >= config.n_anneal
             else None
         )
+        # a batch whose raw weights underflow comes back as zeros, refused here
+        if rew_batch is not None and not rew_batch.any():
+            raise ValidationError(
+                f"temperature {config.temperature} underflows reweighting weights to 0; "
+                "raise the temperature"
+            )
         stats = train_step(
             head, optimizer, x_train[idx], y_train[idx],
             x_div[idx] if config.hsic_active else None, rew_batch, config, step,

@@ -737,11 +737,29 @@ def test_train_step_gating():
     assert post.ce + cfg.lam * post.hsic == total
 
 
+def _blocks_of(monkeypatch, size):
+    """Cut every training loop into blocks of ``size`` steps (None: the whole
+    run), by setting the block budget to that many steps' bytes. Returns the
+    list that each loop's block lengths are appended to."""
+    real, cuts = et._step_blocks, []
+
+    def cut(steps, step_bytes):
+        monkeypatch.setattr(et, "STEP_BLOCK_BYTES", (size or steps) * step_bytes)
+        blocks = real(steps, step_bytes)
+        cuts.append([len(b) for b in blocks])
+        return blocks
+
+    monkeypatch.setattr(et, "_step_blocks", cut)
+    return cuts
+
+
 def test_rew_weights_run_only_from_n_anneal(monkeypatch):
-    calls = []
+    # blocks of 5 steps: the block of steps 10-14 computes weights for 13 and 14 only
+    _blocks_of(monkeypatch, 5)
+    batches = []
 
     def counting(aux, z, labels, temperature):
-        calls.append(len(labels))
+        batches.append(labels.shape[:-1])
         return rew_weights(aux, z, labels, temperature)
 
     monkeypatch.setattr(et, "rew_weights", counting)
@@ -751,7 +769,9 @@ def test_rew_weights_run_only_from_n_anneal(monkeypatch):
         eval_every=10, seed=3, aux_steps=20, aux_lr=1e-2,
     )
     [res] = train_on_sets(sets, None, _train_rows(sets), 3, cfg, [test])
-    assert len(calls) == cfg.steps - cfg.n_anneal
+    # one weighted (step, fold) batch per step from n_anneal on, and no other
+    assert sum(math.prod(shape) for shape in batches) == cfg.steps - cfg.n_anneal
+    assert batches[0] == (2, 1)
     assert all(s.mean_weight == 1.0 for s in res.log[: cfg.n_anneal])
 
 
@@ -1069,6 +1089,97 @@ def test_stacked_folds_match_the_per_fold_reference_bitwise(mode, n_heads):
     if n_heads == 3:
         # the best checkpoint comes before the last step for some fold
         assert any(r.best_step < cfg.steps - 1 for r in got)
+
+
+def test_the_block_size_changes_no_bit(monkeypatch):
+    """Blocks of 1 step, of 3 steps and of the whole run give the same bits.
+    With blocks of 3, the penalty (step 5) and the weights (step 13) switch
+    on mid-block, and the 37 steps and the classifier's 17 end on a short
+    block."""
+    *sets, _ = _uneven_sets(0, sizes=(150, 210, 270, 90))
+    rows = _train_rows(sets)
+    div_rows, cor_rows = rows[:, ::-1].copy(), rows[:, :4] ** 2
+    cfg = TrainConfig(
+        lam=5.0, n_warmup=5, n_anneal=13, learning_rate=3e-2, weight_decay=0.01, batch_size=16,
+        steps=37, eval_every=10, seed=3, aux_steps=17, aux_lr=1e-2, aux_batch_size=8,
+    )
+    runs = {}
+    for size in (1, 3, None):
+        cuts = _blocks_of(monkeypatch, size)
+        results = train_on_sets(sets, div_rows, cor_rows, 3, cfg, sets)
+        monkeypatch.undo()
+        # the classifier's loop, then the head's
+        assert cuts == {1: [[1] * 17, [1] * 37], 3: [[3] * 5 + [2], [3] * 12 + [1]],
+                        None: [[17], [37]]}[size]
+        runs[size] = [_result_bits(r) for r in results]
+    assert runs[1] == runs[3] == runs[None]
+
+
+@pytest.mark.parametrize("pool", [1, 2, 7, 100, 4099, 2**31 + 11, 2**40 + 3])
+@pytest.mark.parametrize("size", [1, 5, 32])
+def test_one_draw_of_a_block_takes_what_its_steps_take(pool, size):
+    """``integers`` with an (S, m) size gives the S draws of m that S calls
+    give, and leaves the generator where they leave it."""
+    block_rng, step_rng = np.random.default_rng(pool), np.random.default_rng(pool)
+    block = block_rng.integers(0, pool, size=(6, size))
+    steps = np.stack([step_rng.integers(0, pool, size=size) for _ in range(6)])
+    assert np.array_equal(block, steps)
+    assert block_rng.integers(0, 2**62) == step_rng.integers(0, 2**62)
+    # the same for _draw, one pool and generator per head
+    pools = [np.arange(pool % 1000 + 1) * 3, np.arange(5)]
+    rngs = [[np.random.default_rng(s) for s in (pool, pool + 1)] for _ in range(2)]
+    drawn = et._draw(rngs[0], pools, size, 6)
+    assert drawn.shape == (6, 2, size)
+    assert np.array_equal(drawn, np.concatenate([et._draw(rngs[1], pools, size, 1)
+                                                 for _ in range(6)]))
+
+
+@pytest.mark.parametrize("dim", [12, 192, 2048])
+def test_a_block_of_weights_has_the_bits_of_each_step(dim):
+    """The weights of S steps, (S, F, m, dim) rows, are each step's weights
+    bit for bit: every batch is its own (m, dim) product."""
+    rng = np.random.default_rng(dim)
+    n, heads, m = 300, 3, 32
+    z = rng.normal(size=(n, dim)).astype(np.float32)
+    y = rng.integers(0, 4, size=n)
+    pools = [np.arange(n), np.arange(0, n, 2), np.arange(100, n)]
+    aux = train_rew_auxiliary(z, y, 4, [0, 1, 2], pools, steps=5, lr=1e-2)
+    idx = rng.integers(0, n, size=(5, heads, m))
+    block = rew_weights(aux, z[idx], y[idx], 0.7)
+    assert block.shape == (5, heads, m)
+    for s in range(5):
+        assert block[s].tobytes() == rew_weights(aux, z[idx[s]], y[idx[s]], 0.7).tobytes()
+
+
+def test_weights_that_underflow_are_refused_at_their_own_step(monkeypatch):
+    """One block computes the weights of steps 3 on before step 0. A batch
+    whose weights underflow is refused at its step, after the steps before it
+    ran, and a non-finite loss at an earlier step ends the run first."""
+    _blocks_of(monkeypatch, None)
+    steps = []
+    real = et.train_step
+    monkeypatch.setattr(et, "train_step", lambda *a: steps.append(a[7]) or real(*a))
+    sets = _uneven_sets(2)
+    # rows that give each label away: the classifier grows sure of it, and at
+    # T = 0.001 a sure row's raw weight, (prior / p_y) ** 1000, underflows to 0
+    labels = np.concatenate([fs.train_labels for fs in sets])
+    cor_rows = 5 * np.eye(3, dtype=np.float32)[labels]
+    cfg = TrainConfig(lam=0.0, temperature=0.001, n_anneal=3, steps=20, learning_rate=1e-3,
+                      eval_every=5, seed=0, aux_steps=100, aux_lr=1e-1)
+    refused = r"^temperature 0\.001 underflows reweighting weights to 0; raise the temperature$"
+    with pytest.raises(ValidationError, match=refused):
+        train_on_sets(sets, None, cor_rows, 3, cfg, sets[1:2])
+    assert steps == [0, 1, 2]
+    with pytest.raises(ValidationError, match=refused):
+        reference_train_on_sets(sets, None, cor_rows, 3, cfg, sets[1:2])
+    # d0's rows 1e30 times the others: at a learning rate of 1e8 the loss of
+    # step 1 is not finite, as in the erm run of the same sets
+    sets[0] = _uneven_sets(2, scale=1e30)[0]
+    steps.clear()
+    with pytest.raises(NumericalError, match=r"^the fold on target 'd1' has a non-finite loss "
+                                             r"at step 1 "):
+        train_on_sets(sets, None, cor_rows, 3, replace_cfg(cfg, learning_rate=1e8), sets[1:2])
+    assert steps == [0, 1]
 
 
 def test_stacked_wide_folds_split_each_fold_product_bitwise(monkeypatch):

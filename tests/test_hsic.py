@@ -14,7 +14,12 @@ from oracle_utils import (
 )
 
 from shiftzoo.errors import ValidationError
-from shiftzoo.hsic import KernelSpec, gaussian_kernel_matrix, hsic_b_value_and_grad
+from shiftzoo.hsic import (
+    KernelSpec,
+    centred_kernel,
+    gaussian_kernel_matrix,
+    hsic_b_value_and_grad,
+)
 
 
 def naive_kernel(z: np.ndarray, gamma_eff: float) -> np.ndarray:
@@ -179,3 +184,31 @@ def test_value_and_grad_match_reference_bitwise(
     assert hsic_b(z1, z2, s1, s2) == value
     [kernel] = gaussian_kernel_matrix(z1[None], s1)
     assert kernel.tobytes() == reference_gaussian_kernel(z1, s1.effective_gamma(d1)).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 32, 97])
+def test_a_block_of_centred_kernels_gives_each_step_the_bits_of_its_rows(m):
+    """Kernels built for S steps of F batches at once, (S, F, m, d), give each
+    step's value and gradient the bits that step's rows give."""
+    rng = np.random.default_rng(m)
+    steps, heads = 5, 3
+    logits = rng.normal(size=(steps, heads, m, 4)).astype(np.float32)
+    rows = rng.normal(size=(steps, heads, m, 12)).astype(np.float32)
+    s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
+    block = centred_kernel(rows, s2)
+    assert block.matrix.shape == block.centred.shape == (steps, heads, m, m)
+    assert block.row_mean.shape == (steps, heads, m) and block.mean.shape == (steps, heads)
+    for s in range(steps):
+        value, grad = hsic_b_value_and_grad(logits[s], block[s], s1, s2)
+        want_value, want_grad = hsic_b_value_and_grad(logits[s], rows[s], s1, s2)
+        assert value.tobytes() == want_value.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_a_centred_kernel_must_pair_with_the_first_rows():
+    s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
+    kernel = centred_kernel(np.zeros((2, 5, 3)), s2)
+    with pytest.raises(ValidationError, match="must be paired"):
+        hsic_b_value_and_grad(np.zeros((2, 4, 3)), kernel, s1, s2)
+    with pytest.raises(ValidationError, match="2-D matrices or stacks"):
+        hsic_b_value_and_grad(np.zeros((5, 3)), kernel, s1, s2)
