@@ -17,8 +17,10 @@ domain's own overlap rows. The correlation shift between domains a and b is
 clamped into [0, 1]. Overlap rows are the training rows that do not escape
 the other domain's Gaussian fit; with no overlap at all the estimate is 0 and
 flagged. ``dataset_correlation`` fits each domain at most once per call, and
-only when one of its pairs has overlap rows; a pair only calibrates and
-compares the two fits. Fits and overlap rows come from a set's ``train`` view
+only when one of its pairs has overlap rows. A pair widens its pooled overlap
+rows to float64 once, and each fit predicts them once: each side calibrates on
+its own slice of its fit's prediction, and the two calibrated predictions are
+compared on all of them. Fits and overlap rows come from a set's ``train`` view
 and ``train_labels``, whose rows are the ones the escape flags are in.
 """
 
@@ -153,11 +155,11 @@ def _fit_basis(
     ]
     t = np.array([t_c for t_c, _ in fits])
     # q = res + t |m|^2 at t, with y's share along the directions below t
-    # from the residual, not from btilde^2 / s, which a small s holds badly
+    # from the residual, not from btilde^2 / s, which a small s holds badly;
+    # with no direction below t that residual is r0
     above = s >= t
     q = np.where(above, btilde**2 * t / (s * (t + s)), -(btilde**2) / (t + s)).sum(axis=0)
-    if k < n or not above.all():
-        q += outside(np.where(above, btilde / s, 0.0))
+    q += r0 if above.all() else outside(np.where(above, btilde / s, 0.0))
     beta = np.divide(n, q, out=np.full(n_classes, EMPTY_CLASS_BETA), where=q > 0)
     evidence = 0.5 * (np.log(beta) - beta * q / n - _LOG_2PI + np.log(t / (t + s)).sum(axis=0) / n)
     weights = (vt.T @ (btilde / (t + s))).T
@@ -197,9 +199,7 @@ def predict_tilde(model: EvidenceModel, features: np.ndarray) -> np.ndarray:
     raw = np.maximum(phi @ model.weight_matrix, 0.0)
     sums = raw.sum(axis=1, keepdims=True)
     out = np.full_like(raw, 1.0 / model.n_classes)
-    ok = sums[:, 0] > 1e-12
-    out[ok] = raw[ok] / sums[ok]
-    return out
+    return np.divide(raw, sums, out=out, where=sums > 1e-12)
 
 
 @dataclass(frozen=True)
@@ -283,17 +283,11 @@ def correlation_shift(
     if n_a + n_b:
         n_classes = model_a.n_classes
         # select the overlap rows before the (exact) float32 -> float64 conversion
-        overlap_a = fs_a.train[keep_a].astype(np.float64)
-        overlap_b = fs_b.train[keep_b].astype(np.float64)
-        cal_a = calibrate(
-            predict_tilde(model_a, overlap_a), fs_a.train_labels[keep_a], n_classes, n_bins
-        )
-        cal_b = calibrate(
-            predict_tilde(model_b, overlap_b), fs_b.train_labels[keep_b], n_classes, n_bins
-        )
-        pooled = np.concatenate([overlap_a, overlap_b], axis=0)
-        p_a = cal_a.apply(predict_tilde(model_a, pooled))
-        p_b = cal_b.apply(predict_tilde(model_b, pooled))
+        pooled = np.concatenate([fs_a.train[keep_a], fs_b.train[keep_b]]).astype(np.float64)
+        raw_a, raw_b = predict_tilde(model_a, pooled), predict_tilde(model_b, pooled)
+        cal_a = calibrate(raw_a[:n_a], fs_a.train_labels[keep_a], n_classes, n_bins)
+        cal_b = calibrate(raw_b[n_a:], fs_b.train_labels[keep_b], n_classes, n_bins)
+        p_a, p_b = cal_a.apply(raw_a), cal_b.apply(raw_b)
         f_cor = min(max(0.5 * float(np.abs(p_a - p_b).sum(axis=1).mean()), 0.0), 1.0)
     return PairCorrelation(
         fs_a.domain_id, fs_b.domain_id, f_cor, n_a, n_b, empty_overlap=n_a + n_b == 0

@@ -486,6 +486,25 @@ def test_dataset_correlation_fits_each_domain_at_most_once(monkeypatch):
     assert fitted == ["a", "b", "c"]
 
 
+def test_each_fit_predicts_a_pairs_overlap_rows_once(monkeypatch):
+    sets = _four_domains()
+    _, pair_div = dataset_diversity(sets)
+    predicted = []
+    real_predict = correlation_profile.predict_tilde
+
+    def counting_predict(model, features):
+        predicted.append(len(features))
+        return real_predict(model, features)
+
+    monkeypatch.setattr(correlation_profile, "predict_tilde", counting_predict)
+    _, pairs = dataset_correlation(sets, pair_div, n_classes=2)
+    # two calls per pair with overlap rows, each on all of its pooled rows;
+    # the three pairs of "far" have none and make no call
+    pooled = [p.n_overlap_a + p.n_overlap_b for p in pairs.values() if not p.empty_overlap]
+    assert len(pooled) == 3
+    assert predicted == [n for n in pooled for _ in range(2)]
+
+
 @pytest.mark.parametrize("n_bins", [0, -5])
 @pytest.mark.parametrize("far", [False, True])
 def test_dataset_correlation_rejects_bins_before_fitting(monkeypatch, n_bins, far):

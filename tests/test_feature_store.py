@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracle_utils import reference_pair_shifts, train_first
@@ -430,17 +430,27 @@ def test_loading_checks_each_matrix_for_non_finite_values_once(tmp_path, monkeyp
     seed=st.integers(0, 2**32 - 1),
     n_domains=st.integers(2, 3),
     n=st.integers(12, 90),
-    d=st.integers(1, 5),
+    d=st.integers(1, 48),
     n_classes=st.integers(2, 3),
     ratio=st.sampled_from([0.2, 0.3, 0.5]),
     split_seed=st.integers(0, 1000),
     offset=st.sampled_from([0.0, 0.5, 3.0]),
 )
+# pairs with a one-row overlap side: (dom0, dom2) has 50 and 1 rows at width 48,
+# (dom0, dom2) 1 and 4 rows at width 48, and (dom0, dom1) 0 and 1 rows at width 3
+@example(seed=763308098, n_domains=3, n=75, d=48, n_classes=3, ratio=0.2, split_seed=392,
+         offset=0.5)
+@example(seed=1347780874, n_domains=3, n=80, d=48, n_classes=2, ratio=0.5, split_seed=845,
+         offset=0.5)
+@example(seed=1528336650, n_domains=3, n=63, d=3, n_classes=2, ratio=0.2, split_seed=692,
+         offset=3.0)
 def test_views_score_every_pair_as_gathers_by_split_mask(
     seed, n_domains, n, d, n_classes, ratio, split_seed, offset
 ):
     """dataset_diversity and dataset_correlation on the train-first sets give
-    every pair the bits of scoring the file rows gathered by ``split_mask``."""
+    every pair the bits of scoring the file rows gathered by ``split_mask``,
+    where the reference predicts each side's overlap rows on their own and
+    again within the pooled rows."""
     rng = np.random.default_rng(seed)
     domains = [
         (f"dom{e}", (rng.normal(size=(n, d)) + e * offset).astype(np.float32),
