@@ -161,15 +161,12 @@ def _fold_record(fold: Fold) -> dict:
     return {key: getattr(fold if hasattr(fold, key) else fold.result, key) for key in FOLD_SPEC}
 
 
-def _write_train_log(path: str, folds: Sequence[Fold]) -> None:
-    lines = []
+def _write_train_log(path: str, folds: Sequence[Fold], config: TrainConfig) -> None:
+    lines, lr = [], config.learning_rate
     for fold in folds:
         lines.append(f"# fold target={fold.target_domain}")
-        for s in fold.result.log:
-            lines.append(
-                f"step={s.step} ce={s.ce!r} hsic={s.hsic!r} "
-                f"mean_weight={s.mean_weight!r} lr={s.lr!r}"
-            )
+        lines += [f"step={step} ce={ce!r} hsic={hsic!r} mean_weight={weight!r} lr={lr!r}"
+                  for step, (ce, hsic, weight) in enumerate(fold.result.log.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -191,7 +188,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     write_report(report, args.out)
     if args.log:
-        _write_train_log(args.log, folds)
+        _write_train_log(args.log, folds, config)
     for fold in report["folds"]:
         print(
             f"fold target={fold['target_domain']} "

@@ -7,69 +7,43 @@ diversity-auxiliary representation:
 
     loss = mean_i w_i * CE_i + lambda * HSIC_b(logits, z_div)
 
-The HSIC term switches on after ``n_warmup`` steps. The weights w_i come from
-a linear reweighting classifier trained on a frozen correlation-auxiliary
-representation and stay at 1 until ``n_anneal`` steps have passed; with
-temperature +inf they are identically 1 and the auxiliary is never trained,
-which makes the reduction to plain ERM exact, bit for bit.
+The HSIC term switches on at step ``n_warmup``. The weights w_i come from a
+linear reweighting classifier trained on a frozen correlation-auxiliary
+representation and stay at 1 until step ``n_anneal``; with temperature +inf
+they are identically 1 and the classifier is never trained, which makes the
+reduction to plain ERM exact, bit for bit. ``train_on_sets`` decides when
+each term is on; ``train_step`` applies what it is given.
 
-Every head is a stack of F >= 1 heads of one shape (``MlpHead``), whose
-parameters are the rows of one (F, P) float32 block: each head's weights and
-biases are views into its row, backprop fills a gradient block laid out the
-same way, and ``AdamW`` updates the block in place as one F * P vector, one
-cache-sized chunk at a time, with two chunk-sized scratch vectors. All
-gradients are computed analytically (manual backprop); parameters update
-with Adam plus decoupled weight decay.
+``train`` trains the F leave-one-domain-out folds of one call as one stack
+of heads (``MlpHead``), whose parameters are the rows of one (F, P) float32
+block: each layer's forward and backward is one ``matmul`` over (F, rows,
+width) stacks, and the cross-entropy, the HSIC penalty, the reweighting
+classifier and ``AdamW`` each serve every fold with one call. Gradients come
+from manual backprop.
 
 Precision: a head computes in float32, the dtype its feature rows are stored
-in. Its parameters, moments, gradients, activations, logits and
-cross-entropy are float32, and so is the reweighting classifier's stack. The
-HSIC penalty (``hsic`` widens its inputs) and the reweighting weights are
-float64; a batch's weights enter the cross-entropy as float32, and the HSIC
-gradient is added to the float32 logit gradient. "Exact" here means
-deterministic bytes and the oracle gates, not float64: every fold of a stack
-still gets the bits it gets alone, and the bits do not follow the OpenBLAS
-thread count.
+in, and so does the reweighting classifier. The HSIC penalty (``hsic``
+widens its inputs) and the reweighting weights are float64; a batch's
+weights enter the cross-entropy as float32, and the HSIC gradient is added
+to the float32 logit gradient. "Exact" here means deterministic bytes and
+the oracle gates, not float64: every fold of a stack gets the bits it gets
+alone, and the bits follow neither the OpenBLAS thread count nor the size
+of a block of steps. numpy's overflow and invalid warnings are off while it
+trains, on every thread: a non-finite loss or logit, or logits that cannot
+be profiled, end the run as one ``NumericalError`` that names the fold.
 
-``train`` trains the F leave-one-domain-out folds of one call as one stack:
-each layer's forward and backward is one ``matmul`` over (F, rows, width)
-stacks, and the cross-entropy, the HSIC penalty, the reweighting classifier
-and AdamW each serve every fold with one call. Each fold keeps its own random
-streams, batch draws (row indices into one array of training rows per
-encoder), evaluations, best checkpoint and test pass, and gets the bits it
-gets when trained alone, as a stack of one. The training and validation
-pools concatenate the sets' ``train`` and ``val`` views; a test pass or a
-logit profile reads a whole set, in its train-first row order. numpy's
-overflow and invalid warnings are off while it trains, on every thread: a
-non-finite loss or logit, or logits that cannot be profiled, end the run as
-one ``NumericalError`` that names the fold.
+Threads: ``train`` runs with OpenBLAS on one thread; the calling thread and
+the process's one worker pool (``blas_threads.run_tasks``) run AdamW's
+chunks and the blocks of the head's large GEMMs (``_matmul``) instead, each
+split bit for bit the serial result.
 
-Threads: ``train`` runs with OpenBLAS on one thread, and the calling thread
-and the process's one worker pool (``blas_threads.run_tasks``) do the
-parallel work instead. ``AdamW`` gives each worker one contiguous run of
-chunks; the head's large GEMMs (``_matmul``) are cut into row or column
-blocks, one per worker. With OpenBLAS on one thread both splits are bit for
-bit the serial result, and small heads and GEMMs take the serial code.
-
-Per-call cost: a desk-sized head (12 -> 6 -> 256 -> 4, batch 32) makes each
-step about 40 numpy calls on tiny arrays, so the step's time is call
-overhead, not arithmetic. The step therefore makes each call once, and once
-for all folds: stacking F folds divides the calls per fold-step by F. On 2
-vCPUs one step of three stacked desk folds took 0.25 ms against 0.50 ms for
-three one-fold steps (0.39 against 0.85 ms with HSIC and weights).
-What a step reads but its parameters do not touch (its batch draws, the
-weights of the frozen reweighting classifier and the diversity auxiliary's
-kernel) is computed for a block of steps at once (``train_on_sets``), and
-each step indexes into the block: a step of three stacked desk folds with
-HSIC and weights then took 0.31 ms against 0.36 ms when each step computed
-them, and 0.16 against 0.18 ms without them, where only the draws are
-blocked (best of 7 runs of 1000 steps, on the same host).
-The cross-entropy shares one max, one ``exp`` and one row sum between its
-value and its softmax gradient; uniform weights are ``None``, not an array
-of ones; reductions call ``np.add.reduce`` directly instead of the
-``mean``/``sum`` wrappers (the same reduction, so the same bits); and small
-products go straight to ``np.matmul``, whose stacked product runs each
-matrix as the 2-D product would.
+A desk-sized step is a few dozen numpy calls on tiny arrays, so its time is
+call overhead, not arithmetic. A step therefore makes each call once for all
+folds; what it reads but its parameters do not touch (its batch draws, the
+reweighting weights and the auxiliary's kernels) is computed for a block of
+steps at once; uniform weights are ``None``, not an array of ones; and
+reductions call ``np.add.reduce``, which ``mean`` and ``sum`` run, so the
+bits are theirs.
 """
 
 from __future__ import annotations
@@ -142,17 +116,15 @@ def _blocks(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> list[Callable[[], 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(a, b, out=out)`` for stacks of matrices, (F, m, k) @ (F, k, n),
-    the same bits. A deeper stack, (..., F, m, k), goes straight to numpy.
+    the same bits; a deeper stack, (..., F, m, k), goes straight to numpy.
 
     A product of at least two ``SPLIT_MACS`` blocks per matrix is cut matrix
     by matrix, by rows when it has enough of them, else by columns, into one
-    block per usable CPU. The blocks run on the calling thread and the worker
-    pool. It is cut only while OpenBLAS is on one thread, as ``train`` runs
-    it: with more OpenBLAS threads, OpenBLAS cuts each block again, and a
-    product of ragged shape can then differ from the uncut one in the last
-    bit, so it runs uncut. Smaller products, every one of a desk-sized head,
-    go straight to ``np.matmul``, which runs each matrix of a stack as the
-    2-D product.
+    block per usable CPU, run on the calling thread and the worker pool. It
+    is cut only while OpenBLAS is on one thread: with more, OpenBLAS cuts each
+    block again, and a ragged product can then differ from the uncut one in
+    the last bit. Smaller products go straight to ``np.matmul``, which runs
+    each matrix of a stack as the 2-D product.
     """
     (m, k), n = a.shape[-2:], b.shape[-1]
     if a.ndim != 3 or m * k * n < 2 * SPLIT_MACS or numpy_blas_threads() > 1:
@@ -245,15 +217,12 @@ class MlpHead:
     weights (float64 normals, rounded to float32). ``params`` is one (F, P)
     float32 block whose row f holds every weight and bias of head f, layer by
     layer (weight, then bias); ``weights[i]`` and ``biases[i]`` are (F, ...)
-    views into it. A pass computes in the block's dtype. It takes (F, rows,
+    views into it. A pass computes in the block's dtype, takes (F, rows,
     width), one matrix per head, or (rows, width), which every head reads,
-    and gives (F, rows, out): one ``matmul`` per layer for all F heads. A
-    pass of ``predict_logits`` also takes a deeper stack, (..., F, rows,
-    width), whose every (rows, width) matrix head f's layers multiply as
-    they would alone.
-    ``fold(f)`` is head f as a stack of one, on views into the stack.
-    ``for_input`` builds the standard three-layer shape: input, half the
-    input width, 256 (512 when the input is 2048-dimensional), classes.
+    and gives (F, rows, out). ``predict_logits`` also takes a deeper stack,
+    (..., F, rows, width), each of whose matrices head f multiplies as it
+    would alone. ``for_input`` builds the standard three-layer shape: input,
+    half the input width, 256 (512 when the input is 2048-dimensional), classes.
     """
 
     def __init__(self, dims: Sequence[int], rngs: Sequence[np.random.Generator | int]):
@@ -374,25 +343,19 @@ class MlpHead:
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    Updates a parameter array in place as one flat vector (a stack's (F, P)
-    block is one F * P vector), ``CHUNK`` elements at a time: every op of the
-    update runs over one chunk before the next chunk starts, so at head
-    widths of 2048 the chunk's parameters, moments, gradient and scratch stay
-    in cache instead of streaming from memory once per op. The moments and
-    scratch take the parameters' dtype, so with a gradient of that dtype the
-    update runs in it. The chunks
-    are split into one contiguous run per worker, up to the usable CPU
-    count; each run has its own two chunk-length scratch vectors, and the
-    runs are ``run_tasks`` tasks. The update is elementwise, so the split
-    changes no bit. The moments are full size. The per-chunk views
-    are built once, so a step allocates no arrays, and a vector that fits in
-    one chunk is updated by the calling thread without slicing.
+    Updates a C-contiguous parameter array in place as one flat vector, in
+    the parameters' dtype, ``CHUNK`` elements at a time: every op of the
+    update runs over one chunk before the next starts, so at head widths of
+    2048 a chunk's parameters, moments, gradient and scratch stay in cache.
+    The chunks are split into one contiguous run per worker, up to the
+    usable CPU count, each with its own two chunk-length scratch vectors, as
+    ``run_tasks`` tasks; the update is elementwise, so the split changes no
+    bit. The per-chunk views are built once, so a step allocates no arrays.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # 256 KiB per float32 array. One step on the 2.6 M-parameter 2048-wide
-    # head, two workers on 2 vCPUs (AVX-512 Xeon), best of 5 x 50 steps:
-    # 13.1 ms at 2^14, 7.5 ms at 2^15, 6.2 ms at 2^16, 6.1 ms at 2^17
+    # 256 KiB per float32 array: on the 2048-wide head, smaller chunks were
+    # slower and larger ones no faster
     CHUNK = 1 << 16
 
     def __init__(self, params: np.ndarray, lr: float, weight_decay: float = 0.0):
@@ -468,10 +431,10 @@ def weighted_cross_entropy(
     """Weighted mean CE of each batch of a stack, and its gradient with respect to the logits.
 
     ``logits`` is (F, m, classes), ``labels`` and ``weights`` (F, m); the CE
-    is an array of F means, computed in the logits' dtype, and ``weights`` is
-    cast to it. ``weights`` None means uniform weights of 1. One max, one
-    ``exp`` and one row sum serve both the log-sum-exp and the softmax, with
-    the same bits as computing each on its own.
+    is an array of F means, computed in the logits' dtype, and ``weights``
+    (None: uniform weights of 1) is cast to it. One max, one ``exp`` and one
+    row sum serve both the log-sum-exp and the softmax, with the bits of
+    computing each on its own.
     """
     if logits.ndim != 3:
         raise ValidationError(f"expected a stack of (F, m, classes) logits, got {logits.shape}")
@@ -518,17 +481,15 @@ def class_prior(labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, bool]:
     return prior / prior.sum(), True
 
 
-def _step_blocks(steps: int, step_bytes: int) -> list[range]:
+def _step_blocks(steps: int, step_bytes: int, switches: Sequence[int] = ()) -> list[range]:
     """``range(steps)`` cut into consecutive blocks of as many steps as fit
-    ``STEP_BLOCK_BYTES`` at ``step_bytes`` a step, and at least one."""
+    ``STEP_BLOCK_BYTES`` at ``step_bytes`` a step, and at least one; a block
+    also ends before each step of ``switches``, so none holds steps on both
+    sides of one."""
     size = max(1, STEP_BLOCK_BYTES // step_bytes)
-    return [range(a, min(a + size, steps)) for a in range(0, steps, size)]
-
-
-def _offset(first: int, block: range) -> int:
-    """The offset in ``block`` of its first step at or after step ``first``;
-    ``len(block)`` when it has none."""
-    return min(max(first - block.start, 0), len(block))
+    bounds = [0, *sorted({s for s in switches if 0 < s < steps}), steps]
+    return [range(a, min(a + size, hi)) for lo, hi in zip(bounds, bounds[1:])
+            for a in range(lo, hi, size)]
 
 
 def _draw(
@@ -595,12 +556,11 @@ def rew_weights(
     100, mean 1 (all 1 at T=inf).
 
     ``z`` and ``labels`` are (..., F, m, dim) features and (..., F, m)
-    labels: one batch per head, or a block of them, (S, F, m, dim) for S
-    steps. Each batch's logits are one (m, dim) product, as when it is
-    alone, so its weights have the bits they have alone. A batch with a raw
-    weight that underflows to 0 cannot be rescaled; its weights come back as
-    zeros, which no rescaled batch has (its largest weight is about 1 or
-    more), so that the caller can refuse it at the step that uses it.
+    labels, say (S, F, m, dim) for S steps. Each batch's logits are one (m,
+    dim) product, so its weights have the bits they have alone. A batch with
+    a raw weight that underflows to 0 cannot be rescaled and comes back as
+    zeros, which no rescaled batch has, so that the caller can refuse it at
+    the step that uses it.
     """
     probs = aux.predict_proba(z)
     p_y = np.maximum(np.take_along_axis(probs, labels[..., None], -1)[..., 0], P_FLOOR)
@@ -616,19 +576,6 @@ def rew_weights(
     return weights
 
 
-@dataclass(frozen=True)
-class StepStats:
-    """One step's statistics: one entry per head of the stack from ``train_step``
-    (an array of F, or one number for all while a term is off), one head's
-    floats in ``TrainResult.log``."""
-
-    step: int
-    ce: float
-    hsic: float
-    mean_weight: float
-    lr: float
-
-
 def head_loss_and_grads(
     head: MlpHead,
     x: np.ndarray,
@@ -642,18 +589,20 @@ def head_loss_and_grads(
     """Combined loss and parameter gradients for one batch per head of the stack.
 
     ``x`` holds (F, m, width) rows. Returns (total, ce, hsic, grad), each
-    loss an array of F (hsic 0.0 while off), with total = ce + lam * hsic;
-    ``grad`` is the stack's gradient block, overwritten by its next backward
-    pass. ``weights`` None means uniform weights. ``aux_div`` is the
-    diversity auxiliary's (F, m, dim) rows of the batches, or their
-    ``centred_kernel``, which gives the same bits. An inactive penalty is
-    lam = 0 and aux_div = None; the HSIC gradient flows through the logits
-    only, the auxiliary kernel is constant.
+    loss an array of F, with total = ce + lam * hsic; ``grad`` is the stack's
+    gradient block, overwritten by its next backward pass. ``weights`` None
+    means uniform weights. ``aux_div`` is the diversity auxiliary's (F, m,
+    dim) rows of the batches, or their ``centred_kernel``, which gives the
+    same bits; with lam = 0 or aux_div None there is no penalty (hsic 0.0),
+    and with one it needs m >= 2 (else ``ValidationError``). The HSIC
+    gradient flows through the logits only; the auxiliary kernel is constant.
     """
     logits, acts = head.forward(x)
     ce, dlogits = weighted_cross_entropy(logits, labels, weights)
     hsic_val = 0.0
     if lam > 0 and aux_div is not None:
+        if x.shape[-2] < 2:
+            raise ValidationError("HSIC penalty needs batch size >= 2")
         hsic_val, hsic_grad = hsic_b_value_and_grad(
             logits, aux_div, KernelSpec(gamma1), KernelSpec(gamma2)
         )
@@ -673,25 +622,18 @@ def train_step(
     config: TrainConfig,
     step_index: int,
     targets: Sequence[str] | None = None,
-) -> StepStats:
-    """One optimisation step of the gated combined loss for every head of the stack.
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """One optimisation step of every head of the stack; returns each head's (ce, hsic).
 
-    ``rew_batch`` holds the batch's sample weights, or None for uniform
-    weights; ``aux_div`` is as ``head_loss_and_grads`` takes it. The HSIC
-    penalty only applies once ``step_index`` reaches ``n_warmup`` and lambda
-    is positive. A non-finite loss raises ``NumericalError`` before the
-    update; ``targets``, each head's target domain, names the first head
-    whose loss it is, as the other errors of a fold begin: "the fold on
-    target 'X' ...".
+    It applies what it is given: the sample weights ``rew_batch`` (None:
+    uniform), and the HSIC penalty at ``config.lam`` against ``aux_div``, as
+    ``head_loss_and_grads`` takes it (None: no penalty, hsic 0.0). A
+    non-finite loss raises ``NumericalError`` before the update; ``targets``,
+    each head's target domain, names the first head whose loss it is, as the
+    other errors of a fold begin: "the fold on target 'X' ...".
     """
-    m = x.shape[-2]
-    use_hsic = config.hsic_active and step_index >= config.n_warmup
-    if use_hsic and m < 2:
-        raise ValidationError("HSIC penalty needs batch size >= 2")
-    weights = None if rew_batch is None else np.asarray(rew_batch, dtype=np.float64)
     total, ce, hsic_val, grad = head_loss_and_grads(
-        head, x, labels, weights, aux_div=aux_div if use_hsic else None,
-        lam=config.lam if use_hsic else 0.0, gamma1=config.gamma1, gamma2=config.gamma2,
+        head, x, labels, rew_batch, aux_div, config.lam, config.gamma1, config.gamma2
     )
     finite = np.isfinite(total)
     if not finite.all():
@@ -703,8 +645,7 @@ def train_step(
             "try a lower learning rate"
         )
     optimizer.step(grad)
-    mean_weight = 1.0 if weights is None else np.add.reduce(weights, -1) / m
-    return StepStats(step_index, ce, hsic_val, mean_weight, config.learning_rate)
+    return ce, hsic_val
 
 
 def _row_bytes(
@@ -734,17 +675,19 @@ class EvalRecord:
 
 @dataclass
 class TrainResult:
-    """Trained head plus the full step log and checkpoint metrics.
+    """Trained head plus the step log and checkpoint metrics.
 
     ``head`` is the head's fold of the trained stack, a stack of one with
     the final-step parameters; the ``best_*`` fields come from the
-    checkpoint with the highest pooled validation accuracy.
-    ``test_logits`` holds the final head's float32 (rows, classes) logits on
-    the test set, its rows in the set's train-first order.
+    checkpoint with the highest pooled validation accuracy. ``log`` is the
+    float64 (steps, 3) log: each step's cross-entropy, HSIC penalty (0 while
+    off) and mean batch weight (1 while off). ``test_logits`` holds the
+    final head's float32 (rows, classes) logits on the test set, its rows in
+    the set's train-first order.
     """
 
     head: MlpHead
-    log: list[StepStats]
+    log: np.ndarray
     evals: list[EvalRecord]
     final_val_accuracy: float
     best_val_accuracy: float
@@ -786,27 +729,21 @@ def train_on_sets(
     whose domain is not that of ``test_sets[f]``, selects its checkpoint on
     their pooled validation rows, and is tested on ``test_sets[f]``.
     ``div_rows`` and ``cor_rows`` are the diversity and correlation
-    auxiliaries' features of the training rows of ``main_sets``, in the same
-    order: each set's training rows in turn. Each is read only when its term
-    is active and may otherwise be None.
-
-    Each head draws its initial weights, batches and reweighting classifier
-    from its own generators, seeded as a head trained alone, and keeps its
-    own evaluations, best checkpoint and test pass, so it gets the bits it
-    gets when trained alone on its sets. The heads share one array of
-    training rows and one of validation rows per encoder and read their rows
-    by index.
+    auxiliaries' features of the training rows of ``main_sets``, each set's
+    in turn; each is read only when its term is active and may otherwise be
+    None. Each head draws its initial weights, batches and reweighting
+    classifier from its own generators, seeded as a head trained alone, so
+    it gets the bits it gets when trained alone on its sets; the heads read
+    one array of training rows and one of validation rows by index.
 
     The steps run in blocks (``_step_blocks``) of as many steps as
-    ``STEP_BLOCK_BYTES`` holds. What a step computes without reading the
-    parameters is computed for the whole block before its first step: each
-    head's batch draws, in one generator call, and their labels; the
-    reweighting weights, since the classifier is frozen; and the diversity
-    auxiliary's centred kernels. Each step then indexes into the block. The
-    weights and kernels cover a block's steps from ``n_anneal`` and
-    ``n_warmup`` on, and every batch keeps the bits it gets when its step
-    computes it, so no bit depends on the block size. A batch whose weights
-    underflow is refused at its own step, after the steps before it ran.
+    ``STEP_BLOCK_BYTES`` holds, and a block also ends where a term switches
+    on. Before its first step a block computes what its steps read without
+    the parameters: the batch draws and their labels, and, if the block lies
+    past the switch, the reweighting weights (the classifier is frozen) and
+    the auxiliary's centred kernels. Every batch keeps the bits it gets when
+    its step computes it, so no bit depends on the block size. A batch whose
+    weights underflow is refused at its own step, after the steps before it.
     """
     if not main_sets:
         raise ValidationError("need at least one training domain")
@@ -869,8 +806,8 @@ def train_on_sets(
         prior_floored = aux.prior_floored.tolist()
 
     optimizer = AdamW(stack.params, lr=config.learning_rate, weight_decay=config.weight_decay)
-    # per step and head: ce, hsic, mean weight
-    stats = np.empty((config.steps, 3, heads_n))
+    # per head and step: ce, hsic, mean weight
+    log = np.empty((heads_n, config.steps, 3))
     evals: list[list[EvalRecord]] = [[] for _ in range(heads_n)]
     best_acc, best_step = [-1.0] * heads_n, [-1] * heads_n
     best_state = stack.params.copy()
@@ -879,29 +816,29 @@ def train_on_sets(
     first_rew = config.n_anneal if config.rew_active else config.steps
     first_hsic = config.n_warmup if config.hsic_active else config.steps
     m = config.batch_size
-    for block in _step_blocks(config.steps, heads_n * m * _row_bytes(m, x_div, x_cor, n_classes)):
+    step_bytes = heads_n * m * _row_bytes(m, x_div, x_cor, n_classes)
+    for block in _step_blocks(config.steps, step_bytes, (first_rew, first_hsic)):
         idx = _draw(batch_rngs, train_pools, m, len(block))
         labels = y_train[idx]
-        rew_at, hsic_at = _offset(first_rew, block), _offset(first_hsic, block)
-        if rew_at < len(block):
-            weights = rew_weights(aux, x_cor[idx[rew_at:]], labels[rew_at:], config.temperature)
+        weights, kernels, mean_weight = None, None, 1.0
+        if block.start >= first_rew:
+            weights = rew_weights(aux, x_cor[idx], labels, config.temperature)
             usable = weights.any(-1).all(-1).tolist()
-        if hsic_at < len(block):
-            kernels = centred_kernel(x_div[idx[hsic_at:]], KernelSpec(config.gamma2))
+            mean_weight = (np.add.reduce(weights, -1) / m).T
+        log[:, block.start : block.stop, 2] = mean_weight
+        if block.start >= first_hsic:
+            kernels = centred_kernel(x_div[idx], KernelSpec(config.gamma2))
         for i, step in enumerate(block):
-            rew_batch = None
-            if i >= rew_at:
-                if not usable[i - rew_at]:
-                    raise ValidationError(
-                        f"temperature {config.temperature} underflows reweighting weights "
-                        "to 0; raise the temperature"
-                    )
-                rew_batch = weights[i - rew_at]
-            row = train_step(
+            if weights is not None and not usable[i]:
+                raise ValidationError(
+                    f"temperature {config.temperature} underflows reweighting weights "
+                    "to 0; raise the temperature"
+                )
+            log[:, step, 0], log[:, step, 1] = train_step(
                 stack, optimizer, x_train[idx[i]], labels[i],
-                kernels[i - hsic_at] if i >= hsic_at else None, rew_batch, config, step, targets,
+                None if kernels is None else kernels[i], None if weights is None else weights[i],
+                config, step, targets,
             )
-            stats[step, 0], stats[step, 1], stats[step, 2] = row.ce, row.hsic, row.mean_weight
             if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
                 for f, (head, rows) in enumerate(zip(heads, val_pools)):
                     val_acc = accuracy(head, x_val[rows], y_vals[f])
@@ -921,12 +858,8 @@ def train_on_sets(
         if best_step[f] != config.steps - 1:
             [best_logits] = best.fold(f).predict_logits(test_set.features)
             best_test = _argmax_accuracy(best_logits, test_set.labels)
-        log = [
-            StepStats(step, ce, hsic, mean_weight, config.learning_rate)
-            for step, (ce, hsic, mean_weight) in enumerate(stats[:, :, f].tolist())
-        ]
         results.append(TrainResult(
-            head=head, log=log, evals=evals[f], final_val_accuracy=evals[f][-1].val_accuracy,
+            head=head, log=log[f], evals=evals[f], final_val_accuracy=evals[f][-1].val_accuracy,
             best_val_accuracy=best_acc[f], best_step=best_step[f], final_test_accuracy=final_test,
             best_test_accuracy=best_test, test_logits=test_logits,
             prior_floored=prior_floored[f],
@@ -957,11 +890,10 @@ def train(
     The folds train as one stack (``train_on_sets``). Each fold's head is
     then profiled at logit level over every domain, once every fold's logits
     are known to be finite in float32. Each feature file the folds need is
-    read once: the main encoder's whole, and each auxiliary's only for its
-    training rows on the domains that train a fold, concatenated into one array
-    per auxiliary that every fold reads by row index. The folds run with
-    OpenBLAS on one thread, so their bytes do not depend on the BLAS thread
-    count; the previous count is restored on return.
+    read once: the main encoder's whole, and each auxiliary's training rows
+    on the domains that train a fold. The folds run with OpenBLAS on one
+    thread, so their bytes do not depend on the BLAS thread count; the
+    previous count is restored on return.
     """
     domains = manifest.domain_ids
     if not targets:
@@ -1026,11 +958,11 @@ def logit_feature_sets(
     """Push each domain's features through a stack of one head; logits become features.
 
     Labels and the split carry over: row i of a logit set is row i of its
-    feature set, training rows first, so the shift estimators can profile the
-    trained representation exactly like any encoder. ``known`` maps a
-    domain id to the logits this head already gave for that domain's rows,
-    which are used instead of a second pass. Logits past float32's range are
-    inf, with no warning; ``train`` refuses them.
+    feature set, so the shift estimators profile the trained representation
+    like any encoder. ``known`` maps a domain id to the logits this head
+    already gave for that domain's rows, used instead of a second pass.
+    Logits past float32's range are inf, with no warning; ``train`` refuses
+    them.
     """
     out = []
     for fs in sets:

@@ -450,13 +450,25 @@ def check_json(node, spec, where: str):
     return node
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A parsed JSON object, refused if it repeats a key, whose last value
+    ``json`` would otherwise keep."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def read_json(path: Path | str, what: str, spec):
     """Read and parse the JSON file at ``path`` and check it against ``spec``.
 
-    ``what`` names the kind of file in every error.
+    ``what`` names the kind of file in every error. A repeated key in any
+    object is refused.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
     except OSError as exc:
         raise ValidationError(f"cannot read {what}: {exc}") from exc
     except ValueError as exc:  # also an integer past Python's digit limit

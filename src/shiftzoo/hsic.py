@@ -6,24 +6,18 @@ computed in float64 via the expanded identity
     mean(K*L) + mean(K) * mean(L) - 2 * mean_i( rowmean(K)_i * rowmean(L)_i )
 
 which avoids materialising the centering matrix. The gradient is taken with
-respect to the first argument's inputs only; the second kernel matrix is
-treated as a constant.
+respect to the first argument's inputs only; the second kernel is a constant.
 
-``hsic_b_value_and_grad`` runs once per training step on a batch of a few
-dozen rows, so its cost is the number of numpy calls, not arithmetic: each
-kernel is built once, in place, and the means and row means the value needs
-are the ones the gradient's centred kernel reuses. The reductions call
-``np.add.reduce``, the reduction that ``mean`` and ``sum`` run, so the bits
-are those of computing each term on its own with ``np.mean``.
+A training step's batch is a few dozen rows, so the cost is the number of
+numpy calls: each kernel is built once, in place, and the value and the
+gradient share its means. Reductions call ``np.add.reduce``, which ``mean``
+and ``sum`` run, so the bits are those of ``np.mean``.
 
-Every function also takes a stack of batches, shape (F, m, d): one batch per
-head of a stack that trains F heads at once. Every numpy call then serves
-all F batches, and each batch gets the bits it gets on its own. The second
-argument's kernel reads nothing the gradient moves, so ``centred_kernel``
-builds it, with the statistics the value and gradient read of it, for a
-stack of any depth at once, say (S, F, m, d) for S training steps; each
-step then hands its (F, m, m) part to ``hsic_b_value_and_grad`` in place of
-the rows, with the bits the rows give.
+Every function also takes a stack of batches, (F, m, d), one per head of a
+stack, and each batch gets the bits it gets on its own. ``centred_kernel``
+builds the second argument's kernel for a stack of any depth at once, say
+(S, F, m, d) for S steps; each step hands its (F, m, m) part to
+``hsic_b_value_and_grad`` in place of the rows, with the bits the rows give.
 """
 
 from __future__ import annotations
@@ -56,9 +50,8 @@ class KernelSpec:
 def gaussian_kernel_matrix(z: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Pairwise Gaussian kernel matrix of the rows of ``z``, or of each matrix of a stack.
 
-    The squared distances (clamped at 0, exactly 0 on the diagonal), their
-    scaling and the ``exp`` are computed in place in one m x m buffer per
-    matrix.
+    The squared distances are clamped at 0 and exactly 0 on the diagonal;
+    they, their scaling and the ``exp`` share one m x m buffer per matrix.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim < 2:
@@ -116,10 +109,9 @@ def hsic_b_value_and_grad(
 
     For stacks of paired batches, (F, m, d1) and (F, m, d2), the value is an
     array of F values and the gradient a stack of F gradients. ``z_second``
-    is either the rows, whose kernel is built with ``spec_second``, or the
-    ``centred_kernel`` of such rows, (F, m, m), which a caller may build for
-    many steps at once; ``spec_second`` is then not read. Either gives the
-    same bits.
+    is the rows, whose kernel is built with ``spec_second``, or their
+    ``centred_kernel``, (F, m, m), with the same bits; ``spec_second`` is
+    then not read. Unpaired or misshapen inputs raise ``ValidationError``.
     """
     z_first = np.asarray(z_first, dtype=np.float64)
     if isinstance(z_second, CentredKernel):

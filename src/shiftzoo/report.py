@@ -70,12 +70,24 @@ def write_report(report: Mapping, path: Path | str) -> None:
 
 def read_report(path: Path | str, kind: str | None = None) -> dict:
     """Load a report, checked against the spec of its kind; with ``kind``, a
-    report of another kind is refused, naming the file."""
+    report of another kind is refused, naming the file. So is a profile
+    report that lists an encoder id more than once."""
     report = read_json(path, "report", lambda doc: RUN_SPEC if type(doc) is dict
                        and doc.get("kind") == TRAIN_KIND else PROFILE_SPEC)
     if kind is not None:
         check_json(report, {"kind": kind, str: object}, f"report {path}")
+    if report["kind"] == PROFILE_KIND:
+        _check_encoder_ids(report, f"report {path}")
     return report
+
+
+def _check_encoder_ids(report: Mapping, where: str) -> None:
+    """Refuse a profile report that lists an encoder id more than once."""
+    seen = set()
+    for enc_id in (e["encoder_id"] for e in report["encoders"]):
+        if enc_id in seen:
+            raise ValidationError(f"{where}: encoder id '{enc_id}' is listed more than once")
+        seen.add(enc_id)
 
 
 def profile_encoder(
@@ -178,6 +190,7 @@ def report_scores(report: Mapping) -> dict[str, tuple[float, float]]:
     check_json(report, _SCORES, "report")
     if not report["encoders"]:
         raise ValidationError("report lists no encoders")
+    _check_encoder_ids(report, "report")
     return {e["encoder_id"]: (float(e["f_div"]), float(e["f_cor"])) for e in report["encoders"]}
 
 

@@ -69,7 +69,6 @@ from shiftzoo.ensemble_train import (
     AdamW,
     EvalRecord,
     MlpHead,
-    StepStats,
     TrainConfig,
     TrainResult,
     _argmax_accuracy,
@@ -623,7 +622,7 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
         [prior_floored] = aux.prior_floored.tolist()
 
     optimizer = AdamW(head.params, lr=config.learning_rate, weight_decay=config.weight_decay)
-    log, evals = [], []
+    log, evals = np.empty((config.steps, 3)), []
     best_acc, best_step = -1.0, -1
     best_state = head.params.copy()
     for step in range(config.steps):
@@ -640,13 +639,15 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
                 f"temperature {config.temperature} underflows reweighting weights to 0; "
                 "raise the temperature"
             )
-        stats = train_step(
+        ce, hsic = train_step(
             head, optimizer, x_train[idx], y_train[idx],
-            x_div[idx] if config.hsic_active else None, rew_batch, config, step,
+            x_div[idx] if config.hsic_active and step >= config.n_warmup else None, rew_batch,
+            config, step,
         )
+        m = config.batch_size
+        mean_weight = 1.0 if rew_batch is None else np.add.reduce(rew_batch, -1) / m
         # each term is one head's entry, or one number while it is off
-        ce, hsic, mean_weight = (np.ravel(v)[0] for v in (stats.ce, stats.hsic, stats.mean_weight))
-        log.append(StepStats(step, float(ce), float(hsic), float(mean_weight), stats.lr))
+        log[step] = [np.ravel(v)[0] for v in (ce, hsic, mean_weight)]
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
             val_acc = accuracy(head, x_val, y_val)
             evals.append(EvalRecord(step=step, val_accuracy=val_acc))

@@ -266,6 +266,26 @@ def test_report_with_a_non_finite_or_non_number_score_exits_2(
     assert f"$.encoders[1].{key} must be a finite number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["rank", "report"])
+def test_report_repeating_an_encoder_id_exits_2_naming_the_file_and_id(
+    profile_path, tmp_path, capsys, command
+):
+    """A second record of an encoder, with other scores, would otherwise
+    replace the first in the ranking and the table."""
+    report = json.loads(profile_path.read_text())
+    first = report["encoders"][0]
+    report["encoders"].append({**first, "f_div": 0.0, "f_cor": 0.0})
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(report))
+    argv = ["rank", "--report", str(bad)] if command == "rank" else ["report", str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: report {bad}: encoder id '{first['encoder_id']}' is listed more than once\n"
+    )
+
+
 @pytest.mark.parametrize("seed", ['"1"', "true", "false", "-1", "1.0", "null"])
 def test_report_with_a_bad_seed_exits_2_naming_the_file(profile_path, tmp_path, capsys, seed):
     """A string seed used to end in a TypeError from the table's sort; true sorted as 1."""

@@ -24,7 +24,6 @@ from shiftzoo.ensemble_train import (
     AdamW,
     MlpHead,
     RewAuxiliary,
-    StepStats,
     TrainConfig,
     accuracy,
     apply_mode,
@@ -259,18 +258,15 @@ def test_train_step_matches_reference_step_bitwise(m, explicit, lam, log10_scale
     ref_opt = AdamW(ref_head.params, lr=1e-3, weight_decay=0.01)
     for step in range(3):
         # the stack's one head takes the batch as a stack of one
-        stats = train_step(head, opt, x[None], labels[None], aux[None],
-                           None if weights is None else weights[None], cfg, step)
+        got_ce, got_hsic = train_step(head, opt, x[None], labels[None], aux[None],
+                                      None if weights is None else weights[None], cfg, step)
         ref_weights = np.ones(m) if weights is None else weights
         total, ce, hsic, grad = reference_head_loss_and_grads(
             ref_head, x, labels, ref_weights, aux, lam, cfg.gamma1, cfg.gamma2
         )
         ref_opt.step(grad)
-        assert (stats.step, stats.lr) == (step, 1e-3)
-        assert [_bits(v) for v in (stats.ce, stats.hsic, stats.mean_weight)] == [
-            _bits(v) for v in (ce, hsic, ref_weights.mean())
-        ]
-        assert _bits(stats.ce + lam * stats.hsic) == _bits(total)
+        assert [_bits(v) for v in (got_ce, got_hsic)] == [_bits(v) for v in (ce, hsic)]
+        assert _bits(got_ce + lam * got_hsic) == _bits(total)
         assert head.params.tobytes() == ref_head.params.tobytes()
 
 
@@ -714,6 +710,9 @@ def test_rew_weights_clip_and_inf_temperature():
 
 
 def test_train_step_gating():
+    """``train_step`` applies the weights and the penalty it gets, whatever the
+    step; ``train_on_sets`` decides when they switch on (see
+    ``test_train_on_sets_runs_and_logs``)."""
     rng = np.random.default_rng(8)
     # one batch of 8 rows for a stack of one head
     x = rng.normal(size=(1, 8, 4))
@@ -723,30 +722,33 @@ def test_train_step_gating():
     head = MlpHead.for_input(4, 3, [0])
     opt = AdamW(head.params, lr=1e-3)
     weights = batch_weights(rng.uniform(0.5, 2.0, size=(1, 8)))
-    # no rew_batch: uniform weights; before n_warmup: no HSIC term
+    # no rew_batch and no aux_div: uniform weights and no HSIC term
     plain_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, np.ones((1, 8)))
-    pre = train_step(head, opt, x, y, aux, None, cfg, step_index=2)
-    assert pre.hsic == 0.0 and pre.ce + cfg.lam * pre.hsic == pre.ce == plain_ce
-    assert pre.mean_weight == 1.0
-    # a rew_batch applies as given; from n_warmup on the HSIC term is active
+    ce, hsic = train_step(head, opt, x, y, None, None, cfg, step_index=6)
+    assert hsic == 0.0 and ce == plain_ce
+    # both given before n_warmup and n_anneal: both apply, as given
     weighted_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, weights)
     total, _, _, _ = head_loss_and_grads(head, x, y, weights, aux, cfg.lam, cfg.gamma1, cfg.gamma2)
-    post = train_step(head, opt, x, y, aux, weights, cfg, step_index=6)
-    assert post.ce == weighted_ce
-    assert post.hsic > 0.0
-    assert post.ce + cfg.lam * post.hsic == total
+    ce, hsic = train_step(head, opt, x, y, aux, weights, cfg, step_index=0)
+    assert ce == weighted_ce
+    assert hsic > 0.0
+    assert ce + cfg.lam * hsic == total
+    # at lambda = 0 a given auxiliary adds no term
+    plain_ce, _ = weighted_cross_entropy(head.predict_logits(x), y, None)
+    ce, hsic = train_step(head, opt, x, y, aux, None, replace_cfg(cfg, lam=0.0), step_index=6)
+    assert hsic == 0.0 and ce == plain_ce
 
 
 def _blocks_of(monkeypatch, size):
     """Cut every training loop into blocks of ``size`` steps (None: the whole
     run), by setting the block budget to that many steps' bytes. Returns the
-    list that each loop's block lengths are appended to."""
+    list that each loop's blocks are appended to, as a list of ranges."""
     real, cuts = et._step_blocks, []
 
-    def cut(steps, step_bytes):
+    def cut(steps, step_bytes, *switches):
         monkeypatch.setattr(et, "STEP_BLOCK_BYTES", (size or steps) * step_bytes)
-        blocks = real(steps, step_bytes)
-        cuts.append([len(b) for b in blocks])
+        blocks = real(steps, step_bytes, *switches)
+        cuts.append(blocks)
         return blocks
 
     monkeypatch.setattr(et, "_step_blocks", cut)
@@ -754,7 +756,7 @@ def _blocks_of(monkeypatch, size):
 
 
 def test_rew_weights_run_only_from_n_anneal(monkeypatch):
-    # blocks of 5 steps: the block of steps 10-14 computes weights for 13 and 14 only
+    # blocks of 5 steps: a block ends at step 13, and the next computes weights for 13-17
     _blocks_of(monkeypatch, 5)
     batches = []
 
@@ -771,8 +773,8 @@ def test_rew_weights_run_only_from_n_anneal(monkeypatch):
     [res] = train_on_sets(sets, None, _train_rows(sets), 3, cfg, [test])
     # one weighted (step, fold) batch per step from n_anneal on, and no other
     assert sum(math.prod(shape) for shape in batches) == cfg.steps - cfg.n_anneal
-    assert batches[0] == (2, 1)
-    assert all(s.mean_weight == 1.0 for s in res.log[: cfg.n_anneal])
+    assert batches[0] == (5, 1)
+    assert (res.log[: cfg.n_anneal, 2] == 1.0).all()
 
 
 def test_train_step_erm_reduction_is_bitwise():
@@ -811,10 +813,13 @@ def test_train_on_sets_runs_and_logs():
     rows = _train_rows(sets)
     # a test domain, d2, that the head does not train on
     [res] = train_on_sets(sets, rows, rows, 3, cfg, [_sets(1, domains=3)[2]])
-    assert len(res.log) == 40
-    for rec in res.log:
-        assert math.isfinite(rec.ce + cfg.lam * rec.hsic)
-        assert (rec.hsic > 0.0) == (rec.step >= cfg.n_warmup)
+    assert res.log.shape == (40, 3) and res.log.dtype == np.float64
+    ce, hsic, mean_weight = res.log.T
+    assert np.isfinite(ce + cfg.lam * hsic).all()
+    # the penalty from n_warmup on, and the weights from n_anneal on
+    assert ((hsic > 0.0) == (np.arange(40) >= cfg.n_warmup)).all()
+    assert (mean_weight[: cfg.n_anneal] == 1.0).all()
+    assert np.allclose(mean_weight[cfg.n_anneal :], 1.0, rtol=0, atol=1e-12)
     assert 0.0 <= res.final_val_accuracy <= 1.0
     assert res.best_val_accuracy >= res.final_val_accuracy - 1e-12
     assert 0.0 <= res.final_test_accuracy <= 1.0
@@ -854,7 +859,7 @@ def test_train_erm_equals_both_with_inactive_knobs():
     [res_a] = train_on_sets(sets, None, None, 3, erm, [test])
     [res_b] = train_on_sets(sets, None, None, 3, both, [test])
     assert np.array_equal(res_a.head.params, res_b.head.params)
-    assert res_a.log == res_b.log
+    assert res_a.log.tobytes() == res_b.log.tobytes()
 
 
 def test_train_pools_stay_float32():
@@ -1053,7 +1058,7 @@ def _result_bits(res):
 
     return (
         res.head.params.tobytes(),
-        [(s.step, bits(s.ce, s.hsic, s.mean_weight, s.lr)) for s in res.log],
+        (res.log.dtype, res.log.shape, res.log.tobytes()),
         [(e.step, bits(e.val_accuracy)) for e in res.evals],
         res.best_step,
         bits(res.final_val_accuracy, res.best_val_accuracy),
@@ -1093,9 +1098,9 @@ def test_stacked_folds_match_the_per_fold_reference_bitwise(mode, n_heads):
 
 def test_the_block_size_changes_no_bit(monkeypatch):
     """Blocks of 1 step, of 3 steps and of the whole run give the same bits.
-    With blocks of 3, the penalty (step 5) and the weights (step 13) switch
-    on mid-block, and the 37 steps and the classifier's 17 end on a short
-    block."""
+    With blocks of 3, a block also ends where the penalty (step 5) and the
+    weights (step 13) switch on, and the 37 steps and the classifier's 17
+    end on a short block."""
     *sets, _ = _uneven_sets(0, sizes=(150, 210, 270, 90))
     rows = _train_rows(sets)
     div_rows, cor_rows = rows[:, ::-1].copy(), rows[:, :4] ** 2
@@ -1109,10 +1114,44 @@ def test_the_block_size_changes_no_bit(monkeypatch):
         results = train_on_sets(sets, div_rows, cor_rows, 3, cfg, sets)
         monkeypatch.undo()
         # the classifier's loop, then the head's
-        assert cuts == {1: [[1] * 17, [1] * 37], 3: [[3] * 5 + [2], [3] * 12 + [1]],
-                        None: [[17], [37]]}[size]
+        assert [[len(b) for b in blocks] for blocks in cuts] == {
+            1: [[1] * 17, [1] * 37],
+            3: [[3] * 5 + [2], [3, 2] + [3, 3, 2] + [3] * 8],
+            None: [[17], [5, 8, 24]],
+        }[size]
         runs[size] = [_result_bits(r) for r in results]
     assert runs[1] == runs[3] == runs[None]
+
+
+def test_no_block_holds_steps_on_both_sides_of_a_switch(monkeypatch):
+    """With blocks of 3 steps and the penalty and the weights switching on at
+    steps 5 and 13, every block lies wholly before or after each switch, and
+    computes its kernels and its weights for all of its steps or for none."""
+    cuts = _blocks_of(monkeypatch, 3)
+    kernel_steps, weight_steps = [], []
+    real_kernel, real_weights = et.centred_kernel, et.rew_weights
+    monkeypatch.setattr(et, "centred_kernel",
+                        lambda z, spec: kernel_steps.append(len(z)) or real_kernel(z, spec))
+    monkeypatch.setattr(et, "rew_weights", lambda aux, z, labels, t:
+                        weight_steps.append(len(z)) or real_weights(aux, z, labels, t))
+    *sets, _ = _uneven_sets(0, sizes=(150, 210, 270, 90))
+    rows = _train_rows(sets)
+    cfg = TrainConfig(lam=5.0, n_warmup=5, n_anneal=13, learning_rate=3e-2, batch_size=16,
+                      steps=37, eval_every=10, seed=3, aux_steps=17, aux_lr=1e-2)
+    train_on_sets(sets, rows[:, ::-1].copy(), rows[:, :4] ** 2, 3, cfg, sets)
+    blocks = cuts[-1]  # the head's loop
+    assert [s for b in blocks for s in b] == list(range(cfg.steps))
+    for block in blocks:
+        for switch in (cfg.n_warmup, cfg.n_anneal):
+            assert not block.start < switch < block.stop, (block, switch)
+    assert kernel_steps == [len(b) for b in blocks if b.start >= cfg.n_warmup]
+    assert weight_steps == [len(b) for b in blocks if b.start >= cfg.n_anneal]
+
+
+def test_step_blocks_cut_at_each_switch_inside_the_run():
+    assert et._step_blocks(10, et.STEP_BLOCK_BYTES // 4, (0, 3, 3, 10, 12)) == [
+        range(0, 3), range(3, 7), range(7, 10)]
+    assert et._step_blocks(1, et.STEP_BLOCK_BYTES, (0, 1)) == [range(0, 1)]
 
 
 @pytest.mark.parametrize("pool", [1, 2, 7, 100, 4099, 2**31 + 11, 2**40 + 3])

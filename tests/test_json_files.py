@@ -120,6 +120,16 @@ def test_read_json_names_the_file_for_every_failure(tmp_path):
         read_json(path, "thing", {"a": float})
 
 
+def test_read_json_refuses_a_repeated_key_at_any_depth(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": {"b": 1, "c": [{"d": 2, "d": 3}]}}')
+    with pytest.raises(ValidationError, match=(
+            f"^thing is not valid JSON: {re.escape(str(path))}: key 'd' is repeated$")):
+        read_json(path, "thing", object)
+    path.write_text('{"a": {"b": 1}, "c": {"b": 2}}')  # one key in two objects
+    assert read_json(path, "thing", object) == {"a": {"b": 1}, "c": {"b": 2}}
+
+
 # -- every JSON file the program writes passes its own reader ----------------
 
 
@@ -328,3 +338,45 @@ def test_fuzzed_reports_exit_0_unchanged_or_2_naming_the_path(
         for argv, expected in zip(commands, base):
             _check(_run(argv, capsys), expected, refusal, f"report {fuzz}",
                    _accepted(kind, name, path), path)
+
+
+# -- repeated keys ------------------------------------------------------------
+
+
+def _repeat(text, key, value):
+    """``text`` with the first ``"key": `` of it preceded by ``"key": value, ``."""
+    field = f'"{key}": '
+    assert field in text
+    return text.replace(field, f"{field}{value}, {field}", 1)
+
+
+@pytest.mark.parametrize("kind", ["manifest", "profile", "run", "config"])
+def test_a_repeated_key_exits_2_naming_the_file_and_the_key(tiny_zoo, tmp_path, capsys, kind):
+    """``json`` keeps a repeated key's last value, so a config of {"seed": 1,
+    "seed": 7} would write a seed-7 zoo, and a manifest could name a second
+    file for a domain. Each JSON kind the program reads refuses it."""
+    manifest = tiny_zoo / "manifest.json"
+    bad = tiny_zoo / f"repeated-{kind}.json"  # beside the files a manifest names
+    if kind == "manifest":
+        text, key = _repeat(manifest.read_text(), "domain0", '"clean_domain1.fzf"'), "domain0"
+        argv = ["profile", "--manifest", str(bad), "--out", str(tmp_path / "out.json")]
+        what = "manifest"
+    elif kind == "config":
+        text, key = '{"seed": 1, "seed": 7}', "seed"
+        argv = ["synth", "--config", str(bad), "--out", str(tmp_path / "zoo")]
+        what = "config file"
+    else:
+        report = tmp_path / "report.json"
+        command = (["profile", "--manifest", str(manifest), "--encoder", "clean"]
+                   if kind == "profile" else ["train", "--manifest", str(manifest), *TRAIN])
+        assert main([*command, "--out", str(report)]) == 0
+        key = "f_div" if kind == "profile" else "target_domain"
+        text = _repeat(report.read_text(), key, '"domain1"' if kind == "run" else "0.0")
+        argv = ["rank", "--report", str(bad)]
+        what = "report"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what} is not valid JSON: {bad}: key '{key}' is repeated\n"
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "zoo").exists()

@@ -206,6 +206,17 @@ def test_report_scores_requires_profile_kind(profile):
         report_scores({"kind": PROFILE_KIND, "encoders": []})
 
 
+def test_a_repeated_encoder_id_is_refused(profile, tmp_path):
+    repeated = dict(profile, encoders=[*profile["encoders"], profile["encoders"][1]])
+    enc_id = profile["encoders"][1]["encoder_id"]
+    with pytest.raises(ValidationError, match=f"^report: encoder id '{enc_id}' is listed more"):
+        report_scores(repeated)
+    path = tmp_path / "repeated.json"
+    write_report(repeated, path)
+    with pytest.raises(ValidationError, match=f"^report {path}: encoder id '{enc_id}' is listed"):
+        read_report(path)
+
+
 def test_report_scores_rejects_an_encoder_id_that_is_no_string():
     # rank_lines sizes its columns by len(encoder_id)
     entry = {"encoder_id": 7, "f_div": 0.5, "f_cor": 0.25}
