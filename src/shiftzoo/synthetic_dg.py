@@ -24,12 +24,14 @@ see at most half of each shifted block.
 Memory: each domain is drawn straight into one float32 matrix, each block
 drawn and finished one row block of float64 at a time in reused buffers (see
 ``BLOCK_DOUBLES``); a domain that overflows float32 is refused. Each
-projection is one d x d float64 matrix, factored in place, so its QR peaks
-at two such matrices. ``build_zoo`` streams each (encoder, domain) cell to
+projection is one d x d float64 matrix, drawn in row blocks and factored in
+place, so its QR holds that matrix and one draw block. ``build_zoo`` holds
+the projections of one group of encoders at a time, never more than the raw
+domains weigh or one per worker, and streams each (encoder, domain) cell to
 its file one float32 row block at a time: no encoded matrix and no
 full-width float64 copy of a domain is ever whole in memory. A zoo whose raw
-domains and projections together would not fit in the physical memory is
-refused with a ``MemoryError`` before anything is drawn.
+domains and largest group's projections together would not fit in the
+physical memory is refused with a ``MemoryError`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -329,10 +331,15 @@ class SynthEncoder:
     def projection(self) -> np.ndarray:
         """Q of a seeded d x d Gaussian's QR, column j scaled by a seeded u[j] in [0.8, 1.25].
 
-        The Gaussian is copied once into Fortran order, and LAPACK's
-        ``dgeqrf`` and then ``dorgqr``, on numpy's own OpenBLAS, overwrite
-        that copy with Q: no R is formed, and the peak is two d x d matrices.
-        These are the routines and the queried workspace sizes of
+        The Gaussian is drawn in row blocks of about ``BLOCK_DOUBLES`` values
+        straight into one Fortran-ordered matrix, and LAPACK's ``dgeqrf`` and
+        then ``dorgqr``, on numpy's own OpenBLAS, overwrite it with Q: no R is
+        formed, and the peak is one d x d matrix and one draw block. The
+        normals come in row order, so they are those of one
+        ``rng.normal(size=(d, d))`` draw (``b += 0.0`` as in ``_fill_noisy``).
+        The first block is drawn before the matrix is allocated, so a
+        projection of one block allocates as ``np.asfortranarray`` of that
+        draw would. These are the routines and the queried workspace sizes of
         ``np.linalg.qr``, so Q has its bits; where ``lapack_routine`` finds
         no such routines, Q is ``np.linalg.qr``'s. The result is
         Fortran-ordered.
@@ -343,7 +350,16 @@ class SynthEncoder:
         """
         rng = np.random.default_rng(self.seed)
         d = self.dim
-        a = np.asfortranarray(rng.normal(size=(d, d)))
+        rows = min(max(BLOCK_DOUBLES // d, 1), d)
+        block, a = np.empty((rows, d)), None
+        for lo in range(0, d, rows):
+            b = block[: min(rows, d - lo)]
+            rng.standard_normal(out=b)
+            b += 0.0
+            if a is None:
+                a = np.empty((d, d), order="F")
+            a[lo : lo + len(b)] = b
+        del block, b
         geqrf, orgqr = lapack_routine("dgeqrf"), lapack_routine("dorgqr")
         with single_blas_thread():
             if geqrf is None or orgqr is None:
@@ -494,18 +510,23 @@ def build_zoo(
     counts wherever numpy links OpenBLAS.
 
     The work is independent tasks, run by ``blas_threads.run_tasks`` with
-    numpy's OpenBLAS pinned to one thread throughout: first each projection QR and
-    each domain's draw, then each (encoder, domain) cell's encoding. A zoo
-    whose largest cell is under ``2 * SPLIT_MACS`` multiply-adds (the desk
-    zoo) runs serially on the calling thread and gives the pool nothing.
+    numpy's OpenBLAS pinned to one thread throughout. The encoders go in
+    groups, in encoder order: each group's projection QRs (the first
+    group's beside each domain's draw), then its (encoder, domain) cells'
+    encodings. A zoo whose largest cell is under ``2 * SPLIT_MACS``
+    multiply-adds (the desk zoo) runs serially on the calling thread and
+    gives the pool nothing.
 
-    Memory: the raw float32 domains and every encoder's float64 projection
-    are all made before the first cell and held until the last, with at most
-    one in-place QR (two d x d float64 matrices) per worker while they are
-    made. Each worker has one set of row-block buffers (see
-    ``BLOCK_DOUBLES``), allocated by the calling thread, through which a
-    domain is drawn and a cell is encoded and streamed to its file. Before
-    anything is drawn, a ``MemoryError`` refuses a zoo whose raw domains and
+    Memory: the raw float32 domains are held throughout, and the float64
+    projections of one group at a time. A group has at most max(workers,
+    raw-domain bytes // widest projection bytes) encoders, so the
+    projections alive at once weigh no more than the raw domains or than one
+    widest projection per worker, whichever is more; a group's projections
+    are dropped once its cells are written. A QR holds its one d x d matrix and one draw block. Each
+    worker has one set of row-block buffers (see ``BLOCK_DOUBLES``),
+    allocated by the calling thread, through which a domain is drawn and a
+    cell is encoded and streamed to its file. Before anything is drawn, a
+    ``MemoryError`` refuses a zoo whose raw domains and largest group's
     projections together exceed the physical memory.
     """
     if zoo_size < len(ZOO_ROLES):
@@ -514,15 +535,19 @@ def build_zoo(
     check_split(n, split_ratio)
     encoders = _zoo_encoders(spec, zoo_size)
     widest = max(enc.dim for enc in encoders)
-    need = 4 * spec.n_domains * n * spec.dim_total + sum(8 * enc.dim**2 for enc in encoders)
+    workers = usable_cpus() if n * widest**2 >= 2 * SPLIT_MACS else 1
+    raw = 4 * spec.n_domains * n * spec.dim_total
+    size = max(workers, raw // (8 * widest**2))
+    groups = [encoders[i : i + size] for i in range(0, len(encoders), size)]
+    need = raw + max(sum(8 * enc.dim**2 for enc in group) for group in groups)
     have = _physical_memory()
     if have is not None and need > have:
         raise MemoryError(
-            f"synth would hold {need / 2**30:.3g} GiB of raw domains and projections, "
+            f"synth would hold {need / 2**30:.3g} GiB of raw domains and projections "
+            f"(at most {len(groups[0])} of its {len(encoders)} encoders' projections at a time), "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
     out_dir = Path(out_dir)
-    workers = usable_cpus() if n * widest**2 >= 2 * SPLIT_MACS else 1
     # one set of row-block buffers per worker, allocated by this thread: a
     # pool thread's malloc arena would keep what it allocates after synth
     buffers: queue.SimpleQueue = queue.SimpleQueue()
@@ -547,13 +572,18 @@ def build_zoo(
 
     with single_blas_thread():
         made = run_tasks(
-            [enc.projection for enc in encoders] + [partial(borrowing, draw) for draw in draws],
+            [enc.projection for enc in groups[0]] + [partial(borrowing, draw) for draw in draws],
             workers,
         )
-        projections, labels = made[: len(encoders)], made[len(encoders) :]
+        projections, labels = made[: len(groups[0])], made[len(groups[0]) :]
+        del made
         out_dir.mkdir(parents=True, exist_ok=True)  # a refused draw leaves no directory
-        cells = [(enc, q, e) for enc, q in zip(encoders, projections) for e in range(len(xs))]
-        run_tasks([partial(borrowing, write_cell, *cell) for cell in cells], workers)
+        for i, group in enumerate(groups):
+            if i:
+                projections = run_tasks([enc.projection for enc in group], workers)
+            run_tasks([partial(borrowing, write_cell, enc, q, e)
+                       for enc, q in zip(group, projections) for e in range(len(xs))], workers)
+            del projections  # before the next group's are made
     for domain_id, y in zip(domain_ids, labels):
         write_labels(out_dir / f"{domain_id}.fzl", y)
     manifest = ZooManifest(

@@ -288,8 +288,9 @@ def test_projection_equals_scipy_economic_qr(width):
     assert enc.projection().tobytes() == q.tobytes()
 
 
-def test_projection_holds_two_matrices_at_its_peak():
-    """The Gaussian and its one Fortran-order copy; Q overwrites the copy and no R is made."""
+def test_projection_holds_one_matrix_and_one_draw_block_at_its_peak():
+    """The Gaussian is drawn block by block into the one Fortran-order matrix
+    that Q overwrites, and no R is made."""
     d = 1024
     enc = SynthEncoder("e", tuple(range(d)), 3)
     enc.projection()  # first-call imports stay out of the measurement
@@ -300,8 +301,10 @@ def test_projection_holds_two_matrices_at_its_peak():
     finally:
         tracemalloc.stop()
     assert q.shape == (d, d)
-    # np.linalg.qr's copies and R took about four matrices here
-    assert 2 * d * d * 8 <= peak < 2 * d * d * 8 + (1 << 20)
+    block = 8 * synthetic_dg.BLOCK_DOUBLES  # 128 rows of 1024
+    # a whole-matrix draw copied into Fortran order took two matrices, and
+    # np.linalg.qr's copies and R about four
+    assert d * d * 8 + block <= peak < d * d * 8 + block + (1 << 16)
 
 
 def test_projection_reports_a_lapack_failure(monkeypatch):
@@ -328,32 +331,81 @@ def test_projection_reports_a_lapack_failure(monkeypatch):
 
 def _wide_spec():
     # 1032-wide main_full, div_heavy and cor_heavy, whose QRs take other
-    # last bits under two OpenBLAS threads
+    # last bits under two OpenBLAS threads; the raw domains (24.4 MB) weigh
+    # two 1032-wide projections (8.5 MB each), so under one or two usable
+    # CPUs build_zoo makes and holds two projections at a time, under three
+    # three
     return SynthSpec(dim_core=32, dim_div=1000, dim_spur=1000, samples_per_domain=1000)
 
 
-def test_build_zoo_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch):
+def _usable_cpus(monkeypatch, cpus):
+    """Patch the CPU count that sizes build_zoo's groups and the pool's helpers."""
+    for module in (blas_threads, synthetic_dg):
+        monkeypatch.setattr(module, "usable_cpus", lambda: cpus)
+
+
+def test_build_zoo_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, fresh_pool):
     """With one usable CPU the calling thread makes every projection; with two
-    the worker pool makes some; the files are the same bytes."""
-    callers = {}
-    original = SynthEncoder.projection
+    or three the worker pool makes some; the encoders go in two groups, whose
+    second group's projections are made after the first group's cells are
+    written; the files are the same bytes."""
+    callers, events = {}, {}
+    original, real_write = SynthEncoder.projection, synthetic_dg.write_feature_blocks
 
     def recording(self):
         callers.setdefault(cpus, []).append(threading.current_thread().name)
+        events[cpus].append(("projection", self.encoder_id))
         return original(self)
 
+    def writing(path, shape, blocks):
+        events[cpus].append(("cell", path.name))
+        real_write(path, shape, blocks)
+
     monkeypatch.setattr(SynthEncoder, "projection", recording)
-    for cpus in (1, 2):
-        monkeypatch.setattr(blas_threads, "usable_cpus", lambda c=cpus: c)
+    monkeypatch.setattr(synthetic_dg, "write_feature_blocks", writing)
+    for cpus in (1, 2, 3):
+        events[cpus] = []
+        _usable_cpus(monkeypatch, cpus)
+        fresh_pool()
         build_zoo(_wide_spec(), zoo_size=4, out_dir=tmp_path / str(cpus))
     me = threading.current_thread().name
     assert callers[1] == [me] * 4
-    assert len(callers[2]) == 4
-    assert all(name == me or name.startswith("shiftzoo") for name in callers[2])
-    names = sorted(p.name for p in (tmp_path / "1").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+    for cpus in (2, 3):
+        assert len(callers[cpus]) == 4
+        assert all(name == me or name.startswith("shiftzoo") for name in callers[cpus])
+    later = {2: ["cor_heavy", "main_full"], 3: ["main_full"]}
+    for cpus, sequence in events.items():
+        first_cell = sequence.index(next(e for e in sequence if e[0] == "cell"))
+        made_later = [name for kind, name in sequence[first_cell:] if kind == "projection"]
+        assert made_later == later.get(cpus, later[2]), cpus
+    expected = _read_dir(tmp_path / "1")
+    for cpus in (2, 3):
+        assert _read_dir(tmp_path / str(cpus)) == expected, cpus
+
+
+def test_build_zoo_holds_one_group_of_projections_at_a_time(tmp_path, monkeypatch, fresh_pool):
+    """Under two usable CPUs the wide zoo goes in groups of two encoders: the
+    raw domains, two projections, each worker's row-block buffers and the two
+    QRs' draw blocks, with 1 MiB to spare. Holding every projection until the
+    last cell, as one group, peaks above 70 MB here."""
+    _usable_cpus(monkeypatch, 2)
+    fresh_pool()
+    spec = _wide_spec()
+    encoders = synthetic_dg._zoo_encoders(spec, 4)
+    build_zoo(spec, zoo_size=4, out_dir=tmp_path / "warm")  # first-call imports and the pool
+    tracemalloc.start()
+    try:
+        build_zoo(spec, zoo_size=4, out_dir=tmp_path / "z")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    raw = 4 * spec.n_domains * spec.samples_per_domain * spec.dim_total
+    projection = 8 * max(enc.dim for enc in encoders) ** 2
+    buffers = sum(b.nbytes for b in synthetic_dg._block_buffers(
+        spec.samples_per_domain, synthetic_dg._block_widths(spec, encoders)))
+    draw_block = 8 * synthetic_dg.BLOCK_DOUBLES
+    assert peak < raw + 2 * projection + 2 * buffers + 2 * draw_block + (1 << 20)
+    assert _read_dir(tmp_path / "z") == _read_dir(tmp_path / "warm")
 
 
 def _pooled_spec(**kw):
@@ -494,7 +546,8 @@ def test_synth_larger_than_physical_memory_exits_1_naming_both_sizes(
     assert main(["synth", "--out", str(tmp_path / "z")]) == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: out of memory: synth would hold 0.000362 GiB of raw domains and projections, "
+        "error: out of memory: synth would hold 0.000362 GiB of raw domains and projections "
+        "(at most 6 of its 6 encoders' projections at a time), "
         "more than the 0.000244 GiB of physical memory\n"
     )
     assert not (tmp_path / "z").exists()
@@ -514,6 +567,29 @@ def test_synth_counts_every_projection_against_physical_memory(tmp_path, monkeyp
     assert main(["synth", "--out", str(tmp_path / "z")]) == 1
     assert "of raw domains and projections" in capsys.readouterr().err
     assert not (tmp_path / "z").exists()
+
+
+def test_synth_counts_only_its_largest_group_of_projections(tmp_path, monkeypatch, capsys):
+    """A zoo whose projections outweigh its raw domains makes them one at a
+    time, so a memory too small for all of them at once holds the zoo."""
+    from shiftzoo.cli import main
+
+    # 60 rows are under the size rule, so one worker whatever the CPU count
+    flags = ["--samples", "60", "--dim-div", "200", "--dim-spur", "200", "--zoo-size", "4"]
+    spec = SynthSpec(samples_per_domain=60, dim_div=200, dim_spur=200)
+    raw = 4 * spec.n_domains * spec.samples_per_domain * spec.dim_total
+    projections = [8 * enc.dim**2 for enc in synthetic_dg._zoo_encoders(spec, 4)]
+    assert raw < max(projections)  # groups of one encoder
+    need = raw + max(projections)
+    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: need - 1)
+    assert main(["synth", "--out", str(tmp_path / "refused"), *flags]) == 1
+    assert "(at most 1 of its 4 encoders' projections at a time)" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+    have = (need + raw + sum(projections)) // 2
+    assert need < have < raw + sum(projections)
+    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: have)
+    assert main(["synth", "--out", str(tmp_path / "z"), *flags]) == 0
+    assert (tmp_path / "z" / "manifest.json").is_file()
 
 
 @pytest.mark.parametrize(
