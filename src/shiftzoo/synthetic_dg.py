@@ -26,12 +26,13 @@ drawn and finished one row block of float64 at a time in reused buffers (see
 ``BLOCK_DOUBLES``); a domain that overflows float32 is refused. Each
 projection is one d x d float64 matrix, drawn in row blocks and factored in
 place, so its QR holds that matrix and one draw block. ``build_zoo`` holds
-the projections of one group of encoders at a time, never more than the raw
-domains weigh or one per worker, and streams each (encoder, domain) cell to
-its file one float32 row block at a time: no encoded matrix and no
-full-width float64 copy of a domain is ever whole in memory. A zoo whose raw
-domains and largest group's projections together would not fit in the
-physical memory is refused with a ``MemoryError`` before anything is drawn.
+the projections of one group of encoders at a time, weighing no more than
+the raw domains or one widest projection per worker, whichever is more, and
+streams each (encoder, domain) cell to its file one float32 row block at a
+time: no encoded matrix and no full-width float64 copy of a domain is ever
+whole in memory. A zoo whose raw domains and largest group's projections
+together would not fit in the physical memory is refused with a
+``MemoryError`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -522,12 +523,12 @@ def build_zoo(
     raw-domain bytes // widest projection bytes) encoders, so the
     projections alive at once weigh no more than the raw domains or than one
     widest projection per worker, whichever is more; a group's projections
-    are dropped once its cells are written. A QR holds its one d x d matrix and one draw block. Each
-    worker has one set of row-block buffers (see ``BLOCK_DOUBLES``),
-    allocated by the calling thread, through which a domain is drawn and a
-    cell is encoded and streamed to its file. Before anything is drawn, a
-    ``MemoryError`` refuses a zoo whose raw domains and largest group's
-    projections together exceed the physical memory.
+    are dropped once its cells are written. A QR holds its one d x d matrix
+    and one draw block. Each worker has one set of row-block buffers (see
+    ``BLOCK_DOUBLES``), allocated by the calling thread, through which a
+    domain is drawn and a cell is encoded and streamed to its file. Before
+    anything is drawn, a ``MemoryError`` refuses a zoo whose raw domains and
+    largest group's projections together exceed the physical memory.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
@@ -537,8 +538,8 @@ def build_zoo(
     widest = max(enc.dim for enc in encoders)
     workers = usable_cpus() if n * widest**2 >= 2 * SPLIT_MACS else 1
     raw = 4 * spec.n_domains * n * spec.dim_total
-    size = max(workers, raw // (8 * widest**2))
-    groups = [encoders[i : i + size] for i in range(0, len(encoders), size)]
+    group_size = max(workers, raw // (8 * widest**2))
+    groups = [encoders[i : i + group_size] for i in range(0, len(encoders), group_size)]
     need = raw + max(sum(8 * enc.dim**2 for enc in group) for group in groups)
     have = _physical_memory()
     if have is not None and need > have:
