@@ -332,9 +332,8 @@ def test_projection_reports_a_lapack_failure(monkeypatch):
 def _wide_spec():
     # 1032-wide main_full, div_heavy and cor_heavy, whose QRs take other
     # last bits under two OpenBLAS threads; the raw domains (24.4 MB) weigh
-    # two 1032-wide projections (8.5 MB each), so under one or two usable
-    # CPUs build_zoo makes and holds two projections at a time, under three
-    # three
+    # two 1032-wide projections (8.5 MB each), so build_zoo holds two
+    # projections at a time under one or two usable CPUs, and three under three
     return SynthSpec(dim_core=32, dim_div=1000, dim_spur=1000, samples_per_domain=1000)
 
 
@@ -373,11 +372,11 @@ def test_build_zoo_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, fre
     for cpus in (2, 3):
         assert len(callers[cpus]) == 4
         assert all(name == me or name.startswith("shiftzoo") for name in callers[cpus])
-    later = {2: ["cor_heavy", "main_full"], 3: ["main_full"]}
+    second_group = {1: ["cor_heavy", "main_full"], 2: ["cor_heavy", "main_full"], 3: ["main_full"]}
     for cpus, sequence in events.items():
-        first_cell = sequence.index(next(e for e in sequence if e[0] == "cell"))
+        first_cell = next(i for i, (kind, _) in enumerate(sequence) if kind == "cell")
         made_later = [name for kind, name in sequence[first_cell:] if kind == "projection"]
-        assert made_later == later.get(cpus, later[2]), cpus
+        assert made_later == second_group[cpus], cpus
     expected = _read_dir(tmp_path / "1")
     for cpus in (2, 3):
         assert _read_dir(tmp_path / str(cpus)) == expected, cpus
