@@ -1,5 +1,6 @@
 """numpy's own OpenBLAS through ctypes (its process-wide thread count and
-its LAPACK routines), the CPU count, and the process's one worker pool.
+its LAPACK routines), the CPU count, the physical memory, and the process's
+one worker pool.
 
 Every OpenBLAS symbol is looked up through one handle: ``ctypes.CDLL`` of
 numpy's LAPACK module, which resolves within that module and the libraries
@@ -161,6 +162,27 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(command: str, need: int, holding: str, advice: str = "") -> None:
+    """Refuse, before it allocates them, the ``need`` bytes of arrays that
+    ``command`` (``synth``, ``profile`` or ``train``) would hold, ``holding``
+    saying of what, when they exceed the physical memory: a ``MemoryError``
+    names both sizes, then ``advice``."""
+    have = physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"{command} would hold {need / 2**30:.3g} GiB of {holding}, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory{advice}"
+        )
 
 
 @lru_cache(maxsize=1)

@@ -59,6 +59,7 @@ import numpy as np
 from .blas_threads import (
     ROW_ALIGN,
     SPLIT_MACS,
+    check_memory,
     numpy_blas_threads,
     run_tasks,
     single_blas_thread,
@@ -66,7 +67,13 @@ from .blas_threads import (
 )
 from .correlation_profile import dataset_correlation
 from .errors import NumericalError, ValidationError
-from .feature_store import FeatureSet, ZooManifest, load_domain_features
+from .feature_store import (
+    FeatureSet,
+    ZooManifest,
+    load_encoder_sets,
+    load_training_rows,
+    training_counts,
+)
 from .gaussian_profile import dataset_diversity
 from .hsic import CentredKernel, KernelSpec, centred_kernel, hsic_b_value_and_grad
 
@@ -652,14 +659,15 @@ def _row_bytes(
     batch: int, div_rows: np.ndarray | None, cor_rows: np.ndarray | None, n_classes: int
 ) -> int:
     """The bytes a block of training steps holds per batch row (one step of
-    one fold), temporaries included: the draw and the label; with
+    one fold), temporaries included: the draw, its main-encoder row and the
+    label; with
     reweighting, the gathered correlation-auxiliary row, the classifier's
     float32 logits, shifted logits and softmax, and six float64 values (p_y,
     prior, ratio, raw and clipped weight, weight); with HSIC, the gathered
     diversity-auxiliary row in float32 and in float64 and its square, and a
     row of each of three (m, m) float64 matrices (the Gram product, the
     kernel and the centred kernel) with three float64 row statistics."""
-    size = _DRAW_BYTES
+    size = _DRAW_BYTES + 8
     if cor_rows is not None:
         size += cor_rows.shape[1] * cor_rows.itemsize + 3 * 4 * n_classes + 6 * 8
     if div_rows is not None:
@@ -717,6 +725,7 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 @_quiet_overflow
 def train_on_sets(
     main_sets: Sequence[FeatureSet],
+    main_rows: np.ndarray,
     div_rows: np.ndarray | None,
     cor_rows: np.ndarray | None,
     n_classes: int,
@@ -728,13 +737,16 @@ def train_on_sets(
     Head f trains on the pooled training rows of every set of ``main_sets``
     whose domain is not that of ``test_sets[f]``, selects its checkpoint on
     their pooled validation rows, and is tested on ``test_sets[f]``.
-    ``div_rows`` and ``cor_rows`` are the diversity and correlation
+    ``main_rows`` holds the main encoder's rows of ``main_sets``, each set's
+    train-first rows in turn (``train`` passes the array its sets are views
+    of). ``div_rows`` and ``cor_rows`` are the diversity and correlation
     auxiliaries' features of the training rows of ``main_sets``, each set's
     in turn; each is read only when its term is active and may otherwise be
     None. Each head draws its initial weights, batches and reweighting
     classifier from its own generators, seeded as a head trained alone, so
-    it gets the bits it gets when trained alone on its sets; the heads read
-    one array of training rows and one of validation rows by index.
+    it gets the bits it gets when trained alone on its sets. No row is
+    pooled: batches and validation passes gather their rows from these
+    arrays through index maps.
 
     The steps run in blocks (``_step_blocks``) of as many steps as
     ``STEP_BLOCK_BYTES`` holds, and a block also ends where a term switches
@@ -757,32 +769,37 @@ def train_on_sets(
     if config.rew_active and cor_rows is None:
         raise ValidationError("reweighting requires correlation-auxiliary features")
 
-    # The pools keep the stored float32 rows, which batches and evaluation
-    # passes hand to the float32 head as they are: no copy of a pool is made.
     dim = main_sets[0].dim
-    x_train = np.concatenate([fs.train for fs in main_sets])
-    y_train = np.concatenate([fs.train_labels for fs in main_sets])
-    x_val = np.concatenate([fs.val for fs in main_sets])
-    y_val = np.concatenate([fs.val_labels for fs in main_sets])
+    counts = [fs.n_samples for fs in main_sets]
+    if main_rows.shape != (sum(counts), dim):
+        raise ValidationError(
+            f"main features have shape {main_rows.shape}, expected ({sum(counts)}, {dim})"
+        )
+    # where each pooled training row and each pooled validation row lies in
+    # main_rows; batches and evaluation passes hand the stored float32 rows
+    # they gather to the float32 head as they are
+    starts = np.cumsum([0, *counts[:-1]]).tolist()
+    train_at = np.concatenate([np.arange(a, a + fs.n_train) for a, fs in zip(starts, main_sets)])
+    val_at = np.concatenate([np.arange(a + fs.n_train, a + fs.n_samples)
+                             for a, fs in zip(starts, main_sets)])
+    labels = np.concatenate([fs.labels for fs in main_sets])
+    y_train = labels[train_at]
     x_div = div_rows if config.hsic_active else None
     x_cor = cor_rows if config.rew_active else None
-    n = x_train.shape[0]
+    n = train_at.size
     for name, rows in (("diversity-auxiliary", x_div), ("correlation-auxiliary", x_cor)):
         if rows is not None and (rows.ndim != 2 or rows.shape[0] != n):
             raise ValidationError(
                 f"{name} features have shape {rows.shape}, expected one row per training row ({n})"
             )
-    # each head's pools: the row indices of its sets; a slice where it
-    # validates on every set, so that indexing makes no copy
-    train_counts = [fs.n_train for fs in main_sets]
-    val_counts = [len(fs.val) for fs in main_sets]
+    # each head's pools: its training rows, as indices of the pooled training
+    # rows (which the auxiliaries' rows follow), and its validation rows, as
+    # rows of main_rows
     keeps = [[fs.domain_id != t.domain_id for fs in main_sets] for t in test_sets]
-    train_pools = [np.flatnonzero(np.repeat(keep, train_counts)) for keep in keeps]
-    val_pools = [
-        slice(None) if all(keep) else np.flatnonzero(np.repeat(keep, val_counts))
-        for keep in keeps
-    ]
-    y_vals = [y_val[rows] for rows in val_pools]
+    train_pools = [np.flatnonzero(np.repeat(keep, [fs.n_train for fs in main_sets]))
+                   for keep in keeps]
+    val_pools = [val_at[np.repeat(keep, [len(fs.val) for fs in main_sets])] for keep in keeps]
+    y_vals = [labels[rows] for rows in val_pools]
     if min(rows.size for rows in train_pools) == 0 or min(y.size for y in y_vals) == 0:
         raise ValidationError("training and validation pools must be non-empty")
 
@@ -819,10 +836,10 @@ def train_on_sets(
     step_bytes = heads_n * m * _row_bytes(m, x_div, x_cor, n_classes)
     for block in _step_blocks(config.steps, step_bytes, (first_rew, first_hsic)):
         idx = _draw(batch_rngs, train_pools, m, len(block))
-        labels = y_train[idx]
+        batch_rows, batch_labels = train_at[idx], y_train[idx]
         weights, kernels, mean_weight = None, None, 1.0
         if block.start >= first_rew:
-            weights = rew_weights(aux, x_cor[idx], labels, config.temperature)
+            weights = rew_weights(aux, x_cor[idx], batch_labels, config.temperature)
             usable = weights.any(-1).all(-1).tolist()
             mean_weight = (np.add.reduce(weights, -1) / m).T
         log[:, block.start : block.stop, 2] = mean_weight
@@ -835,20 +852,19 @@ def train_on_sets(
                     "to 0; raise the temperature"
                 )
             log[:, step, 0], log[:, step, 1] = train_step(
-                stack, optimizer, x_train[idx[i]], labels[i],
+                stack, optimizer, main_rows[batch_rows[i]], batch_labels[i],
                 None if kernels is None else kernels[i], None if weights is None else weights[i],
                 config, step, targets,
             )
             if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
                 for f, (head, rows) in enumerate(zip(heads, val_pools)):
-                    val_acc = accuracy(head, x_val[rows], y_vals[f])
+                    val_acc = accuracy(head, main_rows[rows], y_vals[f])
                     evals[f].append(EvalRecord(step=step, val_accuracy=val_acc))
                     if val_acc > best_acc[f]:
                         best_acc[f], best_step[f] = val_acc, step
                         best_state[f] = stack.params[f]
 
-    # free the optimizer's moments and scratch and the main pools before the test passes
-    del optimizer, x_train, x_val
+    del optimizer  # its moments and scratch, before the test passes
     best = stack._on(best_state, stack.grad)  # read only: no pass of it writes a gradient
     results = []
     for f, (head, test_set) in enumerate(zip(heads, test_sets)):
@@ -890,8 +906,11 @@ def train(
     The folds train as one stack (``train_on_sets``). Each fold's head is
     then profiled at logit level over every domain, once every fold's logits
     are known to be finite in float32. Each feature file the folds need is
-    read once: the main encoder's whole, and each auxiliary's training rows
-    on the domains that train a fold. The folds run with OpenBLAS on one
+    read once, straight into an array sized from the manifest: the main
+    encoder's whole, into one array whose slices its sets are, and each
+    auxiliary's training rows on the domains that train a fold. Before any
+    is read, a ``MemoryError`` refuses features that together exceed the
+    physical memory. The folds run with OpenBLAS on one
     thread, so their bytes do not depend on the BLAS thread count; the
     previous count is restored on return.
     """
@@ -910,28 +929,36 @@ def train(
     if config.rew_active and rew_aux_id is None:
         raise ValidationError("reweighting requires a correlation auxiliary encoder id")
 
-    main = {
-        d: load_domain_features(manifest, main_encoder_id, d, seed=config.seed) for d in domains
-    }
     train_domains = [d for d in domains if any(d != t for t in targets)]
-
-    def train_rows(encoder_id: str) -> np.ndarray:
-        return np.concatenate([
-            load_domain_features(manifest, encoder_id, d, seed=config.seed).train
-            for d in train_domains
-        ])
-
-    div = train_rows(div_aux_id) if config.hsic_active else None
-    cor = train_rows(rew_aux_id) if config.rew_active else None
+    div_id = div_aux_id if config.hsic_active else None
+    cor_id = rew_aux_id if config.rew_active else None
+    # the main encoder's domains, those that train a fold first, as views of
+    # one array; of each active auxiliary, the training rows of those domains
+    layout = train_domains + [d for d in domains if d not in train_domains]
+    main_bytes = 4 * manifest.encoder(main_encoder_id).dim * sum(
+        d.n_samples for d in manifest.domains)
+    aux_bytes = 4 * sum(manifest.encoder(e).dim for e in (div_id, cor_id) if e is not None) * sum(
+        training_counts(manifest, train_domains))
+    check_memory("train", main_bytes + aux_bytes,
+                 f"features ({main_bytes / 2**30:.3g} GiB of the main encoder's domains and "
+                 f"{aux_bytes / 2**30:.3g} GiB of auxiliary training rows)")
+    main_rows, main_sets = load_encoder_sets(manifest, main_encoder_id, layout, config.seed)
+    main = {fs.domain_id: fs for fs in main_sets}
+    trained = main_sets[: len(train_domains)]
+    div, cor = (
+        None if e is None else load_training_rows(manifest, e, train_domains, config.seed)
+        for e in (div_id, cor_id)
+    )
     # OpenBLAS stays on one thread: the worker pool does the parallel work, and
     # an idle OpenBLAS worker would spin on the pool's cores between GEMMs
     with single_blas_thread():
         results = train_on_sets(
-            [main[d] for d in train_domains], div, cor, manifest.n_classes, config,
-            [main[t] for t in targets],
+            trained, main_rows[: sum(fs.n_samples for fs in trained)], div, cor,
+            manifest.n_classes, config, [main[t] for t in targets],
         )
         logit_sets = [
-            logit_feature_sets(result.head, list(main.values()), {target: result.test_logits})
+            logit_feature_sets(result.head, [main[d] for d in domains],
+                               {target: result.test_logits})
             for target, result in zip(targets, results)
         ]
         for target, sets in zip(targets, logit_sets):

@@ -15,6 +15,15 @@ through ``write_json``.
 A file whose size is not the one its header implies is refused, by the
 readers and, before any payload is read, by ``load_manifest``.
 
+Every feature load goes through one block reader, ``read_features``: it
+reads a file's payload one row block (about ``READ_BLOCK_BYTES``) at a time
+through one reused buffer, checks each block finite and puts its rows
+straight into their places in the destination array, train-first when it is
+given the domain's split mask. A load holds the destination and one block,
+never a copy of the whole file; ``load_encoder_sets`` and
+``load_training_rows`` read several domains of one encoder into one array
+sized from the manifest.
+
 Validation splits are a pure function of (dataset_name, domain_id, seed), so
 every encoder of a dataset sees the same rows of a domain in the same split,
 and reruns reproduce the split bit-for-bit on any platform. A set is split
@@ -27,20 +36,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .blas_threads import BLOCK_DOUBLES
 from .errors import ValidationError
 
 FEATURE_MAGIC = b"FZF1"
 LABEL_MAGIC = b"FZL1"
 # magic -> (what the file holds, its number of dimensions, its value type)
 _FORMATS = {FEATURE_MAGIC: ("feature", 2, "<f4"), LABEL_MAGIC: ("label", 1, "<u4")}
+# A feature file is read in row blocks of about READ_BLOCK_BYTES, the 1 MiB
+# of the package's other row-block work, so a block's checks stay in cache
+READ_BLOCK_BYTES = 8 * BLOCK_DOUBLES
 
 
 @dataclass(frozen=True)
@@ -204,12 +218,49 @@ def write_features(path: Path | str, matrix: np.ndarray) -> None:
     write_feature_blocks(path, arr.shape, [arr])
 
 
-def read_features(path: Path | str) -> np.ndarray:
-    """Load an FZF1 file into a float32 matrix, rejecting NaN/Inf payloads."""
-    arr = _payload(path, FEATURE_MAGIC)
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"feature file {path}: non-finite payload")
-    return arr.copy()
+def read_features(
+    path: Path | str, mask: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Read an FZF1 file into a float32 matrix, rejecting NaN/Inf payloads.
+
+    The payload is read one row block of about ``READ_BLOCK_BYTES`` at a time
+    into one reused buffer; each block is checked finite and its rows go
+    straight to their places in ``out`` (a new array by default), which is
+    returned. With ``mask``, the domain's validation mask (``split_mask``),
+    the rows land train-first as ``FeatureSet`` stores them: the training
+    rows, then the validation rows, each side in file order; without one, in
+    file order. ``out`` holds every row, or the training rows only.
+    """
+    with open(path, "rb") as fh:
+        n, dim = _shape(path, FEATURE_MAGIC, fh.read(12), os.fstat(fh.fileno()).st_size)
+        if mask is None:
+            mask = np.zeros(n, dtype=bool)
+        if mask.shape != (n,):
+            raise ValidationError(f"feature file {path}: {n} rows, split as {mask.shape[0]}")
+        n_train = n - int(np.count_nonzero(mask))
+        if out is None:
+            out = np.empty((n, dim), dtype=np.float32)
+        if out.dtype != np.float32 or out.shape not in ((n, dim), (n_train, dim)):
+            raise ValidationError(
+                f"feature file {path}: its {n} x {dim} rows, {n_train} of them training "
+                f"rows, cannot fill a {out.shape} {out.dtype} array"
+            )
+        step = max(READ_BLOCK_BYTES // (4 * max(dim, 1)), 1)
+        buf = np.empty((min(step, n), dim), dtype=_FORMATS[FEATURE_MAGIC][2])
+        # where the next training row and the next validation row go
+        at = [0, n_train]
+        for start in range(0, n, step):
+            block = buf[: min(step, n - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise ValidationError(f"feature file {path}: payload ends early")
+            if not np.isfinite(block).all():
+                raise ValidationError(f"feature file {path}: non-finite payload")
+            is_val = mask[start : start + len(block)]
+            for side in (0, 1) if len(out) == n else (0,):
+                rows = np.flatnonzero(is_val == side)
+                np.take(block, rows, axis=0, out=out[at[side] : at[side] + rows.size], mode="clip")
+                at[side] += rows.size
+    return out
 
 
 def _whole_labels(labels, owner: str) -> np.ndarray:
@@ -290,33 +341,33 @@ def build_feature_set(
         raise ValidationError("features must be a 2-D matrix")
     if not np.isfinite(features).all():
         raise ValidationError(f"domain '{domain_id}': non-finite feature values")
-    return _feature_set(domain_id, features, labels, dataset_name, n_classes, split_ratio, seed)
+    mask, labels = _split(
+        domain_id, labels, features.shape[0], dataset_name, n_classes, split_ratio, seed
+    )
+    return FeatureSet(domain_id, features[np.argsort(mask, kind="stable")], labels,
+                      features.shape[0] - int(np.count_nonzero(mask)))
 
 
-def _feature_set(
+def _split(
     domain_id: str,
-    features: np.ndarray,
     labels: np.ndarray,
+    n: int,
     dataset_name: str,
     n_classes: int,
     split_ratio: float,
     seed: int,
-) -> FeatureSet:
-    """A FeatureSet of a finite float32 matrix: the labels checked, the rows split."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The validation mask of a domain's ``n`` rows, and its labels, checked
+    and stored train-first: the training rows', then the validation rows',
+    each side in file order."""
     labels = _whole_labels(labels, f"domain '{domain_id}'")
-    if labels.shape != (features.shape[0],):
-        raise ValidationError(
-            f"domain '{domain_id}': {labels.shape[0]} labels for {features.shape[0]} rows"
-        )
+    if labels.shape != (n,):
+        raise ValidationError(f"domain '{domain_id}': {labels.shape[0]} labels for {n} rows")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         bad = int(labels.min()) if labels.min() < 0 else int(labels.max())
         raise ValidationError(f"domain '{domain_id}': label out of range ({bad})")
-    mask = split_mask(dataset_name, domain_id, features.shape[0], split_ratio, seed)
-    # the training rows, then the validation rows, each side in file order
-    order = np.argsort(mask, kind="stable")
-    return FeatureSet(domain_id=domain_id, features=features[order],
-                      labels=np.asarray(labels, dtype=np.int64)[order],
-                      n_train=features.shape[0] - int(np.count_nonzero(mask)))
+    mask = split_mask(dataset_name, domain_id, n, split_ratio, seed)
+    return mask, np.asarray(labels, dtype=np.int64)[np.argsort(mask, kind="stable")]
 
 
 def load_feature_set(
@@ -326,35 +377,37 @@ def load_feature_set(
     manifest: ZooManifest,
     seed: int = 0,
     expected_dim: int | None = None,
+    out: np.ndarray | None = None,
 ) -> FeatureSet:
     """Load and validate one (encoder, domain) feature file plus its labels.
 
-    ``read_features`` has checked the matrix for NaN/Inf, so it is not
-    checked again.
+    The labels are checked and the split drawn first; ``read_features`` then
+    reads the rows train-first into ``out`` (a new array by default), the
+    set's ``features``, and checks them for NaN/Inf.
     """
-    features = read_features(features_path)
-    labels = read_labels(labels_path)
     info = manifest.domain(domain_id)
-    if features.shape[0] != info.n_samples:
-        raise ValidationError(
-            f"domain '{domain_id}': manifest declares {info.n_samples} samples, "
-            f"file has {features.shape[0]}"
-        )
+    mask, labels = _split(
+        domain_id, read_labels(labels_path), info.n_samples, manifest.dataset_name,
+        manifest.n_classes, manifest.split_ratio, seed,
+    )
+    features = read_features(features_path, mask, out)
     if expected_dim is not None and features.shape[1] != expected_dim:
         raise ValidationError(
             f"domain '{domain_id}': dim mismatch, manifest {expected_dim} vs file "
             f"{features.shape[1]}"
         )
-    return _feature_set(
-        domain_id, features, labels, manifest.dataset_name, manifest.n_classes,
-        manifest.split_ratio, seed,
-    )
+    return FeatureSet(domain_id, features, labels, info.n_samples - int(np.count_nonzero(mask)))
 
 
 def load_domain_features(
-    manifest: ZooManifest, encoder_id: str, domain_id: str, seed: int = 0
+    manifest: ZooManifest,
+    encoder_id: str,
+    domain_id: str,
+    seed: int = 0,
+    out: np.ndarray | None = None,
 ) -> FeatureSet:
-    """Manifest-level loader resolving file paths for (encoder, domain)."""
+    """Manifest-level loader resolving file paths for (encoder, domain); see
+    ``load_feature_set`` for ``out``."""
     enc = manifest.encoder(encoder_id)
     return load_feature_set(
         manifest.feature_path(encoder_id, domain_id),
@@ -363,7 +416,50 @@ def load_domain_features(
         manifest,
         seed=seed,
         expected_dim=enc.dim,
+        out=out,
     )
+
+
+def training_counts(manifest: ZooManifest, domain_ids: Sequence[str]) -> list[int]:
+    """Each domain's number of training rows, from the manifest."""
+    sizes = [manifest.domain(d).n_samples for d in domain_ids]
+    return [n - validation_rows(n, manifest.split_ratio) for n in sizes]
+
+
+def _slices(array: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    """``array``'s consecutive row slices of ``counts`` rows each."""
+    bounds = np.cumsum([0, *counts]).tolist()
+    return [array[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def load_encoder_sets(
+    manifest: ZooManifest, encoder_id: str, domain_ids: Sequence[str], seed: int = 0
+) -> tuple[np.ndarray, list[FeatureSet]]:
+    """One encoder's sets of ``domain_ids``, as views of one float32 array.
+
+    The array is sized from the manifest and holds each domain's rows in
+    turn, train-first; each file is read straight into its slice.
+    """
+    counts = [manifest.domain(d).n_samples for d in domain_ids]
+    rows = np.empty((sum(counts), manifest.encoder(encoder_id).dim), dtype=np.float32)
+    sets = [load_domain_features(manifest, encoder_id, d, seed, out=part)
+            for d, part in zip(domain_ids, _slices(rows, counts))]
+    return rows, sets
+
+
+def load_training_rows(
+    manifest: ZooManifest, encoder_id: str, domain_ids: Sequence[str], seed: int = 0
+) -> np.ndarray:
+    """One encoder's training rows of ``domain_ids``, each domain's in turn, in
+    one float32 array sized from the manifest; each file is read straight into
+    its slice, and no validation row is kept."""
+    counts = training_counts(manifest, domain_ids)
+    rows = np.empty((sum(counts), manifest.encoder(encoder_id).dim), dtype=np.float32)
+    for d, part in zip(domain_ids, _slices(rows, counts)):
+        mask = split_mask(manifest.dataset_name, d, manifest.domain(d).n_samples,
+                          manifest.split_ratio, seed)
+        read_features(manifest.feature_path(encoder_id, d), mask, part)
+    return rows
 
 
 # A JSON spec says what a parsed JSON value may be:

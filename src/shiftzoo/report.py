@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .blas_threads import run_tasks, single_blas_thread, usable_cpus
+from .blas_threads import check_memory, run_tasks, single_blas_thread, usable_cpus
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
 from .errors import ValidationError
 from .feature_store import ZooManifest, check_json, load_domain_features, read_json, write_json
@@ -148,7 +148,9 @@ def build_report(
     OpenBLAS runs on one thread for the whole grid, so the workers do not
     compete with BLAS threads and every BLAS result is the same for any
     ``jobs`` and any ``OPENBLAS_NUM_THREADS``. The previous thread count is
-    restored on return.
+    restored on return. Before any feature is read, a ``MemoryError``
+    refuses a grid whose encoders profiled at once, taken as the widest,
+    hold more features than the physical memory.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -160,13 +162,21 @@ def build_report(
 
     if jobs is not None and jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    jobs = jobs or usable_cpus()
+    # the encoders profiled at once hold their domains' features: at worst the widest
+    at_once = min(jobs, usable_cpus(), len(todo))
+    rows = sum(d.n_samples for d in manifest.domains)
+    widest = sorted((manifest.encoder(e).dim for e in todo), reverse=True)[:at_once]
+    check_memory("profile", 4 * rows * sum(widest),
+                 f"features (the domains of its {at_once} widest encoders, profiled at once "
+                 f"under --jobs {jobs})", "; lower --jobs")
     tasks = [
         partial(profile_encoder, manifest, enc_id, seed=seed, shrinkage=shrinkage,
                 quantile=quantile, n_bins=n_bins)
         for enc_id in todo
     ]
     with single_blas_thread():
-        profiles = run_tasks(tasks, jobs or usable_cpus())
+        profiles = run_tasks(tasks, jobs)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": PROFILE_KIND,

@@ -38,7 +38,6 @@ together would not fit in the physical memory is refused with a
 from __future__ import annotations
 
 import math
-import os
 import queue
 from dataclasses import dataclass
 from functools import partial
@@ -48,7 +47,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .blas_threads import (
-    BLOCK_DOUBLES, ROW_ALIGN, SPLIT_MACS, lapack_routine, run_tasks, single_blas_thread, usable_cpus
+    BLOCK_DOUBLES, ROW_ALIGN, SPLIT_MACS, check_memory, lapack_routine, run_tasks,
+    single_blas_thread, usable_cpus,
 )
 from .errors import NumericalError, ValidationError
 from .feature_store import (
@@ -488,14 +488,6 @@ def _zoo_encoders(spec: SynthSpec, zoo_size: int) -> list[SynthEncoder]:
     return encoders
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def build_zoo(
     spec: SynthSpec,
     zoo_size: int = 6,
@@ -541,13 +533,8 @@ def build_zoo(
     group_size = max(workers, raw // (8 * widest**2))
     groups = [encoders[i : i + group_size] for i in range(0, len(encoders), group_size)]
     need = raw + max(sum(8 * enc.dim**2 for enc in group) for group in groups)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise MemoryError(
-            f"synth would hold {need / 2**30:.3g} GiB of raw domains and projections "
-            f"(at most {len(groups[0])} of its {len(encoders)} encoders' projections at a time), "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    check_memory("synth", need, f"raw domains and projections (at most {len(groups[0])} of "
+                 f"its {len(encoders)} encoders' projections at a time)")
     out_dir = Path(out_dir)
     # one set of row-block buffers per worker, allocated by this thread: a
     # pool thread's malloc arena would keep what it allocates after synth

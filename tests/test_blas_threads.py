@@ -150,6 +150,31 @@ def test_a_nested_pin_sets_nothing(monkeypatch):
     assert count == [2] and calls == [1, 2]
 
 
+def test_physical_memory_is_the_page_count_times_the_page_size(monkeypatch):
+    have = blas_threads.physical_memory()
+    assert have == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") and have > 0
+
+    def unknown(name):
+        raise ValueError(f"unknown {name}")
+
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert blas_threads.physical_memory() is None
+
+
+def test_check_memory_refuses_more_than_physical_memory_naming_both_sizes(monkeypatch):
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: 3 << 30)
+    blas_threads.check_memory("train", 3 << 30, "features")
+    with pytest.raises(MemoryError) as refused:
+        blas_threads.check_memory("profile", (3 << 30) + 1, "features (four)", "; lower --jobs")
+    assert str(refused.value) == (
+        "profile would hold 3 GiB of features (four), more than the 3 GiB of physical memory; "
+        "lower --jobs"
+    )
+    # where the system does not say, nothing is refused
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: None)
+    blas_threads.check_memory("synth", 1 << 60, "raw domains")
+
+
 def test_synth_and_train_share_one_worker_pool(tmp_path, monkeypatch, fresh_pool):
     """synth, profile and train hand their work to one pool through run_tasks."""
     import shiftzoo.ensemble_train as et

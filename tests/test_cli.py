@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import shiftzoo
-from shiftzoo import cli
+from shiftzoo import blas_threads, cli, feature_store
 from shiftzoo.cli import PROFILE_PARAMS, SYNTH_PARAMS, TRAIN_PARAMS, main
 from shiftzoo.ensemble_train import TrainConfig
+from shiftzoo.feature_store import load_manifest
 from shiftzoo.report import build_report
 from shiftzoo.synthetic_dg import SynthSpec, build_zoo
 
@@ -818,6 +819,75 @@ def test_manifest_with_one_validation_row_exits_2_before_any_work(
         assert "1 validation and 399 training rows" in err and "Traceback" not in err
         assert not out.exists()
     assert calls == []
+
+
+def _refusing_reads(monkeypatch):
+    """Make any feature read fail the test; return the list of paths tried."""
+    tried = []
+
+    def refusing(path, *args):
+        tried.append(path)
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(feature_store, "read_features", refusing)
+    return tried
+
+
+def test_train_larger_than_physical_memory_exits_1_naming_both_sizes(
+    zoo_dir, tmp_path, monkeypatch, capsys
+):
+    """Before any payload is read, train weighs the main encoder's three
+    domains and each active auxiliary's training rows on the two domains that
+    train the fold against physical memory; an inactive auxiliary is not
+    counted."""
+    manifest = load_manifest(zoo_dir / "manifest.json")
+    dim = {e.encoder_id: e.dim for e in manifest.encoders}
+    main_bytes = 4 * 3 * 400 * dim["main_full"]
+    aux_bytes = 4 * 2 * 320 * (dim["div_heavy"] + dim["cor_heavy"])
+    need = main_bytes + aux_bytes
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: need - 1)
+    tried = _refusing_reads(monkeypatch)
+    out = tmp_path / "refused.json"
+    assert main(_argv("train", zoo_dir, out)) == 1
+    gib = lambda b: f"{b / 2**30:.3g} GiB"  # noqa: E731
+    assert capsys.readouterr().err == (
+        f"error: out of memory: train would hold {gib(need)} of features ({gib(main_bytes)} of "
+        f"the main encoder's domains and {gib(aux_bytes)} of auxiliary training rows), more "
+        f"than the {gib(need - 1)} of physical memory\n"
+    )
+    assert tried == [] and not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: main_bytes)
+    assert main(_argv("train", zoo_dir, tmp_path / "erm.json") + ["--mode", "erm"]) == 0
+    assert main(_argv("train", zoo_dir, tmp_path / "both.json")) == 1
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: need)
+    assert main(_argv("train", zoo_dir, tmp_path / "both.json")) == 0
+
+
+def test_profile_larger_than_physical_memory_exits_1_naming_jobs(
+    zoo_dir, tmp_path, monkeypatch, capsys
+):
+    """profile weighs the domains of as many encoders as it profiles at once,
+    taken as the widest, against physical memory before it reads a payload."""
+    manifest = load_manifest(zoo_dir / "manifest.json")
+    widths = sorted((e.dim for e in manifest.encoders), reverse=True)
+    need = 4 * 3 * 400 * (widths[0] + widths[1])
+    monkeypatch.setattr("shiftzoo.report.usable_cpus", lambda: 2)
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: need - 1)
+    tried = _refusing_reads(monkeypatch)
+    argv = ["profile", "--manifest", str(zoo_dir / "manifest.json"), "--out",
+            str(tmp_path / "p.json")]
+    assert main(argv + ["--jobs", "3"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: out of memory: profile would hold {need / 2**30:.3g} GiB of features (the "
+        f"domains of its 2 widest encoders, profiled at once under --jobs 3), more than the "
+        f"{(need - 1) / 2**30:.3g} GiB of physical memory; lower --jobs\n"
+    )
+    assert tried == [] and not (tmp_path / "p.json").exists()
+    monkeypatch.undo()
+    monkeypatch.setattr("shiftzoo.report.usable_cpus", lambda: 2)
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: need - 1)
+    assert main(argv + ["--jobs", "1"]) == 0
 
 
 @pytest.mark.parametrize("command", ["profile", "train"])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import shiftzoo
 import shiftzoo.ensemble_train as et
+import shiftzoo.feature_store as feature_store
 from shiftzoo.blas_threads import numpy_openblas, single_blas_thread
 from shiftzoo.ensemble_train import (
     MODES,
@@ -71,8 +72,13 @@ def _sets(seed, n=300, d=6, n_classes=3, domains=2):
     return out
 
 
+def _main_rows(sets):
+    """The sets' rows, each set's train-first rows in turn, as ``train_on_sets`` takes them."""
+    return np.concatenate([fs.features for fs in sets])
+
+
 def _train_rows(sets):
-    """The sets' training rows, pooled as ``train_on_sets`` pools the main encoder's."""
+    """The sets' training rows, each set's in turn, as ``train_on_sets`` takes an auxiliary's."""
     return np.concatenate([fs.train for fs in sets])
 
 
@@ -770,7 +776,7 @@ def test_rew_weights_run_only_from_n_anneal(monkeypatch):
         lam=0.0, temperature=1.0, n_anneal=13, steps=40, learning_rate=1e-3,
         eval_every=10, seed=3, aux_steps=20, aux_lr=1e-2,
     )
-    [res] = train_on_sets(sets, None, _train_rows(sets), 3, cfg, [test])
+    [res] = train_on_sets(sets, _main_rows(sets), None, _train_rows(sets), 3, cfg, [test])
     # one weighted (step, fold) batch per step from n_anneal on, and no other
     assert sum(math.prod(shape) for shape in batches) == cfg.steps - cfg.n_anneal
     assert batches[0] == (5, 1)
@@ -812,7 +818,7 @@ def test_train_on_sets_runs_and_logs():
     )
     rows = _train_rows(sets)
     # a test domain, d2, that the head does not train on
-    [res] = train_on_sets(sets, rows, rows, 3, cfg, [_sets(1, domains=3)[2]])
+    [res] = train_on_sets(sets, _main_rows(sets), rows, rows, 3, cfg, [_sets(1, domains=3)[2]])
     assert res.log.shape == (40, 3) and res.log.dtype == np.float64
     ce, hsic, mean_weight = res.log.T
     assert np.isfinite(ce + cfg.lam * hsic).all()
@@ -837,7 +843,7 @@ def test_test_accuracies_come_from_one_pass_per_checkpoint(monkeypatch, eval_eve
     real = MlpHead.predict_logits
     monkeypatch.setattr(MlpHead, "predict_logits",
                         lambda self, x: rows.append(x.shape[0]) or real(self, x))
-    [res] = train_on_sets(sets, None, None, 3, cfg, [test])
+    [res] = train_on_sets(sets, _main_rows(sets), None, None, 3, cfg, [test])
     monkeypatch.undo()
     assert res.best_step == best_step
     n_val, n_test = sum(len(fs.val) for fs in sets), test.n_samples
@@ -856,14 +862,14 @@ def test_train_erm_equals_both_with_inactive_knobs():
     base = TrainConfig(steps=30, learning_rate=1e-3, eval_every=10, seed=5)
     erm = apply_mode(base, "erm")
     both = apply_mode(replace_cfg(base, lam=0.0, temperature=math.inf), "both")
-    [res_a] = train_on_sets(sets, None, None, 3, erm, [test])
-    [res_b] = train_on_sets(sets, None, None, 3, both, [test])
+    [res_a] = train_on_sets(sets, _main_rows(sets), None, None, 3, erm, [test])
+    [res_b] = train_on_sets(sets, _main_rows(sets), None, None, 3, both, [test])
     assert np.array_equal(res_a.head.params, res_b.head.params)
     assert res_a.log.tobytes() == res_b.log.tobytes()
 
 
 def test_train_pools_stay_float32():
-    """The main pools are held once, as stored, and the float32 head reads them as they are."""
+    """The main rows are held once, as stored, and the float32 head reads them as they are."""
     rng = np.random.default_rng(0)
     sets = [
         build_feature_set(
@@ -885,14 +891,23 @@ def test_train_pools_stay_float32():
     try:
         # one array of training rows per auxiliary, as ``train`` gathers them
         div_rows, cor_rows = _train_rows(sets), _train_rows(sets)
-        train_on_sets(sets, div_rows, cor_rows, 3, cfg, [test])
+        train_on_sets(sets, _main_rows(sets), div_rows, cor_rows, 3, cfg, [test])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # float64 copies of the pools alone would take 2 * pools, and pooling the
-    # main rows through per-domain copies 1.33 * pools; the head, its
-    # optimizer and one validation pass fit in the remaining quarter
+    # float64 copies of the pools alone would take 2 * pools, and a pooled
+    # copy of the main rows 1.33 * pools; the head, its optimizer and one
+    # validation pass fit in the remaining quarter
     assert pools <= peak < 1.25 * pools
+
+
+def test_train_on_sets_rejects_misshapen_main_rows():
+    *sets, test = _sets(3, domains=3)
+    cfg = apply_mode(TrainConfig(steps=5, eval_every=5), "erm")
+    for main_rows in (_main_rows(sets)[:-1], _main_rows(sets)[:, :-1]):
+        with pytest.raises(ValidationError, match=r"^main features have shape \(\d+, \d\), "
+                                                  r"expected \(600, 6\)$"):
+            train_on_sets(sets, main_rows, None, None, 3, cfg, [test])
 
 
 def test_train_on_sets_rejects_misshapen_auxiliary_rows():
@@ -900,9 +915,9 @@ def test_train_on_sets_rejects_misshapen_auxiliary_rows():
     rows = _train_rows(sets)
     cfg = TrainConfig(lam=1.0, temperature=math.inf, steps=5, eval_every=5)
     with pytest.raises(ValidationError, match="diversity-auxiliary features have shape"):
-        train_on_sets(sets, rows[:-1], None, 3, cfg, [test])
+        train_on_sets(sets, _main_rows(sets), rows[:-1], None, 3, cfg, [test])
     with pytest.raises(ValidationError, match="requires diversity-auxiliary features"):
-        train_on_sets(sets, None, None, 3, cfg, [test])
+        train_on_sets(sets, _main_rows(sets), None, None, 3, cfg, [test])
 
 
 def replace_cfg(cfg, **kw):
@@ -931,19 +946,20 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
     cfg = TrainConfig(lam=1.0, n_warmup=5, n_anneal=10, steps=20, learning_rate=1e-3,
                       batch_size=16, eval_every=10, seed=2, aux_steps=20, aux_lr=1e-2)
     loads = []
+    real_read = feature_store.read_features
 
-    def counting(manifest, encoder_id, domain_id, seed=0):
-        loads.append((encoder_id, domain_id))
-        return load_domain_features(manifest, encoder_id, domain_id, seed=seed)
+    def counting(path, *args):
+        loads.append(Path(path).stem)
+        return real_read(path, *args)
 
-    monkeypatch.setattr(et, "load_domain_features", counting)
+    monkeypatch.setattr(feature_store, "read_features", counting)
     folds = train(manifest, "main_full", "div_heavy", "cor_heavy", cfg, manifest.domain_ids)
     assert sorted(loads) == sorted(set(loads))
     assert len(loads) == 3 * len(manifest.domain_ids)
-    # one target: its auxiliary sets are not needed
+    # one target: its auxiliary files are not read
     loads.clear()
     [one] = train(manifest, "main_full", "div_heavy", "cor_heavy", cfg, ["domain1"])
-    assert ("div_heavy", "domain1") not in loads and ("cor_heavy", "domain1") not in loads
+    assert "div_heavy_domain1" not in loads and "cor_heavy_domain1" not in loads
     assert len(loads) == 3 + 2 + 2
 
     # each fold equals a fold trained and profiled on its own
@@ -957,6 +973,7 @@ def test_train_loads_each_feature_set_once(tmp_path, monkeypatch):
         rest = [d for d in manifest.domain_ids if d != fold.target_domain]
         [alone] = train_on_sets(
             [sets["main_full", d] for d in rest],
+            _main_rows([sets["main_full", d] for d in rest]),
             _train_rows([sets["div_heavy", d] for d in rest]),
             _train_rows([sets["cor_heavy", d] for d in rest]), manifest.n_classes, cfg,
             [sets["main_full", fold.target_domain]],
@@ -997,11 +1014,11 @@ def test_single_target_train_holds_auxiliary_training_rows_once(tmp_path, monkey
     held = []
     real = et.train_on_sets
 
-    def measuring(main_sets, div_rows, cor_rows, *args):
+    def measuring(main_sets, main_rows, div_rows, cor_rows, *args):
         held.append(tracemalloc.get_traced_memory()[0])
         assert np.array_equal(div_rows, aux_rows["div_heavy"])
         assert np.array_equal(cor_rows, aux_rows["cor_heavy"])
-        return real(main_sets, div_rows, cor_rows, *args)
+        return real(main_sets, main_rows, div_rows, cor_rows, *args)
 
     monkeypatch.setattr(et, "train_on_sets", measuring)
     tracemalloc.start()
@@ -1015,6 +1032,35 @@ def test_single_target_train_holds_auxiliary_training_rows_once(tmp_path, monkey
     # validation rows and labels (1.1 MB)
     once = main_bytes + sum(rows.nbytes for rows in aux_rows.values())
     assert once <= held[0] <= once + labels + 128 * 1024
+
+
+def test_wide_train_holds_its_features_once_and_the_heads(tmp_path, monkeypatch):
+    """A 1032-wide zoo of 3 domains x 1000 rows, one target: train holds the
+    main encoder's three domains (12.4 MB), each auxiliary's training rows on
+    the two training domains (6.6 MB each), the head's parameters, gradient,
+    checkpoint and AdamW moments (five 2.7 MB blocks) and one block of steps,
+    with 4 MiB to spare for AdamW's chunk scratch and a validation pass, its
+    gathered rows and hidden layers (3.1 MB above the sum measured).
+    Concatenated pools of the main training and validation rows, and each
+    file loaded as bytes and copied twice, peaked 9.6 MB above it."""
+    spec = SynthSpec(dim_core=32, dim_div=1000, dim_spur=1000, samples_per_domain=1000)
+    manifest, _, _ = build_zoo(spec, zoo_size=4, out_dir=tmp_path)
+    monkeypatch.setattr(et, "usable_cpus", lambda: 1)
+    cfg = TrainConfig(lam=20.0, n_warmup=2, n_anneal=4, steps=10, eval_every=5, batch_size=32,
+                      learning_rate=1e-3, weight_decay=0.01, aux_lr=1e-2, aux_steps=10)
+    args = (manifest, "main_full", "div_heavy", "cor_heavy", cfg, ["domain2"])
+    train(*args)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        [fold] = train(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim = manifest.encoder("main_full").dim
+    main_bytes = 4 * 3 * 1000 * dim
+    aux_bytes = 2 * 4 * 2 * 800 * dim
+    heads = 5 * fold.result.head.params.nbytes
+    assert peak < main_bytes + aux_bytes + heads + et.STEP_BLOCK_BYTES + (4 << 20)
 
 
 def test_train_rejects_unknown_target(tmp_path):
@@ -1086,7 +1132,7 @@ def test_stacked_folds_match_the_per_fold_reference_bitwise(mode, n_heads):
         lam=5.0, n_warmup=5, n_anneal=12, learning_rate=3e-2, weight_decay=0.01, batch_size=16,
         steps=37, eval_every=10, seed=3, aux_steps=15, aux_lr=1e-2, aux_batch_size=8,
     ), mode)
-    got = train_on_sets(sets, div_rows, cor_rows, 3, cfg, test_sets)
+    got = train_on_sets(sets, _main_rows(sets), div_rows, cor_rows, 3, cfg, test_sets)
     want = reference_train_on_sets(sets, div_rows, cor_rows, 3, cfg, test_sets)
     assert len(got) == len(want) == n_heads
     for g, w in zip(got, want):
@@ -1111,7 +1157,7 @@ def test_the_block_size_changes_no_bit(monkeypatch):
     runs = {}
     for size in (1, 3, None):
         cuts = _blocks_of(monkeypatch, size)
-        results = train_on_sets(sets, div_rows, cor_rows, 3, cfg, sets)
+        results = train_on_sets(sets, _main_rows(sets), div_rows, cor_rows, 3, cfg, sets)
         monkeypatch.undo()
         # the classifier's loop, then the head's
         assert [[len(b) for b in blocks] for blocks in cuts] == {
@@ -1138,7 +1184,7 @@ def test_no_block_holds_steps_on_both_sides_of_a_switch(monkeypatch):
     rows = _train_rows(sets)
     cfg = TrainConfig(lam=5.0, n_warmup=5, n_anneal=13, learning_rate=3e-2, batch_size=16,
                       steps=37, eval_every=10, seed=3, aux_steps=17, aux_lr=1e-2)
-    train_on_sets(sets, rows[:, ::-1].copy(), rows[:, :4] ** 2, 3, cfg, sets)
+    train_on_sets(sets, _main_rows(sets), rows[:, ::-1].copy(), rows[:, :4] ** 2, 3, cfg, sets)
     blocks = cuts[-1]  # the head's loop
     assert [s for b in blocks for s in b] == list(range(cfg.steps))
     for block in blocks:
@@ -1207,7 +1253,7 @@ def test_weights_that_underflow_are_refused_at_their_own_step(monkeypatch):
                       eval_every=5, seed=0, aux_steps=100, aux_lr=1e-1)
     refused = r"^temperature 0\.001 underflows reweighting weights to 0; raise the temperature$"
     with pytest.raises(ValidationError, match=refused):
-        train_on_sets(sets, None, cor_rows, 3, cfg, sets[1:2])
+        train_on_sets(sets, _main_rows(sets), None, cor_rows, 3, cfg, sets[1:2])
     assert steps == [0, 1, 2]
     with pytest.raises(ValidationError, match=refused):
         reference_train_on_sets(sets, None, cor_rows, 3, cfg, sets[1:2])
@@ -1217,7 +1263,8 @@ def test_weights_that_underflow_are_refused_at_their_own_step(monkeypatch):
     steps.clear()
     with pytest.raises(NumericalError, match=r"^the fold on target 'd1' has a non-finite loss "
                                              r"at step 1 "):
-        train_on_sets(sets, None, cor_rows, 3, replace_cfg(cfg, learning_rate=1e8), sets[1:2])
+        train_on_sets(sets, _main_rows(sets), None, cor_rows, 3,
+                      replace_cfg(cfg, learning_rate=1e8), sets[1:2])
     assert steps == [0, 1]
 
 
@@ -1230,7 +1277,7 @@ def test_stacked_wide_folds_split_each_fold_product_bitwise(monkeypatch):
     cfg = apply_mode(TrainConfig(learning_rate=1e-3, batch_size=32, steps=4, eval_every=2,
                                  seed=1), "erm")
     with single_blas_thread():
-        got = train_on_sets(sets, None, None, 3, cfg, sets[:2])
+        got = train_on_sets(sets, _main_rows(sets), None, None, 3, cfg, sets[:2])
         # a step product of 32 * 512 * 256 = 2 * SPLIT_MACS: two blocks for each of two folds
         assert 4 in blocks
         want = reference_train_on_sets(sets, None, None, 3, cfg, sets[:2])
@@ -1250,7 +1297,7 @@ def test_stacked_wide_head_folds_match_the_per_fold_reference_bitwise(monkeypatc
     cfg = TrainConfig(lam=5.0, n_warmup=1, n_anneal=2, learning_rate=1e-3, batch_size=32,
                       steps=4, eval_every=2, seed=2, aux_steps=3, aux_lr=1e-2)
     with single_blas_thread():
-        got = train_on_sets(sets, div_rows, cor_rows, 4, cfg, sets)
+        got = train_on_sets(sets, _main_rows(sets), div_rows, cor_rows, 4, cfg, sets)
         # the first forward product, 32 * 2048 * 1024: two blocks for each of three folds
         assert blocks[0] == 6
         want = reference_train_on_sets(sets, div_rows, cor_rows, 4, cfg, sets)
@@ -1296,9 +1343,9 @@ def test_non_finite_loss_names_the_fold_of_its_target():
     cfg = apply_mode(TrainConfig(learning_rate=1e8, steps=20, eval_every=5, seed=0), "erm")
     named = r"^the fold on target 'd1' has a non-finite loss at step 1 \(ce=nan, hsic=0\.0\); "
     with pytest.raises(NumericalError, match=named):
-        train_on_sets(sets, None, None, 3, cfg, sets)
+        train_on_sets(sets, _main_rows(sets), None, None, 3, cfg, sets)
     # held out alone, d0 trains to the end
-    [res] = train_on_sets(sets, None, None, 3, cfg, sets[:1])
+    [res] = train_on_sets(sets, _main_rows(sets), None, None, 3, cfg, sets[:1])
     assert len(res.log) == cfg.steps
 
 
@@ -1309,7 +1356,7 @@ def test_train_refuses_empty_or_repeated_targets_before_reading(tmp_path, monkey
     def refusing(*args, **kwargs):
         raise AssertionError("no feature file should be read")
 
-    monkeypatch.setattr(et, "load_domain_features", refusing)
+    monkeypatch.setattr(feature_store, "read_features", refusing)
     with pytest.raises(ValidationError, match="need at least one target domain"):
         train(manifest, "main_full", None, None, cfg, [])
     with pytest.raises(ValidationError, match="target domain 'domain0' is given more than once"):

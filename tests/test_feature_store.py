@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracle_utils import reference_pair_shifts, train_first
 
+import shiftzoo.feature_store as feature_store
 from shiftzoo.correlation_profile import dataset_correlation
 from shiftzoo.errors import ValidationError
 from shiftzoo.feature_store import (
@@ -22,8 +23,10 @@ from shiftzoo.feature_store import (
     build_feature_set,
     check_split,
     load_domain_features,
+    load_encoder_sets,
     load_feature_set,
     load_manifest,
+    load_training_rows,
     read_features,
     read_labels,
     save_manifest,
@@ -423,6 +426,91 @@ def test_loading_checks_each_matrix_for_non_finite_values_once(tmp_path, monkeyp
     monkeypatch.setattr(np, "isfinite", counted)
     fs = load_domain_features(manifest, "encA", "dom0")
     assert calls == [fs.features.shape]
+
+
+def _block_rows(monkeypatch, rows, dim):
+    """Make the reader take ``rows`` rows of ``dim`` float32 values a block."""
+    monkeypatch.setattr(feature_store, "READ_BLOCK_BYTES", 4 * rows * dim)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40, 64])
+def test_block_reads_put_each_row_where_build_feature_set_puts_it(tmp_path, monkeypatch, rows):
+    """Whole sets, one encoder's sets in one array, and training rows alone
+    hold the rows that build_feature_set stores, whatever the block size:
+    one row, a few rows with a short last block, the file, more than it."""
+    manifest = _tiny_manifest(tmp_path, n=40, d=5)
+    _block_rows(monkeypatch, rows, 5)
+    built = {}
+    for d in manifest.domain_ids:
+        for e in manifest.encoder_ids:
+            built[e, d] = build_feature_set(
+                d, read_features(manifest.feature_path(e, d)), read_labels(manifest.label_path(d)),
+                dataset_name="tiny", n_classes=2, split_ratio=0.2, seed=3,
+            )
+            fs = load_domain_features(manifest, e, d, seed=3)
+            assert fs.features.tobytes() == built[e, d].features.tobytes()
+            assert np.array_equal(fs.labels, built[e, d].labels) and fs.n_train == 32
+    domains = manifest.domain_ids[::-1]
+    rows_of, sets = load_encoder_sets(manifest, "encB", domains, seed=3)
+    assert rows_of.tobytes() == b"".join(built["encB", d].features.tobytes() for d in domains)
+    for fs, d in zip(sets, domains):
+        assert fs.features.base is rows_of and fs.domain_id == d
+        assert np.array_equal(fs.labels, built["encB", d].labels)
+    train_rows = load_training_rows(manifest, "encA", domains, seed=3)
+    assert train_rows.tobytes() == b"".join(built["encA", d].train.tobytes() for d in domains)
+
+
+@pytest.mark.parametrize("row", [0, 21, 39])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_in_any_block_is_refused_naming_the_file(
+    tmp_path, monkeypatch, row, bad
+):
+    """Blocks of 8 rows: the first, a middle and the last block."""
+    manifest = _tiny_manifest(tmp_path, n=40, d=5)
+    _block_rows(monkeypatch, 8, 5)
+    path = manifest.feature_path("encA", "dom1")
+    x = read_features(path)
+    x[row, 4 if row else 0] = bad
+    write_features(path, x)
+    for load in (lambda: read_features(path),
+                 lambda: load_domain_features(manifest, "encA", "dom1"),
+                 lambda: load_training_rows(manifest, "encA", ["dom0", "dom1"])):
+        with pytest.raises(ValidationError, match=f"^feature file {re.escape(str(path))}: "
+                                                  "non-finite payload$"):
+            load()
+
+
+def test_read_features_refuses_a_split_or_array_that_does_not_fit_the_file(tmp_path):
+    path = tmp_path / "m.fzf"
+    write_features(path, np.zeros((10, 3), dtype=np.float32))
+    mask = split_mask("ds", "d", 10, 0.2, 0)
+    with pytest.raises(ValidationError, match="10 rows, split as 9"):
+        read_features(path, mask[:9])
+    for out in (np.empty((9, 3), np.float32), np.empty((10, 4), np.float32),
+                np.empty((10, 3), np.float64)):
+        with pytest.raises(ValidationError, match="cannot fill"):
+            read_features(path, mask, out)
+    assert read_features(path, mask, np.empty((8, 3), np.float32)).shape == (8, 3)
+
+
+def test_loading_a_cell_holds_its_set_and_one_block(tmp_path, monkeypatch):
+    """One 1000 x 512 cell (2 MB) read in blocks of 16 rows (32 KiB): the
+    load holds the set's rows, one block, and the labels, split mask and
+    permutations of 1000 rows (25 KB measured), within 64 KiB. Reading the
+    whole file as bytes, then copying it twice, peaked above three times
+    the set."""
+    n, dim = 1000, 512
+    manifest = _tiny_manifest(tmp_path, n=n, d=dim)
+    _block_rows(monkeypatch, 16, dim)
+    load_domain_features(manifest, "encA", "dom0")  # first-call imports
+    tracemalloc.start()
+    try:
+        fs = load_domain_features(manifest, "encA", "dom0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fs.features.nbytes == 4 * n * dim
+    assert peak < fs.features.nbytes + feature_store.READ_BLOCK_BYTES + 64 * 1024
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

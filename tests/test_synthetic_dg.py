@@ -425,7 +425,7 @@ def test_an_error_in_a_pooled_projection_reaches_the_caller(tmp_path, monkeypatc
         return original(self)
 
     monkeypatch.setattr(SynthEncoder, "projection", failing)
-    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     before = blas_threads.numpy_blas_threads()
     outcome = []
 
@@ -459,7 +459,7 @@ def test_pooled_synth_bytes_do_not_depend_on_usable_cpus(tmp_path, monkeypatch, 
     monkeypatch.setattr(synthetic_dg, "write_feature_blocks", recording)
     outs = {}
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(blas_threads, "usable_cpus", lambda c=cpus: c)
+        _usable_cpus(monkeypatch, cpus)
         fresh_pool()
         build_zoo(_pooled_spec(seed=2), zoo_size=6, out_dir=tmp_path / str(cpus))
         outs[cpus] = _read_dir(tmp_path / str(cpus))
@@ -474,7 +474,7 @@ def test_a_desk_sized_synth_gives_the_pool_nothing(tmp_path, monkeypatch):
         raise AssertionError("a desk-sized synth used the worker pool")
 
     monkeypatch.setattr(blas_threads, "worker_pool", no_pool)
-    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 4)
+    _usable_cpus(monkeypatch, 4)
     # 2000 rows x 12 wide at most: far under 2 * SPLIT_MACS per cell
     build_zoo(SynthSpec(), zoo_size=6, out_dir=tmp_path)
     assert (tmp_path / "manifest.json").is_file()
@@ -499,7 +499,7 @@ def test_a_streamed_cell_equals_the_written_transform(tmp_path, width):
 def test_a_failing_cell_reaches_the_caller_and_leaves_no_task_running(
     tmp_path, monkeypatch, fresh_pool
 ):
-    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    _usable_cpus(monkeypatch, 2)
     real = synthetic_dg.write_feature_blocks
     lock, running, started = threading.Lock(), [0], []
 
@@ -541,7 +541,7 @@ def test_synth_larger_than_physical_memory_exits_1_naming_both_sizes(
     from shiftzoo.cli import main
 
     # 3 domains x 2000 rows x 16 columns of float32 (0.37 MiB) and six 8- to 12-wide projections
-    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: 1 << 18)
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: 1 << 18)
     assert main(["synth", "--out", str(tmp_path / "z")]) == 1
     err = capsys.readouterr().err
     assert err == (
@@ -562,7 +562,7 @@ def test_synth_counts_every_projection_against_physical_memory(tmp_path, monkeyp
     # holds the raw domains and the widest projection alone is too small
     have = raw + max(projections) + 8
     assert have < raw + sum(projections)
-    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: have)
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: have)
     assert main(["synth", "--out", str(tmp_path / "z")]) == 1
     assert "of raw domains and projections" in capsys.readouterr().err
     assert not (tmp_path / "z").exists()
@@ -580,13 +580,13 @@ def test_synth_counts_only_its_largest_group_of_projections(tmp_path, monkeypatc
     projections = [8 * enc.dim**2 for enc in synthetic_dg._zoo_encoders(spec, 4)]
     assert raw < max(projections)  # groups of one encoder
     need = raw + max(projections)
-    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: need - 1)
     assert main(["synth", "--out", str(tmp_path / "refused"), *flags]) == 1
     assert "(at most 1 of its 4 encoders' projections at a time)" in capsys.readouterr().err
     assert not (tmp_path / "refused").exists()
     have = (need + raw + sum(projections)) // 2
     assert need < have < raw + sum(projections)
-    monkeypatch.setattr(synthetic_dg, "_physical_memory", lambda: have)
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: have)
     assert main(["synth", "--out", str(tmp_path / "z"), *flags]) == 0
     assert (tmp_path / "z" / "manifest.json").is_file()
 
