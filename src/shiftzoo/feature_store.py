@@ -63,7 +63,8 @@ class FeatureSet:
 
     ``features`` holds the float32 rows train-first: the ``n_train`` training
     rows, then the validation rows, each in file order as ``split_mask``
-    picks them; ``labels`` is in the same order. ``train`` / ``val`` and
+    picks them; ``labels`` is in the same order. ``features`` may be a slice
+    of an array shared with other domains' sets (``load_encoder_sets``). ``train`` / ``val`` and
     ``train_labels`` / ``val_labels`` are views of them. ``train_features``
     / ``val_features`` hand out float64 copies; the package itself does not
     call them and widens the stored rows inside each operation instead.

@@ -497,8 +497,7 @@ def test_loading_a_cell_holds_its_set_and_one_block(tmp_path, monkeypatch):
     """One 1000 x 512 cell (2 MB) read in blocks of 16 rows (32 KiB): the
     load holds the set's rows, one block, and the labels, split mask and
     permutations of 1000 rows (25 KB measured), within 64 KiB. Reading the
-    whole file as bytes, then copying it twice, peaked above three times
-    the set."""
+    whole file as bytes, then copying it twice, peaked at twice the set."""
     n, dim = 1000, 512
     manifest = _tiny_manifest(tmp_path, n=n, d=dim)
     _block_rows(monkeypatch, 16, dim)
