@@ -512,20 +512,35 @@ def _draw(
     return out
 
 
+def _check_finite(
+    loss: np.ndarray, targets: Sequence[str] | None, says: Callable[[int], str]
+) -> None:
+    """Raise ``NumericalError`` if a head's ``loss`` is not finite: the first
+    such head f, named as the other errors of a fold begin ("the fold on
+    target 'X'", or "the head" without ``targets``), then ``says(f)``."""
+    finite = np.isfinite(loss)
+    if not finite.all():
+        f = int(np.argmin(finite))
+        head = "the head" if targets is None else f"the fold on target '{targets[f]}'"
+        raise NumericalError(f"{head} {says(f)}")
+
+
 def train_rew_auxiliary(
     features: np.ndarray,
     labels: np.ndarray,
     n_classes: int,
     rngs: Sequence[np.random.Generator | int],
     pools: Sequence[np.ndarray],
-    steps: int = 1000,
-    lr: float = 1e-5,
-    batch_size: int = 16,
+    config: TrainConfig,
+    targets: Sequence[str] | None = None,
 ) -> RewAuxiliary:
     """Train a stack of reweighting classifiers, zero-initialized one-layer
-    heads, with one AdamW: classifier f draws its batches with ``rngs[f]``
-    from its pool, the row indices ``pools[f]``, a block of steps at a time
-    (see ``_draw``), and the block's labels are gathered at once."""
+    heads, with one AdamW at ``config.aux_lr`` for ``config.aux_steps``
+    steps: classifier f draws its batches of ``config.aux_batch_size`` with
+    ``rngs[f]`` from its pool, the row indices ``pools[f]``, a block of
+    steps at a time (see ``_draw``), and the block's labels are gathered at
+    once. A non-finite loss raises ``NumericalError`` before the update,
+    naming the classifier's fold among ``targets`` as ``train_step`` does."""
     z = np.asarray(features)
     y = np.asarray(labels)
     if z.ndim != 2 or z.shape[0] != y.shape[0] or z.shape[0] == 0:
@@ -537,12 +552,16 @@ def train_rew_auxiliary(
     priors, floored = zip(*(class_prior(pool, n_classes) for pool in pool_labels))
     head = MlpHead((z.shape[1], n_classes), [0] * len(rngs))
     head.params[...] = 0.0
-    opt = AdamW(head.params, lr=lr)
-    for block in _step_blocks(steps, len(rngs) * batch_size * _DRAW_BYTES):
-        idx = _draw(rngs, pools, batch_size, len(block))
+    opt = AdamW(head.params, lr=config.aux_lr)
+    for block in _step_blocks(config.aux_steps, len(rngs) * config.aux_batch_size * _DRAW_BYTES):
+        idx = _draw(rngs, pools, config.aux_batch_size, len(block))
         labels = y[idx]
-        for i in range(len(block)):
-            opt.step(head_loss_and_grads(head, z[idx[i]], labels[i], None)[3])
+        for i, step in enumerate(block):
+            loss, _, _, grad = head_loss_and_grads(head, z[idx[i]], labels[i], None)
+            _check_finite(loss, targets, lambda f: (
+                f"has a reweighting classifier with a non-finite loss at step {step} "
+                f"(ce={loss[f]}); try an aux_lr (--aux-lr) below {config.aux_lr}"))
+            opt.step(grad)
     return RewAuxiliary(head=head, class_prior=np.stack(priors), prior_floored=np.array(floored))
 
 
@@ -590,8 +609,8 @@ def head_loss_and_grads(
     weights: np.ndarray | None,
     aux_div: np.ndarray | CentredKernel | None = None,
     lam: float = 0.0,
-    gamma1: float = 0.1,
-    gamma2: float = 0.5,
+    gamma1: float = TrainConfig.gamma1,
+    gamma2: float = TrainConfig.gamma2,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | float, np.ndarray]:
     """Combined loss and parameter gradients for one batch per head of the stack.
 
@@ -642,15 +661,9 @@ def train_step(
     total, ce, hsic_val, grad = head_loss_and_grads(
         head, x, labels, rew_batch, aux_div, config.lam, config.gamma1, config.gamma2
     )
-    finite = np.isfinite(total)
-    if not finite.all():
-        f = int(np.argmin(finite))
-        head = "the head" if targets is None else f"the fold on target '{targets[f]}'"
-        ce_f, hsic_f = (np.broadcast_to(v, finite.shape).flat[f] for v in (ce, hsic_val))
-        raise NumericalError(
-            f"{head} has a non-finite loss at step {step_index} (ce={ce_f}, hsic={hsic_f}); "
-            "try a lower learning rate"
-        )
+    _check_finite(total, targets, lambda f: (
+        f"has a non-finite loss at step {step_index} (ce={ce[f]}, "
+        f"hsic={np.broadcast_to(hsic_val, total.shape)[f]}); try a lower learning rate"))
     optimizer.step(grad)
     return ce, hsic_val
 
@@ -784,10 +797,8 @@ def train_on_sets(
                              for a, fs in zip(starts, main_sets)])
     labels = np.concatenate([fs.labels for fs in main_sets])
     y_train = labels[train_at]
-    x_div = div_rows if config.hsic_active else None
-    x_cor = cor_rows if config.rew_active else None
     n = train_at.size
-    for name, rows in (("diversity-auxiliary", x_div), ("correlation-auxiliary", x_cor)):
+    for name, rows in (("diversity-auxiliary", div_rows), ("correlation-auxiliary", cor_rows)):
         if rows is not None and (rows.ndim != 2 or rows.shape[0] != n):
             raise ValidationError(
                 f"{name} features have shape {rows.shape}, expected one row per training row ({n})"
@@ -816,9 +827,8 @@ def train_on_sets(
     prior_floored = [False] * heads_n
     if config.rew_active:
         aux = train_rew_auxiliary(
-            x_cor, y_train, n_classes, [np.random.default_rng(ss) for _, _, ss in streams],
-            train_pools, steps=config.aux_steps, lr=config.aux_lr,
-            batch_size=config.aux_batch_size,
+            cor_rows, y_train, n_classes, [np.random.default_rng(ss) for _, _, ss in streams],
+            train_pools, config, targets,
         )
         prior_floored = aux.prior_floored.tolist()
 
@@ -833,18 +843,18 @@ def train_on_sets(
     first_rew = config.n_anneal if config.rew_active else config.steps
     first_hsic = config.n_warmup if config.hsic_active else config.steps
     m = config.batch_size
-    step_bytes = heads_n * m * _row_bytes(m, x_div, x_cor, n_classes)
+    step_bytes = heads_n * m * _row_bytes(m, div_rows, cor_rows, n_classes)
     for block in _step_blocks(config.steps, step_bytes, (first_rew, first_hsic)):
         idx = _draw(batch_rngs, train_pools, m, len(block))
         batch_rows, batch_labels = train_at[idx], y_train[idx]
         weights, kernels, mean_weight = None, None, 1.0
         if block.start >= first_rew:
-            weights = rew_weights(aux, x_cor[idx], batch_labels, config.temperature)
+            weights = rew_weights(aux, cor_rows[idx], batch_labels, config.temperature)
             usable = weights.any(-1).all(-1).tolist()
             mean_weight = (np.add.reduce(weights, -1) / m).T
         log[:, block.start : block.stop, 2] = mean_weight
         if block.start >= first_hsic:
-            kernels = centred_kernel(x_div[idx], KernelSpec(config.gamma2))
+            kernels = centred_kernel(div_rows[idx], KernelSpec(config.gamma2))
         for i, step in enumerate(block):
             if weights is not None and not usable[i]:
                 raise ValidationError(
@@ -908,9 +918,10 @@ def train(
     are known to be finite in float32. Each feature file the folds need is
     read once, straight into an array sized from the manifest: the main
     encoder's whole, into one array whose slices its sets are, and each
-    auxiliary's training rows on the domains that train a fold. Before any
-    is read, a ``MemoryError`` refuses features that together exceed the
-    physical memory. The folds run with OpenBLAS on one
+    distinct active auxiliary's training rows on the domains that train a
+    fold, into one array that both roles share when they name the same
+    encoder. Before any is read, a ``MemoryError`` refuses features that
+    together exceed the physical memory. The folds run with OpenBLAS on one
     thread, so their bytes do not depend on the BLAS thread count; the
     previous count is restored on return.
     """
@@ -933,11 +944,13 @@ def train(
     div_id = div_aux_id if config.hsic_active else None
     cor_id = rew_aux_id if config.rew_active else None
     # the main encoder's domains, those that train a fold first, as views of
-    # one array; of each active auxiliary, the training rows of those domains
+    # one array; of each distinct active auxiliary, the training rows of those
+    # domains in one array, which both roles share when they name it
     layout = train_domains + [d for d in domains if d not in train_domains]
+    aux_ids = dict.fromkeys(e for e in (div_id, cor_id) if e is not None)
     main_bytes = 4 * manifest.encoder(main_encoder_id).dim * sum(
         d.n_samples for d in manifest.domains)
-    aux_bytes = 4 * sum(manifest.encoder(e).dim for e in (div_id, cor_id) if e is not None) * sum(
+    aux_bytes = 4 * sum(manifest.encoder(e).dim for e in aux_ids) * sum(
         training_counts(manifest, train_domains))
     check_memory("train", main_bytes + aux_bytes,
                  f"features ({main_bytes / 2**30:.3g} GiB of the main encoder's domains and "
@@ -945,16 +958,13 @@ def train(
     main_rows, main_sets = load_encoder_sets(manifest, main_encoder_id, layout, config.seed)
     main = {fs.domain_id: fs for fs in main_sets}
     trained = main_sets[: len(train_domains)]
-    div, cor = (
-        None if e is None else load_training_rows(manifest, e, train_domains, config.seed)
-        for e in (div_id, cor_id)
-    )
+    aux = {e: load_training_rows(manifest, e, train_domains, config.seed) for e in aux_ids}
     # OpenBLAS stays on one thread: the worker pool does the parallel work, and
     # an idle OpenBLAS worker would spin on the pool's cores between GEMMs
     with single_blas_thread():
         results = train_on_sets(
-            trained, main_rows[: sum(fs.n_samples for fs in trained)], div, cor,
-            manifest.n_classes, config, [main[t] for t in targets],
+            trained, main_rows[: sum(fs.n_samples for fs in trained)], aux.get(div_id),
+            aux.get(cor_id), manifest.n_classes, config, [main[t] for t in targets],
         )
         logit_sets = [
             logit_feature_sets(result.head, [main[d] for d in domains],

@@ -8,27 +8,16 @@ File formats (all little-endian):
 * manifest: UTF-8 JSON document, see ``ZooManifest`` and ``MANIFEST_SPEC``.
   Paths inside the manifest are relative to the manifest file's directory.
 
-Every JSON file the package reads goes through ``read_json`` and is checked
-against a declarative spec (``check_json``); every one it writes goes
-through ``write_json``.
+Every JSON file is read through ``read_json`` and written through
+``write_json``, and checked against a declarative spec (``check_json``). A
+file whose size is not the one its header implies is refused, by the
+readers and, before any payload is read, by ``load_manifest``. Every
+feature load goes through one block reader, ``read_features``.
 
-A file whose size is not the one its header implies is refused, by the
-readers and, before any payload is read, by ``load_manifest``.
-
-Every feature load goes through one block reader, ``read_features``: it
-reads a file's payload one row block (about ``READ_BLOCK_BYTES``) at a time
-through one reused buffer, checks each block finite and puts its rows
-straight into their places in the destination array, train-first when it is
-given the domain's split mask. A load holds the destination and one block,
-never a copy of the whole file; ``load_encoder_sets`` and
-``load_training_rows`` read several domains of one encoder into one array
-sized from the manifest.
-
-Validation splits are a pure function of (dataset_name, domain_id, seed), so
-every encoder of a dataset sees the same rows of a domain in the same split,
-and reruns reproduce the split bit-for-bit on any platform. A set is split
-once, when it is built: its rows are stored train-first (``FeatureSet``), so
-no other module reads the split mask.
+Validation splits are a pure function of (dataset_name, domain_id, seed),
+shared by every encoder of a dataset and bit-for-bit the same on any
+platform. A set's rows are stored train-first (``FeatureSet``), so no other
+module reads the split mask.
 """
 
 from __future__ import annotations
@@ -64,10 +53,9 @@ class FeatureSet:
     ``features`` holds the float32 rows train-first: the ``n_train`` training
     rows, then the validation rows, each in file order as ``split_mask``
     picks them; ``labels`` is in the same order. ``features`` may be a slice
-    of an array shared with other domains' sets (``load_encoder_sets``). ``train`` / ``val`` and
-    ``train_labels`` / ``val_labels`` are views of them. ``train_features``
-    / ``val_features`` hand out float64 copies; the package itself does not
-    call them and widens the stored rows inside each operation instead.
+    of an array shared with other domains' sets (``load_encoder_sets``).
+    ``train`` / ``val`` and ``train_labels`` / ``val_labels`` are views of
+    them; ``train_features`` / ``val_features`` are float64 copies.
     """
 
     domain_id: str
@@ -224,12 +212,11 @@ def read_features(
 ) -> np.ndarray:
     """Read an FZF1 file into a float32 matrix, rejecting NaN/Inf payloads.
 
-    The payload is read one row block of about ``READ_BLOCK_BYTES`` at a time
-    into one reused buffer; each block is checked finite and its rows go
+    The payload is read through one reused buffer, one row block (about
+    ``READ_BLOCK_BYTES``) at a time and never whole, and each block's rows go
     straight to their places in ``out`` (a new array by default), which is
     returned. With ``mask``, the domain's validation mask (``split_mask``),
-    the rows land train-first as ``FeatureSet`` stores them: the training
-    rows, then the validation rows, each side in file order; without one, in
+    the rows land train-first as ``FeatureSet`` stores them; without one, in
     file order. ``out`` holds every row, or the training rows only.
     """
     with open(path, "rb") as fh:
@@ -380,12 +367,9 @@ def load_feature_set(
     expected_dim: int | None = None,
     out: np.ndarray | None = None,
 ) -> FeatureSet:
-    """Load and validate one (encoder, domain) feature file plus its labels.
-
-    The labels are checked and the split drawn first; ``read_features`` then
-    reads the rows train-first into ``out`` (a new array by default), the
-    set's ``features``, and checks them for NaN/Inf.
-    """
+    """Load and validate one (encoder, domain) feature file plus its labels;
+    the rows are read train-first into ``out`` (a new array by default), the
+    set's ``features``."""
     info = manifest.domain(domain_id)
     mask, labels = _split(
         domain_id, read_labels(labels_path), info.n_samples, manifest.dataset_name,
@@ -436,11 +420,8 @@ def _slices(array: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
 def load_encoder_sets(
     manifest: ZooManifest, encoder_id: str, domain_ids: Sequence[str], seed: int = 0
 ) -> tuple[np.ndarray, list[FeatureSet]]:
-    """One encoder's sets of ``domain_ids``, as views of one float32 array.
-
-    The array is sized from the manifest and holds each domain's rows in
-    turn, train-first; each file is read straight into its slice.
-    """
+    """One encoder's sets of ``domain_ids``, as views of one float32 array
+    sized from the manifest that holds each domain's rows in turn."""
     counts = [manifest.domain(d).n_samples for d in domain_ids]
     rows = np.empty((sum(counts), manifest.encoder(encoder_id).dim), dtype=np.float32)
     sets = [load_domain_features(manifest, encoder_id, d, seed, out=part)
@@ -452,8 +433,7 @@ def load_training_rows(
     manifest: ZooManifest, encoder_id: str, domain_ids: Sequence[str], seed: int = 0
 ) -> np.ndarray:
     """One encoder's training rows of ``domain_ids``, each domain's in turn, in
-    one float32 array sized from the manifest; each file is read straight into
-    its slice, and no validation row is kept."""
+    one float32 array sized from the manifest."""
     counts = training_counts(manifest, domain_ids)
     rows = np.empty((sum(counts), manifest.encoder(encoder_id).dim), dtype=np.float32)
     for d, part in zip(domain_ids, _slices(rows, counts)):

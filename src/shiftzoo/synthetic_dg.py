@@ -21,18 +21,10 @@ linear map and a leaky rectifier; the built zoo contains a clean encoder
 (core+spur), a full encoder used as the main model, and mixed randoms that
 see at most half of each shifted block.
 
-Memory: each domain is drawn straight into one float32 matrix, each block
-drawn and finished one row block of float64 at a time in reused buffers (see
-``BLOCK_DOUBLES``); a domain that overflows float32 is refused. Each
-projection is one d x d float64 matrix, drawn in row blocks and factored in
-place, so its QR holds that matrix and one draw block. ``build_zoo`` holds
-the projections of one group of encoders at a time, weighing no more than
-the raw domains or one widest projection per worker, whichever is more, and
-streams each (encoder, domain) cell to its file one float32 row block at a
-time: no encoded matrix and no full-width float64 copy of a domain is ever
-whole in memory. A zoo whose raw domains and largest group's projections
-together would not fit in the physical memory is refused with a
-``MemoryError`` before anything is drawn.
+Each domain is drawn straight into one float32 matrix, and each cell is
+encoded and streamed to its file, through float64 row blocks (see
+``BLOCK_DOUBLES``): no encoded matrix and no full-width float64 copy of a
+domain is ever whole in memory (``build_zoo`` states its bound).
 """
 
 from __future__ import annotations
@@ -332,22 +324,14 @@ class SynthEncoder:
     def projection(self) -> np.ndarray:
         """Q of a seeded d x d Gaussian's QR, column j scaled by a seeded u[j] in [0.8, 1.25].
 
-        The Gaussian is drawn in row blocks of about ``BLOCK_DOUBLES`` values
-        straight into one Fortran-ordered matrix, and LAPACK's ``dgeqrf`` and
-        then ``dorgqr``, on numpy's own OpenBLAS, overwrite it with Q: no R is
-        formed, and the peak is one d x d matrix and one draw block. The
-        normals come in row order, so they are those of one
-        ``rng.normal(size=(d, d))`` draw (``b += 0.0`` as in ``_fill_noisy``).
-        The first block is drawn before the matrix is allocated, so a
-        projection of one block allocates as ``np.asfortranarray`` of that
-        draw would. These are the routines and the queried workspace sizes of
-        ``np.linalg.qr``, so Q has its bits; where ``lapack_routine`` finds
-        no such routines, Q is ``np.linalg.qr``'s. The result is
-        Fortran-ordered.
-
-        LAPACK's QR can take other bits under another OpenBLAS thread count
-        (seen at d = 446 and 1032), so it runs on one thread; under
-        ``build_zoo``'s pin this sets nothing.
+        The Gaussian, the normals of one ``rng.normal(size=(d, d))`` draw, is
+        drawn in row blocks of about ``BLOCK_DOUBLES`` values into one
+        Fortran-ordered matrix, which LAPACK's ``dgeqrf`` and ``dorgqr`` (the
+        routines and workspace sizes of ``np.linalg.qr``, so Q has its bits)
+        overwrite with Q: the peak is one d x d matrix and one draw block.
+        The QR runs on one OpenBLAS thread, since its bits can follow the
+        thread count. Where ``lapack_routine`` finds no such routines, Q is
+        ``np.linalg.qr``'s. The result is Fortran-ordered.
         """
         rng = np.random.default_rng(self.seed)
         d = self.dim
@@ -414,24 +398,20 @@ def _encoded_blocks(
 ) -> Iterator[np.ndarray]:
     """leaky(x[:, coord_indices] @ projection) as float32, one row block at a time.
 
-    ``x`` is float32 or float64. Each block's columns are gathered (into the
-    float32 buffer, or straight into a float64 one) and widened to float64
-    (exact, so these are the bits of widening first), multiplied into the
-    second float64 buffer, and rectified as max(z, slope * z), which has the
-    bits of where(z > 0, z, slope * z) for every double, signed zeros,
-    subnormals, infinities and NaN included, into the float32 buffer. Each
-    yielded block is a view of that buffer, valid until the next one.
+    Each block's columns are gathered into the float32 buffer (rounding rows
+    of any other dtype to float32, as ``build_zoo`` stores its draws),
+    widened to float64, multiplied into the second float64 buffer, and
+    rectified as max(z, slope * z), which has the bits of where(z > 0, z,
+    slope * z) for every double, into the float32 buffer. Each yielded block
+    is a view of that buffer, valid until the next one.
     """
     cols = np.asarray(coord_indices, dtype=np.intp)
     d = projection.shape[1]
     for lo, hi in _row_blocks(x.shape[0], d):
         # the projection is square, so one buffer holds the gathered block and then slope * z
         xr, zr, gr = (b[: (hi - lo) * d].reshape(hi - lo, d) for b in buffers)
-        if x.dtype == np.float64:
-            np.take(x[lo:hi], cols, axis=1, out=xr, mode="clip")
-        else:
-            np.take(x[lo:hi], cols, axis=1, out=gr, mode="clip")
-            np.copyto(xr, gr)
+        np.take(x[lo:hi], cols, axis=1, out=gr, mode="clip")
+        np.copyto(xr, gr)
         np.matmul(xr, projection, out=zr)
         np.multiply(zr, LEAKY_SLOPE, out=xr)
         np.maximum(zr, xr, out=gr, casting="same_kind")
@@ -439,12 +419,7 @@ def _encoded_blocks(
 
 
 def _encode(x: np.ndarray, coord_indices: tuple[int, ...], projection: np.ndarray) -> np.ndarray:
-    """The row blocks of ``_encoded_blocks`` collected into one float32 matrix.
-
-    Only the result and one row block's buffers are alive at once.
-    """
-    if x.dtype != np.float32:
-        x = np.asarray(x, dtype=np.float64)
+    """The row blocks of ``_encoded_blocks`` collected into one float32 matrix."""
     n, d = x.shape[0], projection.shape[1]
     out = np.empty((n, d), dtype=np.float32)
     lo = 0
@@ -503,24 +478,19 @@ def build_zoo(
     counts wherever numpy links OpenBLAS.
 
     The work is independent tasks, run by ``blas_threads.run_tasks`` with
-    numpy's OpenBLAS pinned to one thread throughout. The encoders go in
-    groups, in encoder order: each group's projection QRs (the first
-    group's beside each domain's draw), then its (encoder, domain) cells'
-    encodings. A zoo whose largest cell is under ``2 * SPLIT_MACS``
-    multiply-adds (the desk zoo) runs serially on the calling thread and
-    gives the pool nothing.
+    numpy's OpenBLAS pinned to one thread. The encoders go in groups, in
+    encoder order: each group's projection QRs (the first group's beside
+    each domain's draw), then its (encoder, domain) cells. A zoo whose
+    largest cell is under ``2 * SPLIT_MACS`` multiply-adds runs serially on
+    the calling thread.
 
-    Memory: the raw float32 domains are held throughout, and the float64
-    projections of one group at a time. A group has at most max(workers,
-    raw-domain bytes // widest projection bytes) encoders, so the
-    projections alive at once weigh no more than the raw domains or than one
-    widest projection per worker, whichever is more; a group's projections
-    are dropped once its cells are written. A QR holds its one d x d matrix
-    and one draw block. Each worker has one set of row-block buffers (see
-    ``BLOCK_DOUBLES``), allocated by the calling thread, through which a
-    domain is drawn and a cell is encoded and streamed to its file. Before
-    anything is drawn, a ``MemoryError`` refuses a zoo whose raw domains and
-    largest group's projections together exceed the physical memory.
+    Memory: the raw float32 domains, the float64 projections of one group
+    (at most max(workers, raw-domain bytes // widest projection bytes)
+    encoders, so they weigh no more than the raw domains or one widest
+    projection per worker, whichever is more), and one set of row-block
+    buffers per worker. Before anything is drawn, a ``MemoryError`` refuses
+    a zoo whose raw domains and largest group's projections together exceed
+    the physical memory.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")

@@ -616,8 +616,7 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
     prior_floored = False
     if config.rew_active:
         aux = train_rew_auxiliary(
-            x_cor, y_train, n_classes, [np.random.default_rng(ss_aux)], [np.arange(n)],
-            steps=config.aux_steps, lr=config.aux_lr, batch_size=config.aux_batch_size,
+            x_cor, y_train, n_classes, [np.random.default_rng(ss_aux)], [np.arange(n)], config
         )
         [prior_floored] = aux.prior_floored.tolist()
 

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -400,6 +401,24 @@ def test_train_non_finite_loss_exits_1_naming_the_fold(zoo_dir, tmp_path, capsys
     assert "the fold on target 'domain0' has a non-finite loss at step 1 " in err
     # one error line: no numpy warning, no traceback
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_diverging_reweighting_classifier_exits_1_naming_aux_lr(zoo_dir, tmp_path, capsys):
+    # the head's learning rate is fine; at this one the classifier's own loss
+    # turns non-finite within its first steps, before the head's first
+    # weighted step could read its weights
+    out = tmp_path / "diverged.json"
+    argv = ["train", "--manifest", str(zoo_dir / "manifest.json"), "--out", str(out),
+            "--main", "main_full", "--div-aux", "div_heavy", "--rew-aux", "cor_heavy",
+            "--mode", "rew", "--target", "domain2", "--steps", "20", "--anneal", "5",
+            "--aux-lr", "1e37"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: the fold on target 'domain2' has a reweighting classifier with a non-finite "
+        r"loss at step \d+ \(ce=(nan|inf)\); try an aux_lr \(--aux-lr\) below 1e\+37\n", err
+    ), err
     assert not out.exists()
 
 
@@ -862,6 +881,24 @@ def test_train_larger_than_physical_memory_exits_1_naming_both_sizes(
     assert main(_argv("train", zoo_dir, tmp_path / "both.json")) == 1
     monkeypatch.setattr(blas_threads, "physical_memory", lambda: need)
     assert main(_argv("train", zoo_dir, tmp_path / "both.json")) == 0
+
+
+def test_train_memory_check_counts_an_auxiliary_in_both_roles_once(
+    zoo_dir, tmp_path, monkeypatch, capsys
+):
+    manifest = load_manifest(zoo_dir / "manifest.json")
+    main_bytes = 4 * 3 * 400 * manifest.encoder("main_full").dim
+    aux_bytes = 4 * 2 * 320 * manifest.encoder("cor_heavy").dim
+    argv = _argv("train", zoo_dir, tmp_path / "shared.json")
+    argv[argv.index("div_heavy")] = "cor_heavy"
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: main_bytes + aux_bytes - 1)
+    tried = _refusing_reads(monkeypatch)
+    assert main(argv) == 1
+    assert f"and {aux_bytes / 2**30:.3g} GiB of auxiliary training rows" in capsys.readouterr().err
+    assert tried == []
+    monkeypatch.undo()
+    monkeypatch.setattr(blas_threads, "physical_memory", lambda: main_bytes + aux_bytes)
+    assert main(argv) == 0
 
 
 def test_profile_larger_than_physical_memory_exits_1_naming_jobs(

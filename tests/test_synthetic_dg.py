@@ -154,7 +154,7 @@ def test_sign_mixture_rate_tracks_strength():
 
 def test_encoder_is_deterministic_and_leaky():
     enc = SynthEncoder("e", (0, 1, 2), 21)
-    x = np.random.default_rng(0).normal(size=(40, 5))
+    x = np.random.default_rng(0).normal(size=(40, 5)).astype(np.float32)
     z1, z2 = enc.transform(x), enc.transform(x)
     assert z1.dtype == np.float32
     assert z1.tobytes() == z2.tobytes()
