@@ -200,13 +200,15 @@ def run_tasks(tasks: Sequence[Callable[[], T]], workers: int) -> list[T]:
     threads of ``worker_pool`` each take the next task no thread has taken,
     until none is left; with one worker nothing goes to the pool. After a task
     raises, no thread starts another; once the running ones have ended, the
-    first error is raised here. A helper still queued behind busy pool threads
+    error of the first task, in task order, that raised is raised here: every
+    task before a failed one was started, so that error does not depend on
+    the threads' timing. A helper still queued behind busy pool threads
     is cancelled, never waited for, so a task may call ``run_tasks`` itself.
     Each helper runs in a copy of the caller's ``contextvars`` context, so its
     tasks compute under the caller's numpy error state (``np.errstate``).
     """
     results: list = [None] * len(tasks)
-    errors: list[BaseException] = []
+    errors: dict[int, BaseException] = {}
     lock = threading.Lock()
     taken = iter(range(len(tasks)))
 
@@ -220,7 +222,7 @@ def run_tasks(tasks: Sequence[Callable[[], T]], workers: int) -> list[T]:
                 results[i] = tasks[i]()
             except BaseException as exc:
                 with lock:
-                    errors.append(exc)
+                    errors[i] = exc
                 return
 
     helpers = min(workers, len(tasks), usable_cpus()) - 1
@@ -234,5 +236,5 @@ def run_tasks(tasks: Sequence[Callable[[], T]], workers: int) -> list[T]:
             if not future.cancel():
                 future.result()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
     return results

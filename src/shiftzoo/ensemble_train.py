@@ -678,13 +678,14 @@ def _row_bytes(
     float32 logits, shifted logits and softmax, and six float64 values (p_y,
     prior, ratio, raw and clipped weight, weight); with HSIC, the gathered
     diversity-auxiliary row in float32 and in float64 and its square, and a
-    row of each of three (m, m) float64 matrices (the Gram product, the
-    kernel and the centred kernel) with three float64 row statistics."""
+    row of each of two (m, m) float64 matrices (the Gram product and the
+    kernel, which is centred in place and is all a step keeps) with three
+    float64 row statistics."""
     size = _DRAW_BYTES + 8
     if cor_rows is not None:
         size += cor_rows.shape[1] * cor_rows.itemsize + 3 * 4 * n_classes + 6 * 8
     if div_rows is not None:
-        size += div_rows.shape[1] * (div_rows.itemsize + 2 * 8) + 3 * 8 * batch + 3 * 8
+        size += div_rows.shape[1] * (div_rows.itemsize + 2 * 8) + 2 * 8 * batch + 3 * 8
     return size
 
 

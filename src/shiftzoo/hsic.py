@@ -1,23 +1,28 @@
 """Biased HSIC estimator with Gaussian kernels, plus its analytic gradient.
 
-HSIC_b(K, L) = (1/m^2) trace(K H L H) with H = I - (1/m) 11^T. Everything is
-computed in float64 via the expanded identity
+HSIC_b(K, L) = (1/m^2) trace(K H L H) with H = I - (1/m) 11^T. Since H is
+symmetric and idempotent, trace(K H L H) = sum((H K H) * L), so everything
+reads one matrix, the centred kernel H K H, computed in float64 as
 
-    mean(K*L) + mean(K) * mean(L) - 2 * mean_i( rowmean(K)_i * rowmean(L)_i )
+    K_ij - rowmean(K)_i - rowmean(K)_j + mean(K)
 
-which avoids materialising the centering matrix. The gradient is taken with
-respect to the first argument's inputs only; the second kernel is a constant.
+without materialising H. Its elementwise product with L is the weight
+matrix of the gradient, and the value is that matrix's sum over m^2. The
+gradient is taken with respect to the first argument's inputs only; the
+second kernel is a constant.
 
 A training step's batch is a few dozen rows, so the cost is the number of
-numpy calls: each kernel is built once, in place, and the value and the
-gradient share its means. Reductions call ``np.add.reduce``, which ``mean``
-and ``sum`` run, so the bits are those of ``np.mean``.
+numpy calls: each kernel is built and centred in place. Reductions call
+``np.add.reduce``, which ``mean`` and ``sum`` run, so the bits are those of
+``np.mean`` and ``np.sum``.
 
 Every function also takes a stack of batches, (F, m, d), one per head of a
 stack, and each batch gets the bits it gets on its own. ``centred_kernel``
 builds the second argument's kernel for a stack of any depth at once, say
 (S, F, m, d) for S steps; each step hands its (F, m, m) part to
 ``hsic_b_value_and_grad`` in place of the rows, with the bits the rows give.
+HSIC_b is linear in the centred kernel, so penalties against several second
+arguments add up to one against the sum of their centred kernels.
 """
 
 from __future__ import annotations
@@ -71,32 +76,26 @@ def gaussian_kernel_matrix(z: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CentredKernel:
-    """A Gaussian kernel K of a batch, or of each batch of a stack, with what
-    HSIC reads of it: its mean, its row means and K centred with both,
-    K_ij - row_i - row_j + mean. Indexing takes the same part of each."""
+    """The centred Gaussian kernel H K H of a batch, or of each batch of a
+    stack, (..., m, m). Indexing takes the same part of it."""
 
-    matrix: np.ndarray
-    mean: np.ndarray
-    row_mean: np.ndarray
     centred: np.ndarray
 
     def __getitem__(self, index) -> "CentredKernel":
-        return CentredKernel(
-            self.matrix[index], self.mean[index], self.row_mean[index], self.centred[index]
-        )
+        return CentredKernel(self.centred[index])
 
 
 def centred_kernel(z: np.ndarray, spec: KernelSpec) -> CentredKernel:
     """The ``CentredKernel`` of the rows of ``z``, (..., m, d), for each of its
-    (m, d) batches."""
+    (m, d) batches: the Gaussian kernel, centred in place."""
     k = gaussian_kernel_matrix(z, spec)
     lead, m = k.shape[:-2], k.shape[-1]
     mean = np.add.reduce(k.reshape(*lead, m * m), -1) / (m * m)
     row_mean = np.add.reduce(k, -1) / m
-    centred = k - row_mean[..., :, None]
-    centred -= row_mean[..., None, :]
-    centred += mean[..., None, None]
-    return CentredKernel(k, mean, row_mean, centred)
+    k -= row_mean[..., :, None]
+    k -= row_mean[..., None, :]
+    k += mean[..., None, None]
+    return CentredKernel(k)
 
 
 def hsic_b_value_and_grad(
@@ -115,10 +114,9 @@ def hsic_b_value_and_grad(
     """
     z_first = np.asarray(z_first, dtype=np.float64)
     if isinstance(z_second, CentredKernel):
-        k, paired = z_second, z_second.row_mean.shape
+        k, paired = z_second, z_second.centred.shape[:-1]
     else:
-        z_second = np.asarray(z_second, dtype=np.float64)
-        k, paired = None, z_second.shape[:-1]
+        k, paired = None, np.shape(z_second)[:-1]
     if z_first.ndim < 2 or len(paired) != z_first.ndim - 1:
         raise ValidationError("HSIC inputs must be 2-D matrices or stacks of them")
     if z_first.shape[:-1] != paired:
@@ -133,18 +131,10 @@ def hsic_b_value_and_grad(
     if k is None:
         k = centred_kernel(z_second, spec_second)
     mm = m * m
-    # each matrix flattened: a reduction over it is one reduction over mm values
-    k_all, l_all = k.matrix.reshape(*lead, mm), l.reshape(*lead, mm)
-    row_term = np.add.reduce(k.row_mean * (np.add.reduce(l, -1) / m), -1) / m
-    value = (
-        np.add.reduce(k_all * l_all, -1) / mm
-        + k.mean * (np.add.reduce(l_all, -1) / mm)
-        - 2.0 * row_term
-    )
-
     # trace(KHLH) = sum((HKH) * L): the centred kernel times L, in L's place,
-    # is the weight matrix of the gradient
+    # is the weight matrix of the gradient, and its sum is m^2 times the value
     w = np.multiply(k.centred, l, out=l)
+    value = np.add.reduce(w.reshape(*lead, mm), -1) / mm
     grad = np.add.reduce(w, -1)[..., None] * z_first
     grad -= w @ z_first
     grad *= -4.0 * spec_first.effective_gamma(z_first.shape[-1]) / mm

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from . import __version__
 from .blas_threads import check_memory, run_tasks, single_blas_thread, usable_cpus
 from .correlation_profile import DEFAULT_BINS, dataset_correlation
-from .errors import ValidationError
+from .errors import ShiftZooError, ValidationError
 from .feature_store import ZooManifest, check_json, load_domain_features, read_json, write_json
 from .gaussian_profile import DEFAULT_QUANTILE, DEFAULT_SHRINKAGE, dataset_diversity
 
@@ -98,13 +98,18 @@ def profile_encoder(
     quantile: float = DEFAULT_QUANTILE,
     n_bins: int = DEFAULT_BINS,
 ) -> dict:
-    """Profile one encoder across all domain pairs of the manifest."""
+    """Profile one encoder across all domain pairs of the manifest. An error
+    of its estimators begins "encoder 'X': "; one of its feature files names
+    the file."""
     sets = [
         load_domain_features(manifest, encoder_id, d.domain_id, seed=seed)
         for d in manifest.domains
     ]
-    f_div, div_pairs = dataset_diversity(sets, shrinkage=shrinkage, quantile=quantile)
-    f_cor, cor_pairs = dataset_correlation(sets, div_pairs, manifest.n_classes, n_bins=n_bins)
+    try:
+        f_div, div_pairs = dataset_diversity(sets, shrinkage=shrinkage, quantile=quantile)
+        f_cor, cor_pairs = dataset_correlation(sets, div_pairs, manifest.n_classes, n_bins=n_bins)
+    except ShiftZooError as exc:
+        raise type(exc)(f"encoder '{encoder_id}': {exc}") from exc
     pairs = []
     for key in sorted(div_pairs):
         dp, cp = div_pairs[key], cor_pairs[key]

@@ -238,14 +238,19 @@ def _draw_domain(
             own = rng.random(n) < 0.5 * (1.0 + spec.spur_strength[e])
             signs = np.where(own, 1.0, -1.0)
             _fill_noisy(rng, x, spur, labels, patterns, spec.noise_sigma, buffers, signs)
-    # an overflow leaves an infinity, so an extreme is not finite; unlike
-    # np.isfinite(x) this allocates nothing the size of the domain
-    if not np.isfinite([x.min(), x.max()]).all():
-        raise ValidationError(
-            f"domain 'domain{e}': the draw overflows float32 (noise_sigma={spec.noise_sigma:g}, "
-            f"div_offset={spec.div_offset:g})"
-        )
+    _finite(x, f"domain 'domain{e}': the draw", spec)
     return labels
+
+
+def _finite(x: np.ndarray, what: str, spec: SynthSpec) -> np.ndarray:
+    """``x``, refused with a ``ValidationError`` saying that ``what``
+    overflows float32 if a value of it is not finite: an overflow leaves an
+    infinity, so an extreme is not finite, and unlike np.isfinite(x) this
+    allocates nothing the size of x."""
+    if not np.isfinite([x.min(), x.max()]).all():
+        raise ValidationError(f"{what} overflows float32 (noise_sigma={spec.noise_sigma:g}, "
+                              f"div_offset={spec.div_offset:g})")
+    return x
 
 
 def _domain_draws(spec: SynthSpec) -> tuple[list[np.ndarray], list[Callable[..., np.ndarray]]]:
@@ -491,6 +496,11 @@ def build_zoo(
     buffers per worker. Before anything is drawn, a ``MemoryError`` refuses
     a zoo whose raw domains and largest group's projections together exceed
     the physical memory.
+
+    A domain's draw or a cell's encoding with a value out of float32's range
+    is refused with a ``ValidationError`` that names it; of several such
+    cells, the first in encoder-then-domain order, on any number of CPUs.
+    The refused zoo has no manifest.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
@@ -523,10 +533,13 @@ def build_zoo(
     domain_ids = [f"domain{e}" for e in range(spec.n_domains)]
 
     def write_cell(enc: SynthEncoder, projection: np.ndarray, e: int, bufs) -> None:
-        write_feature_blocks(
-            out_dir / f"{enc.encoder_id}_{domain_ids[e]}.fzf", (n, enc.dim),
-            _encoded_blocks(xs[e], enc.coord_indices, projection, bufs),
-        )
+        cell = f"encoder '{enc.encoder_id}' on domain '{domain_ids[e]}': the encoding"
+        blocks = _encoded_blocks(xs[e], enc.coord_indices, projection, bufs)
+        # a value out of float32's range becomes an infinity, which _finite
+        # refuses in place of numpy's warning
+        with np.errstate(over="ignore"):
+            write_feature_blocks(out_dir / f"{enc.encoder_id}_{domain_ids[e]}.fzf", (n, enc.dim),
+                                 (_finite(b, cell, spec) for b in blocks))
 
     with single_blas_thread():
         made = run_tasks(

@@ -172,17 +172,18 @@ def reference_gaussian_kernel(z: np.ndarray, gamma: float) -> np.ndarray:
 def reference_hsic_b_value_and_grad(
     z_first: np.ndarray, z_second: np.ndarray, spec_first: KernelSpec, spec_second: KernelSpec
 ) -> tuple[float, np.ndarray]:
-    """HSIC value and gradient wrt ``z_first``, each term computed where it is used."""
+    """HSIC value and gradient wrt ``z_first``, each term computed where it is
+    used: the value is trace(KHLH) / m^2 read as sum((HKH) * L) / m^2."""
     z_first = np.asarray(z_first, dtype=np.float64)
     z_second = np.asarray(z_second, dtype=np.float64)
     m = z_first.shape[0]
     gamma = spec_first.effective_gamma(z_first.shape[1])
     l = reference_gaussian_kernel(z_first, gamma)
     k = reference_gaussian_kernel(z_second, spec_second.effective_gamma(z_second.shape[1]))
-    value = hsic_from_kernels(k, l)
     row = k.mean(axis=1)
     k_centered = k - row[:, None] - row[None, :] + k.mean()
     w = k_centered * l
+    value = w.sum() / (m * m)
     grad = (-4.0 * gamma / (m * m)) * (w.sum(axis=1)[:, None] * z_first - w @ z_first)
     return value, grad
 

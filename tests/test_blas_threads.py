@@ -257,6 +257,27 @@ def test_an_error_starts_no_new_task_and_waits_for_the_running_ones(monkeypatch,
     assert sorted(started, key=str) == [1, "fail"]
 
 
+def test_the_error_raised_is_that_of_the_first_failing_task_in_task_order(
+    monkeypatch, fresh_pool
+):
+    """Task 1 fails first in time, task 0 after it: task 0's error is raised."""
+    monkeypatch.setattr(blas_threads, "usable_cpus", lambda: 2)
+    second_failed = threading.Event()
+
+    def first():
+        second_failed.wait(5)
+        raise ValueError("task 0 failed")
+
+    def second():
+        try:
+            raise ValueError("task 1 failed")
+        finally:
+            second_failed.set()
+
+    with pytest.raises(ValueError, match="task 0 failed"):
+        blas_threads.run_tasks([first, second], 2)
+
+
 def test_pool_threads_run_under_the_callers_numpy_error_state(monkeypatch, fresh_pool):
     """A task on a pool thread sees the caller's ``np.errstate``: under pytest's
     ``error::RuntimeWarning`` an overflow it was told to ignore raises nothing."""

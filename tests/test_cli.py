@@ -454,6 +454,21 @@ def test_train_collapsed_fold_exits_1_naming_the_fold(zoo_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_profile_error_of_an_estimator_names_the_encoder(tmp_path, capsys):
+    # at this offset div_heavy's domain1 features have zero variance: the offset
+    # swamps every other coordinate
+    zoo = tmp_path / "z"
+    assert main(["synth", "--out", str(zoo), "--samples", "100", "--div-offset", "1e37"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "p.json"
+    assert main(["profile", "--manifest", str(zoo / "manifest.json"), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: encoder 'div_heavy': features of domain 'domain1' have zero variance"
+    )
+    assert not out.exists()
+
+
 def test_train_unknown_encoder_exits_2(zoo_dir, tmp_path, capsys):
     code = main(
         ["train", "--manifest", str(zoo_dir / "manifest.json"),

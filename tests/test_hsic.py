@@ -1,6 +1,7 @@
 """HSIC estimator against naive oracles, plus gradient finite-difference checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,9 @@ def test_value_and_grad_match_reference_bitwise(
     assert hsic_b(z1, z2, s1, s2) == value
     [kernel] = gaussian_kernel_matrix(z1[None], s1)
     assert kernel.tobytes() == reference_gaussian_kernel(z1, s1.effective_gamma(d1)).tobytes()
+    # the centred form agrees with the expanded identity to rounding
+    k = reference_gaussian_kernel(np.asarray(z2, np.float64), s2.effective_gamma(d2))
+    assert abs(value - hsic_from_kernels(k, kernel)) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [2, 3, 32, 97])
@@ -196,13 +200,30 @@ def test_a_block_of_centred_kernels_gives_each_step_the_bits_of_its_rows(m):
     rows = rng.normal(size=(steps, heads, m, 12)).astype(np.float32)
     s1, s2 = KernelSpec(0.1), KernelSpec(0.5)
     block = centred_kernel(rows, s2)
-    assert block.matrix.shape == block.centred.shape == (steps, heads, m, m)
-    assert block.row_mean.shape == (steps, heads, m) and block.mean.shape == (steps, heads)
+    assert block.centred.shape == (steps, heads, m, m)
     for s in range(steps):
         value, grad = hsic_b_value_and_grad(logits[s], block[s], s1, s2)
         want_value, want_grad = hsic_b_value_and_grad(logits[s], rows[s], s1, s2)
         assert value.tobytes() == want_value.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_a_block_of_centred_kernels_holds_one_matrix_per_batch():
+    """What ``centred_kernel`` leaves allocated for an (S, F, m, d) block is
+    one (S, F, m, m) float64 array and a few KiB: the kernel is centred in
+    place, and neither it nor its means are kept beside the centred one."""
+    steps, heads, m = 5, 3, 32
+    rows = np.random.default_rng(0).normal(size=(steps, heads, m, 12)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        block = centred_kernel(rows, KernelSpec(0.5))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one = steps * heads * m * m * 8
+    assert block.centred.nbytes == one
+    assert one <= after - before <= one + 4096
 
 
 def test_a_centred_kernel_must_pair_with_the_first_rows():

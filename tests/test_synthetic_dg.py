@@ -609,6 +609,42 @@ def test_synth_whose_draw_overflows_float32_exits_2_naming_the_domain(
     assert not (tmp_path / "z").exists()
 
 
+def test_synth_whose_encoding_overflows_float32_exits_2_naming_the_cell(tmp_path, capsys):
+    """The draws fit float32 and div_heavy's encoding of domain2 does not: one
+    error line names the first such cell, in encoder-then-domain order."""
+    from shiftzoo.cli import main
+
+    out = tmp_path / "big"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings must not escape either
+        assert main(["synth", "--out", str(out), "--samples", "100",
+                     "--div-offset", "1.5e38"]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(
+        "error: encoder 'div_heavy' on domain 'domain2': the encoding overflows float32 "
+        "(noise_sigma=1, div_offset=1.5e+38)"
+    )
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_pooled_synth_refuses_the_same_overflowing_cell_on_any_cpu_count(
+    tmp_path, monkeypatch, fresh_pool
+):
+    """Several cells of one group overflow; under one usable CPU and on the
+    pool the error names the same one, the first in encoder-then-domain order."""
+    refused = {}
+    for cpus in (1, 2, 3):
+        _usable_cpus(monkeypatch, cpus)
+        fresh_pool()
+        with pytest.raises(ValidationError, match="the encoding overflows float32") as exc:
+            build_zoo(_pooled_spec(div_offset=1e38), zoo_size=6, out_dir=tmp_path / str(cpus))
+        refused[cpus] = str(exc.value)
+        assert not (tmp_path / str(cpus) / "manifest.json").exists()
+    assert refused[1] == refused[2] == refused[3]
+    assert refused[1].startswith("encoder 'div_heavy' on domain 'domain")
+
+
 def test_generate_refuses_a_draw_that_overflows_float32():
     with pytest.raises(ValidationError, match="domain 'domain0': the draw overflows float32"):
         generate(SynthSpec(noise_sigma=1e300))
