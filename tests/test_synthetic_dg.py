@@ -631,8 +631,8 @@ def test_synth_whose_encoding_overflows_float32_exits_2_naming_the_cell(tmp_path
 def test_a_pooled_synth_refuses_the_same_overflowing_cell_on_any_cpu_count(
     tmp_path, monkeypatch, fresh_pool
 ):
-    """Several cells of one group overflow; under one usable CPU and on the
-    pool the error names the same one, the first in encoder-then-domain order."""
+    """Two cells of one group overflow, div_heavy's on domain2 and domain3;
+    under one usable CPU and on the pool the error names the first."""
     refused = {}
     for cpus in (1, 2, 3):
         _usable_cpus(monkeypatch, cpus)
@@ -642,7 +642,7 @@ def test_a_pooled_synth_refuses_the_same_overflowing_cell_on_any_cpu_count(
         refused[cpus] = str(exc.value)
         assert not (tmp_path / str(cpus) / "manifest.json").exists()
     assert refused[1] == refused[2] == refused[3]
-    assert refused[1].startswith("encoder 'div_heavy' on domain 'domain")
+    assert refused[1].startswith("encoder 'div_heavy' on domain 'domain2': ")
 
 
 def test_generate_refuses_a_draw_that_overflows_float32():
