@@ -2,7 +2,7 @@
 
 Every command is deterministic given its inputs and seed: repeated runs
 write byte-identical files and stdout. Settings resolve in precedence
-order defaults < config file < SHIFTZOO_SEED < explicit flags. The
+order defaults < config file < explicit flags, and from nothing else. The
 parameters are the library's own (``SynthSpec`` and ``build_zoo``,
 ``build_report``, ``TrainConfig``): each one's default, flag, config key and
 value type come from its declaration there.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -39,8 +38,6 @@ from .report import (
     write_report,
 )
 from .synthetic_dg import SynthSpec, build_zoo
-
-SEED_ENV = "SHIFTZOO_SEED"
 
 
 def _keyword_defaults(func: Callable, skip: Sequence[str]) -> dict:
@@ -83,7 +80,7 @@ _FLAG_EXCEPTIONS = {
 
 # The JSON spec of a config value, per flag parser (see feature_store.check_json);
 # JSON's Infinity is `--temperature inf`
-_JSON_SPECS = {int: int, float: (float, math.inf), str: str, _strengths: ([float], str)}
+_JSON_SPECS = {int: int, float: (float, math.inf), str: str, _strengths: [float]}
 
 
 def _flag(name: str, default) -> tuple[str, dict]:
@@ -99,33 +96,18 @@ def _add_params(parser: argparse.ArgumentParser, params: Mapping) -> None:
 
 
 def _load_config_file(path: str | None, defaults: Mapping) -> dict:
-    """The config file's values, each checked and parsed as its flag's text would be."""
+    """The config file's values, each checked against its JSON spec and of its flag's type."""
     if path is None:
         return {}
     parsers = {key: _flag(key, default)[1]["type"] for key, default in defaults.items()}
     raw = read_json(path, "config file", {k: (_JSON_SPECS[p], ...) for k, p in parsers.items()})
-    config = {}
-    for key, value in raw.items():
-        try:
-            config[key] = tuple(map(float, value)) if type(value) is list else parsers[key](value)
-        except argparse.ArgumentTypeError as exc:
-            raise ValidationError(f"config file {path}: $.{key}: {exc}") from None
-    return config
-
-
-def _env_seed() -> int | None:
-    value = os.environ.get(SEED_ENV)
-    try:
-        return None if value is None else int(value)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV} must be an integer, got {value!r}") from None
+    return {key: tuple(map(float, value)) if type(value) is list else parsers[key](value)
+            for key, value in raw.items()}
 
 
 def _params(args: argparse.Namespace, defaults: Mapping) -> dict:
-    """defaults < config file < SHIFTZOO_SEED < explicit flags."""
+    """defaults < config file < explicit flags."""
     merged = {**defaults, **_load_config_file(args.config, defaults)}
-    if (env_seed := _env_seed()) is not None:
-        merged["seed"] = env_seed
     merged.update({key: getattr(args, key) for key in defaults if getattr(args, key) is not None})
     return merged
 

@@ -467,25 +467,21 @@ def weighted_cross_entropy(
 @dataclass(frozen=True)
 class RewAuxiliary:
     """A stack of F linear softmax classifiers over frozen auxiliary features: a
-    stack of one-layer heads, an (F, classes) class prior and F ``prior_floored`` flags."""
+    stack of one-layer heads and an (F, classes) class prior."""
 
     head: MlpHead
     class_prior: np.ndarray
-    prior_floored: np.ndarray
 
     def predict_proba(self, z: np.ndarray) -> np.ndarray:
         """(F, rows, classes) probabilities of (F, rows, dim) or (rows, dim) features."""
         return softmax(self.head.predict_logits(z))
 
 
-def class_prior(labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, bool]:
-    """Empirical label frequencies, floored and renormalised only when a class is absent."""
+def class_prior(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Empirical label frequencies; an absent class gets 0, which ``rew_weights``
+    never reads, since it looks the prior up by labels of the pool counted here."""
     counts = np.bincount(np.asarray(labels), minlength=n_classes).astype(np.float64)
-    prior = counts / counts.sum()
-    if (prior > 0).all():
-        return prior, False
-    prior = np.maximum(prior, P_FLOOR)
-    return prior / prior.sum(), True
+    return counts / counts.sum()
 
 
 def _step_blocks(steps: int, step_bytes: int, switches: Sequence[int] = ()) -> list[range]:
@@ -549,7 +545,7 @@ def train_rew_auxiliary(
     pool_labels = [y[rows] for rows in pools]
     if any(np.unique(pool).size < 2 for pool in pool_labels):
         raise ValidationError("reweighting classifier needs at least 2 classes present")
-    priors, floored = zip(*(class_prior(pool, n_classes) for pool in pool_labels))
+    priors = [class_prior(pool, n_classes) for pool in pool_labels]
     head = MlpHead((z.shape[1], n_classes), [0] * len(rngs))
     head.params[...] = 0.0
     opt = AdamW(head.params, lr=config.aux_lr)
@@ -562,7 +558,7 @@ def train_rew_auxiliary(
                 f"has a reweighting classifier with a non-finite loss at step {step} "
                 f"(ce={loss[f]}); try an aux_lr (--aux-lr) below {config.aux_lr}"))
             opt.step(grad)
-    return RewAuxiliary(head=head, class_prior=np.stack(priors), prior_floored=np.array(floored))
+    return RewAuxiliary(head=head, class_prior=np.stack(priors))
 
 
 def batch_weights(raw: np.ndarray) -> np.ndarray:
@@ -717,7 +713,6 @@ class TrainResult:
     final_test_accuracy: float
     best_test_accuracy: float
     test_logits: np.ndarray
-    prior_floored: bool
 
 
 def accuracy(head: MlpHead, x: np.ndarray, labels: np.ndarray) -> float:
@@ -825,13 +820,11 @@ def train_on_sets(
     targets = [t.domain_id for t in test_sets]
 
     aux = None
-    prior_floored = [False] * heads_n
     if config.rew_active:
         aux = train_rew_auxiliary(
             cor_rows, y_train, n_classes, [np.random.default_rng(ss) for _, _, ss in streams],
             train_pools, config, targets,
         )
-        prior_floored = aux.prior_floored.tolist()
 
     optimizer = AdamW(stack.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     # per head and step: ce, hsic, mean weight
@@ -889,7 +882,6 @@ def train_on_sets(
             head=head, log=log[f], evals=evals[f], final_val_accuracy=evals[f][-1].val_accuracy,
             best_val_accuracy=best_acc[f], best_step=best_step[f], final_test_accuracy=final_test,
             best_test_accuracy=best_test, test_logits=test_logits,
-            prior_floored=prior_floored[f],
         ))
     return results
 
@@ -984,7 +976,8 @@ def train(
             try:
                 shifts = logit_shift(sets, manifest.n_classes)
             except NumericalError as exc:
-                raise NumericalError(f"the fold on target '{target}': {exc}") from exc
+                raise NumericalError(f"the fold on target '{target}': {exc}; its training "
+                                     "may have collapsed (try a lower learning rate)") from exc
             folds.append(Fold(target, result, *shifts))
         return folds
 

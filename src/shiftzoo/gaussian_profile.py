@@ -211,8 +211,7 @@ def fit_profile(
         # the ridge scales with the trace, so no shrinkage makes this factorable
         raise NumericalError(
             f"features of domain '{fs.domain_id}' have zero variance (every training row "
-            "is the same), so no Gaussian can be fitted; for a trained head's logits "
-            "this means training collapsed (try a lower learning rate)"
+            "is the same), so no Gaussian can be fitted"
         )
     inv_chol = lower_inverse(regularize_and_factor(cov, shrinkage))
     threshold = estimate_threshold(mahalanobis_sq(mean, inv_chol, fs.val), quantile)

@@ -500,7 +500,10 @@ def build_zoo(
     A domain's draw or a cell's encoding with a value out of float32's range
     is refused with a ``ValidationError`` that names it; of several such
     cells, the first in encoder-then-domain order, on any number of CPUs.
-    The refused zoo has no manifest.
+    The refused zoo leaves no file: a call that raises while it writes the
+    cells removes each cell file it opened, then ``out_dir`` and each parent
+    of it that the call created; a directory that was there keeps its other
+    files.
     """
     if zoo_size < len(ZOO_ROLES):
         raise ValidationError(f"zoo_size must be >= {len(ZOO_ROLES)}, got {zoo_size}")
@@ -516,6 +519,8 @@ def build_zoo(
     check_memory("synth", need, f"raw domains and projections (at most {len(groups[0])} of "
                  f"its {len(encoders)} encoders' projections at a time)")
     out_dir = Path(out_dir)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    opened: list[Path] = []  # list.append is atomic, so pool threads share it
     # one set of row-block buffers per worker, allocated by this thread: a
     # pool thread's malloc arena would keep what it allocates after synth
     buffers: queue.SimpleQueue = queue.SimpleQueue()
@@ -535,11 +540,12 @@ def build_zoo(
     def write_cell(enc: SynthEncoder, projection: np.ndarray, e: int, bufs) -> None:
         cell = f"encoder '{enc.encoder_id}' on domain '{domain_ids[e]}': the encoding"
         blocks = _encoded_blocks(xs[e], enc.coord_indices, projection, bufs)
+        path = out_dir / f"{enc.encoder_id}_{domain_ids[e]}.fzf"
+        opened.append(path)
         # a value out of float32's range becomes an infinity, which _finite
         # refuses in place of numpy's warning
         with np.errstate(over="ignore"):
-            write_feature_blocks(out_dir / f"{enc.encoder_id}_{domain_ids[e]}.fzf", (n, enc.dim),
-                                 (_finite(b, cell, spec) for b in blocks))
+            write_feature_blocks(path, (n, enc.dim), (_finite(b, cell, spec) for b in blocks))
 
     with single_blas_thread():
         made = run_tasks(
@@ -549,12 +555,20 @@ def build_zoo(
         projections, labels = made[: len(groups[0])], made[len(groups[0]) :]
         del made
         out_dir.mkdir(parents=True, exist_ok=True)  # a refused draw leaves no directory
-        for i, group in enumerate(groups):
-            if i:
-                projections = run_tasks([enc.projection for enc in group], workers)
-            run_tasks([partial(borrowing, write_cell, enc, q, e)
-                       for enc, q in zip(group, projections) for e in range(len(xs))], workers)
-            del projections  # before the next group's are made
+        try:
+            for i, group in enumerate(groups):
+                if i:
+                    projections = run_tasks([enc.projection for enc in group], workers)
+                run_tasks([partial(borrowing, write_cell, enc, q, e)
+                           for enc, q in zip(group, projections) for e in range(len(xs))], workers)
+                del projections  # before the next group's are made
+        except BaseException:
+            # run_tasks raises once its running tasks have ended: no cell is still being written
+            for path in opened:
+                path.unlink(missing_ok=True)
+            for directory in created:  # out_dir first, then each parent this call made
+                directory.rmdir()
+            raise
     for domain_id, y in zip(domain_ids, labels):
         write_labels(out_dir / f"{domain_id}.fzl", y)
     manifest = ZooManifest(

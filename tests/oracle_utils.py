@@ -614,12 +614,10 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
     head = MlpHead.for_input(main_sets[0].dim, n_classes, [np.random.default_rng(ss_init)])
     batch_rng = np.random.default_rng(ss_batch)
     aux = None
-    prior_floored = False
     if config.rew_active:
         aux = train_rew_auxiliary(
             x_cor, y_train, n_classes, [np.random.default_rng(ss_aux)], [np.arange(n)], config
         )
-        [prior_floored] = aux.prior_floored.tolist()
 
     optimizer = AdamW(head.params, lr=config.learning_rate, weight_decay=config.weight_decay)
     log, evals = np.empty((config.steps, 3)), []
@@ -665,7 +663,7 @@ def _reference_fold(main_sets, div_rows, cor_rows, n_classes, config, test_set):
     return TrainResult(
         head=head, log=log, evals=evals, final_val_accuracy=evals[-1].val_accuracy,
         best_val_accuracy=best_acc, best_step=best_step, final_test_accuracy=final_test,
-        best_test_accuracy=best_test, test_logits=test_logits, prior_floored=prior_floored,
+        best_test_accuracy=best_test, test_logits=test_logits,
     )
 
 

@@ -48,9 +48,7 @@ def _address(fn) -> int:
 
 
 def _env() -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if k != "SHIFTZOO_SEED"}
-    env["PYTHONPATH"] = str(Path(shiftzoo.__file__).resolve().parent.parent)
-    return env
+    return {**os.environ, "PYTHONPATH": str(Path(shiftzoo.__file__).resolve().parent.parent)}
 
 
 def _numpy_wheel_symbol(name: str):

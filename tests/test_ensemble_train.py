@@ -561,10 +561,7 @@ def _fixed_aux(bias, prior):
     head = MlpHead((1, len(bias)), [0])
     head.weights[0][...] = 0.0
     head.biases[0][...] = bias
-    return RewAuxiliary(
-        head=head, class_prior=np.asarray([prior], dtype=np.float64),
-        prior_floored=np.array([False]),
-    )
+    return RewAuxiliary(head=head, class_prior=np.asarray([prior], dtype=np.float64))
 
 
 def test_rew_weight_examples():
@@ -615,12 +612,13 @@ def test_batch_weights_examples_and_properties():
 
 
 def test_class_prior_and_floor():
-    prior, floored = class_prior(np.array([0, 1, 2, 3] * 5), 4)
+    # the prior is the pool's frequencies, unfloored: an absent class gets
+    # exactly 0, which rew_weights never reads, since its labels come from
+    # the pool the prior was counted on
+    prior = class_prior(np.array([0, 1, 2, 3] * 5), 4)
     np.testing.assert_allclose(prior, [0.25] * 4)
-    assert not floored
-    prior2, floored2 = class_prior(np.array([0, 0, 1]), 3)
-    assert floored2
-    assert prior2[2] > 0 and prior2.sum() == pytest.approx(1.0)
+    prior2 = class_prior(np.array([0, 0, 1]), 3)
+    assert prior2.tolist() == [2 / 3, 1 / 3, 0.0]
 
 
 def test_rew_auxiliary_learns_separable_data():
@@ -1154,7 +1152,6 @@ def _result_bits(res):
         bits(res.final_val_accuracy, res.best_val_accuracy),
         res.test_logits.tobytes(),
         bits(res.final_test_accuracy, res.best_test_accuracy),
-        bool(res.prior_floored),
     )
 
 

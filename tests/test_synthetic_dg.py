@@ -625,7 +625,19 @@ def test_synth_whose_encoding_overflows_float32_exits_2_naming_the_cell(tmp_path
         "error: encoder 'div_heavy' on domain 'domain2': the encoding overflows float32 "
         "(noise_sigma=1, div_offset=1.5e+38)"
     )
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_a_refused_synth_keeps_the_other_files_of_an_existing_directory(tmp_path):
+    """Into a directory that was there, a refused encoding removes the cell
+    files it opened and nothing else."""
+    out = tmp_path / "big"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    with pytest.raises(ValidationError, match="the encoding overflows float32"):
+        build_zoo(SynthSpec(samples_per_domain=100, div_offset=1.5e38), out_dir=out)
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_a_pooled_synth_refuses_the_same_overflowing_cell_on_any_cpu_count(
@@ -640,7 +652,7 @@ def test_a_pooled_synth_refuses_the_same_overflowing_cell_on_any_cpu_count(
         with pytest.raises(ValidationError, match="the encoding overflows float32") as exc:
             build_zoo(_pooled_spec(div_offset=1e38), zoo_size=6, out_dir=tmp_path / str(cpus))
         refused[cpus] = str(exc.value)
-        assert not (tmp_path / str(cpus) / "manifest.json").exists()
+        assert not (tmp_path / str(cpus)).exists()
     assert refused[1] == refused[2] == refused[3]
     assert refused[1].startswith("encoder 'div_heavy' on domain 'domain2': ")
 
