@@ -650,8 +650,10 @@ def test_a_pooled_synth_refuses_the_same_overflowing_cell_on_any_cpu_count(
         _usable_cpus(monkeypatch, cpus)
         fresh_pool()
         with pytest.raises(ValidationError, match="the encoding overflows float32") as exc:
-            build_zoo(_pooled_spec(div_offset=1e38), zoo_size=6, out_dir=tmp_path / str(cpus))
+            build_zoo(_pooled_spec(div_offset=1e38), zoo_size=6,
+                      out_dir=tmp_path / str(cpus) / "zoo")
         refused[cpus] = str(exc.value)
+        # the cells written on the pool go, then the directory and the parent it made
         assert not (tmp_path / str(cpus)).exists()
     assert refused[1] == refused[2] == refused[3]
     assert refused[1].startswith("encoder 'div_heavy' on domain 'domain2': ")
